@@ -68,7 +68,6 @@ from .continuity import (
 )
 from .distance import (
     HermitianPreservingMap,
-    SdpResult,
     bell_probe_value,
     diamond_distance,
     diamond_lower_probe,
@@ -112,3 +111,4 @@ from .sampling import (
     random_unitary,
     rng_for,
 )
+from .sdp import DiamondSolution

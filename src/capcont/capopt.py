@@ -18,11 +18,11 @@ so a parallel scheduler would produce the identical report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .channels import QuantumChannel, complementary, tensor_power
+from .channels import QuantumChannel, _apply_full, complementary, tensor_power
 from .entropic import Ensemble, entropy_of_matrix
 from .errors import ArgumentError, DimensionError
 from .linalg import D_MAX, DensityMatrix, PureState, partial_trace_matrix
@@ -53,18 +53,9 @@ class OptimizationReport:
     converged: bool
 
 
-def _apply_kraus(kraus: Sequence[np.ndarray], mat: np.ndarray) -> np.ndarray:
-    out = kraus[0] @ mat @ kraus[0].conj().T
-    for k in kraus[1:]:
-        out += k @ mat @ k.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
-def _apply_adjoint(kraus: Sequence[np.ndarray], mat: np.ndarray) -> np.ndarray:
-    out = kraus[0].conj().T @ mat @ kraus[0]
-    for k in kraus[1:]:
-        out += k.conj().T @ mat @ k
-    return 0.5 * (out + out.conj().T)
+def _adjoint(kraus: np.ndarray) -> np.ndarray:
+    """Stack of K^dag: _apply_full on it applies the adjoint map."""
+    return kraus.conj().transpose(0, 2, 1)
 
 
 def _neg_log2(mat: np.ndarray) -> np.ndarray:
@@ -157,21 +148,22 @@ def max_coherent_information(
         raise DimensionError(f"purification dimension {d * d} exceeds D_MAX={D_MAX}")
     kb = ch.kraus
     ke = complementary(ch).kraus
+    kb_adj, ke_adj = _adjoint(kb), _adjoint(ke)
 
     def rho_of(v: np.ndarray) -> np.ndarray:
         return partial_trace_matrix(np.outer(v, v.conj()), (d, d), keep=[1])
 
     def value_of(params):
         rho = rho_of(params[0])
-        return entropy_of_matrix(_apply_kraus(kb, rho)) - entropy_of_matrix(
-            _apply_kraus(ke, rho)
+        return entropy_of_matrix(_apply_full(kb, rho)) - entropy_of_matrix(
+            _apply_full(ke, rho)
         )
 
     def grad_of(params):
         v = params[0]
         rho = rho_of(v)
-        g_rho = _apply_adjoint(kb, _neg_log2(_apply_kraus(kb, rho)))
-        g_rho -= _apply_adjoint(ke, _neg_log2(_apply_kraus(ke, rho)))
+        g_rho = _apply_full(kb_adj, _neg_log2(_apply_full(kb, rho)))
+        g_rho -= _apply_full(ke_adj, _neg_log2(_apply_full(ke, rho)))
         hv = (v.reshape(d, d) @ g_rho.T).reshape(-1)
         hv -= np.vdot(v, hv).real * v
         return [2.0 * hv]
@@ -205,6 +197,7 @@ def _max_over_ensembles(
     legs = [ch.kraus]
     if private:
         legs.append(complementary(ch).kraus)
+    legs = [(kraus, _adjoint(kraus)) for kraus in legs]
 
     def unpack(params):
         z = params[0]
@@ -213,7 +206,7 @@ def _max_over_ensembles(
         return probs, params[1:]
 
     def leg_terms(kraus, probs, states):
-        outs = [_apply_kraus(kraus, np.outer(u, u.conj())) for u in states]
+        outs = [_apply_full(kraus, np.outer(u, u.conj())) for u in states]
         avg = sum(p * o for p, o in zip(probs, outs))
         return outs, avg
 
@@ -221,7 +214,7 @@ def _max_over_ensembles(
         probs, states = unpack(params)
         total = 0.0
         sign = 1.0
-        for kraus in legs:
+        for kraus, _ in legs:
             outs, avg = leg_terms(kraus, probs, states)
             total += sign * (
                 entropy_of_matrix(avg)
@@ -235,11 +228,11 @@ def _max_over_ensembles(
         g_states = [np.zeros(d, dtype=complex) for _ in range(m)]
         g_probs = np.zeros(m)
         sign = 1.0
-        for kraus in legs:
+        for kraus, adjoint in legs:
             outs, avg = leg_terms(kraus, probs, states)
             l_avg = _neg_log2(avg)
             for k, (u, out) in enumerate(zip(states, outs)):
-                back = _apply_adjoint(kraus, l_avg - _neg_log2(out))
+                back = _apply_full(adjoint, l_avg - _neg_log2(out))
                 g_states[k] += sign * probs[k] * (back @ u)
                 g_probs[k] += sign * (
                     float(np.vdot(out, l_avg).real) - entropy_of_matrix(out)

@@ -1,13 +1,19 @@
 """Quantum channels: Kraus families, Choi matrices, isometric dilations.
 
-A channel is stored as a list of d_out x d_in Kraus operators summing to the
-identity under K^dag K (trace preservation); complete positivity is automatic
-in this form. Conversions to and from the Choi matrix give canonical minimal
-Kraus families, Stinespring dilation gives the complementary channel, and a
-small zoo of named constructors covers the channels the harnesses exercise:
-identity, constant, erasure, depolarizing, dephasing, and the capacity
-discontinuity families (an n-level identity mixed with a sink map, in both
-its classical and quantum parameterizations).
+A channel is stored as one read-only (r, d_out, d_in) stack of Kraus
+operators summing to the identity under K^dag K (trace preservation);
+complete positivity is automatic in this form. Conversions to and from the
+Choi matrix give canonical minimal Kraus families, Stinespring dilation
+gives the complementary channel, and a small zoo of named constructors
+covers the channels the harnesses exercise: identity, constant, erasure,
+depolarizing, dephasing, and the capacity discontinuity families (an
+n-level identity mixed with a sink map, in both its classical and quantum
+parameterizations).
+
+Channel application lives only here, in two private primitives on raw
+matrices: _apply_full on the whole space (the stack of K^dag gives the
+adjoint) and _apply_on_factors on chosen tensor slots. The public apply and
+apply_extended validate at the boundary.
 
 Conventions fixed here for reproducibility:
   * Choi matrix lives on in (x) out: J = sum_ij |i><j| (x) N(|i><j|).
@@ -17,7 +23,6 @@ Conventions fixed here for reproducibility:
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,11 +37,12 @@ class QuantumChannel:
 
     Parameters
     ----------
-    kraus : sequence of (d_out, d_in) complex matrices
-        Kraus operators; must satisfy sum K^dag K = I within TAU_TP.
+    kraus : (r, d_out, d_in) array or sequence of r (d_out, d_in) matrices
+        Kraus operators; must satisfy sum K^dag K = I within TAU_TP. They
+        are copied into the read-only stack ``self.kraus``.
     """
 
-    def __init__(self, kraus: Sequence[np.ndarray]):
+    def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray):
         ops = [linalg.as_matrix(k) for k in kraus]
         if not ops:
             raise ArgumentError("channel needs at least one Kraus operator")
@@ -47,17 +53,15 @@ class QuantumChannel:
             raise DimensionError(
                 f"Choi dimension {d_in * d_out} exceeds D_MAX={D_MAX}"
             )
-        acc = np.zeros((d_in, d_in), dtype=complex)
-        for k in ops:
-            acc += k.conj().T @ k
-        res = float(np.max(np.abs(acc - np.eye(d_in))))
+        stack = np.stack(ops)
+        rows = stack.reshape(-1, d_in)  # sum_k K^dag K as one product
+        res = float(np.max(np.abs(rows.conj().T @ rows - np.eye(d_in))))
         if res > TAU_TP:
             raise TPViolationError(
                 f"Kraus family is not trace-preserving: residual {res:.3e}"
             )
-        for k in ops:
-            k.setflags(write=False)
-        self.kraus = tuple(ops)
+        stack.setflags(write=False)
+        self.kraus = stack
         self.d_in = d_in
         self.d_out = d_out
 
@@ -80,7 +84,7 @@ class ChoiMatrix:
             )
         if linalg.herm_residual(m) > TAU_HERM * max(1.0, float(np.abs(m).max())):
             raise ArgumentError("Choi matrix must be Hermitian")
-        self.matrix = (m + m.conj().T) / 2.0
+        self.matrix = linalg.hermitian_part(m)
         self.matrix.setflags(write=False)
         self.d_in = d_in
         self.d_out = d_out
@@ -109,31 +113,52 @@ class IsometricExtension:
 # ------------------------------------------------------------------ action
 
 
+def _apply_full(kraus: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Hermitian part of sum_k K_k mat K_k^dag, batched over the stack.
+
+    Passing the stack kraus.conj().transpose(0, 2, 1) applies the adjoint
+    map. The sum runs in index order: np.sum over the Kraus axis switches
+    to pairwise summation on long stacks of 1 x 1 outputs.
+    """
+    terms = kraus @ mat @ kraus.conj().transpose(0, 2, 1)
+    out = terms[0].copy()
+    for term in terms[1:]:
+        out += term
+    return linalg.hermitian_part(out)
+
+
+def _apply_on_factors(
+    kraus: np.ndarray, mat: np.ndarray, dims: tuple[int, ...], factors: Iterable[int]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Hermitian part of the family applied to each listed tensor factor.
+
+    Works one factor and one Kraus operator at a time, so the peak memory
+    stays at a few copies of the output rather than one per operator.
+    """
+    factors = list(factors)
+    d_out = kraus.shape[1]
+    d_rest = int(np.prod(dims)) // int(np.prod([dims[f] for f in factors]))
+    if d_rest * d_out ** len(factors) > D_MAX:
+        raise DimensionError("extended output dimension exceeds D_MAX")
+    k = len(dims)
+    for f in factors:
+        t = mat.reshape(dims + dims)
+        dims = dims[:f] + (d_out,) + dims[f + 1 :]
+        out = np.zeros(dims + dims, dtype=complex)
+        for op in kraus:
+            s = np.moveaxis(np.tensordot(op, t, axes=([1], [f])), 0, f)
+            s = np.moveaxis(np.tensordot(s, op.conj(), axes=([k + f], [1])), -1, k + f)
+            out += s
+        d_tot = int(np.prod(dims))
+        mat = out.reshape(d_tot, d_tot)
+    return linalg.hermitian_part(mat), dims
+
+
 def apply(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     """Channel action sum_k K rho K^dag."""
     if rho.d != ch.d_in:
         raise ArgumentError(f"state dimension {rho.d} != channel input {ch.d_in}")
-    out = np.zeros((ch.d_out, ch.d_out), dtype=complex)
-    for k in ch.kraus:
-        out += k @ rho.matrix @ k.conj().T
-    return DensityMatrix(out, (ch.d_out,))
-
-
-def _apply_on_factor(
-    kraus: Sequence[np.ndarray], mat: np.ndarray, dims: tuple[int, ...], f: int
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Apply one Kraus family to factor f of a multipartite matrix."""
-    k = len(dims)
-    d_out = kraus[0].shape[0]
-    t = mat.reshape(dims + dims)
-    new_dims = dims[:f] + (d_out,) + dims[f + 1 :]
-    out = np.zeros(new_dims + new_dims, dtype=complex)
-    for op in kraus:
-        s = np.moveaxis(np.tensordot(op, t, axes=([1], [f])), 0, f)
-        s = np.moveaxis(np.tensordot(s, op.conj(), axes=([k + f], [1])), -1, k + f)
-        out += s
-    d_tot = int(np.prod(new_dims))
-    return out.reshape(d_tot, d_tot), new_dims
+    return DensityMatrix(_apply_full(ch.kraus, rho.matrix), (ch.d_out,))
 
 
 def apply_extended(
@@ -151,14 +176,7 @@ def apply_extended(
             raise ArgumentError(
                 f"factor {f} has dimension {dims[f]}, channel input is {ch.d_in}"
             )
-    if int(np.prod(dims)) // np.prod([dims[f] for f in factors]) * ch.d_out ** len(
-        factors
-    ) > D_MAX:
-        raise DimensionError("extended output dimension exceeds D_MAX")
-    mat, cur = rho.matrix, dims
-    for f in factors:
-        mat, cur = _apply_on_factor(ch.kraus, mat, cur, f)
-    return DensityMatrix(mat, cur)
+    return DensityMatrix(*_apply_on_factors(ch.kraus, rho.matrix, dims, factors))
 
 
 # ------------------------------------------------------- Choi conversions
@@ -191,13 +209,11 @@ def from_choi(choi: ChoiMatrix) -> QuantumChannel:
     res = float(np.max(np.abs(marg - np.eye(choi.d_in))))
     if res > TAU_TP:
         raise ArgumentError(f"Choi output marginal deviates from identity by {res:.3e}")
-    kraus = []
-    for lam, vec in zip(w, v.T):
-        if lam > TAU_PSD:
-            kraus.append(np.sqrt(lam) * vec.reshape(choi.d_in, choi.d_out).T)
-    if not kraus:  # zero map cannot be TP, but guard anyway
+    keep = w > TAU_PSD
+    if not np.any(keep):  # zero map cannot be TP, but guard anyway
         raise ArgumentError("Choi matrix has no positive spectrum")
-    return QuantumChannel(kraus)
+    vecs = (v[:, keep] * np.sqrt(w[keep])).T  # row m: sqrt(lam_m) * vec_m
+    return QuantumChannel(vecs.reshape(-1, choi.d_in, choi.d_out).transpose(0, 2, 1))
 
 
 # ----------------------------------------------------- dilation machinery
@@ -206,9 +222,7 @@ def from_choi(choi: ChoiMatrix) -> QuantumChannel:
 def stinespring(ch: QuantumChannel) -> IsometricExtension:
     """Isometry V = sum_k K_k (x) |k>_env, environment dimension = #Kraus."""
     d_env = len(ch.kraus)
-    v = np.zeros((ch.d_out * d_env, ch.d_in), dtype=complex)
-    for k, op in enumerate(ch.kraus):
-        v += np.kron(op, linalg.basis_state(d_env, k).reshape(-1, 1))
+    v = ch.kraus.transpose(1, 0, 2).reshape(ch.d_out * d_env, ch.d_in)
     return IsometricExtension(v, ch.d_out, d_env)
 
 
@@ -218,14 +232,7 @@ def complementary(ch: QuantumChannel) -> QuantumChannel:
     Output dimension equals the Kraus count of ch; the b-th complementary
     Kraus operator collects row b of every K_k.
     """
-    d_env = len(ch.kraus)
-    comp = []
-    for b in range(ch.d_out):
-        op = np.zeros((d_env, ch.d_in), dtype=complex)
-        for k, kop in enumerate(ch.kraus):
-            op[k, :] = kop[b, :]
-        comp.append(op)
-    return QuantumChannel(comp)
+    return QuantumChannel(ch.kraus.transpose(1, 0, 2))
 
 
 # -------------------------------------------------- structural operations
@@ -241,11 +248,9 @@ def mix(chs: Sequence[QuantumChannel], probs: Sequence[float]) -> QuantumChannel
     dims = {(c.d_in, c.d_out) for c in chs}
     if len(dims) != 1:
         raise ArgumentError(f"mixture components have mismatched dimensions {dims}")
-    kraus = []
-    for c, pi in zip(chs, p):
-        if pi > 0.0:
-            kraus.extend(np.sqrt(pi) * k for k in c.kraus)
-    return QuantumChannel(kraus)
+    return QuantumChannel(
+        np.concatenate([np.sqrt(pi) * c.kraus for c, pi in zip(chs, p) if pi > 0.0])
+    )
 
 
 def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
@@ -256,12 +261,13 @@ def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
         raise DimensionError(f"tensor power dimension exceeds D_MAX={D_MAX}")
     if n == 1:
         return ch
-    kraus = []
-    for combo in itertools.product(ch.kraus, repeat=n):
-        op = combo[0]
-        for k in combo[1:]:
-            op = np.kron(op, k)
-        kraus.append(op)
+    # Stack index (k_1, ..., k_n), first index slowest; each operator is
+    # the left-nested Kronecker product K_k1 (x) ... (x) K_kn.
+    kraus = ch.kraus
+    for _ in range(n - 1):
+        r, rows, cols = kraus.shape
+        pairs = kraus[:, None, :, None, :, None] * ch.kraus[None, :, None, :, None, :]
+        kraus = pairs.reshape(r * len(ch.kraus), rows * ch.d_out, cols * ch.d_in)
     return QuantumChannel(kraus)
 
 
@@ -391,7 +397,10 @@ def channel_from_dict(data: dict) -> QuantumChannel:
         raise ArgumentError("channel dict needs positive dims and a nonempty kraus list")
     ops = []
     for entry in raw:
-        flat = np.asarray(entry, dtype=float)
+        try:
+            flat = np.asarray(entry, dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged pairs, non-numeric entries
+            raise ArgumentError(f"Kraus entry is not a list of [re, im] pairs: {exc}") from exc
         if flat.shape != (d_in * d_out, 2):
             raise ArgumentError(
                 f"Kraus entry has shape {flat.shape}, expected ({d_in * d_out}, 2)"

@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -175,8 +176,11 @@ def _load_json(path: str) -> dict:
 
 
 def _complex_column(raw: object, what: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):  # ragged pairs, non-numeric entries
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2:
         raise SpecError(
             "malformed-state", f"{what} must be a list of [re, im] pairs"
         )
@@ -191,7 +195,10 @@ def state_from_dict(data: dict) -> DensityMatrix:
     d = math.isqrt(flat.size)
     if d * d != flat.size:
         raise SpecError("malformed-state", f"matrix length {flat.size} is not square")
-    dims = tuple(int(x) for x in data["dims"]) if "dims" in data else None
+    try:
+        dims = tuple(operator.index(x) for x in data["dims"]) if "dims" in data else None
+    except TypeError as exc:
+        raise SpecError("malformed-state", f"dims must be a list of integers: {exc}") from exc
     try:
         return DensityMatrix(flat.reshape(d, d), dims)
     except (ArgumentError, DimensionError) as exc:
@@ -207,14 +214,16 @@ def ensemble_from_dict(data: dict) -> Ensemble:
         )
     probs = data["probabilities"]
     states = data["states"]
-    if not isinstance(states, list) or len(probs) != len(states):
+    if not isinstance(probs, list) or not isinstance(states, list) or len(probs) != len(states):
         raise SpecError(
-            "malformed-ensemble", "probabilities and states must have equal length"
+            "malformed-ensemble", "probabilities and states must be lists of equal length"
         )
     try:
-        return Ensemble(
-            [(float(p), state_from_dict(s)) for p, s in zip(probs, states)]
-        )
+        probs = [float(p) for p in probs]
+    except (TypeError, ValueError) as exc:
+        raise SpecError("malformed-ensemble", f"probabilities must be numbers: {exc}") from exc
+    try:
+        return Ensemble([(p, state_from_dict(s)) for p, s in zip(probs, states)])
     except (ArgumentError, DimensionError) as exc:
         raise SpecError("malformed-ensemble", str(exc)) from exc
 
@@ -303,6 +312,8 @@ def _report_row(r: BoundReport, tol_ent: float) -> dict:
 
 def _cmd_verify(args) -> tuple[int, dict, None]:
     check = args.check
+    if args.trials is not None and args.trials < 1:
+        raise SpecError("bad-argument", f"--trials must be at least 1, got {args.trials}")
     if check == "fannes":
         reports = verify_fannes(trials=_default(args.trials, 1000), seed=args.seed)
     elif check == "af":

@@ -8,8 +8,6 @@ cross-checked by Haar-probe lower bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import sdp
@@ -17,8 +15,7 @@ from .channels import ChoiMatrix, QuantumChannel, to_choi
 from .errors import ArgumentError
 from .linalg import DensityMatrix, PureState, maximally_entangled, trace_norm
 from .sampling import haar_state, rng_for
-
-TAU_SDP = 1e-6  # certified-accuracy contract for diamond-norm values
+from .sdp import TAU_SDP, DiamondSolution
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -67,25 +64,11 @@ class HermitianPreservingMap:
         return out
 
 
-@dataclass
-class SdpResult:
-    value: float        # certified upper bound; the reported norm
-    dual_value: float   # certified lower bound from the feasible primal point
-    iterations: int
-    status: str         # optimal | max-iters | infeasible
-    rel_gap: float
-
-    def certified(self, tol: float = TAU_SDP) -> bool:
-        return self.status == "optimal" and abs(self.value - self.dual_value) <= tol * (
-            1.0 + abs(self.value)
-        )
-
-
 def diamond_norm(
     the_map: HermitianPreservingMap,
     max_iters: int = 200,
     backend: str = "auto",
-) -> SdpResult:
+) -> DiamondSolution:
     """Diamond norm of a Hermiticity-preserving map, with a certified gap.
 
     The exact-zero map short-circuits to 0 so that equal channels compare
@@ -93,23 +76,16 @@ def diamond_norm(
     """
     j = the_map.choi.matrix
     if float(np.max(np.abs(j))) == 0.0:
-        return SdpResult(0.0, 0.0, 0, "optimal", 0.0)
+        return DiamondSolution(0.0, 0.0, 0, "optimal", 0.0, 0.0)
     sol = sdp.solve_diamond(
         j, the_map.d_in, the_map.d_out, max_iters=max_iters, backend=backend
     )
-    result = SdpResult(
-        value=sol.value,
-        dual_value=sol.dual_value,
-        iterations=sol.iterations,
-        status=sol.status,
-        rel_gap=sol.rel_gap,
-    )
-    if result.status == "optimal" and not result.certified():
-        result.status = "max-iters"  # keep the status honest about the gap
-    return result
+    if sol.status == "optimal" and not sol.certified():
+        sol.status = "max-iters"  # keep the status honest about the gap
+    return sol
 
 
-def diamond_distance(a: QuantumChannel, b: QuantumChannel, **kwargs) -> SdpResult:
+def diamond_distance(a: QuantumChannel, b: QuantumChannel, **kwargs) -> DiamondSolution:
     """diamond_norm(a - b)."""
     return diamond_norm(HermitianPreservingMap.difference(a, b), **kwargs)
 

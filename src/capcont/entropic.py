@@ -31,7 +31,7 @@ def entropy_of_spectrum(w: np.ndarray) -> float:
 
 def entropy_of_matrix(mat: np.ndarray) -> float:
     """Entropy of a Hermitian matrix treated as a state (no validation)."""
-    return entropy_of_spectrum(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0))
+    return entropy_of_spectrum(np.linalg.eigvalsh(linalg.hermitian_part(mat)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -81,11 +81,9 @@ def coherent_information(ch: QuantumChannel, rho: DensityMatrix) -> float:
         raise ArgumentError(
             f"second factor dimension {rho.dims[1]} != channel input {ch.d_in}"
         )
-    omega = channels.apply_extended(ch, rho, {1})
-    s_b = entropy_of_matrix(
-        linalg.partial_trace_matrix(omega.matrix, omega.dims, keep=[1])
-    )
-    return s_b - entropy_of_matrix(omega.matrix)
+    omega, dims = channels._apply_on_factors(ch.kraus, rho.matrix, rho.dims, [1])
+    s_b = entropy_of_matrix(linalg.partial_trace_matrix(omega, dims, keep=[1]))
+    return s_b - entropy_of_matrix(omega)
 
 
 class Ensemble:
@@ -124,9 +122,9 @@ def holevo_information(ch: QuantumChannel, ens: Ensemble) -> float:
     for p, state in ens.items:
         if p <= 0.0:
             continue
-        out = channels.apply(ch, state)
-        avg += p * out.matrix
-        mean_s += p * entropy_of_matrix(out.matrix)
+        out = channels._apply_full(ch.kraus, state.matrix)
+        avg += p * out
+        mean_s += p * entropy_of_matrix(out)
     return entropy_of_matrix(avg) - mean_s
 
 

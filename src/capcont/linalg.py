@@ -38,6 +38,11 @@ def herm_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T), initial=0.0))
 
 
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2, exactly Hermitian in floating point."""
+    return (m + m.conj().T) / 2.0
+
+
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a dimension guard."""
     a = as_matrix(a)
@@ -92,8 +97,8 @@ class DensityMatrix:
             raise DimensionError(f"density matrix must be square, got {m.shape}")
         d = m.shape[0]
         dims = (d,) if dims is None else tuple(int(x) for x in dims)
-        if int(np.prod(dims)) != d:
-            raise DimensionError(f"dims {dims} do not multiply to dimension {d}")
+        if int(np.prod(dims)) != d or any(x < 1 for x in dims):
+            raise DimensionError(f"dims {dims} are not positive factors of dimension {d}")
         if herm_residual(m) > TAU_HERM:
             raise ArgumentError(
                 f"density matrix not Hermitian within {TAU_HERM}: residual {herm_residual(m):.3e}"
@@ -101,10 +106,10 @@ class DensityMatrix:
         tr = float(m.trace().real)
         if abs(tr - 1.0) > TAU_TR:
             raise ArgumentError(f"trace {tr} differs from 1 beyond {TAU_TR}")
-        w = npl.eigvalsh((m + m.conj().T) / 2.0)
+        self.matrix = hermitian_part(m)
+        w = npl.eigvalsh(self.matrix)
         if w[0] < -TAU_PSD:
             raise ArgumentError(f"negative eigenvalue {w[0]:.3e} below -{TAU_PSD}")
-        self.matrix = (m + m.conj().T) / 2.0
         self.dims = dims
         self.matrix.setflags(write=False)
 
@@ -170,7 +175,7 @@ def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if herm_residual(h) > TAU_HERM * max(1.0, float(np.abs(h).max(initial=0.0))):
         raise ArgumentError(f"matrix not Hermitian: residual {herm_residual(h):.3e}")
     try:
-        w, v = npl.eigh((h + h.conj().T) / 2.0)
+        w, v = npl.eigh(hermitian_part(h))
     except npl.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise NumericError("eigh", str(exc)) from exc
     order = np.argsort(w)[::-1]
@@ -194,5 +199,5 @@ def trace_norm(x: np.ndarray) -> float:
     if x.shape[0] != x.shape[1]:
         raise ArgumentError(f"trace norm expects a square matrix, got {x.shape}")
     if herm_residual(x) <= TAU_HERM * max(1.0, float(np.abs(x).max(initial=0.0))):
-        return float(np.sum(np.abs(npl.eigvalsh((x + x.conj().T) / 2.0))))
+        return float(np.sum(np.abs(npl.eigvalsh(hermitian_part(x)))))
     return float(np.sum(npl.svd(x, compute_uv=False)))

@@ -38,11 +38,6 @@ def random_density_matrix(
     return DensityMatrix(m / m.trace().real, dims if dims is not None else (d,))
 
 
-def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2.0
-
-
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR with phase correction."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -63,5 +58,4 @@ def random_channel(
         raise ArgumentError(f"kraus_count must be positive, got {k}")
     g = rng.normal(size=(d_out * k, d_in)) + 1j * rng.normal(size=(d_out * k, d_in))
     q, _ = np.linalg.qr(g)  # columns orthonormal: an isometry into out (x) env
-    v = q.reshape(d_out, k, d_in)
-    return QuantumChannel([v[:, j, :] for j in range(k)])
+    return QuantumChannel(q.reshape(d_out, k, d_in).transpose(1, 0, 2))

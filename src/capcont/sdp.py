@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import NumericError
-from .linalg import partial_trace_matrix
+from .linalg import hermitian_part, partial_trace_matrix
 
 GAP_TARGET = 1e-8     # internal relative-gap target
 SOFT_GAP = 2.5e-7     # still reported optimal: meets the public 1e-6 absolute
@@ -49,6 +49,7 @@ STEP_DAMP = 0.98      # fraction of the distance to the cone boundary
 MIN_STEP = 1e-8       # declare stagnation below this step length
 MU_FLOOR = 5e-14      # stop refining once complementarity hits noise
 DRIFT_BUDGET = 5e-8   # max primal feasibility drift kept below the audit bar
+TAU_SDP = 1e-6        # certified-accuracy contract for diamond-norm values
 
 
 @dataclass
@@ -60,39 +61,40 @@ class DiamondSolution:
     rel_gap: float
     primal_residual: float
 
-
-def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    def certified(self, tol: float = TAU_SDP) -> bool:
+        return self.status == "optimal" and abs(self.value - self.dual_value) <= tol * (
+            1.0 + abs(self.value)
+        )
 
 
 def _eigh_psd_sqrt(m: np.ndarray, stage: str) -> tuple[np.ndarray, np.ndarray]:
     """Return (m^{1/2}, m^{-1/2}) for a PD Hermitian matrix."""
-    w, u = np.linalg.eigh(_sym(m))
+    w, u = np.linalg.eigh(hermitian_part(m))
     if w[0] <= 0.0:
         raise NumericError(stage, f"matrix lost positive definiteness (min eig {w[0]:.3e})")
     sq = (u * np.sqrt(w)) @ u.conj().T
     isq = (u / np.sqrt(w)) @ u.conj().T
-    return _sym(sq), _sym(isq)
+    return hermitian_part(sq), hermitian_part(isq)
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """NT scaling W with W S W = X; returns (W, W^{1/2}, W^{-1/2})."""
     xs, _ = _eigh_psd_sqrt(x, "nt-scaling")
-    inner, _ = _eigh_psd_sqrt(_sym(xs @ s @ xs), "nt-scaling")
+    inner, _ = _eigh_psd_sqrt(hermitian_part(xs @ s @ xs), "nt-scaling")
     w_inner, u_inner = np.linalg.eigh(inner)
     inv_inner = (u_inner / w_inner) @ u_inner.conj().T
-    w = _sym(xs @ inv_inner @ xs)
+    w = hermitian_part(xs @ inv_inner @ xs)
     wh, wih = _eigh_psd_sqrt(w, "nt-scaling")
     return w, wh, wih
 
 
 def _max_step(m: np.ndarray, dm: np.ndarray) -> float:
     """Largest alpha in (0, 1] keeping m + alpha*dm in the PSD cone, damped."""
-    w, u = np.linalg.eigh(_sym(m))
+    w, u = np.linalg.eigh(hermitian_part(m))
     if w[0] <= 0.0:
         raise NumericError("line-search", f"iterate left the cone (min eig {w[0]:.3e})")
     isq = (u / np.sqrt(w)) @ u.conj().T
-    lam_min = float(np.linalg.eigvalsh(_sym(isq @ dm @ isq))[0])
+    lam_min = float(np.linalg.eigvalsh(hermitian_part(isq @ dm @ isq))[0])
     if lam_min >= -1e-16:
         return 1.0
     return min(1.0, -STEP_DAMP / lam_min)
@@ -102,7 +104,7 @@ def _lyap_solve(v_eigs: np.ndarray, v_basis: np.ndarray, r: np.ndarray) -> np.nd
     """Solve V M + M V = 2 R for Hermitian M, given V's eigensystem."""
     rt = v_basis.conj().T @ r @ v_basis
     mt = 2.0 * rt / (v_eigs[:, None] + v_eigs[None, :])
-    return _sym(v_basis @ mt @ v_basis.conj().T)
+    return hermitian_part(v_basis @ mt @ v_basis.conj().T)
 
 
 # -------------------------------------------- symmetric vectorization basis
@@ -180,7 +182,7 @@ class _DenseBackend:
     def prepare(self, w_p, w_q, w_rho):
         h_top = conj_rep(w_p) + conj_rep(w_q)
         h_top += self.embed @ conj_rep(w_rho) @ self.embed.T
-        w2 = _sym(w_rho @ w_rho)
+        w2 = hermitian_part(w_rho @ w_rho)
         h_vec = svec(np.kron(w2, np.eye(self.d_b)))
         s = float(np.trace(w2).real)
         m = h_top.shape[0]
@@ -221,12 +223,12 @@ class _StructuredBackend:
 
     def _h0_solve(self, r: np.ndarray) -> np.ndarray:
         g, gh, denom = self._g, self._gh, self._denom
-        return _sym(gh @ ((g @ r @ gh) / denom) @ g)
+        return hermitian_part(gh @ ((g @ r @ gh) / denom) @ g)
 
     def prepare(self, w_p, w_q, w_rho):
         low = sla.cholesky(w_q, lower=True, check_finite=False)
         linv = sla.solve_triangular(low, np.eye(self.n_c), lower=True, check_finite=False)
-        m = _sym(linv @ w_p @ linv.conj().T)
+        m = hermitian_part(linv @ w_p @ linv.conj().T)
         d_vals, u = np.linalg.eigh(m)
         d_vals = np.clip(d_vals, 0.0, None)  # rounding noise; denom stays >= 1
         self._g = u.conj().T @ linv
@@ -235,7 +237,7 @@ class _StructuredBackend:
 
         # Capacitance: K_rho^{-1} + V^dag H0^{-1} V on the d_A^2 svec basis.
         w_rho_inv = np.linalg.inv(w_rho)
-        cap = conj_rep(_sym(w_rho_inv))
+        cap = conj_rep(hermitian_part(w_rho_inv))
         for k in range(self.d_a * self.d_a):
             unit = np.zeros(self.d_a * self.d_a)
             unit[k] = 1.0
@@ -243,7 +245,7 @@ class _StructuredBackend:
             cap[:, k] += svec(partial_trace_matrix(y_k, (self.d_a, self.d_b), keep=[0]))
         self._cap_cho = sla.cho_factor((cap + cap.T) / 2.0, check_finite=False)
 
-        w2 = _sym(w_rho @ w_rho)
+        w2 = hermitian_part(w_rho @ w_rho)
         self._h_mat = np.kron(w2, self.eye_b)
         self._s = float(np.trace(w2).real)
         self._u_h = self._solve_y(self._h_mat)
@@ -279,7 +281,7 @@ def solve_diamond(
 ) -> DiamondSolution:
     """Certified diamond norm of the Hermitian matrix j on in (x) out."""
     n_c = d_a * d_b
-    j = _sym(np.asarray(j, dtype=complex))
+    j = hermitian_part(np.asarray(j, dtype=complex))
     scale = float(np.linalg.norm(j, 2))
     if scale < 1e-300:
         return DiamondSolution(0.0, 0.0, 0, "optimal", 0.0, 0.0)
@@ -293,7 +295,7 @@ def solve_diamond(
     eye_a = np.eye(d_a)
 
     def a_op(p, q, rho):
-        return _sym(p + q - np.kron(rho, eye_b)), float(np.trace(rho).real)
+        return hermitian_part(p + q - np.kron(rho, eye_b)), float(np.trace(rho).real)
 
     def a_star(y, tau):
         tr_b = partial_trace_matrix(y, (d_a, d_b), keep=[0])
@@ -325,7 +327,7 @@ def solve_diamond(
             scal = [_nt_scaling(xb, sb) for xb, sb in zip(x, s_dual)]
             v_sys = []
             for (w, wh, wih), xb in zip(scal, x):
-                v = _sym(wih @ xb @ wih)
+                v = hermitian_part(wih @ xb @ wih)
                 v_eigs, v_basis = np.linalg.eigh(v)
                 if v_eigs[0] <= 0.0:
                     raise NumericError("scaling", "scaled iterate lost definiteness")
@@ -359,7 +361,7 @@ def solve_diamond(
                 ast = a_star(dy, dtau)
                 ds = [-ab for ab in ast]
                 dx = [
-                    _sym(rc + w @ ab @ w)
+                    hermitian_part(rc + w @ ab @ w)
                     for rc, (w, _, _), ab in zip(rc_blocks, scal, ast)
                 ]
                 return dx, (dy, dtau), ds, res_inf
@@ -381,9 +383,9 @@ def solve_diamond(
             ):
                 dx_hat = wih @ dxb @ wih
                 ds_hat = wh @ dsb @ wh
-                cross = _lyap_solve(v_eigs, v_basis, _sym(dx_hat @ ds_hat))
+                cross = _lyap_solve(v_eigs, v_basis, hermitian_part(dx_hat @ ds_hat))
                 target = sigma * mu * (v_basis / v_eigs) @ v_basis.conj().T - v - cross
-                rc_blocks.append(_sym(wh @ target @ wh))
+                rc_blocks.append(hermitian_part(wh @ target @ wh))
             dx, (dy, dtau), ds, res_inf = newton(rc_blocks)
 
             ap = min(_max_step(xb, dxb) for xb, dxb in zip(x, dx))
@@ -397,10 +399,10 @@ def solve_diamond(
         if pres + ap * res_inf > DRIFT_BUDGET:
             # One more step would spoil the primal feasibility certificate.
             break
-        x = [_sym(xb + ap * dxb) for xb, dxb in zip(x, dx)]
+        x = [hermitian_part(xb + ap * dxb) for xb, dxb in zip(x, dx)]
         y_dual = y_dual + ad * dy
         tau = tau + ad * dtau
-        s_dual = [_sym(sb + ad * dsb) for sb, dsb in zip(s_dual, ds)]
+        s_dual = [hermitian_part(sb + ad * dsb) for sb, dsb in zip(s_dual, ds)]
 
     # Honest final audit: the gap decides the status (the soft threshold
     # keeps the absolute certificate within 1e-6 for any value up to 2),

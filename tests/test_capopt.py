@@ -14,6 +14,7 @@ import pytest
 from capcont.capopt import (
     OptimizationReport,
     TAU_OPT,
+    _adjoint,
     max_coherent_information,
     max_holevo,
     max_private,
@@ -22,6 +23,7 @@ from capcont.capopt import (
 )
 from capcont.channels import (
     QuantumChannel,
+    _apply_full,
     apply,
     complementary,
     constant_channel,
@@ -181,6 +183,19 @@ def test_random_channels_range_and_reproducibility():
         hol = max_holevo(ch, 2, restarts=2, iters=400, seed=3)
         assert -1e-9 <= hol.best_value <= min(math.log2(d_out), 1.0) + 1e-9
         assert abs(holevo_information(ch, hol.argmax) - hol.best_value) <= 1e-7
+
+
+def test_adjoint_stack_satisfies_the_duality():
+    # Tr[X N(rho)] = Tr[N^dag(X) rho] for the adjoint stack the ascent
+    # gradients use, on a channel and on its complementary channel
+    rng = rng_for(37)
+    for chan in (random_channel(3, 2, rng, kraus_count=5), complementary(erasure(2, 0.3))):
+        rho = random_density_matrix(chan.d_in, rng).matrix
+        g = rng.normal(size=(chan.d_out,) * 2) + 1j * rng.normal(size=(chan.d_out,) * 2)
+        x = g + g.conj().T
+        lhs = np.trace(x @ _apply_full(chan.kraus, rho))
+        rhs = np.trace(_apply_full(_adjoint(chan.kraus), x) @ rho)
+        assert abs(lhs - rhs) < 1e-12
 
 
 def test_unitary_precomposition_leaves_value():

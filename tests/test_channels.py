@@ -91,6 +91,20 @@ def test_apply_extended_constant_on_entangled_half():
     assert np.allclose(out.matrix, np.kron(np.eye(2) / 2, e00))
 
 
+def test_apply_extended_middle_slot_matches_kron_reference():
+    rng = rng_for(23)
+    chan = random_channel(3, 4, rng)  # 12 Kraus operators by default
+    assert chan.kraus.shape == (12, 4, 3)
+    rho = random_density_matrix(12, rng, dims=(2, 3, 2))
+    out = ch.apply_extended(chan, rho, {1})
+    assert out.dims == (2, 4, 2)
+    ref = np.zeros((16, 16), dtype=complex)
+    for k in chan.kraus:
+        big = np.kron(np.kron(np.eye(2), k), np.eye(2))
+        ref += big @ rho.matrix @ big.conj().T
+    assert np.allclose(out.matrix, ref, atol=1e-12)
+
+
 def test_apply_extended_matches_tensor_power():
     rng = rng_for(2)
     chan = random_channel(2, 3, rng)
@@ -372,3 +386,6 @@ def test_channel_from_dict_rejects_malformed():
     bad = {**good, "kraus": [[[0.5, 0.0]] * 4]}
     with pytest.raises(ArgumentError):
         ch.channel_from_dict(bad)
+    for entry in ([[1.0, 0.0]] * 3 + [[1.0]], [[1.0, 0.0]] * 3 + [["x", 0.0]], [[None, 0.0]] * 4):
+        with pytest.raises(ArgumentError):
+            ch.channel_from_dict({**good, "kraus": [entry]})

@@ -151,15 +151,46 @@ class TestStateAndEnsembleFiles:
         assert code == 0
         assert report["result"]["value"] == pytest.approx(1.0)
 
-    def test_malformed_state(self):
-        with pytest.raises(SpecError) as exc:
-            state_from_dict({"matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]})
-        assert exc.value.code == "malformed-state"
+    def test_malformed_state(self, tmp_path, capsys):
+        pure = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        bad_states = [
+            {"matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},  # not square
+            {"matrix": [[1.0, 0.0], [0.0], [0.0, 0.0], [0.0, 0.0]]},  # ragged pair
+            {"matrix": [[1.0, 0.0], ["x", 0.0], [0.0, 0.0], [0.0, 0.0]]},  # non-numeric
+            {"matrix": [[1.0, 0.0], [None, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+            {"matrix": pure, "dims": ["x"]},  # non-integer dims
+            {"matrix": pure, "dims": [None]},
+            {"matrix": pure, "dims": [1.5, 1.5]},
+            {"matrix": pure, "dims": 2},
+            {"matrix": pure, "dims": [-1, -2]},  # product matches, factors do not
+        ]
+        for data in bad_states:
+            with pytest.raises(SpecError) as exc:
+                state_from_dict(data)
+            assert exc.value.code == "malformed-state", data
+            path = tmp_path / "bad-state.json"
+            path.write_text(json.dumps(data))
+            assert main(["entropy", "--state", str(path)]) == 1
+            assert "malformed-state" in capsys.readouterr().err
 
-    def test_malformed_ensemble(self):
-        with pytest.raises(SpecError) as exc:
-            ensemble_from_dict({"probabilities": [1.0], "states": []})
-        assert exc.value.code == "malformed-ensemble"
+    def test_malformed_ensemble(self, tmp_path, capsys):
+        state = {"matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+        bad_ensembles = [
+            {"probabilities": [1.0], "states": []},
+            {"probabilities": 1.0, "states": [state]},  # not a list
+            {"probabilities": None, "states": [state]},
+            {"probabilities": ["x"], "states": [state]},
+            {"probabilities": [[1.0]], "states": [state]},
+        ]
+        for data in bad_ensembles:
+            with pytest.raises(SpecError) as exc:
+                ensemble_from_dict(data)
+            assert exc.value.code == "malformed-ensemble", data
+            path = tmp_path / "bad-ensemble.json"
+            path.write_text(json.dumps(data))
+            argv = ["info", "holevo", "--channel", "identity:d=2", "--input", str(path)]
+            assert main(argv) == 1
+            assert "malformed-ensemble" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -182,14 +213,20 @@ class TestExitCodes:
         assert all(r["margin"] >= 0 for r in report["result"]["reports"])
 
     def test_malformed_channel_file_fails(self, tmp_path, capsys):
+        head = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        cases = [("{not json", "malformed-json")] + [
+            (json.dumps({"d_in": 2, "d_out": 2, "kraus": [head + [last]]}), "malformed-channel")
+            for last in ([1.0], ["1", "x"], [None, 0.0])  # ragged pair, non-numeric entries
+        ]
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code = main(
-            ["norm", "diamond", "--a", str(path), "--b", "identity:d=2", "--json"]
-        )
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "malformed-json" in err
+        for text, error_code in cases:
+            path.write_text(text)
+            code = main(
+                ["norm", "diamond", "--a", str(path), "--b", "identity:d=2", "--json"]
+            )
+            err = capsys.readouterr().err
+            assert code == 1
+            assert error_code in err, text
 
     def test_tolerance_override_reaches_violation_exit(self, capsys):
         # a negative slack turns every finite margin into a violation,
@@ -209,6 +246,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "channel-a" in err
+
+    @pytest.mark.parametrize("check", ["fannes", "af", "theorem3", "corollaries"])
+    def test_nonpositive_trials_rejected(self, check, capsys):
+        pair = ["--channel-a", "identity:d=2", "--channel-b", "depolarizing:d=2,p=0.1"]
+        for trials in ("0", "-3"):
+            code = main(["verify", check, "--trials", trials, "--json"] + pair)
+            captured = capsys.readouterr()
+            assert code == 1
+            assert "bad-argument" in captured.err
+            assert captured.out == ""
 
     def test_csv_outside_trend_tables_rejected(self, capsys):
         code = main(["verify", "fannes", "--trials", "1", "--csv"])

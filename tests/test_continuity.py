@@ -167,6 +167,13 @@ def test_hybrid_sequence_input_validation():
         hybrid_sequence(identity(3), identity(3), phi, 2)
 
 
+def test_verify_output_entropy_rejects_mismatched_pair():
+    # eps given, so no diamond distance checks the dimensions first
+    for other in (identity(3), erasure(2, 0.1)):
+        with pytest.raises(ArgumentError):
+            verify_output_entropy(identity(2), other, 1, trials=1, eps=0.1)
+
+
 def test_verify_output_entropy_identical_pair_collapses():
     reports = verify_output_entropy(identity(2), identity(2), 1, trials=5, seed=2)
     assert all(r.epsilon == 0.0 for r in reports)

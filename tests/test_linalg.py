@@ -116,6 +116,8 @@ def test_density_matrix_rejects_bad_input():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(DimensionError):
         DensityMatrix(np.eye(4) / 4, dims=(2, 3))
+    with pytest.raises(DimensionError):
+        DensityMatrix(np.eye(4) / 4, dims=(-2, -2))
 
 
 def test_density_matrix_accepts_tiny_negativity():
