@@ -113,17 +113,26 @@ class IsometricExtension:
 # ------------------------------------------------------------------ action
 
 
+_TERM_BUDGET = 4096  # complex entries of Kraus terms _apply_full holds at once
+
+
 def _apply_full(kraus: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Hermitian part of sum_k K_k mat K_k^dag, batched over the stack.
+    """Hermitian part of sum_k K_k mat K_k^dag, summed in index order.
 
     Passing the stack kraus.conj().transpose(0, 2, 1) applies the adjoint
-    map. The sum runs in index order: np.sum over the Kraus axis switches
-    to pairwise summation on long stacks of 1 x 1 outputs.
+    map. The terms are computed by batched matmuls over blocks of at most
+    _TERM_BUDGET output entries, so many small operators stay batched while
+    a few large ones never hold one output copy per operator.
     """
-    terms = kraus @ mat @ kraus.conj().transpose(0, 2, 1)
-    out = terms[0].copy()
-    for term in terms[1:]:
-        out += term
+    step = max(1, _TERM_BUDGET // kraus.shape[1] ** 2)
+    out = None
+    for start in range(0, len(kraus), step):
+        block = kraus[start : start + step]
+        for term in block @ mat @ block.conj().transpose(0, 2, 1):
+            if out is None:
+                out = term.copy()
+            else:
+                out += term
     return linalg.hermitian_part(out)
 
 

@@ -64,11 +64,7 @@ class HermitianPreservingMap:
         return out
 
 
-def diamond_norm(
-    the_map: HermitianPreservingMap,
-    max_iters: int = 200,
-    backend: str = "auto",
-) -> DiamondSolution:
+def diamond_norm(the_map: HermitianPreservingMap) -> DiamondSolution:
     """Diamond norm of a Hermiticity-preserving map, with a certified gap.
 
     The exact-zero map short-circuits to 0 so that equal channels compare
@@ -77,17 +73,15 @@ def diamond_norm(
     j = the_map.choi.matrix
     if float(np.max(np.abs(j))) == 0.0:
         return DiamondSolution(0.0, 0.0, 0, "optimal", 0.0, 0.0)
-    sol = sdp.solve_diamond(
-        j, the_map.d_in, the_map.d_out, max_iters=max_iters, backend=backend
-    )
+    sol = sdp.solve_diamond(j, the_map.d_in, the_map.d_out)
     if sol.status == "optimal" and not sol.certified():
         sol.status = "max-iters"  # keep the status honest about the gap
     return sol
 
 
-def diamond_distance(a: QuantumChannel, b: QuantumChannel, **kwargs) -> DiamondSolution:
+def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondSolution:
     """diamond_norm(a - b)."""
-    return diamond_norm(HermitianPreservingMap.difference(a, b), **kwargs)
+    return diamond_norm(HermitianPreservingMap.difference(a, b))
 
 
 def probe_value(the_map: HermitianPreservingMap, psi: PureState) -> float:

@@ -14,8 +14,11 @@ X = diag(P, Q, rho) and C = diag(-J, J, 0) under the affine map
 whose adjoint on a dual pair y = (Y, tau) is A*(y) = (Y, Y, tau I - Tr_B Y).
 The dual reads: max tau subject to -J - Y >= 0, J - Y >= 0 and
 Tr_B Y - tau I >= 0, so a feasible dual point certifies the upper bound
--tau >= value while a feasible primal point certifies the lower bound
-<J, P - Q>. Both bounds are reported; their gap certifies accuracy.
+-tau >= value. The primal iterate is feasible only up to rounding drift
+E = P + Q - rho (x) I_B; shifting P and Q by (||E|| I - E)/2 and rho by
+||E|| I makes it exactly feasible after renormalization, which turns
+<J, P - Q> into a rigorous lower bound. Both bounds are reported; their gap
+certifies accuracy.
 
 The solver is a feasible-start Nesterov-Todd scaled predictor-corrector:
 both iterates stay exactly feasible (easy exactly-feasible starting points
@@ -24,24 +27,24 @@ Each step solves the Schur system H dy = rhs with
 
     H(Y, tau) = A( W diag A*(Y, tau) W )
 
-for the block scaling matrices W. Two interchangeable backends build that
-solve: a dense one that materializes H on a real symmetric-vectorization
-basis (fine up to n_c around 24), and a structured one that inverts
-H0 = W_P . W_P + W_Q . W_Q through a Stein equation and then corrects for
-the rank-d_A^2 coupling through rho with a Woodbury step, keeping the
-per-iteration cost at a few d_A^2 matrix products of size n_c.
+for the block scaling matrices W. One backward-stable solve serves every
+size. Its P/Q part H0 = W_P . W_P + W_Q . W_Q is a Stein operator inverted
+in closed form after whitening with S = W_P + W_Q, which diagonalizes W_P
+and W_Q together. The rank-d_A^2 coupling through rho is a Woodbury step on
+the scaled capacitance I + K^1/2 V^dag H0^-1 V K^1/2 (V embeds s -> s (x) I_B,
+K conjugates by W_rho), assembled on complex d_A x d_A matrix units. Nothing
+is ever expanded on a vectorized basis of the n_c x n_c space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import NumericError
-from .linalg import hermitian_part, partial_trace_matrix
+from .linalg import hermitian_part
 
 GAP_TARGET = 1e-8     # internal relative-gap target
 SOFT_GAP = 2.5e-7     # still reported optimal: meets the public 1e-6 absolute
@@ -50,14 +53,15 @@ MIN_STEP = 1e-8       # declare stagnation below this step length
 MU_FLOOR = 5e-14      # stop refining once complementarity hits noise
 DRIFT_BUDGET = 5e-8   # max primal feasibility drift kept below the audit bar
 TAU_SDP = 1e-6        # certified-accuracy contract for diamond-norm values
+MAX_ITERS = 200       # interior-point iteration cap
 
 
 @dataclass
 class DiamondSolution:
     value: float        # certified upper bound on the norm (dual objective)
-    dual_value: float   # certified lower bound (primal objective)
+    dual_value: float   # certified lower bound (feasible primal objective)
     iterations: int
-    status: str         # optimal | max-iters | infeasible
+    status: str         # optimal | max-iters
     rel_gap: float
     primal_residual: float
 
@@ -107,154 +111,74 @@ def _lyap_solve(v_eigs: np.ndarray, v_basis: np.ndarray, r: np.ndarray) -> np.nd
     return hermitian_part(v_basis @ mt @ v_basis.conj().T)
 
 
-# -------------------------------------------- symmetric vectorization basis
+def _embed(x: np.ndarray, d_b: int) -> np.ndarray:
+    """x (x) I_B, written by one strided assignment."""
+    d_a = x.shape[0]
+    out = np.zeros((d_a, d_b, d_a, d_b), dtype=complex)
+    idx = np.arange(d_b)
+    out[:, idx, :, idx] = x
+    return out.reshape(d_a * d_b, d_a * d_b)
 
 
-@lru_cache(maxsize=16)
-def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, k=1)
+def _trace_b(y: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Tr_B y on the 4-index view of y."""
+    return np.trace(y.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
 
 
-def svec(h: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix: diag, sqrt2*Re, sqrt2*Im upper."""
-    n = h.shape[0]
-    iu, ju = _svec_index(n)
-    off = h[iu, ju]
-    return np.concatenate(
-        [np.diagonal(h).real, np.sqrt(2.0) * off.real, np.sqrt(2.0) * off.imag]
-    )
+# ------------------------------------------------------------- Schur solve
 
 
-def smat(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of svec."""
-    iu, ju = _svec_index(n)
-    k = iu.size
-    h = np.zeros((n, n), dtype=complex)
-    h[np.arange(n), np.arange(n)] = v[:n]
-    off = (v[n : n + k] + 1j * v[n + k :]) / np.sqrt(2.0)
-    h[iu, ju] = off
-    h[ju, iu] = off.conj()
-    return h
+class _Schur:
+    """Backward-stable solve of the Schur system for one set of scalings.
 
-
-@lru_cache(maxsize=16)
-def _svec_basis_matrix(n: int) -> np.ndarray:
-    """Complex matrix T with vec_row(H) = T @ svec(H)."""
-    t = np.zeros((n * n, n * n), dtype=complex)
-    for k in range(n * n):
-        e = np.zeros(n * n)
-        e[k] = 1.0
-        t[:, k] = smat(e, n).reshape(-1)
-    return t
-
-
-def conj_rep(w: np.ndarray) -> np.ndarray:
-    """svec-basis matrix of the map Z -> W Z W for Hermitian W."""
-    n = w.shape[0]
-    t = _svec_basis_matrix(n)
-    return np.real(t.conj().T @ (np.kron(w, w.conj()) @ t))
-
-
-@lru_cache(maxsize=16)
-def _embed_rep(d_a: int, d_b: int) -> np.ndarray:
-    """svec-basis matrix of sigma -> sigma (x) I_B."""
-    n_c = d_a * d_b
-    e = np.zeros((n_c * n_c, d_a * d_a))
-    eye_b = np.eye(d_b)
-    for k in range(d_a * d_a):
-        unit = np.zeros(d_a * d_a)
-        unit[k] = 1.0
-        e[:, k] = svec(np.kron(smat(unit, d_a), eye_b))
-    return e
-
-
-# ---------------------------------------------------------- Schur backends
-
-
-class _DenseBackend:
-    """Materialize the full Schur matrix on the svec basis and factor it."""
-
-    def __init__(self, d_a: int, d_b: int):
-        self.d_a, self.d_b = d_a, d_b
-        self.n_c = d_a * d_b
-        self.embed = _embed_rep(d_a, d_b)
-
-    def prepare(self, w_p, w_q, w_rho):
-        h_top = conj_rep(w_p) + conj_rep(w_q)
-        h_top += self.embed @ conj_rep(w_rho) @ self.embed.T
-        w2 = hermitian_part(w_rho @ w_rho)
-        h_vec = svec(np.kron(w2, np.eye(self.d_b)))
-        s = float(np.trace(w2).real)
-        m = h_top.shape[0]
-        full = np.empty((m + 1, m + 1))
-        full[:m, :m] = h_top
-        full[:m, m] = -h_vec
-        full[m, :m] = -h_vec
-        full[m, m] = s
-        try:
-            self._cho = sla.cho_factor(full, check_finite=False)
-        except np.linalg.LinAlgError:
-            # Extreme endgame conditioning can round H indefinite; a tiny
-            # relative jitter restores factorability at negligible cost in
-            # direction accuracy (feasibility drift is audited at the end).
-            full[np.diag_indices(m + 1)] += 1e-12 * float(np.max(np.diagonal(full)))
-            self._cho = sla.cho_factor(full, check_finite=False)
-
-    def solve(self, r_y: np.ndarray, r_tau: float) -> tuple[np.ndarray, float]:
-        rhs = np.concatenate([svec(r_y), [r_tau]])
-        sol = sla.cho_solve(self._cho, rhs, check_finite=False)
-        return smat(sol[:-1], self.n_c), float(sol[-1])
-
-
-class _StructuredBackend:
-    """Stein-equation inverse of the P/Q part plus a Woodbury rho correction.
-
-    H0 = W_P . W_P + W_Q . W_Q is inverted in closed form: with
-    L = chol(W_Q), M = L^-1 W_P L^-dag = U D U^dag and G = U^dag L^-1,
-    the solution of H0(Z) = R is G^dag [ (G R G^dag) / (1 + d d^T) ] G.
-    The remaining term embeds a d_A x d_A conjugation through the partial
-    trace, a rank-d_A^2 perturbation handled by a capacitance matrix.
+    H0 = W_P . W_P + W_Q . W_Q is inverted in closed form after whitening
+    with S = W_P + W_Q: S^-1/2 W_P S^-1/2 = U D U^dag and then
+    S^-1/2 W_Q S^-1/2 = U (I - D) U^dag, so with G = U^dag S^-1/2 the
+    solution of H0(Z) = R is G^dag [ (G R G^dag) / (d d^T + (1-d)(1-d)^T) ] G.
+    The rho block adds V K V^dag with V(s) = s (x) I_B and K(s) = W_rho s W_rho,
+    a rank-d_A^2 term handled by Woodbury on the scaled capacitance
+    I + K^1/2 V^dag H0^-1 V K^1/2, which is bounded below by I.
     """
 
-    def __init__(self, d_a: int, d_b: int):
+    def __init__(self, d_a: int, d_b: int, w_p, w_q, w_rho):
         self.d_a, self.d_b = d_a, d_b
-        self.n_c = d_a * d_b
-        self.eye_b = np.eye(d_b)
-
-    def _h0_solve(self, r: np.ndarray) -> np.ndarray:
-        g, gh, denom = self._g, self._gh, self._denom
-        return hermitian_part(gh @ ((g @ r @ gh) / denom) @ g)
-
-    def prepare(self, w_p, w_q, w_rho):
-        low = sla.cholesky(w_q, lower=True, check_finite=False)
-        linv = sla.solve_triangular(low, np.eye(self.n_c), lower=True, check_finite=False)
-        m = hermitian_part(linv @ w_p @ linv.conj().T)
-        d_vals, u = np.linalg.eigh(m)
-        d_vals = np.clip(d_vals, 0.0, None)  # rounding noise; denom stays >= 1
-        self._g = u.conj().T @ linv
+        n_c = d_a * d_b
+        _, s_isq = _eigh_psd_sqrt(w_p + w_q, "schur")
+        d_vals, u = np.linalg.eigh(hermitian_part(s_isq @ w_p @ s_isq))
+        d_vals = np.clip(d_vals, 0.0, 1.0)  # rounding noise
+        self._g = u.conj().T @ s_isq
         self._gh = self._g.conj().T
-        self._denom = 1.0 + np.outer(d_vals, d_vals)
+        self._denom = np.outer(d_vals, d_vals) + np.outer(1.0 - d_vals, 1.0 - d_vals)
 
-        # Capacitance: K_rho^{-1} + V^dag H0^{-1} V on the d_A^2 svec basis.
-        w_rho_inv = np.linalg.inv(w_rho)
-        cap = conj_rep(hermitian_part(w_rho_inv))
-        for k in range(self.d_a * self.d_a):
-            unit = np.zeros(self.d_a * self.d_a)
-            unit[k] = 1.0
-            y_k = self._h0_solve(np.kron(smat(unit, self.d_a), self.eye_b))
-            cap[:, k] += svec(partial_trace_matrix(y_k, (self.d_a, self.d_b), keep=[0]))
-        self._cap_cho = sla.cho_factor((cap + cap.T) / 2.0, check_finite=False)
+        # Capacitance on the complex matrix units E_kl of the d_A space:
+        # <E_kl, K^1/2 V^dag H0^-1 V K^1/2 E_mn> = sum_ij conj(T_kl) T_mn / denom
+        # with T_kl[i, j] = sum_b gw[i, k, b] conj(gw[j, l, b]) and gw the
+        # rows of G with their A index contracted against W_rho^1/2. One row
+        # i of G at a time keeps the memory at O(n_c d_A^2).
+        self._rho_sqrt, _ = _eigh_psd_sqrt(w_rho, "schur")
+        gw = np.einsum("iab,ak->ikb", self._g.reshape(n_c, d_a, d_b), self._rho_sqrt)
+        gw_right = gw.conj().transpose(2, 1, 0).reshape(d_b, d_a * n_c)
+        cap = np.eye(d_a * d_a, dtype=complex)
+        for i in range(n_c):
+            t = (gw[i] @ gw_right).reshape(d_a * d_a, n_c)
+            cap += t.conj() @ (t / self._denom[i]).T
+        self._cap_cho = sla.cho_factor(hermitian_part(cap), check_finite=False)
 
         w2 = hermitian_part(w_rho @ w_rho)
-        self._h_mat = np.kron(w2, self.eye_b)
+        self._h_mat = _embed(w2, d_b)
         self._s = float(np.trace(w2).real)
         self._u_h = self._solve_y(self._h_mat)
 
+    def _h0_solve(self, r: np.ndarray) -> np.ndarray:
+        g, gh = self._g, self._gh
+        return hermitian_part(gh @ ((g @ r @ gh) / self._denom) @ g)
+
     def _solve_y(self, r: np.ndarray) -> np.ndarray:
+        d_a, d_b, k_half = self.d_a, self.d_b, self._rho_sqrt
         u1 = self._h0_solve(r)
-        rhs = svec(partial_trace_matrix(u1, (self.d_a, self.d_b), keep=[0]))
-        z = sla.cho_solve(self._cap_cho, rhs, check_finite=False)
-        return u1 - self._h0_solve(np.kron(smat(z, self.d_a), self.eye_b))
+        rhs = (k_half @ _trace_b(u1, d_a, d_b) @ k_half).reshape(-1)
+        z = sla.cho_solve(self._cap_cho, rhs, check_finite=False).reshape(d_a, d_a)
+        return u1 - self._h0_solve(_embed(k_half @ z @ k_half, d_b))
 
     def solve(self, r_y: np.ndarray, r_tau: float) -> tuple[np.ndarray, float]:
         u = self._solve_y(r_y)
@@ -271,14 +195,7 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b)))
 
 
-def solve_diamond(
-    j: np.ndarray,
-    d_a: int,
-    d_b: int,
-    gap_target: float = GAP_TARGET,
-    max_iters: int = 200,
-    backend: str = "auto",
-) -> DiamondSolution:
+def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
     """Certified diamond norm of the Hermitian matrix j on in (x) out."""
     n_c = d_a * d_b
     j = hermitian_part(np.asarray(j, dtype=complex))
@@ -287,19 +204,13 @@ def solve_diamond(
         return DiamondSolution(0.0, 0.0, 0, "optimal", 0.0, 0.0)
     j = j / scale
 
-    if backend == "auto":
-        backend = "dense" if n_c <= 24 else "structured"
-    schur = _DenseBackend(d_a, d_b) if backend == "dense" else _StructuredBackend(d_a, d_b)
-
-    eye_b = np.eye(d_b)
     eye_a = np.eye(d_a)
 
     def a_op(p, q, rho):
-        return hermitian_part(p + q - np.kron(rho, eye_b)), float(np.trace(rho).real)
+        return hermitian_part(p + q - _embed(rho, d_b)), float(np.trace(rho).real)
 
     def a_star(y, tau):
-        tr_b = partial_trace_matrix(y, (d_a, d_b), keep=[0])
-        return y, y, tau * eye_a - tr_b
+        return y, y, tau * eye_a - _trace_b(y, d_a, d_b)
 
     # Exactly feasible interior starting points.
     x = [np.eye(n_c, dtype=complex) / (2 * d_a), np.eye(n_c, dtype=complex) / (2 * d_a),
@@ -313,12 +224,12 @@ def solve_diamond(
     nu = 2 * n_c + d_a
     iters = 0
 
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, MAX_ITERS + 1):
         gap = sum(_inner(xb, sb) for xb, sb in zip(x, s_dual))
         p_obj = sum(_inner(cb, xb) for cb, xb in zip(c_blocks, x))
         rel_gap = (p_obj - tau) / (1.0 + abs(p_obj))
         mu = gap / nu
-        if rel_gap <= gap_target or mu <= MU_FLOOR:
+        if rel_gap <= GAP_TARGET or mu <= MU_FLOOR:
             break
         ry_now, rt_now = a_op(*x)
         pres = max(float(np.max(np.abs(ry_now))), abs(rt_now - 1.0))
@@ -332,7 +243,7 @@ def solve_diamond(
                 if v_eigs[0] <= 0.0:
                     raise NumericError("scaling", "scaled iterate lost definiteness")
                 v_sys.append((v, v_eigs, v_basis))
-            schur.prepare(scal[0][0], scal[1][0], scal[2][0])
+            schur = _Schur(d_a, d_b, scal[0][0], scal[1][0], scal[2][0])
 
             def h_apply(dy, dtau):
                 ast = a_star(dy, dtau)
@@ -343,9 +254,10 @@ def solve_diamond(
                 dy, dtau = schur.solve(r_y, r_tau)
                 # Iterative refinement: the Schur solve residual is exactly
                 # the feasibility drift injected into x, and the prepared
-                # factorizations make extra solves cheap.  Loop because the
-                # structured backend is not backward stable, so one pass
-                # shrinks the residual only by its effective solve accuracy.
+                # factorizations make extra solves cheap. The solve is
+                # backward stable, so one pass usually suffices; the loop is
+                # a recovery path for endgame scalings so ill conditioned
+                # that rounding leaves a residual above the noise floor.
                 res_inf = np.inf
                 for _ in range(4):
                     h_y, h_tau = h_apply(dy, dtau)
@@ -414,10 +326,15 @@ def solve_diamond(
     status = "optimal" if rel_gap <= SOFT_GAP else "max-iters"
     if primal_res > 1e-7:
         status = "max-iters"
+    # Rigorous lower bound: with E = P + Q - rho (x) I and lam = ||E||_2,
+    # P + (lam I - E)/2, Q + (lam I - E)/2 and rho + lam I are feasible up
+    # to normalization by Tr rho + lam d_A, and keep the objective <J, P - Q>.
+    lam = float(np.linalg.norm(r_y, 2))
+    lower = max(0.0, -p_obj) / (float(np.trace(x[2]).real) + d_a * lam)
 
     return DiamondSolution(
         value=-tau * scale,
-        dual_value=-p_obj * scale,
+        dual_value=float(lower * scale),
         iterations=iters,
         status=status,
         rel_gap=float(rel_gap),

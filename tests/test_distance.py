@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from capcont import channels as ch
+from capcont.continuity import random_nearby_pair
 from capcont.distance import (
     HermitianPreservingMap,
     bell_probe_value,
@@ -15,7 +17,7 @@ from capcont.distance import (
     trace_distance_halved,
 )
 from capcont.errors import ArgumentError
-from capcont.linalg import DensityMatrix, basis_state, maximally_entangled
+from capcont.linalg import DensityMatrix, PureState, basis_state, maximally_entangled
 from capcont.sampling import random_channel, random_density_matrix, rng_for
 
 # ---------------------------------------------------------------- oracles
@@ -84,14 +86,52 @@ def test_diamond_norm_erasure_pairs():
         assert abs(res.value - _erasure_pair_oracle(p, q)) <= 1e-6
 
 
-def test_diamond_norm_backends_agree():
+def _probe_ascent_oracle(m, starts=3):
+    """Maximize probe_value over pure inputs on in (x) ref with BFGS.
+
+    The diamond norm is attained at a pure input with a reference as large
+    as the input, so the best local maximum from a few seeded starts is an
+    independent estimate that shares no code with the SDP.
+    """
+    d = m.d_in * m.d_in
+
+    def neg_value(x):
+        v = x[:d] + 1j * x[d:]
+        return -probe_value(m, PureState(v / np.linalg.norm(v), (m.d_in, m.d_in)))
+
+    rng = np.random.default_rng(7)
+    return max(
+        -minimize(neg_value, rng.standard_normal(2 * d), method="BFGS").fun
+        for _ in range(starts)
+    )
+
+
+def test_diamond_norm_matches_probe_ascent():
     rng = rng_for(32)
     a, b = random_channel(2, 3, rng), random_channel(2, 3, rng)
     m = HermitianPreservingMap.difference(a, b)
-    dense = diamond_norm(m, backend="dense")
-    structured = diamond_norm(m, backend="structured")
-    assert dense.status == structured.status == "optimal"
-    assert abs(dense.value - structured.value) <= 2e-7
+    res = diamond_norm(m)
+    assert res.status == "optimal"
+    assert abs(res.value - _probe_ascent_oracle(m)) <= 2e-7
+
+
+# Seeded nearby pairs that the former two-backend solver left uncertified.
+@pytest.mark.parametrize("d,k", [(5, 2), (5, 9), (6, 0), (6, 3), (6, 4), (6, 6)])
+def test_diamond_norm_certifies_nearby_pairs(d, k):
+    res = diamond_distance(*random_nearby_pair(d, d, rng_for(50, d, k)))
+    assert res.certified()
+
+
+def test_diamond_lower_bound_never_exceeds_value():
+    # The first three pairs are ones where the raw primal objective <J, P - Q>
+    # of a drifted primal point exceeded the certified upper bound.
+    cases = [(3, 2, 3), (4, 2, 11), (20, 2, 4)]
+    cases += [(seed, d, k) for seed in range(1, 5) for d in (2, 3) for k in range(15)]
+    for seed, d, k in cases:
+        res = diamond_distance(*random_nearby_pair(d, d, rng_for(seed, d, k)))
+        assert res.certified()
+        assert type(res.dual_value) is float  # np.float64 would make certified() an np.bool_
+        assert res.dual_value <= res.value, (seed, d, k)
 
 
 def test_diamond_norm_homogeneity():
