@@ -10,10 +10,10 @@ depolarizing, dephasing, and the capacity discontinuity families (an
 n-level identity mixed with a sink map, in both its classical and quantum
 parameterizations).
 
-Channel application lives only here, in two private primitives on raw
-matrices: _apply_full on the whole space (the stack of K^dag gives the
-adjoint) and _apply_on_factors on chosen tensor slots. The public apply and
-apply_extended validate at the boundary.
+Channel application lives only here, in one kernel on raw matrices,
+_kraus_sum. _apply_full calls it on the whole space (the stack of K^dag gives
+the adjoint) and _apply_on_factors once per tensor slot, after moving the
+slot's axes to the ends. The public apply and apply_extended validate.
 
 Conventions fixed here for reproducibility:
   * Choi matrix lives on in (x) out: J = sum_ij |i><j| (x) N(|i><j|).
@@ -113,27 +113,38 @@ class IsometricExtension:
 # ------------------------------------------------------------------ action
 
 
-_TERM_BUDGET = 4096  # complex entries of Kraus terms _apply_full holds at once
+_TERM_BUDGET = 4096  # complex output entries of Kraus terms _kraus_sum holds at once
 
 
-def _apply_full(kraus: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Hermitian part of sum_k K_k mat K_k^dag, summed in index order.
+def _kraus_sum(kraus: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Raw sum_k K_k mat K_k^dag for mat of shape (d_in, ..., d_in).
 
-    Passing the stack kraus.conj().transpose(0, 2, 1) applies the adjoint
-    map. The terms are computed by batched matmuls over blocks of at most
-    _TERM_BUDGET output entries, so many small operators stay batched while
-    a few large ones never hold one output copy per operator.
+    K_k acts on the first axis and K_k^dag on the last; the middle axes are
+    untouched. Blocks of at most _TERM_BUDGET output entries are batched
+    and summed in index order. A whole-space block is exactly
+    block @ mat @ block^dag, with no reshaping.
     """
-    step = max(1, _TERM_BUDGET // kraus.shape[1] ** 2)
+    d_out, d_in = kraus.shape[1], mat.shape[0]
+    slot = mat.ndim > 2
+    rows = mat.reshape(d_in, -1) if slot else mat
+    step = max(1, _TERM_BUDGET * d_in // (d_out * d_out * rows.shape[1]))
     out = None
     for start in range(0, len(kraus), step):
         block = kraus[start : start + step]
-        for term in block @ mat @ block.conj().transpose(0, 2, 1):
+        terms = block @ rows
+        if slot:  # (d_out, middle..., col) -> rows (d_out, middle...) by col
+            terms = terms.reshape(len(block), -1, d_in)
+        for term in terms @ block.conj().transpose(0, 2, 1):
             if out is None:
                 out = term.copy()
             else:
                 out += term
-    return linalg.hermitian_part(out)
+    return out.reshape((d_out,) + mat.shape[1:-1] + (d_out,)) if slot else out
+
+
+def _apply_full(kraus: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Hermitian part of _kraus_sum; the stack of K^dag applies the adjoint."""
+    return linalg.hermitian_part(_kraus_sum(kraus, mat))
 
 
 def _apply_on_factors(
@@ -141,25 +152,22 @@ def _apply_on_factors(
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Hermitian part of the family applied to each listed tensor factor.
 
-    Works one factor and one Kraus operator at a time, so the peak memory
-    stays at a few copies of the output rather than one per operator.
+    Per factor, mat is viewed as (left, d, right, left, d, right), the slot's
+    row axis moved to the front and its column axis to the back for
+    _kraus_sum, and the sum permuted back.
     """
     factors = list(factors)
     d_out = kraus.shape[1]
     d_rest = int(np.prod(dims)) // int(np.prod([dims[f] for f in factors]))
     if d_rest * d_out ** len(factors) > D_MAX:
         raise DimensionError("extended output dimension exceeds D_MAX")
-    k = len(dims)
     for f in factors:
-        t = mat.reshape(dims + dims)
+        left, right = int(np.prod(dims[:f])), int(np.prod(dims[f + 1 :]))
+        t = mat.reshape(left, dims[f], right, left, dims[f], right)
+        out = _kraus_sum(kraus, np.moveaxis(t, (1, 4), (0, 5)))
         dims = dims[:f] + (d_out,) + dims[f + 1 :]
-        out = np.zeros(dims + dims, dtype=complex)
-        for op in kraus:
-            s = np.moveaxis(np.tensordot(op, t, axes=([1], [f])), 0, f)
-            s = np.moveaxis(np.tensordot(s, op.conj(), axes=([k + f], [1])), -1, k + f)
-            out += s
-        d_tot = int(np.prod(dims))
-        mat = out.reshape(d_tot, d_tot)
+        d_tot = left * d_out * right
+        mat = np.moveaxis(out, (0, 5), (1, 4)).reshape(d_tot, d_tot)
     return linalg.hermitian_part(mat), dims
 
 

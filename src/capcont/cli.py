@@ -63,8 +63,8 @@ from .continuity import (
 from .distance import (
     TAU_SDP,
     HermitianPreservingMap,
-    diamond_distance,
     diamond_lower_probe,
+    diamond_norm,
 )
 from .entropic import (
     TAU_ENT,
@@ -234,7 +234,8 @@ def ensemble_from_dict(data: dict) -> Ensemble:
 def _cmd_norm(args) -> tuple[int, dict, None]:
     a = parse_channel_spec(args.a)
     b = parse_channel_spec(args.b)
-    res = diamond_distance(a, b)
+    the_map = HermitianPreservingMap.difference(a, b)
+    res = diamond_norm(the_map)
     result = {
         "metric": "diamond",
         "value": res.value,
@@ -246,7 +247,7 @@ def _cmd_norm(args) -> tuple[int, dict, None]:
     }
     if args.probe_trials > 0:
         result["probe_lower_bound"] = diamond_lower_probe(
-            HermitianPreservingMap.difference(a, b), args.probe_trials, args.seed
+            the_map, args.probe_trials, args.seed
         )
     return EXIT_OK, result, None
 

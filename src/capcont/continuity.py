@@ -28,7 +28,6 @@ from .capopt import max_coherent_information, max_holevo, max_private
 from .channels import (
     QuantumChannel,
     _apply_on_factors,
-    apply_extended,
     erasure,
     mix,
     tensor_power,
@@ -267,9 +266,9 @@ def hybrid_sequence(
 
     states = []
     for k in range(n + 1):
-        out = apply_extended(ch_m, rho_in, range(1, k + 1))
-        out = apply_extended(ch_n, out, range(k + 1, n + 1))
-        states.append(out)
+        out, dims = _apply_on_factors(ch_m.kraus, rho_in.matrix, rho_in.dims, range(1, k + 1))
+        out, dims = _apply_on_factors(ch_n.kraus, out, dims, range(k + 1, n + 1))
+        states.append(DensityMatrix(out, dims))
 
     def cond_entropy_on_slot(state: DensityMatrix, slot: int) -> float:
         rest = [i for i in range(n + 1) if i != slot]

@@ -45,23 +45,10 @@ class HermitianPreservingMap:
         j = to_choi(a).matrix - to_choi(b).matrix
         return cls(ChoiMatrix(j, a.d_in, a.d_out))
 
-    @classmethod
-    def from_channel(cls, a: QuantumChannel) -> "HermitianPreservingMap":
-        return cls(to_choi(a))
-
     def scaled(self, c: float) -> "HermitianPreservingMap":
         return HermitianPreservingMap(
             ChoiMatrix(float(c) * self.choi.matrix, self.d_in, self.d_out)
         )
-
-    def signed_kraus(self) -> list[tuple[float, np.ndarray]]:
-        """Decomposition map(rho) = sum_k lam_k K_k rho K_k^dag, lam real."""
-        w, v = np.linalg.eigh(self.choi.matrix)
-        out = []
-        for lam, vec in zip(w, v.T):
-            if abs(lam) > 1e-14:
-                out.append((float(lam), vec.reshape(self.d_in, self.d_out).T))
-        return out
 
 
 def diamond_norm(the_map: HermitianPreservingMap) -> DiamondSolution:
@@ -87,17 +74,18 @@ def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondSolution:
 def probe_value(the_map: HermitianPreservingMap, psi: PureState) -> float:
     """||(map (x) I)(psi)||_1 for a pure probe on in (x) ref.
 
+    Contracts the Choi matrix J, viewed as (d_in, d_out, d_in, d_out), with
+    the probe's amplitude matrix M: the output on out (x) ref is
+    out[b, r, c, s] = sum_ij M[i, r] J[i, b, j, c] conj(M[j, s]).
     Always a lower bound on the diamond norm.
     """
-    d_in = the_map.d_in
+    d_in, d_out = the_map.d_in, the_map.d_out
     if len(psi.dims) != 2 or psi.dims[0] != d_in:
         raise ArgumentError(f"probe needs dims (d_in, d_ref), got {psi.dims}")
     d_ref = psi.dims[1]
     mat = psi.vector.reshape(d_in, d_ref)  # amplitude matrix of the probe
-    out = np.zeros((the_map.d_out * d_ref,) * 2, dtype=complex)
-    for lam, k in the_map.signed_kraus():
-        w = (k @ mat).reshape(-1)  # (K (x) I) |psi>
-        out += lam * np.outer(w, w.conj())
+    j = the_map.choi.matrix.reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
+    out = (mat.T @ j @ mat.conj()).transpose(0, 2, 1, 3).reshape((d_out * d_ref,) * 2)
     return float(np.sum(np.abs(np.linalg.eigvalsh(out))))
 
 

@@ -91,18 +91,36 @@ def test_apply_extended_constant_on_entangled_half():
     assert np.allclose(out.matrix, np.kron(np.eye(2) / 2, e00))
 
 
+def _kron_slots_oracle(chan, rho, factors):
+    """Apply chan to each listed factor through explicit kron(I, K, I) sums."""
+    mat, dims = rho.matrix, rho.dims
+    for f in sorted(factors):
+        left, right = int(np.prod(dims[:f])), int(np.prod(dims[f + 1 :]))
+        dims = dims[:f] + (chan.d_out,) + dims[f + 1 :]
+        out = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+        for k in chan.kraus:
+            big = np.kron(np.kron(np.eye(left), k), np.eye(right))
+            out += big @ mat @ big.conj().T
+        mat = out
+    return mat, dims
+
+
 def test_apply_extended_middle_slot_matches_kron_reference():
     rng = rng_for(23)
     chan = random_channel(3, 4, rng)  # 12 Kraus operators by default
     assert chan.kraus.shape == (12, 4, 3)
-    rho = random_density_matrix(12, rng, dims=(2, 3, 2))
-    out = ch.apply_extended(chan, rho, {1})
-    assert out.dims == (2, 4, 2)
-    ref = np.zeros((16, 16), dtype=complex)
-    for k in chan.kraus:
-        big = np.kron(np.kron(np.eye(2), k), np.eye(2))
-        ref += big @ rho.matrix @ big.conj().T
-    assert np.allclose(out.matrix, ref, atol=1e-12)
+    # A middle slot, the non-adjacent slots of a (3, 2, 3) space, and a
+    # 40-operator family whose terms on a (2, 3, 2) slot (4 x 4 x 2^4
+    # output entries each) need several _TERM_BUDGET blocks.
+    many = random_channel(3, 4, rng, kraus_count=40)
+    assert len(many.kraus) * 4 * 4 * 2**4 > ch._TERM_BUDGET
+    cases = [(chan, (2, 3, 2), {1}), (chan, (3, 2, 3), {0, 2}), (many, (2, 3, 2), {1})]
+    for channel, dims, factors in cases:
+        rho = random_density_matrix(int(np.prod(dims)), rng, dims=dims)
+        out = ch.apply_extended(channel, rho, factors)
+        ref, ref_dims = _kron_slots_oracle(channel, rho, factors)
+        assert out.dims == ref_dims
+        assert np.allclose(out.matrix, ref, atol=1e-12)
 
 
 def test_apply_extended_matches_tensor_power():

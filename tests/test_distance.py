@@ -18,7 +18,7 @@ from capcont.distance import (
 )
 from capcont.errors import ArgumentError
 from capcont.linalg import DensityMatrix, PureState, basis_state, maximally_entangled
-from capcont.sampling import random_channel, random_density_matrix, rng_for
+from capcont.sampling import haar_state, random_channel, random_density_matrix, rng_for
 
 # ---------------------------------------------------------------- oracles
 
@@ -200,13 +200,19 @@ def test_probe_validates_input():
         diamond_lower_probe(m, trials=0, seed=1)
 
 
-def test_signed_kraus_reproduces_action():
+def test_probe_value_matches_kraus_kron_oracle():
+    # (Phi_a (x) I)(psi) - (Phi_b (x) I)(psi) built from each channel's own
+    # Kraus operators; d_ref = 4 also differs from d_in = 2 and d_out = 3.
     rng = rng_for(37)
     a, b = random_channel(2, 3, rng), random_channel(2, 3, rng)
     m = HermitianPreservingMap.difference(a, b)
-    rho = random_density_matrix(2, rng)
-    direct = ch.apply(a, rho).matrix - ch.apply(b, rho).matrix
-    rebuilt = np.zeros((3, 3), dtype=complex)
-    for lam, k in m.signed_kraus():
-        rebuilt += lam * k @ rho.matrix @ k.conj().T
-    assert np.allclose(direct, rebuilt, atol=1e-10)
+    for d_ref in (3, 4):
+        psi = haar_state(2 * d_ref, rng, dims=(2, d_ref))
+        proj = np.outer(psi.vector, psi.vector.conj())
+        diff = np.zeros((3 * d_ref, 3 * d_ref), dtype=complex)
+        for chan, sign in ((a, 1.0), (b, -1.0)):
+            for k in chan.kraus:
+                big = np.kron(k, np.eye(d_ref))
+                diff += sign * big @ proj @ big.conj().T
+        expect = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+        assert abs(probe_value(m, psi) - expect) <= 1e-12
