@@ -1,5 +1,9 @@
 """Self-contained interior-point solver for the diamond-norm SDP.
 
+`distance.diamond_norm` reaches it only when its closed-form bracket does
+not close to GAP_TARGET relative to the norm, which in practice means pairs
+without a covariance symmetry.
+
 For a Hermitian Choi matrix J on in (x) out (dimension n_c = d_A*d_B) the
 completely bounded trace norm has the exact semidefinite characterization
 

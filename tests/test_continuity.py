@@ -269,6 +269,15 @@ def test_discontinuity_demo_trend():
     assert eps_vals == sorted(eps_vals, reverse=True)
 
 
+def test_discontinuity_demo_matches_closed_form_to_n16():
+    # Each truncation pair is covariant, so its closed-form bracket closes
+    # and no row pays for an n_c = n(n+1) interior-point solve.
+    rows = discontinuity_demo(range(2, 17))
+    assert [r["n"] for r in rows] == list(range(2, 17))
+    for row in rows:
+        assert abs(row["diamond_eps"] - 2.0 / math.log2(row["n"])) <= 1e-12
+
+
 def test_discontinuity_demo_validation():
     with pytest.raises(ArgumentError):
         discontinuity_demo([1])

@@ -1,13 +1,17 @@
 """Tests for trace distance and the certified diamond norm."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from capcont import channels as ch
+from capcont import sdp
 from capcont.continuity import random_nearby_pair
 from capcont.distance import (
     HermitianPreservingMap,
+    _bracket,
     bell_probe_value,
     diamond_distance,
     diamond_lower_probe,
@@ -19,6 +23,7 @@ from capcont.distance import (
 from capcont.errors import ArgumentError
 from capcont.linalg import DensityMatrix, PureState, basis_state, maximally_entangled
 from capcont.sampling import haar_state, random_channel, random_density_matrix, rng_for
+from capcont.sdp import DiamondSolution
 
 # ---------------------------------------------------------------- oracles
 
@@ -132,6 +137,88 @@ def test_diamond_lower_bound_never_exceeds_value():
         assert res.certified()
         assert type(res.dual_value) is float  # np.float64 would make certified() an np.bool_
         assert res.dual_value <= res.value, (seed, d, k)
+
+
+_BRACKET_PAIRS = [
+    (ch.identity(2), ch.depolarizing(2, 0.1), 0.15),
+    (ch.identity(2), ch.depolarizing(2, 0.3), 0.45),
+    (ch.identity(3), ch.depolarizing(3, 0.1), 2 * 0.1 * 8 / 9),
+    (ch.identity(3), ch.depolarizing(3, 0.3), 2 * 0.3 * 8 / 9),
+    (ch.dephasing(0.1), ch.depolarizing(2, 0.1), 0.15),
+    # n = 2: the raw Bell value exceeds lambda_max(Tr_out |J|) by 2.2e-16.
+    (ch.erasure(2, 1.0), ch.truncated_classical_example(2), 2.0),
+]
+
+
+@pytest.mark.parametrize("a,b,expect", _BRACKET_PAIRS)
+def test_diamond_norm_covariant_pairs_certify_from_the_bracket(a, b, expect):
+    res = diamond_distance(a, b)
+    assert res.iterations == 0  # closed-form certificate, no SDP
+    assert res.certified()
+    assert res.dual_value <= res.value
+    assert type(res.value) is float and type(res.dual_value) is float
+    assert abs(res.value - expect) <= 1e-12
+
+
+@pytest.mark.parametrize("d,k", [(2, 0), (2, 1), (3, 0), (3, 1)])
+def test_diamond_norm_generic_pairs_run_the_sdp(d, k):
+    res = diamond_distance(*random_nearby_pair(d, d, rng_for(1, d, k)))
+    assert res.iterations > 0
+    assert res.certified()
+
+
+@pytest.mark.parametrize("side", ["below-lower", "above-upper"])
+def test_diamond_norm_rejects_sdp_interval_outside_the_bracket(monkeypatch, side):
+    m = HermitianPreservingMap.difference(*random_nearby_pair(2, 2, rng_for(1, 2, 0)))
+    lower, upper = _bracket(m.choi.matrix, m.d_in, m.d_out)
+    assert lower == pytest.approx(bell_probe_value(m), abs=1e-12)
+    # A self-consistent "optimal" interval that a faulty solver could print:
+    # entirely below the Bell lower bound, or entirely above the |J| bound.
+    fake = 0.5 * lower if side == "below-lower" else upper + 0.1
+
+    def wrong_solver(j, d_in, d_out):
+        return DiamondSolution(fake, fake, 7, "optimal", 0.0, 0.0)
+
+    monkeypatch.setattr(sdp, "solve_diamond", wrong_solver)
+    res = diamond_norm(m)
+    assert res.value == fake and res.iterations == 7
+    assert res.status == "max-iters"
+    assert not res.certified()
+
+
+def test_diamond_norm_of_small_generic_map_runs_the_sdp():
+    # The bracket must close relative to the norm: at scale 1e-7 a generic
+    # gap u - l shrinks below any absolute tolerance, but lambda_max(Tr_out |J|)
+    # is still off by O(1) relative to the norm.
+    m = HermitianPreservingMap.difference(*random_nearby_pair(2, 2, rng_for(1, 2, 0)))
+    base = diamond_norm(m)
+    lower, upper = _bracket(m.choi.matrix, m.d_in, m.d_out)
+    assert upper - base.value > 1e-3 * base.value  # generic: the bracket is open
+    small = diamond_norm(m.scaled(1e-7))
+    assert small.iterations > 0
+    assert small.certified()
+    assert small.value == pytest.approx(1e-7 * base.value, rel=1e-6)
+
+
+# Closed forms that the bracket now certifies in diamond_norm; the solver
+# itself must still reproduce them.
+_SDP_ORACLE_PAIRS = [(a, b, e) for a, b, e in _BRACKET_PAIRS] + [
+    (ch.erasure(3, p), ch.erasure(3, q), _erasure_pair_oracle(p, q))
+    for p, q in ((0.0, 1.0), (0.3, 0.55))
+] + [
+    (ch.erasure(n, 1.0), ch.truncated_classical_example(n), 2.0 / math.log2(n))
+    for n in (2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("a,b,expect", _SDP_ORACLE_PAIRS)
+def test_sdp_solver_matches_closed_forms(a, b, expect):
+    m = HermitianPreservingMap.difference(a, b)
+    res = sdp.solve_diamond(m.choi.matrix, m.d_in, m.d_out)
+    assert res.iterations > 0
+    assert res.certified()
+    assert res.dual_value <= res.value
+    assert abs(res.value - expect) <= 1e-6
 
 
 def test_diamond_norm_homogeneity():
