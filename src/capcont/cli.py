@@ -232,6 +232,10 @@ def ensemble_from_dict(data: dict) -> Ensemble:
 # subcommand handlers: each returns (exit_code, result dict, csv rows or None)
 
 def _cmd_norm(args) -> tuple[int, dict, None]:
+    if args.probe_trials < 0:
+        raise SpecError(
+            "bad-argument", f"--probe-trials must be at least 0, got {args.probe_trials}"
+        )
     a = parse_channel_spec(args.a)
     b = parse_channel_spec(args.b)
     the_map = HermitianPreservingMap.difference(a, b)

@@ -27,17 +27,23 @@ certifies accuracy.
 The solver is a feasible-start Nesterov-Todd scaled predictor-corrector:
 both iterates stay exactly feasible (easy exactly-feasible starting points
 exist for this problem), so only the centrality equation is linearized.
-Each step solves the Schur system H dy = rhs with
+Each cone block is factored once per iteration. From the Cholesky factors
+L_X, L_S of the iterate and its slack and one SVD L_S^dag L_X = P Sigma Q^dag
+comes the NT factor G = L_X Q Sigma^-1/2 (Todd, Toh and Tutuncu, SIAM J.
+Optim. 8, 1998), with G^-1 X G^-dag = G^dag S G = Sigma diagonal, so the
+scaling W = G G^dag satisfies W S W = X and the corrector's Lyapunov
+equation is an elementwise division. The step-length tests reuse L_X and
+L_S. Each step solves the Schur system H dy = rhs with
 
-    H(Y, tau) = A( W diag A*(Y, tau) W )
+    H(Y, tau) = A( W diag A*(Y, tau) W ).
 
-for the block scaling matrices W. One backward-stable solve serves every
-size. Its P/Q part H0 = W_P . W_P + W_Q . W_Q is a Stein operator inverted
-in closed form after whitening with S = W_P + W_Q, which diagonalizes W_P
-and W_Q together. The rank-d_A^2 coupling through rho is a Woodbury step on
-the scaled capacitance I + K^1/2 V^dag H0^-1 V K^1/2 (V embeds s -> s (x) I_B,
-K conjugates by W_rho), assembled on complex d_A x d_A matrix units. Nothing
-is ever expanded on a vectorized basis of the n_c x n_c space.
+One backward-stable solve serves every size. Its P/Q part
+H0 = W_P . W_P + W_Q . W_Q is a Stein operator inverted in closed form after
+whitening with the Cholesky factor of W_P + W_Q, which diagonalizes W_P and
+W_Q together. The rank-d_A^2 coupling through rho is a Woodbury step on the
+scaled capacitance I + B^* V^dag H0^-1 V B (V embeds s -> s (x) I_B,
+B(s) = G_rho s G_rho^dag), assembled on complex d_A x d_A matrix units.
+Nothing is ever expanded on a vectorized basis of the n_c x n_c space.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import NumericError
 from .linalg import hermitian_part
 
 GAP_TARGET = 1e-8     # internal relative-gap target
@@ -75,44 +80,36 @@ class DiamondSolution:
         )
 
 
-def _eigh_psd_sqrt(m: np.ndarray, stage: str) -> tuple[np.ndarray, np.ndarray]:
-    """Return (m^{1/2}, m^{-1/2}) for a PD Hermitian matrix."""
-    w, u = np.linalg.eigh(hermitian_part(m))
-    if w[0] <= 0.0:
-        raise NumericError(stage, f"matrix lost positive definiteness (min eig {w[0]:.3e})")
-    sq = (u * np.sqrt(w)) @ u.conj().T
-    isq = (u / np.sqrt(w)) @ u.conj().T
-    return hermitian_part(sq), hermitian_part(isq)
+def _nt_scaling(l_x: np.ndarray, l_s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """NT factor of one block from L_X = chol(X) and L_S = chol(S).
+
+    With L_S^dag L_X = P Sigma Q^dag, G = L_X Q Sigma^-1/2 and its inverse
+    Sigma^-1/2 P^dag L_S^dag give G^-1 X G^-dag = G^dag S G = Sigma, so
+    W = G G^dag satisfies W S W = X. Returns (G, G^-1, sigma).
+    """
+    p, sig, qh = np.linalg.svd(l_s.conj().T @ l_x)
+    root = np.sqrt(sig)
+    g = (l_x @ qh.conj().T) / root
+    g_inv = (p.conj().T @ l_s.conj().T) / root[:, None]
+    return g, g_inv, sig
 
 
-def _nt_scaling(x: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """NT scaling W with W S W = X; returns (W, W^{1/2}, W^{-1/2})."""
-    xs, _ = _eigh_psd_sqrt(x, "nt-scaling")
-    inner, _ = _eigh_psd_sqrt(hermitian_part(xs @ s @ xs), "nt-scaling")
-    w_inner, u_inner = np.linalg.eigh(inner)
-    inv_inner = (u_inner / w_inner) @ u_inner.conj().T
-    w = hermitian_part(xs @ inv_inner @ xs)
-    wh, wih = _eigh_psd_sqrt(w, "nt-scaling")
-    return w, wh, wih
+def _whiten(l: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """L^-1 m L^-dag for a lower-triangular L and a Hermitian m."""
+    half = sla.solve_triangular(l, m, lower=True, check_finite=False)
+    return hermitian_part(sla.solve_triangular(l, half.conj().T, lower=True, check_finite=False))
 
 
-def _max_step(m: np.ndarray, dm: np.ndarray) -> float:
-    """Largest alpha in (0, 1] keeping m + alpha*dm in the PSD cone, damped."""
-    w, u = np.linalg.eigh(hermitian_part(m))
-    if w[0] <= 0.0:
-        raise NumericError("line-search", f"iterate left the cone (min eig {w[0]:.3e})")
-    isq = (u / np.sqrt(w)) @ u.conj().T
-    lam_min = float(np.linalg.eigvalsh(hermitian_part(isq @ dm @ isq))[0])
+def _max_step(l: np.ndarray, dm: np.ndarray) -> float:
+    """Largest alpha in (0, 1] keeping L L^dag + alpha*dm PSD, damped.
+
+    L is the Cholesky factor of the current block, so the test is
+    lambda_min(L^-1 dm L^-dag) >= -1/alpha.
+    """
+    lam_min = float(np.linalg.eigvalsh(_whiten(l, dm))[0])
     if lam_min >= -1e-16:
         return 1.0
     return min(1.0, -STEP_DAMP / lam_min)
-
-
-def _lyap_solve(v_eigs: np.ndarray, v_basis: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solve V M + M V = 2 R for Hermitian M, given V's eigensystem."""
-    rt = v_basis.conj().T @ r @ v_basis
-    mt = 2.0 * rt / (v_eigs[:, None] + v_eigs[None, :])
-    return hermitian_part(v_basis @ mt @ v_basis.conj().T)
 
 
 def _embed(x: np.ndarray, d_b: int) -> np.ndarray:
@@ -136,31 +133,33 @@ class _Schur:
     """Backward-stable solve of the Schur system for one set of scalings.
 
     H0 = W_P . W_P + W_Q . W_Q is inverted in closed form after whitening
-    with S = W_P + W_Q: S^-1/2 W_P S^-1/2 = U D U^dag and then
-    S^-1/2 W_Q S^-1/2 = U (I - D) U^dag, so with G = U^dag S^-1/2 the
-    solution of H0(Z) = R is G^dag [ (G R G^dag) / (d d^T + (1-d)(1-d)^T) ] G.
-    The rho block adds V K V^dag with V(s) = s (x) I_B and K(s) = W_rho s W_rho,
+    with the Cholesky factor L of W_P + W_Q: L^-1 W_P L^-dag = U D U^dag and
+    then L^-1 W_Q L^-dag = U (I - D) U^dag, so G = U^dag L^-1 has
+    G (W_P + W_Q) G^dag = I and G W_P G^dag = D, and the solution of
+    H0(Z) = R is G^dag [ (G R G^dag) / (d d^T + (1-d)(1-d)^T) ] G.
+    The rho block adds V K V^dag with V(s) = s (x) I_B and K(s) = W_rho s W_rho
+    = B B^*(s) for B(s) = G_rho s G_rho^dag, G_rho the rho block's NT factor:
     a rank-d_A^2 term handled by Woodbury on the scaled capacitance
-    I + K^1/2 V^dag H0^-1 V K^1/2, which is bounded below by I.
+    I + B^* V^dag H0^-1 V B, which is bounded below by I.
     """
 
-    def __init__(self, d_a: int, d_b: int, w_p, w_q, w_rho):
+    def __init__(self, d_a: int, d_b: int, w_p, w_q, g_rho):
         self.d_a, self.d_b = d_a, d_b
         n_c = d_a * d_b
-        _, s_isq = _eigh_psd_sqrt(w_p + w_q, "schur")
-        d_vals, u = np.linalg.eigh(hermitian_part(s_isq @ w_p @ s_isq))
+        l = np.linalg.cholesky(w_p + w_q)
+        d_vals, u = np.linalg.eigh(_whiten(l, w_p))
         d_vals = np.clip(d_vals, 0.0, 1.0)  # rounding noise
-        self._g = u.conj().T @ s_isq
-        self._gh = self._g.conj().T
+        self._gh = sla.solve_triangular(l, u, lower=True, trans="C", check_finite=False)
+        self._g = self._gh.conj().T
         self._denom = np.outer(d_vals, d_vals) + np.outer(1.0 - d_vals, 1.0 - d_vals)
 
         # Capacitance on the complex matrix units E_kl of the d_A space:
-        # <E_kl, K^1/2 V^dag H0^-1 V K^1/2 E_mn> = sum_ij conj(T_kl) T_mn / denom
+        # <E_kl, B^* V^dag H0^-1 V B E_mn> = sum_ij conj(T_kl) T_mn / denom
         # with T_kl[i, j] = sum_b gw[i, k, b] conj(gw[j, l, b]) and gw the
-        # rows of G with their A index contracted against W_rho^1/2. One row
+        # rows of G with their A index contracted against G_rho. One row
         # i of G at a time keeps the memory at O(n_c d_A^2).
-        self._rho_sqrt, _ = _eigh_psd_sqrt(w_rho, "schur")
-        gw = np.einsum("iab,ak->ikb", self._g.reshape(n_c, d_a, d_b), self._rho_sqrt)
+        self._g_rho = g_rho
+        gw = np.einsum("iab,ak->ikb", self._g.reshape(n_c, d_a, d_b), g_rho)
         gw_right = gw.conj().transpose(2, 1, 0).reshape(d_b, d_a * n_c)
         cap = np.eye(d_a * d_a, dtype=complex)
         for i in range(n_c):
@@ -168,6 +167,7 @@ class _Schur:
             cap += t.conj() @ (t / self._denom[i]).T
         self._cap_cho = sla.cho_factor(hermitian_part(cap), check_finite=False)
 
+        w_rho = g_rho @ g_rho.conj().T
         w2 = hermitian_part(w_rho @ w_rho)
         self._h_mat = _embed(w2, d_b)
         self._s = float(np.trace(w2).real)
@@ -178,11 +178,11 @@ class _Schur:
         return hermitian_part(gh @ ((g @ r @ gh) / self._denom) @ g)
 
     def _solve_y(self, r: np.ndarray) -> np.ndarray:
-        d_a, d_b, k_half = self.d_a, self.d_b, self._rho_sqrt
+        d_a, d_b, g_rho = self.d_a, self.d_b, self._g_rho
         u1 = self._h0_solve(r)
-        rhs = (k_half @ _trace_b(u1, d_a, d_b) @ k_half).reshape(-1)
+        rhs = (g_rho.conj().T @ _trace_b(u1, d_a, d_b) @ g_rho).reshape(-1)
         z = sla.cho_solve(self._cap_cho, rhs, check_finite=False).reshape(d_a, d_a)
-        return u1 - self._h0_solve(_embed(k_half @ z @ k_half, d_b))
+        return u1 - self._h0_solve(_embed(g_rho @ z @ g_rho.conj().T, d_b))
 
     def solve(self, r_y: np.ndarray, r_tau: float) -> tuple[np.ndarray, float]:
         u = self._solve_y(r_y)
@@ -239,26 +239,23 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
         pres = max(float(np.max(np.abs(ry_now))), abs(rt_now - 1.0))
 
         try:
-            scal = [_nt_scaling(xb, sb) for xb, sb in zip(x, s_dual)]
-            v_sys = []
-            for (w, wh, wih), xb in zip(scal, x):
-                v = hermitian_part(wih @ xb @ wih)
-                v_eigs, v_basis = np.linalg.eigh(v)
-                if v_eigs[0] <= 0.0:
-                    raise NumericError("scaling", "scaled iterate lost definiteness")
-                v_sys.append((v, v_eigs, v_basis))
-            schur = _Schur(d_a, d_b, scal[0][0], scal[1][0], scal[2][0])
+            # A block that lost definiteness fails its Cholesky factor here.
+            l_x = [np.linalg.cholesky(xb) for xb in x]
+            l_s = [np.linalg.cholesky(sb) for sb in s_dual]
+            scal = [_nt_scaling(lx, ls) for lx, ls in zip(l_x, l_s)]
+            w = [hermitian_part(g @ g.conj().T) for g, _, _ in scal]
+            schur = _Schur(d_a, d_b, w[0], w[1], scal[2][0])
 
             def h_apply(dy, dtau):
-                ast = a_star(dy, dtau)
-                return a_op(*[w @ ab @ w for (w, _, _), ab in zip(scal, ast)])
+                return a_op(*[wb @ ab @ wb for wb, ab in zip(w, a_star(dy, dtau))])
 
             def newton(rc_blocks):
                 r_y, r_tau = a_op(*[-rb for rb in rc_blocks])  # rhs = -A(Rc)
                 dy, dtau = schur.solve(r_y, r_tau)
                 # Iterative refinement: the Schur solve residual is exactly
-                # the feasibility drift injected into x, and the prepared
-                # factorizations make extra solves cheap. The solve is
+                # the feasibility drift injected into x, and the whitening
+                # G and the capacitance's Cholesky factor, both already
+                # built, make extra solves cheap. The solve is
                 # backward stable, so one pass usually suffices; the loop is
                 # a recovery path for endgame scalings so ill conditioned
                 # that rounding leaves a residual above the noise floor.
@@ -276,37 +273,34 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
                     dtau = dtau + e_tau
                 ast = a_star(dy, dtau)
                 ds = [-ab for ab in ast]
-                dx = [
-                    hermitian_part(rc + w @ ab @ w)
-                    for rc, (w, _, _), ab in zip(rc_blocks, scal, ast)
-                ]
+                dx = [hermitian_part(rc + wb @ ab @ wb) for rc, wb, ab in zip(rc_blocks, w, ast)]
                 return dx, (dy, dtau), ds, res_inf
 
             # Predictor: pure affine direction.
             dx_a, _, ds_a, _ = newton([-xb for xb in x])
-            ap = min(_max_step(xb, dxb) for xb, dxb in zip(x, dx_a))
-            ad = min(_max_step(sb, dsb) for sb, dsb in zip(s_dual, ds_a))
+            ap = min(_max_step(lx, dxb) for lx, dxb in zip(l_x, dx_a))
+            ad = min(_max_step(ls, dsb) for ls, dsb in zip(l_s, ds_a))
             gap_aff = sum(
                 _inner(xb + ap * dxb, sb + ad * dsb)
                 for xb, dxb, sb, dsb in zip(x, dx_a, s_dual, ds_a)
             )
             sigma = min(1.0, max((max(gap_aff, 0.0) / gap) ** 3, 1e-8))
 
-            # Corrector: recenter and absorb the second-order cross term.
+            # Corrector: recenter and absorb the second-order cross term. In
+            # the scaled frame the point is the diagonal Sigma, so the
+            # Lyapunov solve Sigma M + M Sigma = 2 R divides by s_i + s_j.
             rc_blocks = []
-            for (w, wh, wih), (v, v_eigs, v_basis), dxb, dsb in zip(
-                scal, v_sys, dx_a, ds_a
-            ):
-                dx_hat = wih @ dxb @ wih
-                ds_hat = wh @ dsb @ wh
-                cross = _lyap_solve(v_eigs, v_basis, hermitian_part(dx_hat @ ds_hat))
-                target = sigma * mu * (v_basis / v_eigs) @ v_basis.conj().T - v - cross
-                rc_blocks.append(hermitian_part(wh @ target @ wh))
+            for (g, g_inv, sig), dxb, dsb in zip(scal, dx_a, ds_a):
+                dx_hat = g_inv @ dxb @ g_inv.conj().T
+                ds_hat = g.conj().T @ dsb @ g
+                cross = 2.0 * hermitian_part(dx_hat @ ds_hat) / (sig[:, None] + sig[None, :])
+                target = np.diag(sigma * mu / sig - sig) - cross
+                rc_blocks.append(hermitian_part(g @ target @ g.conj().T))
             dx, (dy, dtau), ds, res_inf = newton(rc_blocks)
 
-            ap = min(_max_step(xb, dxb) for xb, dxb in zip(x, dx))
-            ad = min(_max_step(sb, dsb) for sb, dsb in zip(s_dual, ds))
-        except (NumericError, np.linalg.LinAlgError):
+            ap = min(_max_step(lx, dxb) for lx, dxb in zip(l_x, dx))
+            ad = min(_max_step(ls, dsb) for ls, dsb in zip(l_s, ds))
+        except np.linalg.LinAlgError:
             # Endgame roundoff broke a factorization; the current iterate is
             # still feasible, so stop and report its certified bounds.
             break

@@ -257,6 +257,17 @@ class TestExitCodes:
             assert "bad-argument" in captured.err
             assert captured.out == ""
 
+    def test_negative_probe_trials_rejected(self, capsys):
+        argv = ["norm", "diamond", "--a", "identity:d=2", "--b", "depolarizing:d=2,p=0.1"]
+        code = main(argv + ["--probe-trials", "-3", "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "bad-argument" in captured.err
+        assert captured.out == ""
+        code, report = run_json(capsys, argv + ["--probe-trials", "0"])
+        assert code == 0
+        assert "probe_lower_bound" not in report["result"]
+
     def test_csv_outside_trend_tables_rejected(self, capsys):
         code = main(["verify", "fannes", "--trials", "1", "--csv"])
         capsys.readouterr()
