@@ -10,9 +10,17 @@ Pure states are parameterized by unconstrained complex vectors normalized
 on evaluation; ensembles add a softmax over real logits.  Gradients go
 through the eigendecomposition of each output state, with eigenvalues
 floored at EPS_PERTURB so the matrix logarithm stays finite near rank
-deficiency.  Restarts are independent (per-restart RNG streams derived
-from the seed and the restart index) and merge by a pure max-reduction,
-so a parallel scheduler would produce the identical report.
+deficiency.
+
+Restarts run in lockstep on one leading batch axis, and an ensemble's
+states on a second one, so one kernel call serves every restart and state
+of a channel leg.  Each restart draws its start from its own RNG stream
+(derived from the seed and the restart index) and keeps its own step
+size, Armijo backtracking and stop test; one that converges, hits the
+iteration cap or fails its line search leaves the batch.  The batched
+kernels match per-slice calls bit for bit, and every scalar reduction is
+taken per restart in a fixed order, so the report is bit-identical to
+running the restarts one after another.
 """
 
 from __future__ import annotations
@@ -59,56 +67,103 @@ def _adjoint(kraus: np.ndarray) -> np.ndarray:
 
 
 def _neg_log2(mat: np.ndarray) -> np.ndarray:
-    """-log2 of a PSD matrix with eigenvalues floored at EPS_PERTURB."""
+    """-log2 of each PSD matrix of a stack, eigenvalues floored at EPS_PERTURB."""
     w, u = np.linalg.eigh(mat)
     w = np.clip(w, EPS_PERTURB, None)
-    return (u * (-np.log2(w))) @ u.conj().T
+    return (u * (-np.log2(w))[..., None, :]) @ u.conj().swapaxes(-1, -2)
+
+
+def _outer(vecs: np.ndarray) -> np.ndarray:
+    """|v><v| of every vector of a (..., d) stack."""
+    return vecs[..., :, None] * vecs.conj()[..., None, :]
+
+
+def _overlap(x: np.ndarray, y: np.ndarray) -> float:
+    """Re <x, y> over the flattened arrays."""
+    return float(np.vdot(x, y).real)
+
+
+def _per_piece(fn, *stacks: np.ndarray) -> np.ndarray:
+    """fn on the matching pieces of (restarts, pieces, ...) stacks, one at a time.
+
+    Scalar reductions go through here exactly as a single restart takes
+    them, so that their summation order does not depend on the batch.
+    """
+    return np.array([[fn(*xs) for xs in zip(*rows)] for rows in zip(*stacks)])
 
 
 def _renorm(params: list[np.ndarray]) -> list[np.ndarray]:
     """Project parameters back onto their domains.
 
-    Complex blocks are unit vectors on a sphere; real blocks are softmax
-    logits, recentred so the exponentials cannot overflow.
+    Each block is (restarts, pieces, n). Complex pieces are unit vectors
+    on a sphere; real pieces are softmax logits, recentred so the
+    exponentials cannot overflow.
     """
     out = []
     for p in params:
         if np.iscomplexobj(p):
-            out.append(p / np.linalg.norm(p))
+            norms = _per_piece(np.linalg.norm, p)
+            out.append(p / norms[..., None])
         else:
-            out.append(p - np.max(p))
+            out.append(p - np.max(p, axis=-1, keepdims=True))
     return out
 
 
 def _ascend(
-    value_of: Callable[[list[np.ndarray]], float],
+    value_of: Callable[[list[np.ndarray]], np.ndarray],
     grad_of: Callable[[list[np.ndarray]], list[np.ndarray]],
     params: list[np.ndarray],
     iters: int,
-) -> tuple[list[np.ndarray], float, int, bool]:
-    """Projected gradient ascent with Armijo backtracking."""
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Projected gradient ascent with Armijo backtracking, restarts in lockstep.
+
+    params is a list of (restarts, pieces, n) blocks. value_of maps such a
+    list, for any subset of the restarts, to one value per restart, and
+    grad_of to gradient blocks of the same shapes. Every restart keeps its
+    own step size and stop test. One that converges, hits the iteration
+    cap or fails its line search leaves the batch; within a line search,
+    a restart stops backtracking once its trial step is accepted. Returns
+    every restart's final parameters, value, iteration count and
+    convergence flag.
+    """
     params = _renorm(params)
     f = value_of(params)
-    step = 1.0
-    used = 0
-    converged = False
-    for used in range(1, iters + 1):
-        g = grad_of(params)
-        gsq = sum(float(np.vdot(gi, gi).real) for gi in g)
-        if np.sqrt(gsq) < GRAD_TOL:
-            converged = True
+    step = np.ones(len(f))
+    used = np.zeros(len(f), dtype=int)
+    converged = np.zeros(len(f), dtype=bool)
+    live = np.arange(len(f))
+    for it in range(1, iters + 1):
+        if not live.size:
             break
-        t = min(2.0 * step, 1.0)
-        improved = False
-        while t > 1e-14:
-            cand = _renorm([p + t * gi for p, gi in zip(params, g)])
+        used[live] = it
+        at = [p[live] for p in params]
+        g = grad_of(at)
+        gsq = np.array([
+            sum(_overlap(gi, gi) for block in g for gi in block[i])
+            for i in range(len(live))
+        ])
+        done = np.sqrt(gsq) < GRAD_TOL
+        converged[live[done]] = True
+        keep = ~done
+        live, gsq = live[keep], gsq[keep]
+        at, g = [a[keep] for a in at], [gi[keep] for gi in g]
+        t = np.minimum(2.0 * step[live], 1.0)
+        improved = np.zeros(len(live), dtype=bool)
+        trying = np.flatnonzero(t > 1e-14)
+        while trying.size:
+            tt = t[trying]
+            cand = _renorm([a[trying] + tt[:, None, None] * gi[trying] for a, gi in zip(at, g)])
             fc = value_of(cand)
-            if fc >= f + 1e-4 * t * gsq:
-                params, f, step, improved = cand, fc, t, True
-                break
-            t *= 0.5
-        if not improved:
-            break
+            ok = fc >= f[live[trying]] + 1e-4 * tt * gsq[trying]
+            won = live[trying[ok]]
+            for p, c in zip(params, cand):
+                p[won] = c[ok]
+            f[won], step[won] = fc[ok], tt[ok]
+            improved[trying[ok]] = True
+            trying = trying[~ok]
+            t[trying] *= 0.5
+            trying = trying[t[trying] > 1e-14]
+        live = live[improved]
     return params, f, used, converged
 
 
@@ -119,16 +174,13 @@ def _run_restarts(
     restarts: int,
     iters: int,
 ) -> tuple[list[np.ndarray], float, tuple[int, ...], bool]:
+    """Ascend from every restart's start point; the first best one wins."""
     if restarts < 1 or iters < 1:
         raise ArgumentError("restarts and iters must be positive")
-    best_params, best_f, best_conv = None, -np.inf, False
-    counts = []
-    for r in range(restarts):
-        params, f, used, conv = _ascend(value_of, grad_of, init_of(r), iters)
-        counts.append(used)
-        if f > best_f:
-            best_params, best_f, best_conv = params, f, conv
-    return best_params, best_f, tuple(counts), best_conv
+    starts = [np.stack(blocks) for blocks in zip(*(init_of(r) for r in range(restarts)))]
+    params, f, used, conv = _ascend(value_of, grad_of, starts, iters)
+    best = int(np.argmax(f))
+    return [p[best : best + 1] for p in params], float(f[best]), tuple(used.tolist()), bool(conv[best])
 
 
 def max_coherent_information(
@@ -150,32 +202,33 @@ def max_coherent_information(
     ke = complementary(ch).kraus
     kb_adj, ke_adj = _adjoint(kb), _adjoint(ke)
 
+    # params: one (restarts, 1, d*d) block of purifications
     def rho_of(v: np.ndarray) -> np.ndarray:
-        return partial_trace_matrix(np.outer(v, v.conj()), (d, d), keep=[1])
+        return partial_trace_matrix(_outer(v), (d, d), keep=[1])
 
     def value_of(params):
-        rho = rho_of(params[0])
+        rho = rho_of(params[0][:, 0])
         return entropy_of_matrix(_apply_full(kb, rho)) - entropy_of_matrix(
             _apply_full(ke, rho)
         )
 
     def grad_of(params):
         v = params[0]
-        rho = rho_of(v)
+        rho = rho_of(v[:, 0])
         g_rho = _apply_full(kb_adj, _neg_log2(_apply_full(kb, rho)))
         g_rho -= _apply_full(ke_adj, _neg_log2(_apply_full(ke, rho)))
-        hv = (v.reshape(d, d) @ g_rho.T).reshape(-1)
-        hv -= np.vdot(v, hv).real * v
+        hv = (v.reshape(-1, d, d) @ g_rho.swapaxes(-1, -2)).reshape(v.shape)
+        hv -= _per_piece(_overlap, v, hv)[..., None] * v
         return [2.0 * hv]
 
     def init_of(r):
         rng = rng_for(seed, r)
-        return [rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)]
+        return [(rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d))[None]]
 
     params, f, counts, conv = _run_restarts(value_of, grad_of, init_of, restarts, iters)
     return OptimizationReport(
-        best_value=float(f),
-        argmax=PureState(params[0], dims=(d, d)),
+        best_value=f,
+        argmax=PureState(params[0][0, 0], dims=(d, d)),
         restarts=restarts,
         iterations=counts,
         converged=conv,
@@ -199,15 +252,16 @@ def _max_over_ensembles(
         legs.append(complementary(ch).kraus)
     legs = [(kraus, _adjoint(kraus)) for kraus in legs]
 
+    # params: (restarts, 1, m) softmax logits and (restarts, m, d) states
     def unpack(params):
-        z = params[0]
-        probs = np.exp(z)
-        probs /= probs.sum()
-        return probs, params[1:]
+        z, states = params
+        probs = np.exp(z[:, 0])
+        probs /= probs.sum(axis=-1, keepdims=True)
+        return probs, states
 
     def leg_terms(kraus, probs, states):
-        outs = [_apply_full(kraus, np.outer(u, u.conj())) for u in states]
-        avg = sum(p * o for p, o in zip(probs, outs))
+        outs = _apply_full(kraus, _outer(states))
+        avg = sum(probs[:, k, None, None] * outs[:, k] for k in range(m))
         return outs, avg
 
     def value_of(params):
@@ -216,48 +270,46 @@ def _max_over_ensembles(
         sign = 1.0
         for kraus, _ in legs:
             outs, avg = leg_terms(kraus, probs, states)
+            s_outs = entropy_of_matrix(outs)
             total += sign * (
-                entropy_of_matrix(avg)
-                - sum(p * entropy_of_matrix(o) for p, o in zip(probs, outs))
+                entropy_of_matrix(avg) - sum(probs[:, k] * s_outs[:, k] for k in range(m))
             )
             sign = -sign
         return total
 
     def grad_of(params):
         probs, states = unpack(params)
-        g_states = [np.zeros(d, dtype=complex) for _ in range(m)]
-        g_probs = np.zeros(m)
+        g_states = np.zeros(states.shape, dtype=complex)
+        g_probs = np.zeros(probs.shape)
         sign = 1.0
         for kraus, adjoint in legs:
             outs, avg = leg_terms(kraus, probs, states)
             l_avg = _neg_log2(avg)
-            for k, (u, out) in enumerate(zip(states, outs)):
-                back = _apply_full(adjoint, l_avg - _neg_log2(out))
-                g_states[k] += sign * probs[k] * (back @ u)
-                g_probs[k] += sign * (
-                    float(np.vdot(out, l_avg).real) - entropy_of_matrix(out)
-                )
+            back = _apply_full(adjoint, l_avg[:, None] - _neg_log2(outs))
+            g_states += (sign * probs)[..., None] * (back @ states[..., None])[..., 0]
+            overlaps = np.array([[_overlap(o, l) for o in row] for row, l in zip(outs, l_avg)])
+            g_probs += sign * (overlaps - entropy_of_matrix(outs))
             sign = -sign
-        for k, u in enumerate(states):
-            g_states[k] -= np.vdot(u, g_states[k]).real * u
-            g_states[k] *= 2.0
-        g_z = probs * (g_probs - float(probs @ g_probs))
-        return [g_z] + g_states
+        g_states -= _per_piece(_overlap, states, g_states)[..., None] * states
+        g_states *= 2.0
+        means = np.array([float(p @ gp) for p, gp in zip(probs, g_probs)])
+        g_z = probs * (g_probs - means[:, None])
+        return [g_z[:, None], g_states]
 
     def init_of(r):
         rng = rng_for(seed, r)
         vecs = [
             rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(m)
         ]
-        return [rng.standard_normal(m) * 0.1] + vecs
+        return [(rng.standard_normal(m) * 0.1)[None], np.array(vecs)]
 
     params, f, counts, conv = _run_restarts(value_of, grad_of, init_of, restarts, iters)
     probs, states = unpack(params)
     ens = Ensemble(
-        [(float(p), DensityMatrix.from_pure(u)) for p, u in zip(probs, states)]
+        [(float(p), DensityMatrix.from_pure(u)) for p, u in zip(probs[0], states[0])]
     )
     return OptimizationReport(
-        best_value=float(f),
+        best_value=f,
         argmax=ens,
         restarts=restarts,
         iterations=counts,

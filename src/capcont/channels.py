@@ -11,9 +11,10 @@ n-level identity mixed with a sink map, in both its classical and quantum
 parameterizations).
 
 Channel application lives only here, in one kernel on raw matrices,
-_kraus_sum. _apply_full calls it on the whole space (the stack of K^dag gives
-the adjoint) and _apply_on_factors once per tensor slot, after moving the
-slot's axes to the ends. The public apply and apply_extended validate.
+_kraus_sum. _apply_full calls it on the whole space, or on a stack of
+whole-space matrices (the stack of K^dag gives the adjoint), and
+_apply_on_factors once per tensor slot, after moving the slot's axes to the
+ends. The public apply and apply_extended validate.
 
 Conventions fixed here for reproducibility:
   * Choi matrix lives on in (x) out: J = sum_ij |i><j| (x) N(|i><j|).
@@ -116,25 +117,29 @@ class IsometricExtension:
 _TERM_BUDGET = 4096  # complex output entries of Kraus terms _kraus_sum holds at once
 
 
-def _kraus_sum(kraus: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Raw sum_k K_k mat K_k^dag for mat of shape (d_in, ..., d_in).
+def _kraus_sum(kraus: np.ndarray, mat: np.ndarray, batch: bool = False) -> np.ndarray:
+    """Raw sum_k K_k mat K_k^dag.
 
-    K_k acts on the first axis and K_k^dag on the last; the middle axes are
-    untouched. Blocks of at most _TERM_BUDGET output entries are batched
-    and summed in index order. A whole-space block is exactly
-    block @ mat @ block^dag, with no reshaping.
+    By default mat is (d_in, ..., d_in): K_k acts on the first axis and
+    K_k^dag on the last, and the middle axes are untouched. With batch, mat
+    is a (..., d_in, d_in) stack of whole-space matrices instead, and each
+    slice gets its own broadcast product block @ slice @ block^dag. Blocks
+    of at most _TERM_BUDGET output entries are batched and summed in index
+    order, so a slice's sum does not depend on what it is stacked with.
     """
-    d_out, d_in = kraus.shape[1], mat.shape[0]
-    slot = mat.ndim > 2
+    d_out, d_in = kraus.shape[1], mat.shape[-1]
+    slot = mat.ndim > 2 and not batch
     rows = mat.reshape(d_in, -1) if slot else mat
-    step = max(1, _TERM_BUDGET * d_in // (d_out * d_out * rows.shape[1]))
+    step = max(1, _TERM_BUDGET // (d_out * d_out * (mat.size // (d_in * d_in))))
     out = None
     for start in range(0, len(kraus), step):
         block = kraus[start : start + step]
-        terms = block @ rows
         if slot:  # (d_out, middle..., col) -> rows (d_out, middle...) by col
-            terms = terms.reshape(len(block), -1, d_in)
-        for term in terms @ block.conj().transpose(0, 2, 1):
+            terms = (block @ rows).reshape(len(block), -1, d_in)
+        else:  # the block axis goes in front of the batch axes
+            block = block.reshape((len(block),) + (1,) * (mat.ndim - 2) + block.shape[1:])
+            terms = block @ rows
+        for term in terms @ block.conj().swapaxes(-1, -2):
             if out is None:
                 out = term.copy()
             else:
@@ -143,8 +148,11 @@ def _kraus_sum(kraus: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def _apply_full(kraus: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Hermitian part of _kraus_sum; the stack of K^dag applies the adjoint."""
-    return linalg.hermitian_part(_kraus_sum(kraus, mat))
+    """Hermitian part of _kraus_sum on a matrix or a (..., d_in, d_in) stack.
+
+    The stack of K^dag applies the adjoint.
+    """
+    return linalg.hermitian_part(_kraus_sum(kraus, mat, batch=True))
 
 
 def _apply_on_factors(

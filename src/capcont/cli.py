@@ -36,6 +36,8 @@ from .assisted import (
     simulation_upper_bound,
 )
 from .capopt import (
+    ITERS,
+    RESTARTS,
     n_copy_coherent_information,
     n_copy_holevo,
     n_copy_private,
@@ -285,7 +287,7 @@ def _cmd_capacity(args) -> tuple[int, dict, None]:
             ch, args.n, restarts=args.restarts, iters=args.iters, seed=args.seed
         )
     else:
-        size = args.ensemble_size if args.ensemble_size else ch.d_in**2
+        size = ch.d_in**2 if args.ensemble_size is None else args.ensemble_size
         runner = n_copy_holevo if args.kind == "holevo" else n_copy_private
         rep = runner(
             ch, args.n, size, restarts=args.restarts, iters=args.iters, seed=args.seed
@@ -510,13 +512,14 @@ def _build_parser() -> _Parser:
     p.add_argument("kind", choices=["coherent", "holevo", "private"])
     p.add_argument("--channel", required=True)
     p.add_argument("--n", type=int, default=1, help="copy count")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--iters", type=int, default=2000)
+    p.add_argument("--restarts", type=int, default=RESTARTS)
+    p.add_argument("--iters", type=int, default=ITERS)
     p.add_argument(
         "--ensemble-size",
         type=int,
-        default=0,
-        help="ensemble size for holevo/private; default d_in squared",
+        default=None,
+        help="ensemble size for holevo/private; default the single-copy d_in"
+        " squared (4 for a qubit channel, at any --n)",
     )
     p.set_defaults(func=_cmd_capacity)
 

@@ -8,6 +8,7 @@ desk scale by construction (D_MAX guards Kronecker blowup).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,8 +40,8 @@ def herm_residual(m: np.ndarray) -> float:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dag) / 2, exactly Hermitian in floating point."""
-    return (m + m.conj().T) / 2.0
+    """(m + m^dag) / 2 of each matrix of a (..., d, d) stack, exactly Hermitian."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,9 +140,14 @@ def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[in
     """Partial trace of a square matrix over the factors not in `keep`.
 
     Kept factors stay in their original order. Works on any square matrix,
-    not just density matrices; no normalization is applied.
+    not just density matrices; no normalization is applied. Leading axes
+    of a (..., d, d) stack are a batch, each slice traced on its own.
     """
-    mat = as_matrix(mat)
+    mat = np.asarray(mat, dtype=complex)
+    if mat.ndim < 2:
+        raise ArgumentError(f"expected a matrix, got ndim={mat.ndim}")
+    if not np.isfinite(mat).all():
+        raise ArgumentError("matrix has non-finite entries")
     dims = tuple(int(d) for d in dims)
     k = len(dims)
     keep = sorted(set(int(i) for i in keep))
@@ -149,17 +155,18 @@ def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[in
         raise ArgumentError("keep must be nonempty")
     if keep[0] < 0 or keep[-1] >= k:
         raise ArgumentError(f"keep indices {keep} out of range for {k} factors")
-    if int(np.prod(dims)) != mat.shape[0] or mat.shape[0] != mat.shape[1]:
+    if math.prod(dims) != mat.shape[-1] or mat.shape[-2] != mat.shape[-1]:
         raise DimensionError(f"matrix shape {mat.shape} incompatible with dims {dims}")
 
-    t = mat.reshape(dims + dims)
+    batch = mat.shape[:-2]
+    t = mat.reshape(batch + dims + dims)
     # Row axis i and column axis k+i share a subscript when factor i is traced.
     row = list(range(k))
     col = [k + i if i in keep else i for i in range(k)]
     out = [i for i in keep] + [k + i for i in keep]
-    reduced = np.einsum(t, row + col, out)
-    dk = int(np.prod([dims[i] for i in keep]))
-    return reduced.reshape(dk, dk)
+    reduced = np.einsum(t, [Ellipsis] + row + col, [Ellipsis] + out)
+    dk = math.prod(dims[i] for i in keep)
+    return reduced.reshape(batch + (dk, dk))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

@@ -27,18 +27,22 @@ from capcont.channels import (
     apply,
     complementary,
     constant_channel,
+    dephasing,
+    depolarizing,
     erasure,
     identity,
+    tensor_power,
     truncated_classical_example,
 )
 from capcont.entropic import (
     Ensemble,
     coherent_information,
+    entropy_of_matrix,
     holevo_information,
     private_information,
 )
 from capcont.errors import ArgumentError, DimensionError
-from capcont.linalg import DensityMatrix
+from capcont.linalg import DensityMatrix, partial_trace_matrix
 from capcont.sampling import random_channel, random_density_matrix, random_unitary, rng_for
 
 
@@ -206,3 +210,200 @@ def test_unitary_precomposition_leaves_value():
     a = max_coherent_information(base, restarts=4, seed=7)
     b = max_coherent_information(rotated, restarts=4, seed=7)
     assert abs(a.best_value - b.best_value) <= TAU_OPT
+
+
+# ------------------------------------------------ sequential reference
+#
+# The maximizers run every restart in lockstep on one batch axis. The
+# reference below runs one restart at a time, on 2-D matrices and one
+# state at a time. The batched report must equal it bit for bit: same
+# values, iteration counts, flags and maximizers.
+
+
+def _ref_neg_log2(mat):
+    w, u = np.linalg.eigh(mat)
+    w = np.clip(w, 1e-10, None)
+    return (u * (-np.log2(w))) @ u.conj().T
+
+
+def _ref_renorm(params):
+    out = []
+    for p in params:
+        if np.iscomplexobj(p):
+            out.append(p / np.linalg.norm(p))
+        else:
+            out.append(p - np.max(p))
+    return out
+
+
+def _ref_ascend(value_of, grad_of, params, iters):
+    params = _ref_renorm(params)
+    f = value_of(params)
+    step = 1.0
+    used = 0
+    converged = False
+    for used in range(1, iters + 1):
+        g = grad_of(params)
+        gsq = sum(float(np.vdot(gi, gi).real) for gi in g)
+        if np.sqrt(gsq) < 1e-8:
+            converged = True
+            break
+        t = min(2.0 * step, 1.0)
+        improved = False
+        while t > 1e-14:
+            cand = _ref_renorm([p + t * gi for p, gi in zip(params, g)])
+            fc = value_of(cand)
+            if fc >= f + 1e-4 * t * gsq:
+                params, f, step, improved = cand, fc, t, True
+                break
+            t *= 0.5
+        if not improved:
+            break
+    return params, f, used, converged
+
+
+def _ref_run_restarts(value_of, grad_of, init_of, restarts, iters):
+    best_params, best_f, best_conv = None, -np.inf, False
+    counts = []
+    for r in range(restarts):
+        params, f, used, conv = _ref_ascend(value_of, grad_of, init_of(r), iters)
+        counts.append(used)
+        if f > best_f:
+            best_params, best_f, best_conv = params, f, conv
+    return best_params, best_f, tuple(counts), best_conv
+
+
+def _ref_coherent(ch, restarts, iters, seed):
+    d = ch.d_in
+    kb, ke = ch.kraus, complementary(ch).kraus
+    kb_adj, ke_adj = _adjoint(kb), _adjoint(ke)
+
+    def rho_of(v):
+        return partial_trace_matrix(np.outer(v, v.conj()), (d, d), keep=[1])
+
+    def value_of(params):
+        rho = rho_of(params[0])
+        return entropy_of_matrix(_apply_full(kb, rho)) - entropy_of_matrix(
+            _apply_full(ke, rho)
+        )
+
+    def grad_of(params):
+        v = params[0]
+        rho = rho_of(v)
+        g_rho = _apply_full(kb_adj, _ref_neg_log2(_apply_full(kb, rho)))
+        g_rho -= _apply_full(ke_adj, _ref_neg_log2(_apply_full(ke, rho)))
+        hv = (v.reshape(d, d) @ g_rho.T).reshape(-1)
+        hv -= np.vdot(v, hv).real * v
+        return [2.0 * hv]
+
+    def init_of(r):
+        rng = rng_for(seed, r)
+        return [rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)]
+
+    params, f, counts, conv = _ref_run_restarts(value_of, grad_of, init_of, restarts, iters)
+    return f, counts, conv, params[0]
+
+
+def _ref_ensembles(ch, m, restarts, iters, seed, private):
+    d = ch.d_in
+    legs = [ch.kraus] + ([complementary(ch).kraus] if private else [])
+    legs = [(kraus, _adjoint(kraus)) for kraus in legs]
+
+    def unpack(params):
+        probs = np.exp(params[0])
+        probs /= probs.sum()
+        return probs, params[1:]
+
+    def leg_terms(kraus, probs, states):
+        outs = [_apply_full(kraus, np.outer(u, u.conj())) for u in states]
+        return outs, sum(p * o for p, o in zip(probs, outs))
+
+    def value_of(params):
+        probs, states = unpack(params)
+        total, sign = 0.0, 1.0
+        for kraus, _ in legs:
+            outs, avg = leg_terms(kraus, probs, states)
+            total += sign * (
+                entropy_of_matrix(avg)
+                - sum(p * entropy_of_matrix(o) for p, o in zip(probs, outs))
+            )
+            sign = -sign
+        return total
+
+    def grad_of(params):
+        probs, states = unpack(params)
+        g_states = [np.zeros(d, dtype=complex) for _ in range(m)]
+        g_probs = np.zeros(m)
+        sign = 1.0
+        for kraus, adjoint in legs:
+            outs, avg = leg_terms(kraus, probs, states)
+            l_avg = _ref_neg_log2(avg)
+            for k, (u, out) in enumerate(zip(states, outs)):
+                back = _apply_full(adjoint, l_avg - _ref_neg_log2(out))
+                g_states[k] += sign * probs[k] * (back @ u)
+                g_probs[k] += sign * (
+                    float(np.vdot(out, l_avg).real) - entropy_of_matrix(out)
+                )
+            sign = -sign
+        for k, u in enumerate(states):
+            g_states[k] -= np.vdot(u, g_states[k]).real * u
+            g_states[k] *= 2.0
+        g_z = probs * (g_probs - float(probs @ g_probs))
+        return [g_z] + g_states
+
+    def init_of(r):
+        rng = rng_for(seed, r)
+        vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(m)]
+        return [rng.standard_normal(m) * 0.1] + vecs
+
+    params, f, counts, conv = _ref_run_restarts(value_of, grad_of, init_of, restarts, iters)
+    probs, states = unpack(params)
+    return f, counts, conv, probs, states
+
+
+def _lockstep_cases():
+    rng = rng_for(41)
+    named = {
+        "erasure": erasure(2, 0.25),
+        "dephasing": dephasing(0.2),
+        "depolarizing": depolarizing(2, 0.2),
+        "random23": random_channel(2, 3, rng, kraus_count=3),
+    }
+    cases = []
+    for name, ch in named.items():
+        for seed in (0, 5):
+            for kind, iters in (("coherent", 30), ("holevo", 25), ("private", 25)):
+                cases.append(pytest.param(kind, ch, seed, 3, iters, id=f"{kind}-{name}-seed{seed}"))
+    # Spectra of length 9, the row-by-row entropy sum.
+    square = tensor_power(erasure(2, 0.25), 2)
+    cases.append(pytest.param("coherent", square, 0, 2, 40, id="coherent-erasure^2-seed0"))
+    return cases
+
+
+@pytest.mark.parametrize("kind, ch, seed, restarts, iters", _lockstep_cases())
+def test_lockstep_ascent_matches_sequential_reference(kind, ch, seed, restarts, iters):
+    if kind == "coherent":
+        rep = max_coherent_information(ch, restarts=restarts, iters=iters, seed=seed)
+        f, counts, conv, vec = _ref_coherent(ch, restarts, iters, seed)
+        assert np.array_equal(rep.argmax.vector, vec)
+    else:
+        runner = max_holevo if kind == "holevo" else max_private
+        rep = runner(ch, 3, restarts=restarts, iters=iters, seed=seed)
+        f, counts, conv, probs, states = _ref_ensembles(
+            ch, 3, restarts, iters, seed, private=kind == "private"
+        )
+        assert [p for p, _ in rep.argmax.items] == [float(p) for p in probs]
+        for (_, got), u in zip(rep.argmax.items, states):
+            assert np.array_equal(got.matrix, DensityMatrix.from_pure(u).matrix)
+    assert rep.best_value == f
+    assert rep.iterations == counts
+    assert rep.converged == conv
+
+
+def test_lockstep_reference_covers_capped_and_finished_restarts():
+    # The batch must shrink mid-run: some restarts converge and leave it
+    # while others run on to the iteration cap.
+    f, counts, conv, _ = _ref_coherent(dephasing(0.2), 4, 60, 0)
+    assert max(counts) == 60 and min(counts) < 60
+    rep = max_coherent_information(dephasing(0.2), restarts=4, iters=60, seed=0)
+    assert rep.iterations == counts and rep.best_value == f

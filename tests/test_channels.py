@@ -132,6 +132,31 @@ def test_apply_extended_matches_tensor_power():
     assert np.allclose(both.matrix, via_power.matrix, atol=1e-10)
 
 
+def test_apply_full_on_a_stack_equals_per_slice_calls():
+    # Each slice of a stack gets its own broadcast product, summed in Kraus
+    # index order, so it matches the 2-D call bit for bit: on channels,
+    # complementary channels, adjoint stacks and a 40-operator family whose
+    # terms on a 16-slice stack need several _TERM_BUDGET blocks.
+    rng = rng_for(29)
+    many = random_channel(3, 4, rng, kraus_count=40)
+    assert len(many.kraus) * 4 * 4 * 16 > ch._TERM_BUDGET
+    chans = [ch.erasure(2, 0.25), ch.dephasing(0.2), ch.depolarizing(2, 0.2), many]
+    chans += [ch.complementary(c) for c in chans[:3]] + [ch.tensor_power(chans[0], 2)]
+    for chan in chans:
+        for kraus in (chan.kraus, chan.kraus.conj().transpose(0, 2, 1)):
+            d = kraus.shape[2]
+            for shape in ((1,), (16,), (3, 2)):
+                vecs = rng.normal(size=shape + (d,)) + 1j * rng.normal(size=shape + (d,))
+                mats = vecs[..., :, None] * vecs.conj()[..., None, :]
+                out = ch._apply_full(kraus, mats)
+                assert out.shape == shape + (kraus.shape[1],) * 2
+                for idx in np.ndindex(*shape):
+                    assert np.array_equal(out[idx], ch._apply_full(kraus, mats[idx]))
+    rho = random_density_matrix(3, rng).matrix
+    out = ch._apply_full(many.kraus, np.stack([rho] * 16))
+    assert np.allclose(out[-1], _apply_oracle(many, rho), atol=1e-12)
+
+
 # ------------------------------------------------------- Choi conversions
 
 

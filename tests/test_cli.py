@@ -358,3 +358,28 @@ class TestCapacityCli:
         )
         assert code == 0
         assert abs(report["result"]["per_copy_value"]) < 1e-6
+
+    @pytest.mark.parametrize("size", ["0", "1", "-2"])
+    def test_ensemble_size_below_two_rejected(self, capsys, size):
+        # 0 is a size like any other, not a request for the default
+        code = main(
+            [
+                "capacity", "holevo",
+                "--channel", "dephasing:p=0.2",
+                "--ensemble-size", size, "--restarts", "1", "--iters", "1",
+            ]
+        )
+        assert code == 1
+        assert "ensemble size must be >= 2" in capsys.readouterr().err
+
+    def test_default_ensemble_size_is_single_copy_input_squared(self, capsys):
+        code, report = run_json(
+            capsys,
+            [
+                "capacity", "holevo",
+                "--channel", "dephasing:p=0.2", "--n", "2",
+                "--restarts", "1", "--iters", "1",
+            ],
+        )
+        assert code == 0
+        assert report["result"]["ensemble_size"] == 4

@@ -13,6 +13,7 @@ from capcont.entropic import (
     binary_entropy,
     coherent_information,
     conditional_entropy,
+    entropy_of_matrix,
     holevo_information,
     mutual_information,
     private_information,
@@ -204,3 +205,23 @@ def test_conditional_entropy_stability_under_mixing():
         gap = abs(conditional_entropy(rho, 1) - conditional_entropy(sigma, 1))
         af = 4 * eps * 1.0 + 2 * _shannon_oracle([eps, 1 - eps])
         assert gap <= af + 1e-7
+
+
+def test_entropy_of_a_stack_equals_per_matrix_entropies():
+    # Rank-deficient states put clipped zeros at the front of the
+    # ascending spectrum. Below length 8 a zero-masked row sum stands in
+    # for the filtered sum; from length 8 on (here 9, as for two copies of
+    # a qutrit output) each row sums its positive suffix alone.
+    rng = rng_for(43)
+    for n in (2, 3, 7, 8, 9):
+        for rank in range(1, n + 1):
+            a = rng.normal(size=(6, n, rank)) + 1j * rng.normal(size=(6, n, rank))
+            mats = a @ a.conj().transpose(0, 2, 1)
+            mats /= np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+            got = entropy_of_matrix(mats)
+            assert got.shape == (6,)
+            want = [entropy_of_matrix(m) for m in mats]
+            assert np.array_equal(got, want)
+            assert np.array_equal(entropy_of_matrix(mats.reshape(2, 3, n, n)), got.reshape(2, 3))
+            if rank < n:
+                assert np.min(np.linalg.eigvalsh(mats)) <= 1e-12
