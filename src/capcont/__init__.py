@@ -1,7 +1,8 @@
 """Numerical laboratory for quantum channels.
 
-Channel distances (trace and diamond norm, the latter with a certified
-interior-point SDP), entropic quantities, single-letter capacity proxies,
+Channel distances (trace and diamond norm, the latter certified by a
+closed-form bracket for covariant pairs and an interior-point SDP
+otherwise), entropic quantities, single-letter capacity proxies,
 continuity bounds with their empirical verification harnesses, and the
 mixing arithmetic for assisted capacities.
 """
@@ -57,7 +58,6 @@ from .continuity import (
     discontinuity_demo,
     fannes_bound,
     hybrid_sequence,
-    mixed_state_pair,
     output_entropy_bound,
     random_nearby_pair,
     regularized_gap_bound,

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import QuantumChannel, _apply_full, complementary, tensor_power
-from .entropic import Ensemble, entropy_of_matrix
+from .entropic import Ensemble, _ensemble_outputs, _holevo, entropy_of_matrix
 from .errors import ArgumentError, DimensionError
 from .linalg import D_MAX, DensityMatrix, PureState, partial_trace_matrix
 from .sampling import rng_for
@@ -259,23 +259,12 @@ def _max_over_ensembles(
         probs /= probs.sum(axis=-1, keepdims=True)
         return probs, states
 
-    def leg_terms(kraus, probs, states):
-        outs = _apply_full(kraus, _outer(states))
-        avg = sum(probs[:, k, None, None] * outs[:, k] for k in range(m))
-        return outs, avg
-
     def value_of(params):
         probs, states = unpack(params)
-        total = 0.0
-        sign = 1.0
-        for kraus, _ in legs:
-            outs, avg = leg_terms(kraus, probs, states)
-            s_outs = entropy_of_matrix(outs)
-            total += sign * (
-                entropy_of_matrix(avg) - sum(probs[:, k] * s_outs[:, k] for k in range(m))
-            )
-            sign = -sign
-        return total
+        rhos = _outer(states)
+        return sum(
+            sign * _holevo(kraus, probs, rhos) for sign, (kraus, _) in zip((1.0, -1.0), legs)
+        )
 
     def grad_of(params):
         probs, states = unpack(params)
@@ -283,7 +272,7 @@ def _max_over_ensembles(
         g_probs = np.zeros(probs.shape)
         sign = 1.0
         for kraus, adjoint in legs:
-            outs, avg = leg_terms(kraus, probs, states)
+            outs, avg = _ensemble_outputs(kraus, probs, _outer(states))
             l_avg = _neg_log2(avg)
             back = _apply_full(adjoint, l_avg[:, None] - _neg_log2(outs))
             g_states += (sign * probs)[..., None] * (back @ states[..., None])[..., 0]

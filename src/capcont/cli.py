@@ -463,7 +463,7 @@ def _emit(args, report: dict, csv_rows) -> None:
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="run seed, 64-bit")
+    common.add_argument("--seed", type=int, default=0, help="run seed, a non-negative integer")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument(
         "--csv", action="store_true", help="emit CSV (trend tables only)"
@@ -568,6 +568,8 @@ def _command_name(args) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.seed < 0:
+            raise SpecError("bad-argument", f"--seed must be at least 0, got {args.seed}")
         args.command_name = _command_name(args)
         code, result, csv_rows = args.func(args)
         report = _envelope(args, result)

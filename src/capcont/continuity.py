@@ -3,10 +3,13 @@
 The bound formulas are closed-form expressions in the distance eps, the
 output dimension, and the copy count.  The harness measures both sides of
 each inequality on randomized instances: channel distances come from the
-certified SDP, entropy differences from exact eigendecompositions, and
+certified diamond norm (the closed-form bracket for covariant pairs, the
+SDP otherwise), entropy differences from exact eigendecompositions, and
 capacity-proxy differences from either shared fixed parameters (hard
 checks) or independent maximizations (consistent-with checks, since the
 maximizers certify lower bounds only and cannot witness a violation).
+Trials draw raw matrices from their own seeded streams and are measured
+as stacks; validated state types appear only at the public boundary.
 
 Hybrid sequences interpolate between the n-copy outputs of two channels
 one tensor slot at a time; consecutive states differ only in that slot,
@@ -28,6 +31,7 @@ from .capopt import max_coherent_information, max_holevo, max_private
 from .channels import (
     QuantumChannel,
     _apply_on_factors,
+    complementary,
     erasure,
     mix,
     tensor_power,
@@ -38,17 +42,16 @@ from .distance import diamond_distance, trace_distance
 from .entropic import (
     TAU_ENT,
     Ensemble,
+    _coherent_information,
+    _holevo,
     binary_entropy,
     coherent_information,
-    conditional_entropy,
     entropy_of_matrix,
     holevo_information,
-    private_information,
-    von_neumann_entropy,
 )
 from .errors import ArgumentError
-from .linalg import TAU_TR, DensityMatrix, hermitian_part, partial_trace_matrix
-from .sampling import haar_state, random_channel, random_density_matrix, rng_for
+from .linalg import DensityMatrix, hermitian_part, partial_trace_matrix
+from .sampling import _wishart, haar_state, random_channel, rng_for
 
 
 def _check_eps(eps: float) -> float:
@@ -144,43 +147,40 @@ class BoundReport:
         return self.hard and self.margin < -TAU_ENT
 
 
-def mixed_state_pair(
-    d: int, rng: np.random.Generator, dims=None
-) -> tuple[DensityMatrix, DensityMatrix, float]:
-    """Random state pair at trace distance at most 1/2, built by mixing.
+def _mixed_pairs(d: int, rngs: Sequence[np.random.Generator]):
+    """Stacked random state pairs at trace distance at most 1/2, one per stream.
 
-    sigma = (1 - lam) rho + lam tau with lam <= 1/4 caps the trace
-    distance at 1/2; the distance itself is measured, never assumed.
+    Each stream draws rho and tau, then lam <= 1/4; sigma = (1 - lam) rho
+    + lam tau caps the trace distance at 1/2. Returns the (trials, d, d)
+    stacks of rho and sigma and their measured trace distances.
     """
-    rho = random_density_matrix(d, rng, dims=dims)
-    tau = random_density_matrix(d, rng, dims=dims)
-    lam = 0.25 * rng.random()
-    sigma = DensityMatrix((1.0 - lam) * rho.matrix + lam * tau.matrix, rho.dims)
-    return rho, sigma, trace_distance(rho, sigma)
+    draws = [(_wishart(d, d, rng), _wishart(d, d, rng), 0.25 * rng.random()) for rng in rngs]
+    rho, tau, lam = (np.array(x) for x in zip(*draws))
+    rho, tau = hermitian_part(rho), hermitian_part(tau)
+    lam = lam[:, None, None]
+    sigma = hermitian_part((1.0 - lam) * rho + lam * tau)
+    return rho, sigma, np.sum(np.abs(np.linalg.eigvalsh(rho - sigma)), axis=-1)
 
 
 def verify_fannes(
     dims: Sequence[int] = (2, 4, 8), trials: int = 1000, seed: int = 0
 ) -> list[BoundReport]:
-    """Entropy differences of random nearby pairs against eps log d + H(eps)."""
+    """Entropy differences of random nearby pairs against eps log d + H(eps).
+
+    The trials of one dimension are measured as one stack.
+    """
+    dims = [_check_dim(d) for d in dims]
+    if int(trials) < 1:
+        return []
     reports = []
     for d in dims:
-        d = _check_dim(d)
-        for t in range(int(trials)):
-            rho, sigma, eps = mixed_state_pair(d, rng_for(seed, d, t))
-            measured = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
-            reports.append(
-                BoundReport(
-                    quantity_name="entropy-difference",
-                    measured=measured,
-                    bound=fannes_bound(eps, d),
-                    epsilon=eps,
-                    n=1,
-                    d_b=d,
-                    seed=seed,
-                    detail=f"d {d}, trial {t}",
-                )
-            )
+        rho, sigma, eps = _mixed_pairs(d, [rng_for(seed, d, t) for t in range(int(trials))])
+        measured = np.abs(entropy_of_matrix(rho) - entropy_of_matrix(sigma))
+        for t, (m, e) in enumerate(zip(measured, eps)):
+            detail = f"d {d}, trial {t}"
+            reports.append(BoundReport(
+                "entropy-difference", float(m), fannes_bound(e, d), float(e), 1, d, seed, detail
+            ))
     return reports
 
 
@@ -193,29 +193,28 @@ def verify_af(
 ) -> list[BoundReport]:
     """Conditional-entropy differences against 4 eps log d_A + 2 H(eps).
 
-    The report's d_b column carries the bound's dimension argument, which
-    for this inequality is the conditioned system d_A.
+    The trials of one dimension pair are measured as one stack. The
+    report's d_b column carries the bound's dimension argument, which for
+    this inequality is the conditioned system d_A.
     """
+
+    def cond_entropy(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+        return entropy_of_matrix(rho) - entropy_of_matrix(partial_trace_matrix(rho, dims, [1]))
+
+    dim_pairs = [(_check_dim(d_a), _check_dim(d_b)) for d_a, d_b in dim_pairs]
+    if int(trials) < 1:
+        return []
     reports = []
     for d_a, d_b in dim_pairs:
-        d_a, d_b = _check_dim(d_a), _check_dim(d_b)
-        for t in range(int(trials)):
-            rho, sigma, eps = mixed_state_pair(
-                d_a * d_b, rng_for(seed, d_a, d_b, t), dims=(d_a, d_b)
-            )
-            measured = abs(conditional_entropy(rho) - conditional_entropy(sigma))
-            reports.append(
-                BoundReport(
-                    quantity_name="conditional-entropy-difference",
-                    measured=measured,
-                    bound=af_bound(eps, d_a),
-                    epsilon=eps,
-                    n=1,
-                    d_b=d_a,
-                    seed=seed,
-                    detail=f"d_a {d_a} x d_b {d_b}, trial {t}",
-                )
-            )
+        rngs = [rng_for(seed, d_a, d_b, t) for t in range(int(trials))]
+        rho, sigma, eps = _mixed_pairs(d_a * d_b, rngs)
+        measured = np.abs(cond_entropy(rho, (d_a, d_b)) - cond_entropy(sigma, (d_a, d_b)))
+        for t, (m, e) in enumerate(zip(measured, eps)):
+            detail = f"d_a {d_a} x d_b {d_b}, trial {t}"
+            reports.append(BoundReport(
+                "conditional-entropy-difference", float(m), af_bound(e, d_a), float(e), 1,
+                d_a, seed, detail,
+            ))
     return reports
 
 
@@ -310,8 +309,9 @@ def _measured_eps(ch_n: QuantumChannel, ch_m: QuantumChannel, eps: float | None)
         )
     value = result.value
     if 1.0 < value <= 1.0 + 1e-5:
-        # The certified upper bound may overshoot the formula domain by
-        # the SDP tolerance while the true distance sits within it.
+        # A certified upper bound (from the SDP, or the bracket up to its
+        # rounding) may overshoot the formula domain by the solver
+        # tolerance while the true distance sits within it.
         value = 1.0
     return value
 
@@ -329,7 +329,8 @@ def verify_output_entropy(
     For each trial a Haar-random pure state on reference (x) input^n is
     pushed through both n-copy extensions; the entropy difference of the
     two outputs is compared with output_entropy_bound(n, eps, d_out).
-    eps defaults to the certified SDP diamond distance of the pair.
+    eps defaults to the certified diamond distance of the pair: the
+    closed-form bracket for covariant pairs, the SDP otherwise.
     """
     n = int(n)
     if n < 1:
@@ -383,13 +384,12 @@ class CorollarySettings:
     eps: float | None = None
 
 
-def _random_ensemble(d: int, size: int, rng: np.random.Generator) -> Ensemble:
+def _random_ensemble(d: int, size: int, rng: np.random.Generator):
+    """Raw pure-state ensemble: (size,) probabilities and (size, d, d) states."""
     probs = rng.dirichlet(np.ones(size))
-    items = []
-    for p in probs:
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        items.append((float(p), DensityMatrix.from_pure(v)))
-    return Ensemble(items)
+    vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in probs]
+    vecs = [v / np.linalg.norm(v) for v in vecs]
+    return probs, hermitian_part(np.array([np.outer(v, v.conj()) for v in vecs]))
 
 
 def verify_capacity_differences(
@@ -416,53 +416,25 @@ def verify_capacity_differences(
     d_inn = d_in**n
     reports = []
 
+    env_n, env_m = complementary(pow_n), complementary(pow_m)
     for t in range(settings.trials):
         rng = rng_for(settings.seed, t)
-        ens = _random_ensemble(d_inn, settings.ensemble_size, rng)
-        chi_gap = abs(holevo_information(pow_n, ens) - holevo_information(pow_m, ens))
-        reports.append(
-            BoundReport(
-                "holevo-term",
-                chi_gap,
-                2.0 * step,
-                eps,
-                n,
-                d_out,
-                settings.seed,
-                f"trial {t}",
+        probs, states = _random_ensemble(d_inn, settings.ensemble_size, rng)
+        rho = hermitian_part(_wishart(d_inn * d_inn, d_inn * d_inn, rng))
+        chi_n, chi_m, chi_en, chi_em = (
+            _holevo(ch.kraus, probs, states) for ch in (pow_n, pow_m, env_n, env_m)
+        )
+        coh_n, coh_m = (
+            _coherent_information(ch.kraus, rho, (d_inn, d_inn)) for ch in (pow_n, pow_m)
+        )
+        for name, gap, bound in (
+            ("holevo-term", abs(chi_n - chi_m), 2.0 * step),
+            ("coherent-term", abs(coh_n - coh_m), 2.0 * step),
+            ("private-term", abs((chi_n - chi_en) - (chi_m - chi_em)), 4.0 * step),
+        ):
+            reports.append(
+                BoundReport(name, float(gap), bound, eps, n, d_out, settings.seed, f"trial {t}")
             )
-        )
-        rho = random_density_matrix(d_inn * d_inn, rng, dims=(d_inn, d_inn))
-        coh_gap = abs(
-            coherent_information(pow_n, rho) - coherent_information(pow_m, rho)
-        )
-        reports.append(
-            BoundReport(
-                "coherent-term",
-                coh_gap,
-                2.0 * step,
-                eps,
-                n,
-                d_out,
-                settings.seed,
-                f"trial {t}",
-            )
-        )
-        priv_gap = abs(
-            private_information(pow_n, ens) - private_information(pow_m, ens)
-        )
-        reports.append(
-            BoundReport(
-                "private-term",
-                priv_gap,
-                4.0 * step,
-                eps,
-                n,
-                d_out,
-                settings.seed,
-                f"trial {t}",
-            )
-        )
 
     if settings.optimized:
         bounds = capacity_difference_bounds(eps, d_out)

@@ -95,7 +95,12 @@ def coherent_information(ch: QuantumChannel, rho: DensityMatrix) -> float:
         raise ArgumentError(
             f"second factor dimension {rho.dims[1]} != channel input {ch.d_in}"
         )
-    omega, dims = channels._apply_on_factors(ch.kraus, rho.matrix, rho.dims, [1])
+    return _coherent_information(ch.kraus, rho.matrix, rho.dims)
+
+
+def _coherent_information(kraus: np.ndarray, mat: np.ndarray, dims: tuple[int, int]) -> float:
+    """coherent_information on a raw two-factor input matrix (no validation)."""
+    omega, dims = channels._apply_on_factors(kraus, mat, dims, [1])
     s_b = entropy_of_matrix(linalg.partial_trace_matrix(omega, dims, keep=[1]))
     return s_b - entropy_of_matrix(omega)
 
@@ -131,15 +136,29 @@ def holevo_information(ch: QuantumChannel, ens: Ensemble) -> float:
     """I(X;B) = S(sum_x p_x ch(phi_x)) - sum_x p_x S(ch(phi_x))."""
     if ens.d != ch.d_in:
         raise ArgumentError(f"ensemble dimension {ens.d} != channel input {ch.d_in}")
-    avg = np.zeros((ch.d_out, ch.d_out), dtype=complex)
-    mean_s = 0.0
-    for p, state in ens.items:
-        if p <= 0.0:
-            continue
-        out = channels._apply_full(ch.kraus, state.matrix)
-        avg += p * out
-        mean_s += p * entropy_of_matrix(out)
-    return entropy_of_matrix(avg) - mean_s
+    probs, states = zip(*((p, state.matrix) for p, state in ens.items if p > 0.0))
+    return float(_holevo(ch.kraus, np.array(probs), np.array(states)))
+
+
+def _ensemble_outputs(kraus: np.ndarray, probs: np.ndarray, states: np.ndarray):
+    """Outputs of a stack of ensembles and their probability-weighted averages.
+
+    probs is (..., m) and states (..., m, d_in, d_in), neither validated.
+    """
+    outs = channels._apply_full(kraus, states)
+    m = probs.shape[-1]
+    return outs, sum(probs[..., k, None, None] * outs[..., k, :, :] for k in range(m))
+
+
+def _holevo(kraus: np.ndarray, probs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The Holevo kernel: S(avg) - sum_x p_x S(out_x) for each ensemble of a stack.
+
+    Each ensemble's value is bit-equal to that of the ensemble alone.
+    """
+    outs, avg = _ensemble_outputs(kraus, probs, states)
+    s_outs = entropy_of_matrix(outs)
+    m = probs.shape[-1]
+    return entropy_of_matrix(avg) - sum(probs[..., k] * s_outs[..., k] for k in range(m))
 
 
 def private_information(ch: QuantumChannel, ens: Ensemble) -> float:

@@ -17,7 +17,10 @@ from .linalg import DensityMatrix, PureState
 
 def rng_for(seed: int, *branch: int) -> np.random.Generator:
     """Generator for a (seed, branch...) stream, stable under scheduling."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=tuple(int(b) for b in branch)))
+    seed, branch = int(seed), tuple(int(b) for b in branch)
+    if seed < 0 or any(b < 0 for b in branch):
+        raise ArgumentError(f"seed {seed} and branch {branch} must be non-negative")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=branch))
 
 
 def haar_state(d: int, rng: np.random.Generator, dims=None) -> PureState:
@@ -33,9 +36,14 @@ def random_density_matrix(
     r = d if rank is None else int(rank)
     if not 1 <= r <= d:
         raise ArgumentError(f"rank {r} out of range for dimension {d}")
+    return DensityMatrix(_wishart(d, r, rng), dims if dims is not None else (d,))
+
+
+def _wishart(d: int, r: int, rng: np.random.Generator) -> np.ndarray:
+    """Raw unit-trace G G^dag for a complex Gaussian d x r matrix G (no validation)."""
     g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
     m = g @ g.conj().T
-    return DensityMatrix(m / m.trace().real, dims if dims is not None else (d,))
+    return m / m.trace().real
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Tests for the command-line front end."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -267,6 +269,27 @@ class TestExitCodes:
         code, report = run_json(capsys, argv + ["--probe-trials", "0"])
         assert code == 0
         assert "probe_lower_bound" not in report["result"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "fannes", "--trials", "2", "--seed", "-1"],
+            ["capacity", "coherent", "--channel", "dephasing:p=0.2", "--seed", "-3"],
+            [
+                "norm", "diamond", "--a", "identity:d=2", "--b", "depolarizing:d=2,p=0.1",
+                "--probe-trials", "2", "--seed", "-1",
+            ],
+        ],
+    )
+    def test_negative_seed_rejected(self, argv):
+        # A fresh interpreter, so that an uncaught exception shows as a traceback.
+        run = subprocess.run(
+            [sys.executable, "-m", "capcont.cli"] + argv, capture_output=True, text=True
+        )
+        assert run.returncode == 1
+        assert run.stderr.startswith("capcont: error (bad-argument)")
+        assert "Traceback" not in run.stderr
+        assert run.stdout == ""
 
     def test_csv_outside_trend_tables_rejected(self, capsys):
         code = main(["verify", "fannes", "--trials", "1", "--csv"])

@@ -12,10 +12,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from capcont.channels import (
+    _apply_full,
     apply_extended,
+    complementary,
+    dephasing,
     depolarizing,
     erasure,
     identity,
+    tensor_power,
     truncated_classical_example,
 )
 from capcont.continuity import (
@@ -29,14 +33,25 @@ from capcont.continuity import (
     output_entropy_bound,
     random_nearby_pair,
     regularized_gap_bound,
+    verify_af,
     verify_capacity_differences,
+    verify_fannes,
     verify_output_entropy,
 )
-from capcont.distance import diamond_distance
-from capcont.entropic import TAU_ENT, coherent_information
+from capcont.distance import diamond_distance, trace_distance
+from capcont.entropic import (
+    TAU_ENT,
+    Ensemble,
+    _holevo,
+    coherent_information,
+    conditional_entropy,
+    entropy_of_matrix,
+    holevo_information,
+    von_neumann_entropy,
+)
 from capcont.errors import ArgumentError
 from capcont.linalg import TAU_TR, DensityMatrix
-from capcont.sampling import haar_state, rng_for
+from capcont.sampling import haar_state, random_channel, random_density_matrix, rng_for
 
 H_QUARTER = 0.8112781244591328  # binary entropy of 1/4, frozen independently
 
@@ -281,3 +296,132 @@ def test_discontinuity_demo_matches_closed_form_to_n16():
 def test_discontinuity_demo_validation():
     with pytest.raises(ArgumentError):
         discontinuity_demo([1])
+
+
+# Reference harness: the per-trial loops that validate every state, kept
+# to pin the stacked harnesses to them bit for bit.
+
+
+def _ref_mixed_state_pair(d, rng, dims=None):
+    rho = random_density_matrix(d, rng, dims=dims)
+    tau = random_density_matrix(d, rng, dims=dims)
+    lam = 0.25 * rng.random()
+    sigma = DensityMatrix((1.0 - lam) * rho.matrix + lam * tau.matrix, rho.dims)
+    return rho, sigma, trace_distance(rho, sigma)
+
+
+def _ref_fannes(dims, trials, seed):
+    rows = []
+    for d in dims:
+        for t in range(trials):
+            rho, sigma, eps = _ref_mixed_state_pair(d, rng_for(seed, d, t))
+            measured = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
+            rows.append((measured, fannes_bound(eps, d), eps, d, f"d {d}, trial {t}"))
+    return rows
+
+
+def _ref_af(dim_pairs, trials, seed):
+    rows = []
+    for d_a, d_b in dim_pairs:
+        for t in range(trials):
+            rho, sigma, eps = _ref_mixed_state_pair(
+                d_a * d_b, rng_for(seed, d_a, d_b, t), dims=(d_a, d_b)
+            )
+            measured = abs(conditional_entropy(rho) - conditional_entropy(sigma))
+            rows.append(
+                (measured, af_bound(eps, d_a), eps, d_a, f"d_a {d_a} x d_b {d_b}, trial {t}")
+            )
+    return rows
+
+
+def _rows(reports):
+    return [(r.measured, r.bound, r.epsilon, r.d_b, r.detail) for r in reports]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_stacked_fannes_matches_per_trial_reference(seed):
+    # d = 8 and 16 take the row-by-row entropy path, d < 8 the masked sum.
+    dims = (2, 3, 7, 8, 16)
+    assert _rows(verify_fannes(dims, trials=30, seed=seed)) == _ref_fannes(dims, 30, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_stacked_af_matches_per_trial_reference(seed):
+    pairs = ((2, 2), (2, 3), (4, 2), (2, 8), (4, 4))
+    assert _rows(verify_af(pairs, trials=20, seed=seed)) == _ref_af(pairs, 20, seed)
+
+
+def test_harnesses_with_zero_trials_return_nothing():
+    assert verify_fannes(trials=0) == []
+    assert verify_af(trials=0) == []
+    with pytest.raises(ArgumentError):
+        verify_fannes(dims=(1,), trials=0)
+
+
+def _ref_holevo(ch, ens):
+    avg = np.zeros((ch.d_out, ch.d_out), dtype=complex)
+    mean_s = 0.0
+    for p, state in ens.items:
+        if p <= 0.0:
+            continue
+        out = _apply_full(ch.kraus, state.matrix)
+        avg += p * out
+        mean_s += p * entropy_of_matrix(out)
+    return entropy_of_matrix(avg) - mean_s
+
+
+def test_stacked_corollary_terms_match_per_trial_reference():
+    ch_n, ch_m, n, trials, size, seed = dephasing(0.1), depolarizing(2, 0.1), 2, 4, 3, 3
+    settings = CorollarySettings(n=n, trials=trials, ensemble_size=size, seed=seed)
+    got = [
+        (r.quantity_name, r.measured, r.bound, r.detail)
+        for r in verify_capacity_differences(ch_n, ch_m, settings)
+    ]
+    step = got[0][2] / 2.0
+    pow_n, pow_m = tensor_power(ch_n, n), tensor_power(ch_m, n)
+    env_n, env_m = complementary(pow_n), complementary(pow_m)
+    want = []
+    for t in range(trials):
+        rng = rng_for(seed, t)
+        probs = rng.dirichlet(np.ones(size))
+        ens = Ensemble([
+            (float(p), DensityMatrix.from_pure(rng.normal(size=4) + 1j * rng.normal(size=4)))
+            for p in probs
+        ])
+        rho = random_density_matrix(16, rng, dims=(4, 4))
+        chi_n, chi_m = _ref_holevo(pow_n, ens), _ref_holevo(pow_m, ens)
+        priv_n = chi_n - _ref_holevo(env_n, ens)
+        priv_m = chi_m - _ref_holevo(env_m, ens)
+        coh = coherent_information(pow_n, rho) - coherent_information(pow_m, rho)
+        want += [
+            ("holevo-term", abs(chi_n - chi_m), 2.0 * step, f"trial {t}"),
+            ("coherent-term", abs(coh), 2.0 * step, f"trial {t}"),
+            ("private-term", abs(priv_n - priv_m), 4.0 * step, f"trial {t}"),
+        ]
+    assert got == want
+
+
+def test_holevo_kernel_on_a_stack_equals_per_ensemble_values():
+    rng = rng_for(21)
+    for ch in (depolarizing(2, 0.3), random_channel(3, 4, rng), complementary(erasure(3, 0.2))):
+        k, m, d = 5, 3, ch.d_in
+        states = np.array([
+            [random_density_matrix(d, rng, rank=1 + (i + j) % d).matrix for j in range(m)]
+            for i in range(k)
+        ])
+        probs = rng.dirichlet(np.ones(m), size=k)
+        stacked = _holevo(ch.kraus, probs, states)
+        ensembles = [
+            Ensemble([(float(p), DensityMatrix(s)) for p, s in zip(ps, ss)])
+            for ps, ss in zip(probs, states)
+        ]
+        assert stacked.shape == (k,)
+        assert np.array_equal(stacked, [holevo_information(ch, e) for e in ensembles])
+        assert np.array_equal(stacked, [_ref_holevo(ch, e) for e in ensembles])
+
+
+def test_rng_for_rejects_negative_seed_or_branch():
+    for args in ((-1,), (0, -2), (3, 1, -1)):
+        with pytest.raises(ArgumentError):
+            rng_for(*args)
+    assert rng_for(2**64, 0).random() == rng_for(2**64, 0).random()
