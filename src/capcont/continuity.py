@@ -147,19 +147,31 @@ class BoundReport:
         return self.hard and self.margin < -TAU_ENT
 
 
-def _mixed_pairs(d: int, rngs: Sequence[np.random.Generator]):
-    """Stacked random state pairs at trace distance at most 1/2, one per stream.
+# Trials measured as one stack. A constant block keeps a harness's memory
+# independent of its trial count; 256 keeps runs of up to 256 trials one stack.
+_TRIAL_BLOCK = 256
+
+
+def _trial_blocks(trials: int) -> list[range]:
+    """Consecutive ranges of at most _TRIAL_BLOCK trial indices."""
+    return [range(t, min(t + _TRIAL_BLOCK, trials)) for t in range(0, trials, _TRIAL_BLOCK)]
+
+
+def _measure_pairs(d: int, rngs: Sequence[np.random.Generator], quantity):
+    """|quantity(rho) - quantity(sigma)| on random state pairs, one per stream, and eps.
 
     Each stream draws rho and tau, then lam <= 1/4; sigma = (1 - lam) rho
-    + lam tau caps the trace distance at 1/2. Returns the (trials, d, d)
-    stacks of rho and sigma and their measured trace distances.
+    + lam tau caps the trace distance at 1/2. quantity maps a (trials, d, d)
+    stack to one value per state; the stacks live only inside this call.
+    Returns the differences and the measured trace distances eps.
     """
     draws = [(_wishart(d, d, rng), _wishart(d, d, rng), 0.25 * rng.random()) for rng in rngs]
     rho, tau, lam = (np.array(x) for x in zip(*draws))
     rho, tau = hermitian_part(rho), hermitian_part(tau)
     lam = lam[:, None, None]
     sigma = hermitian_part((1.0 - lam) * rho + lam * tau)
-    return rho, sigma, np.sum(np.abs(np.linalg.eigvalsh(rho - sigma)), axis=-1)
+    eps = np.sum(np.abs(np.linalg.eigvalsh(rho - sigma)), axis=-1)
+    return np.abs(quantity(rho) - quantity(sigma)), eps
 
 
 def verify_fannes(
@@ -167,20 +179,21 @@ def verify_fannes(
 ) -> list[BoundReport]:
     """Entropy differences of random nearby pairs against eps log d + H(eps).
 
-    The trials of one dimension are measured as one stack.
+    The trials of one dimension are measured in stacks of _TRIAL_BLOCK.
     """
     dims = [_check_dim(d) for d in dims]
     if int(trials) < 1:
         return []
     reports = []
     for d in dims:
-        rho, sigma, eps = _mixed_pairs(d, [rng_for(seed, d, t) for t in range(int(trials))])
-        measured = np.abs(entropy_of_matrix(rho) - entropy_of_matrix(sigma))
-        for t, (m, e) in enumerate(zip(measured, eps)):
-            detail = f"d {d}, trial {t}"
-            reports.append(BoundReport(
-                "entropy-difference", float(m), fannes_bound(e, d), float(e), 1, d, seed, detail
-            ))
+        for block in _trial_blocks(int(trials)):
+            rngs = [rng_for(seed, d, t) for t in block]
+            measured, eps = _measure_pairs(d, rngs, entropy_of_matrix)
+            for t, m, e in zip(block, measured, eps):
+                detail = f"d {d}, trial {t}"
+                reports.append(BoundReport(
+                    "entropy-difference", float(m), fannes_bound(e, d), float(e), 1, d, seed, detail
+                ))
     return reports
 
 
@@ -193,9 +206,9 @@ def verify_af(
 ) -> list[BoundReport]:
     """Conditional-entropy differences against 4 eps log d_A + 2 H(eps).
 
-    The trials of one dimension pair are measured as one stack. The
-    report's d_b column carries the bound's dimension argument, which for
-    this inequality is the conditioned system d_A.
+    The trials of one dimension pair are measured in stacks of
+    _TRIAL_BLOCK. The report's d_b column carries the bound's dimension
+    argument, which for this inequality is the conditioned system d_A.
     """
 
     def cond_entropy(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -206,15 +219,17 @@ def verify_af(
         return []
     reports = []
     for d_a, d_b in dim_pairs:
-        rngs = [rng_for(seed, d_a, d_b, t) for t in range(int(trials))]
-        rho, sigma, eps = _mixed_pairs(d_a * d_b, rngs)
-        measured = np.abs(cond_entropy(rho, (d_a, d_b)) - cond_entropy(sigma, (d_a, d_b)))
-        for t, (m, e) in enumerate(zip(measured, eps)):
-            detail = f"d_a {d_a} x d_b {d_b}, trial {t}"
-            reports.append(BoundReport(
-                "conditional-entropy-difference", float(m), af_bound(e, d_a), float(e), 1,
-                d_a, seed, detail,
-            ))
+        for block in _trial_blocks(int(trials)):
+            rngs = [rng_for(seed, d_a, d_b, t) for t in block]
+            measured, eps = _measure_pairs(
+                d_a * d_b, rngs, lambda rho: cond_entropy(rho, (d_a, d_b))
+            )
+            for t, m, e in zip(block, measured, eps):
+                detail = f"d_a {d_a} x d_b {d_b}, trial {t}"
+                reports.append(BoundReport(
+                    "conditional-entropy-difference", float(m), af_bound(e, d_a), float(e), 1,
+                    d_a, seed, detail,
+                ))
     return reports
 
 

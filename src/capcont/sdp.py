@@ -27,13 +27,18 @@ certifies accuracy.
 The solver is a feasible-start Nesterov-Todd scaled predictor-corrector:
 both iterates stay exactly feasible (easy exactly-feasible starting points
 exist for this problem), so only the centrality equation is linearized.
-Each cone block is factored once per iteration. From the Cholesky factors
-L_X, L_S of the iterate and its slack and one SVD L_S^dag L_X = P Sigma Q^dag
-comes the NT factor G = L_X Q Sigma^-1/2 (Todd, Toh and Tutuncu, SIAM J.
-Optim. 8, 1998), with G^-1 X G^-dag = G^dag S G = Sigma diagonal, so the
-scaling W = G G^dag satisfies W S W = X and the corrector's Lyapunov
-equation is an elementwise division. The step-length tests reuse L_X and
-L_S. Each step solves the Schur system H dy = rhs with
+P and Q are one (2, n_c, n_c) stack, so each factorization below is one
+stacked LAPACK call for both. Each block is factored once per iteration:
+from the Cholesky factors L_X, L_S of the iterate and its slack and one SVD
+L_S^dag L_X = P Sigma Q^dag comes the NT factor G = L_X Q Sigma^-1/2 (Todd,
+Toh and Tutuncu, SIAM J. Optim. 8, 1998), with G^-1 X G^-dag = G^dag S G =
+Sigma, so W = G G^dag satisfies W S W = X and the corrector's Lyapunov
+equation is an elementwise division. Step lengths need no triangular solve:
+Sigma^-1/2 G^-1 dX G^-dag Sigma^-1/2 and Sigma^-1/2 G^dag dS G Sigma^-1/2
+are unitarily similar (by Q, P) to L_X^-1 dX L_X^-dag and L_S^-1 dS L_S^-dag.
+With dS = -A*(dy), ds_hat = G^dag dS G and dx_hat = target - ds_hat for the
+scaled right-hand side target, which is -Sigma for the predictor, so one
+spectrum gives both predictor steps. Each step solves H dy = rhs with
 
     H(Y, tau) = A( W diag A*(Y, tau) W ).
 
@@ -42,8 +47,9 @@ H0 = W_P . W_P + W_Q . W_Q is a Stein operator inverted in closed form after
 whitening with the Cholesky factor of W_P + W_Q, which diagonalizes W_P and
 W_Q together. The rank-d_A^2 coupling through rho is a Woodbury step on the
 scaled capacitance I + B^* V^dag H0^-1 V B (V embeds s -> s (x) I_B,
-B(s) = G_rho s G_rho^dag), assembled on complex d_A x d_A matrix units.
-Nothing is ever expanded on a vectorized basis of the n_c x n_c space.
+B(s) = G_rho s G_rho^dag), summed on complex d_A x d_A matrix units over
+half of its terms by rank-k updates. Nothing is ever expanded on a
+vectorized basis of the n_c x n_c space.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import zherk
 
 from .linalg import hermitian_part
 
@@ -80,36 +87,72 @@ class DiamondSolution:
         )
 
 
+def _ct(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a (..., n, n) stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _diag(v: np.ndarray) -> np.ndarray:
+    """diag(v) for each vector of a (..., n) stack."""
+    return v[..., None, :] * np.eye(v.shape[-1])
+
+
 def _nt_scaling(l_x: np.ndarray, l_s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """NT factor of one block from L_X = chol(X) and L_S = chol(S).
+    """NT factor of each block of a stack from L_X = chol(X) and L_S = chol(S).
 
     With L_S^dag L_X = P Sigma Q^dag, G = L_X Q Sigma^-1/2 and its inverse
     Sigma^-1/2 P^dag L_S^dag give G^-1 X G^-dag = G^dag S G = Sigma, so
     W = G G^dag satisfies W S W = X. Returns (G, G^-1, sigma).
     """
-    p, sig, qh = np.linalg.svd(l_s.conj().T @ l_x)
+    p, sig, qh = np.linalg.svd(_ct(l_s) @ l_x)
     root = np.sqrt(sig)
-    g = (l_x @ qh.conj().T) / root
-    g_inv = (p.conj().T @ l_s.conj().T) / root[:, None]
+    g = (l_x @ _ct(qh)) / root[..., None, :]
+    g_inv = (_ct(p) @ _ct(l_s)) / root[..., :, None]
     return g, g_inv, sig
 
 
-def _whiten(l: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """L^-1 m L^-dag for a lower-triangular L and a Hermitian m."""
-    half = sla.solve_triangular(l, m, lower=True, check_finite=False)
-    return hermitian_part(sla.solve_triangular(l, half.conj().T, lower=True, check_finite=False))
+def _damped(lam_min: float) -> float:
+    """Largest alpha in (0, 1] keeping I + alpha M PSD, damped, from lambda_min(M)."""
+    return 1.0 if lam_min >= -1e-16 else min(1.0, -STEP_DAMP / lam_min)
 
 
-def _max_step(l: np.ndarray, dm: np.ndarray) -> float:
-    """Largest alpha in (0, 1] keeping L L^dag + alpha*dm PSD, damped.
+def _steps(sig: np.ndarray, dx_hat: np.ndarray, ds_hat=None) -> tuple[float, float]:
+    """(alpha_P, alpha_D) for one block stack from its NT-scaled directions.
 
-    L is the Cholesky factor of the current block, so the test is
-    lambda_min(L^-1 dm L^-dag) >= -1/alpha.
+    X + alpha dX >= 0 iff I + alpha M >= 0 for M = Sigma^-1/2 dx_hat Sigma^-1/2,
+    and likewise for S. Without ds_hat the directions are the predictor's,
+    ds_hat = -Sigma - dx_hat, whose dual matrix is -I - M.
     """
-    lam_min = float(np.linalg.eigvalsh(_whiten(l, dm))[0])
-    if lam_min >= -1e-16:
-        return 1.0
-    return min(1.0, -STEP_DAMP / lam_min)
+    root = 1.0 / np.sqrt(sig)
+    scale = root[..., :, None] * root[..., None, :]
+    if ds_hat is None:
+        lam = np.linalg.eigvalsh(dx_hat * scale)
+        return _damped(float(np.min(lam[..., 0]))), _damped(-1.0 - float(np.max(lam[..., -1])))
+    lam_x, lam_s = np.linalg.eigvalsh(np.stack((dx_hat, ds_hat)) * scale)[..., 0]
+    return _damped(float(np.min(lam_x))), _damped(float(np.min(lam_s)))
+
+
+def _capacitance(gw: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """I + B^* V^dag H0^-1 V B on the complex matrix units E_kl of the d_A space.
+
+    Entry (kl, mn) is delta + sum_ij conj(T_kl[i, j]) T_mn[i, j] / denom[i, j],
+    T_kl[i, j] = sum_b gw[i, k, b] conj(gw[j, l, b]). As T_kl[j, i] =
+    conj(T_lk[i, j]) and denom is symmetric, the terms j >= i (the diagonal
+    at half weight), summed into H by zherk one row i at a time (memory
+    O(n_c d_A^2)), give it all as I + H + Pi conj(H) Pi, Pi: (k, l) -> (l, k).
+    """
+    n_c, d_a, d_b = gw.shape
+    weight = 1.0 / np.sqrt(denom)
+    weight[np.diag_indices(n_c)] *= np.sqrt(0.5)
+    gw_conj = gw.conj()
+    h = np.zeros((d_a * d_a, d_a * d_a), dtype=complex, order="F")
+    for i in range(n_c):
+        # Row j of t holds T_kl[i, j] at column (l, k).
+        t = (gw_conj[i:].reshape(-1, d_b) @ gw[i].T).reshape(n_c - i, d_a * d_a)
+        h = zherk(1.0, (t * weight[i, i:, None]).T, beta=1.0, c=h, overwrite_c=1)
+    h = np.triu(h) + np.triu(h, 1).conj().T
+    swapped = h.reshape((d_a,) * 4).transpose(1, 0, 3, 2).reshape(h.shape)
+    return np.eye(d_a * d_a) + h + swapped.conj()
 
 
 def _embed(x: np.ndarray, d_b: int) -> np.ndarray:
@@ -140,32 +183,24 @@ class _Schur:
     The rho block adds V K V^dag with V(s) = s (x) I_B and K(s) = W_rho s W_rho
     = B B^*(s) for B(s) = G_rho s G_rho^dag, G_rho the rho block's NT factor:
     a rank-d_A^2 term handled by Woodbury on the scaled capacitance
-    I + B^* V^dag H0^-1 V B, which is bounded below by I.
+    I + B^* V^dag H0^-1 V B, which is bounded below by I (`_capacitance`).
     """
 
     def __init__(self, d_a: int, d_b: int, w_p, w_q, g_rho):
         self.d_a, self.d_b = d_a, d_b
         n_c = d_a * d_b
         l = np.linalg.cholesky(w_p + w_q)
-        d_vals, u = np.linalg.eigh(_whiten(l, w_p))
+        half = sla.solve_triangular(l, w_p, lower=True, check_finite=False)  # L^-1 W_P L^-dag
+        whitened = sla.solve_triangular(l, half.conj().T, lower=True, check_finite=False)
+        d_vals, u = np.linalg.eigh(hermitian_part(whitened))
         d_vals = np.clip(d_vals, 0.0, 1.0)  # rounding noise
         self._gh = sla.solve_triangular(l, u, lower=True, trans="C", check_finite=False)
         self._g = self._gh.conj().T
         self._denom = np.outer(d_vals, d_vals) + np.outer(1.0 - d_vals, 1.0 - d_vals)
 
-        # Capacitance on the complex matrix units E_kl of the d_A space:
-        # <E_kl, B^* V^dag H0^-1 V B E_mn> = sum_ij conj(T_kl) T_mn / denom
-        # with T_kl[i, j] = sum_b gw[i, k, b] conj(gw[j, l, b]) and gw the
-        # rows of G with their A index contracted against G_rho. One row
-        # i of G at a time keeps the memory at O(n_c d_A^2).
         self._g_rho = g_rho
         gw = np.einsum("iab,ak->ikb", self._g.reshape(n_c, d_a, d_b), g_rho)
-        gw_right = gw.conj().transpose(2, 1, 0).reshape(d_b, d_a * n_c)
-        cap = np.eye(d_a * d_a, dtype=complex)
-        for i in range(n_c):
-            t = (gw[i] @ gw_right).reshape(d_a * d_a, n_c)
-            cap += t.conj() @ (t / self._denom[i]).T
-        self._cap_cho = sla.cho_factor(hermitian_part(cap), check_finite=False)
+        self._cap_cho = sla.cho_factor(_capacitance(gw, self._denom), check_finite=False)
 
         w_rho = g_rho @ g_rho.conj().T
         w2 = hermitian_part(w_rho @ w_rho)
@@ -210,19 +245,20 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
 
     eye_a = np.eye(d_a)
 
-    def a_op(p, q, rho):
-        return hermitian_part(p + q - _embed(rho, d_b)), float(np.trace(rho).real)
+    # The P and Q blocks are one (2, n_c, n_c) stack. A*(y) is y on both of
+    # its slices, which broadcasting stacks.
+    def a_op(pq, rho):
+        return hermitian_part(pq[0] + pq[1] - _embed(rho, d_b)), float(np.trace(rho).real)
 
     def a_star(y, tau):
-        return y, y, tau * eye_a - _trace_b(y, d_a, d_b)
+        return y, tau * eye_a - _trace_b(y, d_a, d_b)
 
     # Exactly feasible interior starting points.
-    x = [np.eye(n_c, dtype=complex) / (2 * d_a), np.eye(n_c, dtype=complex) / (2 * d_a),
-         eye_a.astype(complex) / d_a]
+    x = [np.array([np.eye(n_c, dtype=complex) / (2 * d_a)] * 2), eye_a.astype(complex) / d_a]
     alpha0 = 2.0  # = ||j||_inf + 1 after normalization
     y_dual = -alpha0 * np.eye(n_c, dtype=complex)
     tau = -(alpha0 * d_b + 1.0)
-    c_blocks = [-j, j, np.zeros((d_a, d_a), dtype=complex)]
+    c_blocks = [np.array([-j, j]), np.zeros((d_a, d_a), dtype=complex)]
     s_dual = [c - ay for c, ay in zip(c_blocks, a_star(y_dual, tau))]
 
     nu = 2 * n_c + d_a
@@ -240,28 +276,23 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
 
         try:
             # A block that lost definiteness fails its Cholesky factor here.
-            l_x = [np.linalg.cholesky(xb) for xb in x]
-            l_s = [np.linalg.cholesky(sb) for sb in s_dual]
-            scal = [_nt_scaling(lx, ls) for lx, ls in zip(l_x, l_s)]
-            w = [hermitian_part(g @ g.conj().T) for g, _, _ in scal]
-            schur = _Schur(d_a, d_b, w[0], w[1], scal[2][0])
-
-            def h_apply(dy, dtau):
-                return a_op(*[wb @ ab @ wb for wb, ab in zip(w, a_star(dy, dtau))])
+            gs, _, sigs = zip(*[_nt_scaling(np.linalg.cholesky(xb), np.linalg.cholesky(sb))
+                                for xb, sb in zip(x, s_dual)])
+            w = [hermitian_part(g @ _ct(g)) for g in gs]
+            schur = _Schur(d_a, d_b, w[0][0], w[0][1], gs[1])
 
             def newton(rc_blocks):
-                r_y, r_tau = a_op(*[-rb for rb in rc_blocks])  # rhs = -A(Rc)
+                """(dy, dtau), W A*(dy) W and ds_hat = -G^dag A*(dy) G for rhs -A(Rc)."""
+                r_y, r_tau = a_op(*[-rb for rb in rc_blocks])
                 dy, dtau = schur.solve(r_y, r_tau)
-                # Iterative refinement: the Schur solve residual is exactly
-                # the feasibility drift injected into x, and the whitening
-                # G and the capacitance's Cholesky factor, both already
-                # built, make extra solves cheap. The solve is
-                # backward stable, so one pass usually suffices; the loop is
-                # a recovery path for endgame scalings so ill conditioned
-                # that rounding leaves a residual above the noise floor.
+                # Iterative refinement: the Schur residual is exactly the
+                # feasibility drift injected into x, and extra solves reuse
+                # the built factors. The solve is backward stable, so one
+                # pass usually suffices; more recover ill-conditioned endgames.
                 res_inf = np.inf
                 for _ in range(4):
-                    h_y, h_tau = h_apply(dy, dtau)
+                    wadw = [wb @ ab @ wb for wb, ab in zip(w, a_star(dy, dtau))]
+                    h_y, h_tau = a_op(*wadw)
                     res_y, res_tau = r_y - h_y, r_tau - h_tau
                     new_inf = max(float(np.max(np.abs(res_y))), abs(res_tau))
                     if new_inf <= 1e-13 or new_inf >= 0.5 * res_inf:
@@ -271,35 +302,31 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
                     e_y, e_tau = schur.solve(res_y, res_tau)
                     dy = dy + e_y
                     dtau = dtau + e_tau
-                ast = a_star(dy, dtau)
-                ds = [-ab for ab in ast]
-                dx = [hermitian_part(rc + wb @ ab @ wb) for rc, wb, ab in zip(rc_blocks, w, ast)]
-                return dx, (dy, dtau), ds, res_inf
+                else:  # dy moved after the last residual
+                    wadw = [wb @ ab @ wb for wb, ab in zip(w, a_star(dy, dtau))]
+                ds_hat = [-(_ct(g) @ ab @ g) for g, ab in zip(gs, a_star(dy, dtau))]
+                return (dy, dtau), wadw, ds_hat, res_inf
 
-            # Predictor: pure affine direction.
-            dx_a, _, ds_a, _ = newton([-xb for xb in x])
-            ap = min(_max_step(lx, dxb) for lx, dxb in zip(l_x, dx_a))
-            ad = min(_max_step(ls, dsb) for ls, dsb in zip(l_s, ds_a))
-            gap_aff = sum(
-                _inner(xb + ap * dxb, sb + ad * dsb)
-                for xb, dxb, sb, dsb in zip(x, dx_a, s_dual, ds_a)
-            )
+            # Predictor: pure affine direction. Rc = -X is -Sigma when scaled.
+            _, _, ds_hat, _ = newton([-xb for xb in x])
+            dx_hat = [-_diag(sig) - dsh for sig, dsh in zip(sigs, ds_hat)]
+            ap, ad = map(min, zip(*map(_steps, sigs, dx_hat)))
+            # <X, S> is invariant under the NT congruence, so the affine gap
+            # is measured in the scaled frame, where X = S = Sigma.
+            gap_aff = sum(_inner(_diag(sig) + ap * dxh, _diag(sig) + ad * dsh)
+                          for sig, dxh, dsh in zip(sigs, dx_hat, ds_hat))
             sigma = min(1.0, max((max(gap_aff, 0.0) / gap) ** 3, 1e-8))
 
             # Corrector: recenter and absorb the second-order cross term. In
             # the scaled frame the point is the diagonal Sigma, so the
             # Lyapunov solve Sigma M + M Sigma = 2 R divides by s_i + s_j.
-            rc_blocks = []
-            for (g, g_inv, sig), dxb, dsb in zip(scal, dx_a, ds_a):
-                dx_hat = g_inv @ dxb @ g_inv.conj().T
-                ds_hat = g.conj().T @ dsb @ g
-                cross = 2.0 * hermitian_part(dx_hat @ ds_hat) / (sig[:, None] + sig[None, :])
-                target = np.diag(sigma * mu / sig - sig) - cross
-                rc_blocks.append(hermitian_part(g @ target @ g.conj().T))
-            dx, (dy, dtau), ds, res_inf = newton(rc_blocks)
-
-            ap = min(_max_step(lx, dxb) for lx, dxb in zip(l_x, dx))
-            ad = min(_max_step(ls, dsb) for ls, dsb in zip(l_s, ds))
+            targets = [_diag(sigma * mu / sig - sig)
+                       - 2.0 * hermitian_part(dxh @ dsh) / (sig[..., :, None] + sig[..., None, :])
+                       for sig, dxh, dsh in zip(sigs, dx_hat, ds_hat)]
+            rc_blocks = [hermitian_part(g @ t @ _ct(g)) for g, t in zip(gs, targets)]
+            (dy, dtau), wadw, ds_hat, res_inf = newton(rc_blocks)
+            dx_hat = [t - dsh for t, dsh in zip(targets, ds_hat)]
+            ap, ad = map(min, zip(*map(_steps, sigs, dx_hat, ds_hat)))
         except np.linalg.LinAlgError:
             # Endgame roundoff broke a factorization; the current iterate is
             # still feasible, so stop and report its certified bounds.
@@ -309,10 +336,10 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
         if pres + ap * res_inf > DRIFT_BUDGET:
             # One more step would spoil the primal feasibility certificate.
             break
-        x = [hermitian_part(xb + ap * dxb) for xb, dxb in zip(x, dx)]
+        x = [hermitian_part(xb + ap * (rc + wb)) for xb, rc, wb in zip(x, rc_blocks, wadw)]
         y_dual = y_dual + ad * dy
         tau = tau + ad * dtau
-        s_dual = [hermitian_part(sb + ad * dsb) for sb, dsb in zip(s_dual, ds)]
+        s_dual = [hermitian_part(sb - ad * ab) for sb, ab in zip(s_dual, a_star(dy, dtau))]
 
     # Honest final audit: the gap decides the status (the soft threshold
     # keeps the absolute certificate within 1e-6 for any value up to 2),
@@ -328,13 +355,8 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
     # P + (lam I - E)/2, Q + (lam I - E)/2 and rho + lam I are feasible up
     # to normalization by Tr rho + lam d_A, and keep the objective <J, P - Q>.
     lam = float(np.linalg.norm(r_y, 2))
-    lower = max(0.0, -p_obj) / (float(np.trace(x[2]).real) + d_a * lam)
+    lower = max(0.0, -p_obj) / (float(np.trace(x[1]).real) + d_a * lam)
 
-    return DiamondSolution(
-        value=-tau * scale,
-        dual_value=float(lower * scale),
-        iterations=iters,
-        status=status,
-        rel_gap=float(rel_gap),
-        primal_residual=float(primal_res * scale),
-    )
+    return DiamondSolution(value=-tau * scale, dual_value=float(lower * scale), iterations=iters,
+                           status=status, rel_gap=float(rel_gap),
+                           primal_residual=float(primal_res * scale))

@@ -6,6 +6,7 @@ depolarizing pair, and the 2/log n envelope of the truncation family.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from capcont.channels import (
     tensor_power,
     truncated_classical_example,
 )
+from capcont import continuity
 from capcont.continuity import (
     BoundReport,
     CorollarySettings,
@@ -349,6 +351,31 @@ def test_stacked_fannes_matches_per_trial_reference(seed):
 def test_stacked_af_matches_per_trial_reference(seed):
     pairs = ((2, 2), (2, 3), (4, 2), (2, 8), (4, 4))
     assert _rows(verify_af(pairs, trials=20, seed=seed)) == _ref_af(pairs, 20, seed)
+
+
+def test_harnesses_across_trial_blocks_match_per_trial_reference():
+    # Two blocks, the second partial: block edges must not move any report.
+    trials = continuity._TRIAL_BLOCK + 7
+    assert _rows(verify_fannes((3, 8), trials, seed=2)) == _ref_fannes((3, 8), trials, 2)
+    assert _rows(verify_af(((2, 3),), trials, seed=2)) == _ref_af(((2, 3),), trials, 2)
+
+
+@pytest.mark.parametrize("harness,args", [
+    (verify_fannes, {"dims": (16,)}),
+    (verify_af, {"dim_pairs": ((4, 4),)}),
+])
+def test_harness_memory_is_bounded_in_the_trial_count(harness, args):
+    # The trials are measured one block at a time, so only the reports grow
+    # with the trial count; stacking every trial at once grew ~30 kB a trial.
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            harness(trials=trials, **args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1024) <= 1.5 * peak(256)
 
 
 def test_harnesses_with_zero_trials_return_nothing():
