@@ -44,17 +44,26 @@ class QuantumChannel:
     """
 
     def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray):
-        ops = [linalg.as_matrix(k) for k in kraus]
-        if not ops:
+        try:
+            stack = np.array(kraus, dtype=complex, order="C")
+        except ValueError:  # a ragged family, or entries that are not numbers
+            shapes = {np.shape(k) for k in kraus}
+            if len(shapes) < 2:
+                raise
+            if any(len(shape) != 2 for shape in shapes):
+                raise ArgumentError("expected a stack of Kraus matrices") from None
+            raise DimensionError("Kraus operators have mismatched shapes") from None
+        if stack.size == 0:
             raise ArgumentError("channel needs at least one Kraus operator")
-        d_out, d_in = ops[0].shape
-        if any(k.shape != (d_out, d_in) for k in ops):
-            raise DimensionError("Kraus operators have mismatched shapes")
+        if stack.ndim != 3:
+            raise ArgumentError(f"expected a stack of Kraus matrices, got ndim={stack.ndim}")
+        if not np.all(np.isfinite(stack)):
+            raise ArgumentError("Kraus operators have non-finite entries")
+        _, d_out, d_in = stack.shape
         if d_in * d_out > D_MAX:
             raise DimensionError(
                 f"Choi dimension {d_in * d_out} exceeds D_MAX={D_MAX}"
             )
-        stack = np.stack(ops)
         rows = stack.reshape(-1, d_in)  # sum_k K^dag K as one product
         res = float(np.max(np.abs(rows.conj().T @ rows - np.eye(d_in))))
         if res > TAU_TP:
@@ -420,15 +429,12 @@ def channel_from_dict(data: dict) -> QuantumChannel:
         raise ArgumentError(f"malformed channel dict: {exc}") from exc
     if d_in < 1 or d_out < 1 or not isinstance(raw, list) or not raw:
         raise ArgumentError("channel dict needs positive dims and a nonempty kraus list")
-    ops = []
-    for entry in raw:
-        try:
-            flat = np.asarray(entry, dtype=float)
-        except (TypeError, ValueError) as exc:  # ragged pairs, non-numeric entries
-            raise ArgumentError(f"Kraus entry is not a list of [re, im] pairs: {exc}") from exc
-        if flat.shape != (d_in * d_out, 2):
-            raise ArgumentError(
-                f"Kraus entry has shape {flat.shape}, expected ({d_in * d_out}, 2)"
-            )
-        ops.append((flat[:, 0] + 1j * flat[:, 1]).reshape(d_out, d_in))
-    return QuantumChannel(ops)
+    try:
+        flat = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged pairs, non-numeric entries
+        raise ArgumentError(f"Kraus entries are not lists of [re, im] pairs: {exc}") from exc
+    if flat.ndim != 3 or flat.shape[1:] != (d_in * d_out, 2):
+        raise ArgumentError(
+            f"Kraus list has shape {flat.shape}, expected (r, {d_in * d_out}, 2)"
+        )
+    return QuantumChannel((flat[..., 0] + 1j * flat[..., 1]).reshape(-1, d_out, d_in))

@@ -46,10 +46,19 @@ One backward-stable solve serves every size. Its P/Q part
 H0 = W_P . W_P + W_Q . W_Q is a Stein operator inverted in closed form after
 whitening with the Cholesky factor of W_P + W_Q, which diagonalizes W_P and
 W_Q together. The rank-d_A^2 coupling through rho is a Woodbury step on the
-scaled capacitance I + B^* V^dag H0^-1 V B (V embeds s -> s (x) I_B,
+scaled capacitance cap = I + B^* V^dag H0^-1 V B (V embeds s -> s (x) I_B,
 B(s) = G_rho s G_rho^dag), summed on complex d_A x d_A matrix units over
-half of its terms by rank-k updates. Nothing is ever expanded on a
-vectorized basis of the n_c x n_c space.
+half of its terms by rank-k updates. tau couples to Y only through
+h = W_rho^2 (x) I_B = V B(c), c = G_rho^dag G_rho, which lies in the range of
+that Woodbury factor, so tau is eliminated on the capacitance: its Schur
+complement is the positive form <c, cap^-1 c>, and one solve costs two H0
+solves and one triangular pair on a d_A^2 vector. Nothing is ever expanded
+on a vectorized basis of the n_c x n_c space.
+
+The predictor direction never moves the iterate: it only sizes the affine
+steps, and so sigma, and feeds the corrector's cross term. It is one
+unrefined solve. The corrector, which moves x, is refined until its Schur
+residual, the feasibility drift it injects, stops shrinking.
 """
 
 from __future__ import annotations
@@ -97,18 +106,19 @@ def _diag(v: np.ndarray) -> np.ndarray:
     return v[..., None, :] * np.eye(v.shape[-1])
 
 
-def _nt_scaling(l_x: np.ndarray, l_s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.real(np.vdot(a, b)))
+
+
+def _nt_scaling(l_x: np.ndarray, l_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """NT factor of each block of a stack from L_X = chol(X) and L_S = chol(S).
 
-    With L_S^dag L_X = P Sigma Q^dag, G = L_X Q Sigma^-1/2 and its inverse
-    Sigma^-1/2 P^dag L_S^dag give G^-1 X G^-dag = G^dag S G = Sigma, so
-    W = G G^dag satisfies W S W = X. Returns (G, G^-1, sigma).
+    With L_S^dag L_X = P Sigma Q^dag, G = L_X Q Sigma^-1/2 (whose inverse is
+    Sigma^-1/2 P^dag L_S^dag) gives G^-1 X G^-dag = G^dag S G = Sigma, so
+    W = G G^dag satisfies W S W = X. Returns (G, sigma).
     """
-    p, sig, qh = np.linalg.svd(_ct(l_s) @ l_x)
-    root = np.sqrt(sig)
-    g = (l_x @ _ct(qh)) / root[..., None, :]
-    g_inv = (_ct(p) @ _ct(l_s)) / root[..., :, None]
-    return g, g_inv, sig
+    _, sig, qh = np.linalg.svd(_ct(l_s) @ l_x)
+    return (l_x @ _ct(qh)) / np.sqrt(sig)[..., None, :], sig
 
 
 def _damped(lam_min: float) -> float:
@@ -183,7 +193,14 @@ class _Schur:
     The rho block adds V K V^dag with V(s) = s (x) I_B and K(s) = W_rho s W_rho
     = B B^*(s) for B(s) = G_rho s G_rho^dag, G_rho the rho block's NT factor:
     a rank-d_A^2 term handled by Woodbury on the scaled capacitance
-    I + B^* V^dag H0^-1 V B, which is bounded below by I (`_capacitance`).
+    cap = I + B^* V^dag H0^-1 V B, which is bounded below by I (`_capacitance`).
+
+    tau enters through h = W_rho^2 (x) I_B = V B(c) with c = G_rho^dag G_rho,
+    and Tr W_rho^2 = <c, c>. Woodbury then gives the tau Schur complement
+    Tr W_rho^2 - <h, H_yy^-1 h> = <c, cap^-1 c>, a positive form free of
+    cancellation, and <h, H_yy^-1 r> = <c, cap^-1 z0> for z0 = B^* V^dag H0^-1 r.
+    So with u1 = H0^-1 r, tau = (r_tau + <c, cap^-1 z0>) / <c, cap^-1 c> and
+    Y = u1 - H0^-1 V B cap^-1 (z0 - tau c).
     """
 
     def __init__(self, d_a: int, d_b: int, w_p, w_q, g_rho):
@@ -201,37 +218,26 @@ class _Schur:
         self._g_rho = g_rho
         gw = np.einsum("iab,ak->ikb", self._g.reshape(n_c, d_a, d_b), g_rho)
         self._cap_cho = sla.cho_factor(_capacitance(gw, self._denom), check_finite=False)
-
-        w_rho = g_rho @ g_rho.conj().T
-        w2 = hermitian_part(w_rho @ w_rho)
-        self._h_mat = _embed(w2, d_b)
-        self._s = float(np.trace(w2).real)
-        self._u_h = self._solve_y(self._h_mat)
+        # tau couples through h = W_rho^2 (x) I_B = V B(c), c = G_rho^dag G_rho.
+        self._c = (g_rho.conj().T @ g_rho).reshape(-1)
+        self._cap_c = sla.cho_solve(self._cap_cho, self._c, check_finite=False)
+        self._c_cap_c = _inner(self._c, self._cap_c)
 
     def _h0_solve(self, r: np.ndarray) -> np.ndarray:
         g, gh = self._g, self._gh
         return hermitian_part(gh @ ((g @ r @ gh) / self._denom) @ g)
 
-    def _solve_y(self, r: np.ndarray) -> np.ndarray:
-        d_a, d_b, g_rho = self.d_a, self.d_b, self._g_rho
-        u1 = self._h0_solve(r)
-        rhs = (g_rho.conj().T @ _trace_b(u1, d_a, d_b) @ g_rho).reshape(-1)
-        z = sla.cho_solve(self._cap_cho, rhs, check_finite=False).reshape(d_a, d_a)
-        return u1 - self._h0_solve(_embed(g_rho @ z @ g_rho.conj().T, d_b))
-
     def solve(self, r_y: np.ndarray, r_tau: float) -> tuple[np.ndarray, float]:
-        u = self._solve_y(r_y)
-        h, w = self._h_mat, self._u_h
-        denom = self._s - float(np.real(np.vdot(h, w)))
-        tau = (r_tau + float(np.real(np.vdot(h, u)))) / denom
-        return u + tau * w, tau
+        d_a, d_b, g_rho = self.d_a, self.d_b, self._g_rho
+        u1 = self._h0_solve(r_y)
+        z0 = (g_rho.conj().T @ _trace_b(u1, d_a, d_b) @ g_rho).reshape(-1)
+        cap_z0 = sla.cho_solve(self._cap_cho, z0, check_finite=False)
+        tau = (r_tau + _inner(self._c, cap_z0)) / self._c_cap_c
+        z = (cap_z0 - tau * self._cap_c).reshape(d_a, d_a)
+        return u1 - self._h0_solve(_embed(g_rho @ z @ g_rho.conj().T, d_b)), tau
 
 
 # ------------------------------------------------------------- main solver
-
-
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.vdot(a, b)))
 
 
 def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
@@ -276,39 +282,20 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
 
         try:
             # A block that lost definiteness fails its Cholesky factor here.
-            gs, _, sigs = zip(*[_nt_scaling(np.linalg.cholesky(xb), np.linalg.cholesky(sb))
-                                for xb, sb in zip(x, s_dual)])
+            gs, sigs = zip(*[_nt_scaling(np.linalg.cholesky(xb), np.linalg.cholesky(sb))
+                             for xb, sb in zip(x, s_dual)])
             w = [hermitian_part(g @ _ct(g)) for g in gs]
             schur = _Schur(d_a, d_b, w[0][0], w[0][1], gs[1])
 
-            def newton(rc_blocks):
-                """(dy, dtau), W A*(dy) W and ds_hat = -G^dag A*(dy) G for rhs -A(Rc)."""
-                r_y, r_tau = a_op(*[-rb for rb in rc_blocks])
-                dy, dtau = schur.solve(r_y, r_tau)
-                # Iterative refinement: the Schur residual is exactly the
-                # feasibility drift injected into x, and extra solves reuse
-                # the built factors. The solve is backward stable, so one
-                # pass usually suffices; more recover ill-conditioned endgames.
-                res_inf = np.inf
-                for _ in range(4):
-                    wadw = [wb @ ab @ wb for wb, ab in zip(w, a_star(dy, dtau))]
-                    h_y, h_tau = a_op(*wadw)
-                    res_y, res_tau = r_y - h_y, r_tau - h_tau
-                    new_inf = max(float(np.max(np.abs(res_y))), abs(res_tau))
-                    if new_inf <= 1e-13 or new_inf >= 0.5 * res_inf:
-                        res_inf = new_inf
-                        break
-                    res_inf = new_inf
-                    e_y, e_tau = schur.solve(res_y, res_tau)
-                    dy = dy + e_y
-                    dtau = dtau + e_tau
-                else:  # dy moved after the last residual
-                    wadw = [wb @ ab @ wb for wb, ab in zip(w, a_star(dy, dtau))]
-                ds_hat = [-(_ct(g) @ ab @ g) for g, ab in zip(gs, a_star(dy, dtau))]
-                return (dy, dtau), wadw, ds_hat, res_inf
+            def scaled_dual(dy, dtau):
+                """ds_hat = -G^dag A*(dy) G on every block."""
+                return [-(_ct(g) @ ab @ g) for g, ab in zip(gs, a_star(dy, dtau))]
 
-            # Predictor: pure affine direction. Rc = -X is -Sigma when scaled.
-            _, _, ds_hat, _ = newton([-xb for xb in x])
+            # Predictor: pure affine direction. Rc = -X is -Sigma when scaled,
+            # and its rhs -A(Rc) is the A(X) above. The direction only sizes
+            # the steps and sigma and feeds the cross term; it never moves x,
+            # so one unrefined solve serves.
+            ds_hat = scaled_dual(*schur.solve(ry_now, rt_now))
             dx_hat = [-_diag(sig) - dsh for sig, dsh in zip(sigs, ds_hat)]
             ap, ad = map(min, zip(*map(_steps, sigs, dx_hat)))
             # <X, S> is invariant under the NT congruence, so the affine gap
@@ -324,7 +311,30 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
                        - 2.0 * hermitian_part(dxh @ dsh) / (sig[..., :, None] + sig[..., None, :])
                        for sig, dxh, dsh in zip(sigs, dx_hat, ds_hat)]
             rc_blocks = [hermitian_part(g @ t @ _ct(g)) for g, t in zip(gs, targets)]
-            (dy, dtau), wadw, ds_hat, res_inf = newton(rc_blocks)
+            r_y, r_tau = a_op(*[-rb for rb in rc_blocks])
+            dy, dtau = schur.solve(r_y, r_tau)
+            # Iterative refinement of the step that moves x: its Schur
+            # residual is exactly the feasibility drift injected into x, and
+            # extra solves reuse the built factors. The solve is backward
+            # stable, so one pass usually suffices; more recover
+            # ill-conditioned endgames. The last residual's W A*(dy) W
+            # products give dx.
+            res_inf = np.inf
+            for _ in range(4):
+                wadw = [wb @ ab @ wb for wb, ab in zip(w, a_star(dy, dtau))]
+                h_y, h_tau = a_op(*wadw)
+                res_y, res_tau = r_y - h_y, r_tau - h_tau
+                new_inf = max(float(np.max(np.abs(res_y))), abs(res_tau))
+                if new_inf <= 1e-13 or new_inf >= 0.5 * res_inf:
+                    res_inf = new_inf
+                    break
+                res_inf = new_inf
+                e_y, e_tau = schur.solve(res_y, res_tau)
+                dy = dy + e_y
+                dtau = dtau + e_tau
+            else:  # dy moved after the last residual
+                wadw = [wb @ ab @ wb for wb, ab in zip(w, a_star(dy, dtau))]
+            ds_hat = scaled_dual(dy, dtau)
             dx_hat = [t - dsh for t, dsh in zip(targets, ds_hat)]
             ap, ad = map(min, zip(*map(_steps, sigs, dx_hat, ds_hat)))
         except np.linalg.LinAlgError:

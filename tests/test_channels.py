@@ -75,6 +75,25 @@ def test_channel_validation():
         ch.QuantumChannel([np.eye(2), np.eye(3)])
 
 
+@pytest.mark.parametrize("kraus", [
+    [],                           # empty family
+    [np.eye(2) * np.nan],         # non-finite
+    [np.ones(2)],                 # an operator that is not a matrix
+    np.eye(2),                    # one matrix, not a family
+    [np.eye(2), np.ones(2)],      # ragged, with an operator that is not a matrix
+], ids=["empty", "non-finite", "vector", "bare-matrix", "ragged-ndim"])
+def test_channel_rejects_malformed_families(kraus):
+    with pytest.raises(ArgumentError):
+        ch.QuantumChannel(kraus)
+
+
+def test_channel_copies_its_kraus_stack():
+    ops = np.array([np.eye(2, dtype=complex)])
+    chan = ch.QuantumChannel(ops)
+    assert chan.kraus is not ops and ops.flags.writeable
+    assert not chan.kraus.flags.writeable and chan.kraus.flags.c_contiguous
+
+
 def test_apply_extended_identity_cases():
     phi = maximally_entangled(2).density()
     assert ch.apply_extended(ch.identity(2), phi, set()) is phi

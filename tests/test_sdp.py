@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from capcont import sdp
 from capcont.continuity import random_nearby_pair
-from capcont.distance import diamond_distance
+from capcont.distance import HermitianPreservingMap, diamond_distance
 from capcont.sampling import rng_for
 
 
@@ -33,7 +34,8 @@ def _rel(a, b):
 def test_nt_scaling_diagonalizes_both_blocks(n):
     rng = rng_for(60, n)
     x, s = _random_pd(n, rng), _random_pd(n, rng)
-    g, g_inv, sig = sdp._nt_scaling(np.linalg.cholesky(x), np.linalg.cholesky(s))
+    g, sig = sdp._nt_scaling(np.linalg.cholesky(x), np.linalg.cholesky(s))
+    g_inv = np.linalg.inv(g)
     w = g @ g.conj().T
     assert _rel(w @ s @ w, x) <= 1e-10
     assert _rel(g_inv @ x @ g_inv.conj().T, np.diag(sig)) <= 1e-10
@@ -57,7 +59,8 @@ def _max_step_oracle(m, dm):
 
 def _scaled(x, s, dx, ds):
     """(sigma, G^-1 dx G^-dag, G^dag ds G) in the NT frame of the pair (x, s)."""
-    g, g_inv, sig = sdp._nt_scaling(np.linalg.cholesky(x), np.linalg.cholesky(s))
+    g, sig = sdp._nt_scaling(np.linalg.cholesky(x), np.linalg.cholesky(s))
+    g_inv = np.linalg.inv(g)
     return sig, g_inv @ dx @ sdp._ct(g_inv), sdp._ct(g) @ ds @ g
 
 
@@ -103,7 +106,8 @@ def test_predictor_steps_from_one_spectrum_match_oracle(n, scale):
     x = np.array([_random_pd(n, rng) for _ in range(2)])
     s = np.array([_random_pd(n, rng) for _ in range(2)])
     m = scale * np.array([_random_hermitian(n, rng) for _ in range(2)])
-    g, g_inv, sig = sdp._nt_scaling(np.linalg.cholesky(x), np.linalg.cholesky(s))
+    g, sig = sdp._nt_scaling(np.linalg.cholesky(x), np.linalg.cholesky(s))
+    g_inv = np.linalg.inv(g)
     w = g @ sdp._ct(g)
     dx, ds = -x + w @ m @ w, -m
     got = sdp._steps(sig, g_inv @ dx @ sdp._ct(g_inv))
@@ -151,6 +155,40 @@ def test_schur_solve_inverts_explicit_operator(d_a, d_b):
     assert (np.linalg.norm(h_y - r_y) + abs(h_tau - r_tau)) <= 1e-9 * scale
 
 
+def _schur_case(d_a, d_b):
+    """(W_P, W_Q, G_rho) of `test_schur_solve_inverts_explicit_operator`."""
+    rng = rng_for(64, d_a, d_b)
+    n_c = d_a * d_b
+    w_p, w_q = _random_pd(n_c, rng), _random_pd(n_c, rng)
+    u, _ = np.linalg.qr(rng.normal(size=(d_a, d_a)) + 1j * rng.normal(size=(d_a, d_a)))
+    return w_p, w_q, np.linalg.cholesky(_random_pd(d_a, rng)) @ u
+
+
+def _solve_y_oracle(schur, r):
+    """H_yy^-1 r by H0^-1 and Woodbury alone, as the solver did before tau
+    was eliminated through the capacitance."""
+    d_a, d_b, g_rho = schur.d_a, schur.d_b, schur._g_rho
+    u1 = schur._h0_solve(r)
+    rhs = (g_rho.conj().T @ sdp._trace_b(u1, d_a, d_b) @ g_rho).reshape(-1)
+    z = sla.cho_solve(schur._cap_cho, rhs).reshape(d_a, d_a)
+    return u1 - schur._h0_solve(sdp._embed(g_rho @ z @ g_rho.conj().T, d_b))
+
+
+@pytest.mark.parametrize("d_a,d_b", [(2, 2), (2, 3), (3, 2), (4, 4)])
+def test_schur_tau_complement_matches_elimination(d_a, d_b):
+    # h = W_rho^2 (x) I_B lies in the range of the Woodbury factor, so the
+    # tau complement Tr(W_rho^2) - <h, H_yy^-1 h> is <c, cap^-1 c>.
+    w_p, w_q, g_rho = _schur_case(d_a, d_b)
+    schur = sdp._Schur(d_a, d_b, w_p, w_q, g_rho)
+    w_rho = g_rho @ g_rho.conj().T
+    w2 = w_rho @ w_rho
+    h = sdp._embed(w2, d_b)
+    expect = np.trace(w2).real - np.vdot(h, _solve_y_oracle(schur, h)).real
+    assert type(schur._c_cap_c) is float
+    assert schur._c_cap_c > 0.0
+    assert abs(schur._c_cap_c - expect) <= 1e-10 * abs(expect)
+
+
 def _capacitance_oracle(gw, denom):
     """The per-row full sum: I + sum_ij conj(T_kl[i, j]) T_mn[i, j] / denom[i, j]."""
     n_c, d_a, d_b = gw.shape
@@ -185,3 +223,20 @@ def test_sdp_solution_fields_are_python_scalars():
     assert type(sol.value) is float and type(sol.dual_value) is float
     assert type(sol.certified()) is bool and sol.certified()
     json.dumps({"value": sol.value, "lower": sol.dual_value, "certified": sol.certified()})
+
+
+# ------------------------------------------------------------- iterations
+
+# Iteration counts of the solver before the tau elimination and the
+# one-solve predictor, which are exact in exact arithmetic: neither may
+# change how many iterations a solve takes.
+_PINNED_ITERATIONS = {2: [10, 9, 9, 8, 7], 3: [11, 10, 10, 10, 10], 4: [11, 10, 10, 10, 10]}
+
+
+@pytest.mark.parametrize("d", sorted(_PINNED_ITERATIONS))
+def test_solver_iteration_counts_are_pinned(d):
+    for k, expect in enumerate(_PINNED_ITERATIONS[d]):
+        a, b = random_nearby_pair(d, d, rng_for(1, d, k))
+        sol = sdp.solve_diamond(HermitianPreservingMap.difference(a, b).choi.matrix, d, d)
+        assert sol.certified()
+        assert sol.iterations == expect, k
