@@ -16,16 +16,23 @@ Restarts run in lockstep on one leading batch axis, and an ensemble's
 states on a second one, so one kernel call serves every restart and state
 of a channel leg.  Each restart draws its start from its own RNG stream
 (derived from the seed and the restart index) and keeps its own step
-size, Armijo backtracking and stop test; one that converges, hits the
-iteration cap or fails its line search leaves the batch.  The batched
-kernels match per-slice calls bit for bit, and every scalar reduction is
-taken per restart in a fixed order, so the report is bit-identical to
-running the restarts one after another.
+size, Armijo backtracking and stop tests.  A restart leaves the batch at
+the first of four stops:
+
+- ``gradient``: its gradient norm falls below GRAD_TOL;
+- ``stalled``: an accepted line-search step raises f by no more than
+  rounding, at most STALL_RTOL * max(|f|, 1);
+- ``line-search``: backtracking finds no acceptable step;
+- ``iteration-cap``: it reaches the iteration cap.
+
+The batched kernels match per-slice calls bit for bit, and every scalar
+reduction is taken per restart in a fixed order, so the report is
+bit-identical to running the restarts one after another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -39,6 +46,8 @@ from .sampling import rng_for
 RESTARTS = 16       # default random restarts per maximization
 ITERS = 2000        # iteration cap per restart
 GRAD_TOL = 1e-8     # declare convergence below this gradient norm
+STALL_RTOL = 4e-16  # an accepted step raising f by at most this * max(|f|, 1) stalls
+STALL_GRAD_TOL = 1e-6  # a stalled restart below this gradient norm has converged
 EPS_PERTURB = 1e-10  # eigenvalue floor inside the matrix logarithm
 TAU_OPT = 1e-3      # slack for comparisons between independently found optima
 
@@ -50,14 +59,20 @@ class OptimizationReport:
     best_value is in bits and is a lower bound on the maximized quantity;
     re-evaluating argmax through the corresponding entropic formula
     reproduces it.  iterations holds the per-restart iteration counts and
-    converged reports whether the winning restart met the gradient
-    tolerance before hitting the iteration cap.
+    stop_reasons why each restart stopped: ``gradient`` (gradient norm
+    below GRAD_TOL), ``stalled`` (an accepted step no longer raised f
+    above rounding), ``line-search`` (no acceptable step) or
+    ``iteration-cap``.  converged reports whether the winning restart
+    stopped by the gradient test, or stalled with a gradient norm below
+    STALL_GRAD_TOL = 1e-6.  A stall above that norm is a plateau the
+    ascent could not climb at rounding precision, not an optimum.
     """
 
     best_value: float
     argmax: PureState | Ensemble
     restarts: int
     iterations: tuple[int, ...]
+    stop_reasons: tuple[str, ...]
     converged: bool
 
 
@@ -114,23 +129,23 @@ def _ascend(
     grad_of: Callable[[list[np.ndarray]], list[np.ndarray]],
     params: list[np.ndarray],
     iters: int,
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, tuple[str, ...], np.ndarray]:
     """Projected gradient ascent with Armijo backtracking, restarts in lockstep.
 
     params is a list of (restarts, pieces, n) blocks. value_of maps such a
     list, for any subset of the restarts, to one value per restart, and
     grad_of to gradient blocks of the same shapes. Every restart keeps its
-    own step size and stop test. One that converges, hits the iteration
-    cap or fails its line search leaves the batch; within a line search,
-    a restart stops backtracking once its trial step is accepted. Returns
-    every restart's final parameters, value, iteration count and
-    convergence flag.
+    own step size and leaves the batch at its first stop (see the module
+    docstring); within a line search, a restart stops backtracking once
+    its trial step is accepted. Returns every restart's final parameters,
+    value, iteration count, stop reason and convergence flag.
     """
     params = _renorm(params)
     f = value_of(params)
     step = np.ones(len(f))
     used = np.zeros(len(f), dtype=int)
-    converged = np.zeros(len(f), dtype=bool)
+    gnorm = np.zeros(len(f))
+    reasons = np.full(len(f), "iteration-cap", dtype=object)
     live = np.arange(len(f))
     for it in range(1, iters + 1):
         if not live.size:
@@ -142,11 +157,13 @@ def _ascend(
             sum(_overlap(gi, gi) for block in g for gi in block[i])
             for i in range(len(live))
         ])
-        done = np.sqrt(gsq) < GRAD_TOL
-        converged[live[done]] = True
+        gnorm[live] = np.sqrt(gsq)
+        done = gnorm[live] < GRAD_TOL
+        reasons[live[done]] = "gradient"
         keep = ~done
         live, gsq = live[keep], gsq[keep]
         at, g = [a[keep] for a in at], [gi[keep] for gi in g]
+        f_old = f[live]
         t = np.minimum(2.0 * step[live], 1.0)
         improved = np.zeros(len(live), dtype=bool)
         trying = np.flatnonzero(t > 1e-14)
@@ -163,24 +180,40 @@ def _ascend(
             trying = trying[~ok]
             t[trying] *= 0.5
             trying = trying[t[trying] > 1e-14]
-        live = live[improved]
-    return params, f, used, converged
+        stalled = improved & (f[live] - f_old <= STALL_RTOL * np.maximum(np.abs(f_old), 1.0))
+        reasons[live[~improved]] = "line-search"
+        reasons[live[stalled]] = "stalled"
+        live = live[improved & ~stalled]
+    converged = (reasons == "gradient") | ((reasons == "stalled") & (gnorm < STALL_GRAD_TOL))
+    return params, f, used, tuple(reasons.tolist()), converged
 
 
 def _run_restarts(
     value_of,
     grad_of,
     init_of: Callable[[int], list[np.ndarray]],
+    argmax_of: Callable[[list[np.ndarray]], PureState | Ensemble],
     restarts: int,
     iters: int,
-) -> tuple[list[np.ndarray], float, tuple[int, ...], bool]:
-    """Ascend from every restart's start point; the first best one wins."""
+) -> OptimizationReport:
+    """Ascend from every restart's start point; the first best one wins.
+
+    argmax_of maps the winner's parameter blocks, each with a restart
+    axis of length 1, to the reported maximizer.
+    """
     if restarts < 1 or iters < 1:
         raise ArgumentError("restarts and iters must be positive")
     starts = [np.stack(blocks) for blocks in zip(*(init_of(r) for r in range(restarts)))]
-    params, f, used, conv = _ascend(value_of, grad_of, starts, iters)
+    params, f, used, reasons, conv = _ascend(value_of, grad_of, starts, iters)
     best = int(np.argmax(f))
-    return [p[best : best + 1] for p in params], float(f[best]), tuple(used.tolist()), bool(conv[best])
+    return OptimizationReport(
+        best_value=float(f[best]),
+        argmax=argmax_of([p[best : best + 1] for p in params]),
+        restarts=restarts,
+        iterations=tuple(used.tolist()),
+        stop_reasons=reasons,
+        converged=bool(conv[best]),
+    )
 
 
 def max_coherent_information(
@@ -225,14 +258,10 @@ def max_coherent_information(
         rng = rng_for(seed, r)
         return [(rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d))[None]]
 
-    params, f, counts, conv = _run_restarts(value_of, grad_of, init_of, restarts, iters)
-    return OptimizationReport(
-        best_value=f,
-        argmax=PureState(params[0][0, 0], dims=(d, d)),
-        restarts=restarts,
-        iterations=counts,
-        converged=conv,
-    )
+    def argmax_of(params):
+        return PureState(params[0][0, 0], dims=(d, d))
+
+    return _run_restarts(value_of, grad_of, init_of, argmax_of, restarts, iters)
 
 
 def _max_over_ensembles(
@@ -292,18 +321,13 @@ def _max_over_ensembles(
         ]
         return [(rng.standard_normal(m) * 0.1)[None], np.array(vecs)]
 
-    params, f, counts, conv = _run_restarts(value_of, grad_of, init_of, restarts, iters)
-    probs, states = unpack(params)
-    ens = Ensemble(
-        [(float(p), DensityMatrix.from_pure(u)) for p, u in zip(probs[0], states[0])]
-    )
-    return OptimizationReport(
-        best_value=f,
-        argmax=ens,
-        restarts=restarts,
-        iterations=counts,
-        converged=conv,
-    )
+    def argmax_of(params):
+        probs, states = unpack(params)
+        return Ensemble(
+            [(float(p), DensityMatrix.from_pure(u)) for p, u in zip(probs[0], states[0])]
+        )
+
+    return _run_restarts(value_of, grad_of, init_of, argmax_of, restarts, iters)
 
 
 def max_holevo(
@@ -329,13 +353,7 @@ def max_private(
 
 
 def _per_copy(rep: OptimizationReport, n: int) -> OptimizationReport:
-    return OptimizationReport(
-        best_value=rep.best_value / n,
-        argmax=rep.argmax,
-        restarts=rep.restarts,
-        iterations=rep.iterations,
-        converged=rep.converged,
-    )
+    return replace(rep, best_value=rep.best_value / n)
 
 
 def n_copy_coherent_information(

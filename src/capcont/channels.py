@@ -24,6 +24,7 @@ Conventions fixed here for reproducibility:
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -422,8 +423,8 @@ def channel_to_dict(ch: QuantumChannel) -> dict:
 def channel_from_dict(data: dict) -> QuantumChannel:
     """Inverse of channel_to_dict, validating shape and trace preservation."""
     try:
-        d_in = int(data["d_in"])
-        d_out = int(data["d_out"])
+        d_in = operator.index(data["d_in"])
+        d_out = operator.index(data["d_out"])
         raw = data["kraus"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed channel dict: {exc}") from exc

@@ -297,6 +297,7 @@ def _cmd_capacity(args) -> tuple[int, dict, None]:
         per_copy_value=rep.best_value,
         restarts=rep.restarts,
         iterations=list(rep.iterations),
+        stop_reasons=list(rep.stop_reasons),
         converged=rep.converged,
     )
     return EXIT_OK, result, None

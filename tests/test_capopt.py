@@ -13,13 +13,16 @@ import pytest
 
 from capcont.capopt import (
     OptimizationReport,
+    STALL_GRAD_TOL,
     TAU_OPT,
     _adjoint,
+    _ascend,
     max_coherent_information,
     max_holevo,
     max_private,
     n_copy_coherent_information,
     n_copy_holevo,
+    n_copy_private,
 )
 from capcont.channels import (
     QuantumChannel,
@@ -212,12 +215,81 @@ def test_unitary_precomposition_leaves_value():
     assert abs(a.best_value - b.best_value) <= TAU_OPT
 
 
+# ------------------------------------------------ stop tests
+
+
+def test_readme_example_converges_in_few_iterations():
+    rep = max_coherent_information(erasure(2, 0.25))
+    assert abs(rep.best_value - 0.5) <= 1e-12
+    assert rep.converged
+    assert sum(rep.iterations) < 1000
+    assert len(rep.stop_reasons) == rep.restarts
+
+
+def test_zero_capacity_restarts_stop_before_the_cap():
+    # f is about 0 at the optimum, where the stall test's absolute floor
+    # of 1 applies.
+    rep = max_coherent_information(depolarizing(2, 0.3), restarts=4, iters=400)
+    assert "iteration-cap" not in rep.stop_reasons
+    assert max(rep.iterations) < 400
+
+
+def _h2(p):
+    return _shannon([p, 1 - p])
+
+
+# The capacity benchmark's cases: (kind, channel, n, closed-form per-copy value).
+_CLOSED_FORMS = [
+    pytest.param(kind, ch, n, value, id=f"{kind}-{name}-n{n}")
+    for kind, name, ch, n, value in (
+        ("coherent", "erasure2", erasure(2, 0.25), 1, 0.5),
+        ("coherent", "erasure2", erasure(2, 0.25), 2, 0.5),
+        ("private", "erasure2", erasure(2, 0.25), 1, 0.5),
+        ("coherent", "erasure3", erasure(3, 0.2), 1, 0.6 * math.log2(3)),
+        ("coherent", "dephasing", dephasing(0.2), 1, 1.0 - _h2(0.2)),
+        ("private", "dephasing", dephasing(0.2), 1, 1.0 - _h2(0.2)),
+        ("holevo", "dephasing", dephasing(0.2), 2, 1.0),
+        ("holevo", "depolarizing", depolarizing(2, 0.2), 1, 1.0 - _h2(0.1)),
+    )
+]
+
+
+@pytest.mark.parametrize("kind, ch, n, value", _CLOSED_FORMS)
+def test_stall_rule_does_not_stop_short(kind, ch, n, value):
+    if kind == "coherent":
+        rep = n_copy_coherent_information(ch, n, restarts=4, iters=400, seed=0)
+    else:
+        runner = n_copy_holevo if kind == "holevo" else n_copy_private
+        rep = runner(ch, n, ch.d_in**2, restarts=4, iters=400, seed=0)
+    assert abs(rep.best_value - value) <= 1e-12
+    assert rep.converged
+
+
+def test_stall_converges_only_below_the_gradient_threshold():
+    # A linear objective along a reported gradient of norm s: every step
+    # of length t raises f by 2e-10 * t * s, which passes the Armijo test
+    # at t = 1 and is below the rounding floor of f ~ 0.
+    def stop(s):
+        def value_of(params):
+            return 2e-10 * (params[0][:, 0, 0] - params[0][:, 0, 1])
+
+        def grad_of(params):
+            return [np.broadcast_to([0.0, -s], params[0].shape)]
+
+        _, _, used, reasons, conv = _ascend(value_of, grad_of, [np.zeros((1, 1, 2))], 50)
+        return int(used[0]), reasons[0], bool(conv[0])
+
+    assert STALL_GRAD_TOL == 1e-6
+    assert stop(0.5 * STALL_GRAD_TOL) == (1, "stalled", True)
+    assert stop(1.5 * STALL_GRAD_TOL) == (1, "stalled", False)
+
+
 # ------------------------------------------------ sequential reference
 #
 # The maximizers run every restart in lockstep on one batch axis. The
 # reference below runs one restart at a time, on 2-D matrices and one
 # state at a time. The batched report must equal it bit for bit: same
-# values, iteration counts, flags and maximizers.
+# values, iteration counts, stop reasons, flags and maximizers.
 
 
 def _ref_neg_log2(mat):
@@ -241,14 +313,16 @@ def _ref_ascend(value_of, grad_of, params, iters):
     f = value_of(params)
     step = 1.0
     used = 0
-    converged = False
+    reason = "iteration-cap"
     for used in range(1, iters + 1):
         g = grad_of(params)
         gsq = sum(float(np.vdot(gi, gi).real) for gi in g)
-        if np.sqrt(gsq) < 1e-8:
-            converged = True
+        gnorm = np.sqrt(gsq)
+        if gnorm < 1e-8:
+            reason = "gradient"
             break
         t = min(2.0 * step, 1.0)
+        f_old = f
         improved = False
         while t > 1e-14:
             cand = _ref_renorm([p + t * gi for p, gi in zip(params, g)])
@@ -258,19 +332,25 @@ def _ref_ascend(value_of, grad_of, params, iters):
                 break
             t *= 0.5
         if not improved:
+            reason = "line-search"
             break
-    return params, f, used, converged
+        if f - f_old <= 4e-16 * max(abs(f_old), 1.0):
+            reason = "stalled"
+            break
+    converged = reason == "gradient" or (reason == "stalled" and gnorm < 1e-6)
+    return params, f, used, reason, converged
 
 
 def _ref_run_restarts(value_of, grad_of, init_of, restarts, iters):
     best_params, best_f, best_conv = None, -np.inf, False
-    counts = []
+    counts, reasons = [], []
     for r in range(restarts):
-        params, f, used, conv = _ref_ascend(value_of, grad_of, init_of(r), iters)
+        params, f, used, reason, conv = _ref_ascend(value_of, grad_of, init_of(r), iters)
         counts.append(used)
+        reasons.append(reason)
         if f > best_f:
             best_params, best_f, best_conv = params, f, conv
-    return best_params, best_f, tuple(counts), best_conv
+    return best_params, best_f, tuple(counts), tuple(reasons), best_conv
 
 
 def _ref_coherent(ch, restarts, iters, seed):
@@ -300,8 +380,10 @@ def _ref_coherent(ch, restarts, iters, seed):
         rng = rng_for(seed, r)
         return [rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)]
 
-    params, f, counts, conv = _ref_run_restarts(value_of, grad_of, init_of, restarts, iters)
-    return f, counts, conv, params[0]
+    params, f, counts, reasons, conv = _ref_run_restarts(
+        value_of, grad_of, init_of, restarts, iters
+    )
+    return f, counts, reasons, conv, params[0]
 
 
 def _ref_ensembles(ch, m, restarts, iters, seed, private):
@@ -356,9 +438,11 @@ def _ref_ensembles(ch, m, restarts, iters, seed, private):
         vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(m)]
         return [rng.standard_normal(m) * 0.1] + vecs
 
-    params, f, counts, conv = _ref_run_restarts(value_of, grad_of, init_of, restarts, iters)
+    params, f, counts, reasons, conv = _ref_run_restarts(
+        value_of, grad_of, init_of, restarts, iters
+    )
     probs, states = unpack(params)
-    return f, counts, conv, probs, states
+    return f, counts, reasons, conv, probs, states
 
 
 def _lockstep_cases():
@@ -384,12 +468,12 @@ def _lockstep_cases():
 def test_lockstep_ascent_matches_sequential_reference(kind, ch, seed, restarts, iters):
     if kind == "coherent":
         rep = max_coherent_information(ch, restarts=restarts, iters=iters, seed=seed)
-        f, counts, conv, vec = _ref_coherent(ch, restarts, iters, seed)
+        f, counts, reasons, conv, vec = _ref_coherent(ch, restarts, iters, seed)
         assert np.array_equal(rep.argmax.vector, vec)
     else:
         runner = max_holevo if kind == "holevo" else max_private
         rep = runner(ch, 3, restarts=restarts, iters=iters, seed=seed)
-        f, counts, conv, probs, states = _ref_ensembles(
+        f, counts, reasons, conv, probs, states = _ref_ensembles(
             ch, 3, restarts, iters, seed, private=kind == "private"
         )
         assert [p for p, _ in rep.argmax.items] == [float(p) for p in probs]
@@ -397,13 +481,16 @@ def test_lockstep_ascent_matches_sequential_reference(kind, ch, seed, restarts, 
             assert np.array_equal(got.matrix, DensityMatrix.from_pure(u).matrix)
     assert rep.best_value == f
     assert rep.iterations == counts
+    assert rep.stop_reasons == reasons
     assert rep.converged == conv
 
 
 def test_lockstep_reference_covers_capped_and_finished_restarts():
-    # The batch must shrink mid-run: some restarts converge and leave it
+    # The batch must shrink mid-run: some restarts stall and leave it
     # while others run on to the iteration cap.
-    f, counts, conv, _ = _ref_coherent(dephasing(0.2), 4, 60, 0)
-    assert max(counts) == 60 and min(counts) < 60
-    rep = max_coherent_information(dephasing(0.2), restarts=4, iters=60, seed=0)
-    assert rep.iterations == counts and rep.best_value == f
+    f, counts, reasons, conv, _ = _ref_coherent(dephasing(0.2), 4, 18, 0)
+    assert max(counts) == 18 and min(counts) < 18
+    assert reasons.count("iteration-cap") == 2 and reasons.count("stalled") == 2
+    rep = max_coherent_information(dephasing(0.2), restarts=4, iters=18, seed=0)
+    assert rep.iterations == counts and rep.stop_reasons == reasons
+    assert rep.best_value == f

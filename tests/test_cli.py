@@ -97,6 +97,18 @@ class TestParseChannelSpec:
             parse_channel_spec(str(path))
         assert exc.value.code == "cptp-violation"
 
+    def test_non_integer_dimensions_in_file(self, tmp_path, capsys):
+        good = channel_to_dict(identity(2))
+        for bad in ({"d_in": 2.9}, {"d_out": "2"}, {"d_in": 2.0}):
+            path = tmp_path / "dims.json"
+            path.write_text(json.dumps({**good, **bad}))
+            with pytest.raises(SpecError) as exc:
+                parse_channel_spec(str(path))
+            assert exc.value.code == "malformed-channel", bad
+            argv = ["norm", "diamond", "--a", str(path), "--b", "identity:d=2"]
+            assert main(argv) == 1
+            assert "malformed-channel" in capsys.readouterr().err
+
     def test_structurally_bad_file(self, tmp_path):
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"d_in": 2, "d_out": 2, "kraus": [[[1.0, 0.0]]]}))
@@ -381,6 +393,22 @@ class TestCapacityCli:
         )
         assert code == 0
         assert abs(report["result"]["per_copy_value"]) < 1e-6
+
+    def test_stop_reasons_one_per_restart(self, capsys):
+        code, report = run_json(
+            capsys,
+            [
+                "capacity", "coherent",
+                "--channel", "erasure:d=2,p=0.25",
+                "--restarts", "3", "--iters", "10",
+            ],
+        )
+        assert code == 0
+        result = report["result"]
+        assert len(result["stop_reasons"]) == len(result["iterations"]) == 3
+        # 10 iterations are too few to reach the optimum from a random start
+        assert result["stop_reasons"] == ["iteration-cap"] * 3
+        assert result["converged"] is False
 
     @pytest.mark.parametrize("size", ["0", "1", "-2"])
     def test_ensemble_size_below_two_rejected(self, capsys, size):
