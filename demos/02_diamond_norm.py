@@ -5,11 +5,12 @@ Diamond distance with certificates
 """
 
 from capcont import (
-    HermitianPreservingMap,
+    ChoiMatrix,
     bell_probe_value,
     depolarizing,
     diamond_distance,
     diamond_lower_probe,
+    diamond_norm,
     identity,
 )
 
@@ -28,15 +29,14 @@ for p in (0.1, 0.3, 0.5):
         f"iterations={res.iterations}"
     )
 
-# Pure-state probes always give lower bounds.  The Bell probe is optimal
-# here; random probes approach it from below.
-the_map = HermitianPreservingMap.difference(identity(2), depolarizing(2, 0.3))
-print("bell probe:", round(bell_probe_value(the_map), 9))
-print("best of 20 random probes:", round(diamond_lower_probe(the_map, 20, seed=1), 9))
+# The difference of two channels is a Hermiticity-preserving map, given by
+# its Choi matrix.  Pure-state probes always give lower bounds on its
+# diamond norm.  The Bell probe is optimal here; random probes approach it
+# from below.
+choi = ChoiMatrix.difference(identity(2), depolarizing(2, 0.3))
+print("bell probe:", round(bell_probe_value(choi), 9))
+print("best of 20 random probes:", round(diamond_lower_probe(choi, 20, seed=1), 9))
 
 # The norm is homogeneous: scaling the map scales the value.
-res = diamond_distance(identity(2), depolarizing(2, 0.3))
-scaled = the_map.scaled(2.5)
-from capcont import diamond_norm
-
-print("homogeneity check:", round(diamond_norm(scaled).value / res.value, 9))
+res = diamond_norm(choi)
+print("homogeneity check:", round(diamond_norm(choi.scaled(2.5)).value / res.value, 9))

@@ -67,7 +67,6 @@ from .continuity import (
     verify_output_entropy,
 )
 from .distance import (
-    HermitianPreservingMap,
     bell_probe_value,
     diamond_distance,
     diamond_lower_probe,

@@ -30,8 +30,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import ArgumentError, CPViolationError, DimensionError, TPViolationError
-from .linalg import D_MAX, TAU_HERM, TAU_PSD, TAU_TP, TAU_TR, DensityMatrix
+from .errors import ArgumentError, CPViolationError, DimensionError, NumericError, TPViolationError
+from .linalg import D_MAX, TAU_HERM, TAU_PSD, TAU_TP, TAU_TR, DensityMatrix, check_choi_dim
 
 
 class QuantumChannel:
@@ -61,10 +61,7 @@ class QuantumChannel:
         if not np.all(np.isfinite(stack)):
             raise ArgumentError("Kraus operators have non-finite entries")
         _, d_out, d_in = stack.shape
-        if d_in * d_out > D_MAX:
-            raise DimensionError(
-                f"Choi dimension {d_in * d_out} exceeds D_MAX={D_MAX}"
-            )
+        check_choi_dim(d_in, d_out)
         rows = stack.reshape(-1, d_in)  # sum_k K^dag K as one product
         res = float(np.max(np.abs(rows.conj().T @ rows - np.eye(d_in))))
         if res > TAU_TP:
@@ -79,13 +76,13 @@ class QuantumChannel:
     def __repr__(self) -> str:
         return f"QuantumChannel(d_in={self.d_in}, d_out={self.d_out}, n_kraus={len(self.kraus)})"
 
-    def canonicalize(self) -> "QuantumChannel":
-        """Minimal Kraus family via Choi eigendecomposition."""
-        return from_choi(to_choi(self))
-
 
 class ChoiMatrix:
-    """Choi matrix J = sum_ij |i><j| (x) N(|i><j|) on in (x) out."""
+    """Choi matrix J = sum_ij |i><j| (x) N(|i><j|) on in (x) out.
+
+    N is any Hermiticity-preserving map: a channel (to_choi), or a
+    difference of channels, whose diamond norm is their distance.
+    """
 
     def __init__(self, matrix: np.ndarray, d_in: int, d_out: int):
         m = linalg.as_matrix(matrix)
@@ -99,6 +96,17 @@ class ChoiMatrix:
         self.matrix.setflags(write=False)
         self.d_in = d_in
         self.d_out = d_out
+
+    @classmethod
+    def difference(cls, a: QuantumChannel, b: QuantumChannel) -> "ChoiMatrix":
+        """Choi matrix of the map a - b."""
+        if (a.d_in, a.d_out) != (b.d_in, b.d_out):
+            raise ArgumentError("channel difference needs matching dimensions")
+        return cls(to_choi(a).matrix - to_choi(b).matrix, a.d_in, a.d_out)
+
+    def scaled(self, c: float) -> "ChoiMatrix":
+        """Choi matrix of the map c N."""
+        return ChoiMatrix(float(c) * self.matrix, self.d_in, self.d_out)
 
 
 class IsometricExtension:
@@ -235,7 +243,12 @@ def from_choi(choi: ChoiMatrix) -> QuantumChannel:
     eigenvalue below -TAU_PSD and ArgumentError when the partial trace
     over the output is not the identity.
     """
-    w, v = linalg.eigh(choi.matrix)
+    try:
+        w, v = np.linalg.eigh(choi.matrix)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+        raise NumericError("eigh", str(exc)) from exc
+    order = np.argsort(w)[::-1]  # descending: the Kraus order fixes every later sum
+    w, v = w[order], v[:, order]
     if w[-1] < -TAU_PSD:
         raise CPViolationError(float(w[-1]))
     marg = linalg.partial_trace_matrix(
@@ -278,7 +291,8 @@ def mix(chs: Sequence[QuantumChannel], probs: Sequence[float]) -> QuantumChannel
     if len(chs) != len(probs):
         raise ArgumentError("channel and probability lists differ in length")
     p = np.asarray(probs, dtype=float)
-    if p.size == 0 or np.any(p < -TAU_TR) or abs(p.sum() - 1.0) > TAU_TR:
+    # Written so that a NaN or infinite weight fails the test too.
+    if p.size == 0 or not (np.all(p >= -TAU_TR) and abs(p.sum() - 1.0) <= TAU_TR):
         raise ArgumentError(f"probabilities must be nonnegative and sum to 1, got {probs}")
     dims = {(c.d_in, c.d_out) for c in chs}
     if len(dims) != 1:
@@ -292,8 +306,7 @@ def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
     """n-fold parallel application ch^(x)n."""
     if n < 1:
         raise ArgumentError(f"tensor power needs n >= 1, got {n}")
-    if ch.d_in**n > D_MAX or ch.d_out**n > D_MAX:
-        raise DimensionError(f"tensor power dimension exceeds D_MAX={D_MAX}")
+    check_choi_dim(ch.d_in, ch.d_out, n)
     if n == 1:
         return ch
     # Stack index (k_1, ..., k_n), first index slowest; each operator is
@@ -313,6 +326,7 @@ def identity(d: int) -> QuantumChannel:
     """Identity channel on dimension d."""
     if d < 1:
         raise ArgumentError(f"dimension must be positive, got {d}")
+    check_choi_dim(d, d)
     return QuantumChannel([np.eye(d, dtype=complex)])
 
 
@@ -320,6 +334,7 @@ def constant_channel(d: int) -> QuantumChannel:
     """Map every state on dimension d to |0><0|."""
     if d < 1:
         raise ArgumentError(f"dimension must be positive, got {d}")
+    check_choi_dim(d, d)
     kraus = [np.outer(linalg.basis_state(d, 0), linalg.basis_state(d, j)) for j in range(d)]
     return QuantumChannel(kraus)
 
@@ -334,6 +349,7 @@ def erasure(d: int, p: float) -> QuantumChannel:
         raise ArgumentError(f"erasure probability must be in [0, 1], got {p}")
     if d < 1:
         raise ArgumentError(f"dimension must be positive, got {d}")
+    check_choi_dim(d, d + 1)
     embed = np.zeros((d + 1, d), dtype=complex)
     embed[:d, :] = np.eye(d)
     kraus = []
@@ -353,6 +369,7 @@ def depolarizing(d: int, p: float) -> QuantumChannel:
         raise ArgumentError(f"depolarizing parameter must be in [0, 1], got {p}")
     if d < 1:
         raise ArgumentError(f"dimension must be positive, got {d}")
+    check_choi_dim(d, d)
     phi = linalg.maximally_entangled(d).density().matrix
     j = (1.0 - p) * d * phi + (p / d) * np.eye(d * d)
     return from_choi(ChoiMatrix(j, d, d))
@@ -371,28 +388,19 @@ def dephasing(p: float) -> QuantumChannel:
     return QuantumChannel(kraus)
 
 
-def _sink_channel(n: int) -> QuantumChannel:
-    """Map every n-level state to the sink |n><n| in dimension n+1."""
-    return erasure(n, 1.0)
-
-
-def _embedded_identity(n: int) -> QuantumChannel:
-    """Identity on n levels embedded in an (n+1)-dim output."""
-    return erasure(n, 0.0)
-
-
 def truncated_classical_example(n: int) -> QuantumChannel:
     """n-level member of the family whose classical capacity jumps at its limit.
 
-    Mixes the sink map with the embedded n-level identity at weight
-    1/log2(n) on the identity; equals erasure(n, 1 - 1/log2(n)) with the
-    sink as the flag. The limit of the family is the pure sink map, whose
-    classical capacity is 0, while every member has capacity exactly 1.
+    Mixes the sink map erasure(n, 1) with the embedded n-level identity
+    erasure(n, 0) at weight 1/log2(n) on the identity; equals
+    erasure(n, 1 - 1/log2(n)) with the sink as the flag. The limit of the
+    family is the pure sink map, whose classical capacity is 0, while every
+    member has capacity exactly 1.
     """
     if n < 2:
         raise ArgumentError(f"need n >= 2, got {n}")
     w = 1.0 / np.log2(n)
-    return mix([_sink_channel(n), _embedded_identity(n)], [1.0 - w, w])
+    return mix([erasure(n, 1.0), erasure(n, 0.0)], [1.0 - w, w])
 
 
 def truncated_quantum_example(n: int) -> QuantumChannel:
@@ -406,7 +414,7 @@ def truncated_quantum_example(n: int) -> QuantumChannel:
     if n < 2:
         raise ArgumentError(f"need n >= 2, got {n}")
     w = 1.0 / np.log2(n)
-    return mix([erasure(n, 0.5), _embedded_identity(n)], [1.0 - w, w])
+    return mix([erasure(n, 0.5), erasure(n, 0.0)], [1.0 - w, w])
 
 
 # ---------------------------------------------------------- serialization

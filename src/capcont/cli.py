@@ -43,6 +43,7 @@ from .capopt import (
     n_copy_private,
 )
 from .channels import (
+    ChoiMatrix,
     QuantumChannel,
     channel_from_dict,
     constant_channel,
@@ -62,12 +63,7 @@ from .continuity import (
     verify_fannes,
     verify_output_entropy,
 )
-from .distance import (
-    TAU_SDP,
-    HermitianPreservingMap,
-    diamond_lower_probe,
-    diamond_norm,
-)
+from .distance import TAU_SDP, diamond_lower_probe, diamond_norm
 from .entropic import (
     TAU_ENT,
     Ensemble,
@@ -89,15 +85,6 @@ from .linalg import DensityMatrix
 EXIT_OK = 0
 EXIT_ERROR = 1       # operational failure: bad input, solver failure, I/O
 EXIT_VIOLATION = 2   # a verified bound was violated beyond tolerance
-
-CSV_COLUMNS = [
-    "n",
-    "diamond_eps",
-    "two_over_log_n",
-    "classical_lb",
-    "quantum_lb",
-    "corollary_bound",
-]
 
 
 class SpecError(CapcontError):
@@ -240,8 +227,8 @@ def _cmd_norm(args) -> tuple[int, dict, None]:
         )
     a = parse_channel_spec(args.a)
     b = parse_channel_spec(args.b)
-    the_map = HermitianPreservingMap.difference(a, b)
-    res = diamond_norm(the_map)
+    choi = ChoiMatrix.difference(a, b)
+    res = diamond_norm(choi)
     result = {
         "metric": "diamond",
         "value": res.value,
@@ -253,7 +240,7 @@ def _cmd_norm(args) -> tuple[int, dict, None]:
     }
     if args.probe_trials > 0:
         result["probe_lower_bound"] = diamond_lower_probe(
-            the_map, args.probe_trials, args.seed
+            choi, args.probe_trials, args.seed
         )
     return EXIT_OK, result, None
 
@@ -365,10 +352,6 @@ def _cmd_demo(args) -> tuple[int, dict, list[dict]]:
     if args.n_max < 2:
         raise SpecError("bad-argument", f"--n-max must be at least 2, got {args.n_max}")
     rows = discontinuity_demo(range(2, args.n_max + 1))
-    rows = [
-        {k: (int(v) if k == "n" else float(v)) for k, v in row.items()}
-        for row in rows
-    ]
     return EXIT_OK, {"table": "discontinuity", "rows": rows}, rows
 
 
@@ -450,7 +433,7 @@ def _emit(args, report: dict, csv_rows) -> None:
             raise SpecError(
                 "bad-argument", "csv output is only available for trend tables"
             )
-        writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(csv_rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(csv_rows)
     elif args.json:
@@ -542,7 +525,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, default=8)
     p.set_defaults(func=_cmd_demo)
 
-    p = sub.add_parser("assisted", parents=[common], help="assisted-capacity arithmetic")
+    # The shared options go on each leaf only: given to assisted as well, the
+    # leaf's defaults would overwrite what was placed before the leaf's name.
+    p = sub.add_parser("assisted", help="assisted-capacity arithmetic")
     asub = p.add_subparsers(dest="what", required=True, parser_class=_Parser)
     pb = asub.add_parser("bounds", parents=[common])
     pb.add_argument("--q2n", type=float, required=True, help="two-way capacity of N")

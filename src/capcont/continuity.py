@@ -50,7 +50,7 @@ from .entropic import (
     holevo_information,
 )
 from .errors import ArgumentError
-from .linalg import DensityMatrix, hermitian_part, partial_trace_matrix
+from .linalg import DensityMatrix, check_choi_dim, hermitian_part, partial_trace_matrix
 from .sampling import _wishart, haar_state, random_channel, rng_for
 
 
@@ -352,8 +352,10 @@ def verify_output_entropy(
         raise ArgumentError(f"copy count {n} must be >= 1")
     if (ch_n.d_in, ch_n.d_out) != (ch_m.d_in, ch_m.d_out):
         raise ArgumentError("channel pair must share input and output dimensions")
-    eps = _measured_eps(ch_n, ch_m, eps)
     d_in, d_out = ch_n.d_in, ch_n.d_out
+    check_choi_dim(d_in, d_in, n)  # the reference (x) input^n state
+    check_choi_dim(d_in, d_out, n)  # the reference (x) output^n state
+    eps = _measured_eps(ch_n, ch_m, eps)
     bound = output_entropy_bound(n, eps, d_out)
     d_ref = d_in**n
     dims = (d_ref,) + (d_in,) * n
@@ -422,9 +424,11 @@ def verify_capacity_differences(
     single-letter proxies are compared with the n = 1 corollary bounds as
     consistent-with reports.
     """
-    eps = _measured_eps(ch_n, ch_m, settings.eps)
     n = int(settings.n)
     d_in, d_out = ch_n.d_in, ch_n.d_out
+    check_choi_dim(d_in, d_in, n)  # the reference (x) input^n state
+    check_choi_dim(d_in, d_out, n)  # the reference (x) output^n state
+    eps = _measured_eps(ch_n, ch_m, settings.eps)
     step = output_entropy_bound(n, eps, d_out)
     pow_n = tensor_power(ch_n, n)
     pow_m = tensor_power(ch_m, n)

@@ -1,8 +1,9 @@
 """State and channel distances.
 
 Trace distance in the full 1-norm convention (with the halved variant as a
-separate accessor) and the certified diamond norm of Hermiticity-preserving
-maps. The diamond norm first tries a closed-form bracket from one
+separate accessor) and the certified diamond norm of a Hermiticity-preserving
+map, given by its ChoiMatrix (ChoiMatrix.difference(a, b) for the distance
+of two channels). The diamond norm first tries a closed-form bracket from one
 eigendecomposition of the Choi matrix (the Bell-probe lower bound and the
 |J| feasible point of the dual); it runs the interior-point program in the
 sdp module only when that bracket does not close, and then cross-checks the
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import sdp
-from .channels import ChoiMatrix, QuantumChannel, to_choi
+from .channels import ChoiMatrix, QuantumChannel
 from .errors import ArgumentError
 from .linalg import DensityMatrix, PureState, maximally_entangled, trace_norm
 from .sampling import haar_state, rng_for
@@ -34,27 +35,6 @@ def trace_distance_halved(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return 0.5 * trace_distance(rho, sigma)
 
 
-class HermitianPreservingMap:
-    """Linear map with a Hermitian Choi matrix, e.g. a channel difference."""
-
-    def __init__(self, choi: ChoiMatrix):
-        self.choi = choi
-        self.d_in = choi.d_in
-        self.d_out = choi.d_out
-
-    @classmethod
-    def difference(cls, a: QuantumChannel, b: QuantumChannel) -> "HermitianPreservingMap":
-        if (a.d_in, a.d_out) != (b.d_in, b.d_out):
-            raise ArgumentError("channel difference needs matching dimensions")
-        j = to_choi(a).matrix - to_choi(b).matrix
-        return cls(ChoiMatrix(j, a.d_in, a.d_out))
-
-    def scaled(self, c: float) -> "HermitianPreservingMap":
-        return HermitianPreservingMap(
-            ChoiMatrix(float(c) * self.choi.matrix, self.d_in, self.d_out)
-        )
-
-
 def _bracket(j: np.ndarray, d_in: int, d_out: int) -> tuple[float, float]:
     """(Bell-probe value, lambda_max(Tr_out |J|)) from one eigh of J."""
     lam, vecs = np.linalg.eigh(j)
@@ -64,7 +44,7 @@ def _bracket(j: np.ndarray, d_in: int, d_out: int) -> tuple[float, float]:
     return lower, upper
 
 
-def diamond_norm(the_map: HermitianPreservingMap) -> DiamondSolution:
+def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
     """Diamond norm of a Hermiticity-preserving map, with a certified gap.
 
     The exact-zero map short-circuits to 0 so that equal channels compare
@@ -86,10 +66,10 @@ def diamond_norm(the_map: HermitianPreservingMap) -> DiamondSolution:
     interior-point SDP runs, and a solution whose interval leaves the
     bracket is reported as max-iters, so it is never certified.
     """
-    j = the_map.choi.matrix
+    j = choi.matrix
     if float(np.max(np.abs(j))) == 0.0:
         return DiamondSolution(0.0, 0.0, 0, "optimal", 0.0, 0.0)
-    d_in, d_out = the_map.d_in, the_map.d_out
+    d_in, d_out = choi.d_in, choi.d_out
     lower, upper = _bracket(j, d_in, d_out)
     if upper - lower <= GAP_TARGET * upper:
         # Rounding can put lower a few ulps above upper; clamp the interval.
@@ -106,10 +86,10 @@ def diamond_norm(the_map: HermitianPreservingMap) -> DiamondSolution:
 
 def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondSolution:
     """diamond_norm(a - b)."""
-    return diamond_norm(HermitianPreservingMap.difference(a, b))
+    return diamond_norm(ChoiMatrix.difference(a, b))
 
 
-def probe_value(the_map: HermitianPreservingMap, psi: PureState) -> float:
+def probe_value(choi: ChoiMatrix, psi: PureState) -> float:
     """||(map (x) I)(psi)||_1 for a pure probe on in (x) ref.
 
     Contracts the Choi matrix J, viewed as (d_in, d_out, d_in, d_out), with
@@ -117,28 +97,28 @@ def probe_value(the_map: HermitianPreservingMap, psi: PureState) -> float:
     out[b, r, c, s] = sum_ij M[i, r] J[i, b, j, c] conj(M[j, s]).
     Always a lower bound on the diamond norm.
     """
-    d_in, d_out = the_map.d_in, the_map.d_out
+    d_in, d_out = choi.d_in, choi.d_out
     if len(psi.dims) != 2 or psi.dims[0] != d_in:
         raise ArgumentError(f"probe needs dims (d_in, d_ref), got {psi.dims}")
     d_ref = psi.dims[1]
     mat = psi.vector.reshape(d_in, d_ref)  # amplitude matrix of the probe
-    j = the_map.choi.matrix.reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
+    j = choi.matrix.reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
     out = (mat.T @ j @ mat.conj()).transpose(0, 2, 1, 3).reshape((d_out * d_ref,) * 2)
     return float(np.sum(np.abs(np.linalg.eigvalsh(out))))
 
 
-def diamond_lower_probe(the_map: HermitianPreservingMap, trials: int, seed: int) -> float:
+def diamond_lower_probe(choi: ChoiMatrix, trials: int, seed: int) -> float:
     """Best of `trials` Haar-random pure probes with a full-size reference."""
     if trials < 1:
         raise ArgumentError(f"trials must be >= 1, got {trials}")
-    d_in = the_map.d_in
+    d_in = choi.d_in
     best = 0.0
     for t in range(trials):
         psi = haar_state(d_in * d_in, rng_for(seed, t), dims=(d_in, d_in))
-        best = max(best, probe_value(the_map, psi))
+        best = max(best, probe_value(choi, psi))
     return best
 
 
-def bell_probe_value(the_map: HermitianPreservingMap) -> float:
+def bell_probe_value(choi: ChoiMatrix) -> float:
     """Probe value at the maximally entangled input, a common tight case."""
-    return probe_value(the_map, maximally_entangled(the_map.d_in))
+    return probe_value(choi, maximally_entangled(choi.d_in))

@@ -113,7 +113,8 @@ class Ensemble:
         if not items:
             raise ArgumentError("ensemble must be nonempty")
         probs = np.array([p for p, _ in items])
-        if np.any(probs < -TAU_TR) or abs(probs.sum() - 1.0) > TAU_TR:
+        # Written so that a NaN or infinite weight fails the test too.
+        if not (np.all(probs >= -TAU_TR) and abs(probs.sum() - 1.0) <= TAU_TR):
             raise ArgumentError("ensemble probabilities must be >= 0 and sum to 1")
         d = items[0][1].d
         if any(s.d != d for _, s in items):

@@ -1,9 +1,10 @@
 """Dense complex linear algebra substrate.
 
-Tensor products, partial traces, Hermitian eigendecomposition, purification,
-and the trace norm, together with the two state types the rest of the
-package passes around. Everything is plain dense numpy; dimensions stay at
-desk scale by construction (D_MAX guards Kronecker blowup).
+Partial traces, purification and the trace norm, together with the two
+state types the rest of the package passes around. Everything is plain
+dense numpy; dimensions stay at desk scale by construction (D_MAX guards
+Kronecker blowup, and check_choi_dim refuses an oversized channel before
+it is built).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import numpy.linalg as npl
 
-from .errors import ArgumentError, DimensionError, NumericError
+from .errors import ArgumentError, DimensionError
 
 # Numerical tolerances. Double precision leaves ample headroom at d <= 512.
 TAU_HERM = 1e-9   # Hermiticity residual
@@ -23,6 +24,17 @@ TAU_PSD = 1e-8    # admissible negative eigenvalue magnitude
 TAU_EIG = 1e-8    # eigendecomposition reconstruction residual
 TAU_TP = 1e-8     # trace-preservation residual for channels
 D_MAX = 4096      # largest matrix dimension any operation may produce
+
+
+def check_choi_dim(d_in: int, d_out: int, n: int = 1) -> None:
+    """Refuse n copies of a map whose Choi matrix, of dimension (d_in*d_out)^n, exceeds D_MAX."""
+    d = d_in * d_out
+    if d == 1:
+        return
+    if n >= D_MAX.bit_length():  # d^n >= 2^n > D_MAX, refused without forming d^n
+        raise DimensionError(f"Choi dimension {d}^{n} exceeds D_MAX={D_MAX}")
+    if d**n > D_MAX:
+        raise DimensionError(f"Choi dimension {d**n} exceeds D_MAX={D_MAX}")
 
 
 def as_matrix(x: object) -> np.ndarray:
@@ -42,17 +54,6 @@ def herm_residual(m: np.ndarray) -> float:
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m^dag) / 2 of each matrix of a (..., d, d) stack, exactly Hermitian."""
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a dimension guard."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] * b.shape[0] > D_MAX or a.shape[1] * b.shape[1] > D_MAX:
-        raise DimensionError(
-            f"tensor product dimension {a.shape[0] * b.shape[0]} exceeds D_MAX={D_MAX}"
-        )
-    return np.kron(a, b)
 
 
 def basis_state(d: int, i: int) -> np.ndarray:
@@ -176,23 +177,11 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(red, tuple(rho.dims[i] for i in keep))
 
 
-def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    h = as_matrix(h)
-    if herm_residual(h) > TAU_HERM * max(1.0, float(np.abs(h).max(initial=0.0))):
-        raise ArgumentError(f"matrix not Hermitian: residual {herm_residual(h):.3e}")
-    try:
-        w, v = npl.eigh(hermitian_part(h))
-    except npl.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise NumericError("eigh", str(exc)) from exc
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
-
-
 def purify(rho: DensityMatrix) -> PureState:
     """Pure state on d x r whose first marginal is rho (r = numerical rank)."""
-    w, v = eigh(rho.matrix)
-    w = np.clip(w, 0.0, None)
+    w, v = npl.eigh(rho.matrix)
+    order = np.argsort(w)[::-1]
+    w, v = np.clip(w[order], 0.0, None), v[:, order]
     r = max(1, int(np.sum(w > TAU_PSD)))
     amp = v[:, :r] * np.sqrt(w[:r])
     vec = amp.reshape(-1)  # row-major: index (a, i) -> a*r + i

@@ -12,7 +12,7 @@ import numpy as np
 
 from .channels import QuantumChannel
 from .errors import ArgumentError
-from .linalg import DensityMatrix, PureState
+from .linalg import DensityMatrix, PureState, check_choi_dim
 
 
 def rng_for(seed: int, *branch: int) -> np.random.Generator:
@@ -64,6 +64,7 @@ def random_channel(
     k = d_in * d_out if kraus_count is None else int(kraus_count)
     if k < 1:
         raise ArgumentError(f"kraus_count must be positive, got {k}")
+    check_choi_dim(d_in, d_out)
     g = rng.normal(size=(d_out * k, d_in)) + 1j * rng.normal(size=(d_out * k, d_in))
     q, _ = np.linalg.qr(g)  # columns orthonormal: an isometry into out (x) env
     return QuantumChannel(q.reshape(d_out, k, d_in).transpose(1, 0, 2))

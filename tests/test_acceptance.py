@@ -21,10 +21,13 @@ from capcont.assisted import (
 )
 from capcont.capopt import max_coherent_information, max_holevo
 from capcont.channels import (
+    ChoiMatrix,
     constant_channel,
     depolarizing,
     erasure,
+    from_choi,
     identity,
+    to_choi,
     truncated_classical_example,
 )
 from capcont.cli import main
@@ -40,7 +43,6 @@ from capcont.continuity import (
     verify_output_entropy,
 )
 from capcont.distance import (
-    HermitianPreservingMap,
     bell_probe_value,
     diamond_distance,
     diamond_lower_probe,
@@ -140,7 +142,7 @@ def test_4_diamond_norm_correctness():
     # (a) self distance at machine precision, also through a re-expressed
     # Kraus family of the same map
     ch = random_channel(2, 3, rng_for(SEED, 40))
-    for other, label in ((ch, "same object"), (ch.canonicalize(), "canonicalized")):
+    for other, label in ((ch, "same object"), (from_choi(to_choi(ch)), "canonicalized")):
         v = diamond_distance(ch, other).value
         if v > 1e-8:
             problems.append(f"self distance ({label}) {v:.3e}")
@@ -150,7 +152,7 @@ def test_4_diamond_norm_correctness():
         if abs(res.value - 1.5 * p) > 1e-6:
             problems.append(f"depolarizing p={p}: value {res.value:.9f}")
         probe = bell_probe_value(
-            HermitianPreservingMap.difference(identity(2), depolarizing(2, p))
+            ChoiMatrix.difference(identity(2), depolarizing(2, p))
         )
         if abs(probe - 1.5 * p) > 1e-6 or probe > res.value + 1e-6:
             problems.append(f"depolarizing p={p}: bell probe {probe:.9f}")
@@ -158,16 +160,16 @@ def test_4_diamond_norm_correctness():
     for i in range(50):
         rng = rng_for(SEED, 50 + i)
         a, b = random_channel(2, 2, rng), random_channel(2, 2, rng)
-        the_map = HermitianPreservingMap.difference(a, b)
+        choi = ChoiMatrix.difference(a, b)
         res = diamond_distance(a, b)
-        probe = diamond_lower_probe(the_map, trials=4, seed=i)
+        probe = diamond_lower_probe(choi, trials=4, seed=i)
         if probe > res.value + 1e-6:
             problems.append(f"pair {i}: probe {probe:.9f} above value {res.value:.9f}")
     # (d) homogeneity
-    base_map = HermitianPreservingMap.difference(identity(2), depolarizing(2, 0.3))
-    base = diamond_norm(base_map).value
+    base_choi = ChoiMatrix.difference(identity(2), depolarizing(2, 0.3))
+    base = diamond_norm(base_choi).value
     for c in (0.25, 2.0):
-        v = diamond_norm(base_map.scaled(c)).value
+        v = diamond_norm(base_choi.scaled(c)).value
         if abs(v - c * base) > 1e-6:
             problems.append(f"scale {c}: {v:.9f} vs {c * base:.9f}")
     _finish(

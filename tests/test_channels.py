@@ -1,5 +1,8 @@
 """Tests for channel representations and the named constructor zoo."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,10 +227,15 @@ def test_from_choi_rejects_non_tp():
         ch.from_choi(ch.ChoiMatrix(j, 2, 2))
 
 
+def test_choi_difference_needs_matching_dimensions():
+    with pytest.raises(ArgumentError):
+        ch.ChoiMatrix.difference(ch.identity(2), ch.identity(3))
+
+
 def test_canonicalize_shrinks_redundant_families():
     mixed = ch.mix([ch.identity(2), ch.identity(2)], [0.5, 0.5])
     assert len(mixed.kraus) == 2
-    canon = mixed.canonicalize()
+    canon = ch.from_choi(ch.to_choi(mixed))
     assert len(canon.kraus) == 1
     assert _same_action(mixed, canon)
 
@@ -303,6 +311,14 @@ def test_mix_rejects_bad_probabilities():
         ch.mix([n, n], [1.5, -0.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mix_rejects_non_finite_weights(bad):
+    # A NaN weight fails every comparison, so it must not slip past the
+    # range test and then be dropped from the union.
+    with pytest.raises(ArgumentError):
+        ch.mix([ch.identity(2), ch.dephasing(0.3)], [bad, 1.0])
+
+
 def test_mix_is_affine_in_action():
     rng = rng_for(8)
     a, b = random_channel(2, 3, rng), random_channel(2, 3, rng)
@@ -344,6 +360,32 @@ def test_tensor_power_choi_is_permuted_tensor_of_chois():
 
 
 # ------------------------------------------------------ named constructors
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ch.identity(100),
+    lambda: ch.constant_channel(100),
+    lambda: ch.erasure(100, 0.5),
+    lambda: ch.truncated_classical_example(100),
+    lambda: ch.depolarizing(65, 0.1),
+    lambda: random_channel(65, 65, rng_for(0)),
+    lambda: ch.tensor_power(ch.dephasing(0.2), 7),  # (2 * 2)^7 > D_MAX
+    lambda: ch.tensor_power(ch.identity(2), 10**9),  # without forming 4^(10^9)
+], ids=[
+    "identity", "constant", "erasure", "truncated", "depolarizing", "random", "power",
+    "huge-power",
+])
+def test_oversized_channels_are_refused_before_they_are_built(build):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(DimensionError):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert time.perf_counter() - start < 1.0
 
 
 def test_erasure_zero_is_embedded_identity():

@@ -187,6 +187,19 @@ class TestStateAndEnsembleFiles:
             assert main(["entropy", "--state", str(path)]) == 1
             assert "malformed-state" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_probability_is_malformed(self, tmp_path, capsys, bad):
+        zero = {"matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+        one = {"matrix": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+        path = tmp_path / "nan-ensemble.json"
+        path.write_text(json.dumps({"probabilities": [bad, 1.0], "states": [zero, one]}))
+        argv = ["info", "holevo", "--channel", "identity:d=2", "--input", str(path), "--json"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "malformed-ensemble" in captured.err
+        assert captured.out == ""
+
     def test_malformed_ensemble(self, tmp_path, capsys):
         state = {"matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
         bad_ensembles = [
@@ -248,6 +261,30 @@ class TestExitCodes:
         code = main(["verify", "fannes", "--trials", "2", "--tol-ent", "-1", "--json"])
         capsys.readouterr()
         assert code == 2
+
+    def test_oversized_channel_is_a_bad_parameter(self, capsys):
+        argv = ["norm", "diamond", "--a", "erasure:d=100,p=0.5", "--b", "erasure:d=100,p=0.4"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "bad-parameter" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["theorem3", "corollaries"])
+    def test_huge_copy_count_is_refused(self, capsys, command):
+        pair = ["--channel-a", "identity:d=2", "--channel-b", "identity:d=2"]
+        code = main(["verify", command, "--n", "1000000", "--trials", "1"] + pair)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "exceeds D_MAX" in captured.err
+        assert captured.out == ""
+
+    def test_mismatched_pair_fails(self, capsys):
+        code = main(["norm", "diamond", "--a", "identity:d=2", "--b", "identity:d=3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "matching dimensions" in captured.err
+        assert captured.out == ""
 
     def test_unknown_flag_is_operational_error(self, capsys):
         code = main(["assisted", "erasure", "--p", "0.1", "--bogus"])
@@ -374,6 +411,18 @@ class TestAssistedCli:
         )
         assert code == 0
         assert report["result"]["mutual_gap_bound"] == pytest.approx(0.03)
+
+    def test_shared_options_go_after_the_leaf(self, capsys):
+        # Placed before the leaf's name, they used to be accepted and then
+        # silently overwritten by the leaf's defaults.
+        code = main(["assisted", "--json", "--seed", "4", "erasure", "--p", "0.25"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "usage" in captured.err
+        assert captured.out == ""
+        code, report = run_json(capsys, ["assisted", "erasure", "--p", "0.25", "--seed", "4"])
+        assert code == 0
+        assert report["seed"] == 4
 
     def test_p2_without_q2m_rejected(self, capsys):
         code = main(["assisted", "bounds", "--q2n", "0.5", "--p1", "0.2", "--p2", "0.1"])

@@ -51,7 +51,7 @@ from capcont.entropic import (
     holevo_information,
     von_neumann_entropy,
 )
-from capcont.errors import ArgumentError
+from capcont.errors import ArgumentError, DimensionError
 from capcont.linalg import TAU_TR, DensityMatrix
 from capcont.sampling import haar_state, random_channel, random_density_matrix, rng_for
 
@@ -376,6 +376,22 @@ def test_harness_memory_is_bounded_in_the_trial_count(harness, args):
             tracemalloc.stop()
 
     assert peak(1024) <= 1.5 * peak(256)
+
+
+def test_n_copy_harnesses_refuse_oversized_states_before_drawing():
+    # At n = 7 on qubits the reference (x) input state is 2^14 square.
+    with pytest.raises(DimensionError):
+        verify_output_entropy(identity(2), depolarizing(2, 0.1), n=7, trials=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError):
+            verify_capacity_differences(
+                identity(2), depolarizing(2, 0.1), CorollarySettings(n=7, trials=0)
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_harnesses_with_zero_trials_return_nothing():

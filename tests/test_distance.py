@@ -10,7 +10,6 @@ from capcont import channels as ch
 from capcont import sdp
 from capcont.continuity import random_nearby_pair
 from capcont.distance import (
-    HermitianPreservingMap,
     _bracket,
     bell_probe_value,
     diamond_distance,
@@ -79,7 +78,7 @@ def test_diamond_norm_identity_vs_depolarizing():
         expect = _depolarizing_gap_oracle(p)
         assert abs(res.value - expect) <= 1e-6
         # the Bell probe lower bound must coincide here
-        m = HermitianPreservingMap.difference(ch.identity(2), ch.depolarizing(2, p))
+        m = ch.ChoiMatrix.difference(ch.identity(2), ch.depolarizing(2, p))
         assert abs(bell_probe_value(m) - expect) <= 1e-10
         assert bell_probe_value(m) <= res.value + 1e-6
         assert res.dual_value <= res.value + 1e-12
@@ -114,7 +113,7 @@ def _probe_ascent_oracle(m, starts=3):
 def test_diamond_norm_matches_probe_ascent():
     rng = rng_for(32)
     a, b = random_channel(2, 3, rng), random_channel(2, 3, rng)
-    m = HermitianPreservingMap.difference(a, b)
+    m = ch.ChoiMatrix.difference(a, b)
     res = diamond_norm(m)
     assert res.status == "optimal"
     assert abs(res.value - _probe_ascent_oracle(m)) <= 2e-7
@@ -169,8 +168,8 @@ def test_diamond_norm_generic_pairs_run_the_sdp(d, k):
 
 @pytest.mark.parametrize("side", ["below-lower", "above-upper"])
 def test_diamond_norm_rejects_sdp_interval_outside_the_bracket(monkeypatch, side):
-    m = HermitianPreservingMap.difference(*random_nearby_pair(2, 2, rng_for(1, 2, 0)))
-    lower, upper = _bracket(m.choi.matrix, m.d_in, m.d_out)
+    m = ch.ChoiMatrix.difference(*random_nearby_pair(2, 2, rng_for(1, 2, 0)))
+    lower, upper = _bracket(m.matrix, m.d_in, m.d_out)
     assert lower == pytest.approx(bell_probe_value(m), abs=1e-12)
     # A self-consistent "optimal" interval that a faulty solver could print:
     # entirely below the Bell lower bound, or entirely above the |J| bound.
@@ -190,9 +189,9 @@ def test_diamond_norm_of_small_generic_map_runs_the_sdp():
     # The bracket must close relative to the norm: at scale 1e-7 a generic
     # gap u - l shrinks below any absolute tolerance, but lambda_max(Tr_out |J|)
     # is still off by O(1) relative to the norm.
-    m = HermitianPreservingMap.difference(*random_nearby_pair(2, 2, rng_for(1, 2, 0)))
+    m = ch.ChoiMatrix.difference(*random_nearby_pair(2, 2, rng_for(1, 2, 0)))
     base = diamond_norm(m)
-    lower, upper = _bracket(m.choi.matrix, m.d_in, m.d_out)
+    lower, upper = _bracket(m.matrix, m.d_in, m.d_out)
     assert upper - base.value > 1e-3 * base.value  # generic: the bracket is open
     small = diamond_norm(m.scaled(1e-7))
     assert small.iterations > 0
@@ -213,8 +212,8 @@ _SDP_ORACLE_PAIRS = [(a, b, e) for a, b, e in _BRACKET_PAIRS] + [
 
 @pytest.mark.parametrize("a,b,expect", _SDP_ORACLE_PAIRS)
 def test_sdp_solver_matches_closed_forms(a, b, expect):
-    m = HermitianPreservingMap.difference(a, b)
-    res = sdp.solve_diamond(m.choi.matrix, m.d_in, m.d_out)
+    m = ch.ChoiMatrix.difference(a, b)
+    res = sdp.solve_diamond(m.matrix, m.d_in, m.d_out)
     assert res.iterations > 0
     assert res.certified()
     assert res.dual_value <= res.value
@@ -223,7 +222,7 @@ def test_sdp_solver_matches_closed_forms(a, b, expect):
 
 def test_diamond_norm_homogeneity():
     rng = rng_for(33)
-    m = HermitianPreservingMap.difference(
+    m = ch.ChoiMatrix.difference(
         random_channel(2, 2, rng), random_channel(2, 2, rng)
     )
     base = diamond_norm(m).value
@@ -260,7 +259,7 @@ def test_probe_is_lower_bound():
     rng = rng_for(36)
     for t in range(10):
         a, b = random_channel(2, 2, rng), random_channel(2, 2, rng)
-        m = HermitianPreservingMap.difference(a, b)
+        m = ch.ChoiMatrix.difference(a, b)
         sdp_val = diamond_norm(m).value
         probe = diamond_lower_probe(m, trials=20, seed=100 + t)
         assert probe <= sdp_val + 1e-6
@@ -268,19 +267,19 @@ def test_probe_is_lower_bound():
 
 
 def test_probe_zero_map():
-    m = HermitianPreservingMap.difference(ch.identity(2), ch.identity(2))
+    m = ch.ChoiMatrix.difference(ch.identity(2), ch.identity(2))
     assert diamond_lower_probe(m, trials=5, seed=0) == 0.0
 
 
 def test_probe_seeded_determinism():
-    m = HermitianPreservingMap.difference(ch.identity(2), ch.dephasing(0.3))
+    m = ch.ChoiMatrix.difference(ch.identity(2), ch.dephasing(0.3))
     a = diamond_lower_probe(m, trials=7, seed=42)
     b = diamond_lower_probe(m, trials=7, seed=42)
     assert a == b
 
 
 def test_probe_validates_input():
-    m = HermitianPreservingMap.difference(ch.identity(2), ch.dephasing(0.3))
+    m = ch.ChoiMatrix.difference(ch.identity(2), ch.dephasing(0.3))
     with pytest.raises(ArgumentError):
         probe_value(m, maximally_entangled(3))
     with pytest.raises(ArgumentError):
@@ -292,7 +291,7 @@ def test_probe_value_matches_kraus_kron_oracle():
     # Kraus operators; d_ref = 4 also differs from d_in = 2 and d_out = 3.
     rng = rng_for(37)
     a, b = random_channel(2, 3, rng), random_channel(2, 3, rng)
-    m = HermitianPreservingMap.difference(a, b)
+    m = ch.ChoiMatrix.difference(a, b)
     for d_ref in (3, 4):
         psi = haar_state(2 * d_ref, rng, dims=(2, d_ref))
         proj = np.outer(psi.vector, psi.vector.conj())

@@ -123,6 +123,13 @@ def test_coherent_information_input_validation():
         coherent_information(ch.identity(2), DensityMatrix.maximally_mixed(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ensemble_rejects_non_finite_weights(bad):
+    rho = DensityMatrix.maximally_mixed(2)
+    with pytest.raises(ArgumentError):
+        Ensemble([(bad, rho), (1.0, rho)])
+
+
 def test_holevo_information_cases():
     single = Ensemble([(1.0, DensityMatrix.maximally_mixed(2))])
     assert abs(holevo_information(ch.identity(2), single)) < 1e-12

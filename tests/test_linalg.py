@@ -7,33 +7,18 @@ from hypothesis import strategies as st
 
 from capcont.errors import ArgumentError, DimensionError
 from capcont.linalg import (
-    D_MAX,
     TAU_PSD,
     DensityMatrix,
     PureState,
     basis_state,
-    eigh,
     maximally_entangled,
     partial_trace,
     partial_trace_matrix,
     purify,
-    tensor,
     trace_norm,
 )
 
 # ---------------------------------------------------------------- oracles
-
-
-def _kron_oracle(a, b):
-    """Index-by-index Kronecker product, independent of np.kron."""
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
 
 
 def _ptrace_oracle(m, dims, keep):
@@ -79,29 +64,6 @@ def _rand_dm(rng, d):
 def _rand_herm(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (g + g.conj().T) / 2.0
-
-
-# ----------------------------------------------------------------- tensor
-
-
-def test_tensor_identities():
-    assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-    out = tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    assert np.array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-
-def test_tensor_matches_index_oracle():
-    rng = np.random.default_rng(7)
-    for da, db in [(2, 2), (2, 3), (3, 2)]:
-        a = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
-        b = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
-        assert np.allclose(tensor(a, b), _kron_oracle(a, b))
-
-
-def test_tensor_dimension_guard():
-    big = np.eye(D_MAX // 2 + 1)
-    with pytest.raises(DimensionError):
-        tensor(big, np.eye(2))
 
 
 # ----------------------------------------------------------------- states
@@ -181,30 +143,6 @@ def test_partial_trace_preserves_state_properties(seed, dims):
         assert abs(red.matrix.trace().real - 1.0) < 1e-10
 
 
-# ------------------------------------------------------------------- eigh
-
-
-def test_eigh_pauli_x():
-    w, v = eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(w, [1.0, -1.0])
-    assert np.allclose(v @ np.diag(w) @ v.conj().T, [[0, 1], [1, 0]])
-
-
-def test_eigh_rejects_non_hermitian():
-    with pytest.raises(ArgumentError):
-        eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 8))
-def test_eigh_reconstructs_and_sorts(seed, d):
-    h = _rand_herm(np.random.default_rng(seed), d)
-    w, v = eigh(h)
-    assert np.all(np.diff(w) <= 1e-12)
-    assert np.allclose(v @ np.diag(w) @ v.conj().T, h, atol=1e-10)
-    assert np.allclose(v.conj().T @ v, np.eye(d), atol=1e-10)
-
-
 # ----------------------------------------------------------------- purify
 
 
@@ -266,6 +204,6 @@ def test_trace_norm_triangle_and_homogeneity(seed, d):
 def test_density_eigenvalues_form_distribution():
     rng = np.random.default_rng(19)
     rho = DensityMatrix(_rand_dm(rng, 5))
-    w, _ = eigh(rho.matrix)
+    w = np.linalg.eigvalsh(rho.matrix)
     assert np.all(w >= -TAU_PSD)
     assert abs(np.sum(w) - 1.0) < 1e-10

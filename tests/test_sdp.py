@@ -8,7 +8,8 @@ import scipy.linalg as sla
 
 from capcont import sdp
 from capcont.continuity import random_nearby_pair
-from capcont.distance import HermitianPreservingMap, diamond_distance
+from capcont.channels import ChoiMatrix
+from capcont.distance import diamond_distance
 from capcont.sampling import rng_for
 
 
@@ -237,6 +238,6 @@ _PINNED_ITERATIONS = {2: [10, 9, 9, 8, 7], 3: [11, 10, 10, 10, 10], 4: [11, 10, 
 def test_solver_iteration_counts_are_pinned(d):
     for k, expect in enumerate(_PINNED_ITERATIONS[d]):
         a, b = random_nearby_pair(d, d, rng_for(1, d, k))
-        sol = sdp.solve_diamond(HermitianPreservingMap.difference(a, b).choi.matrix, d, d)
+        sol = sdp.solve_diamond(ChoiMatrix.difference(a, b).matrix, d, d)
         assert sol.certified()
         assert sol.iterations == expect, k
