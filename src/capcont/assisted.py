@@ -11,6 +11,7 @@ concrete pair is a geometry problem with no operational recipe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ArgumentError
@@ -55,13 +56,17 @@ def simulation_upper_bound(q2_n: float, p1: float, log_d: float) -> float:
 
     The derivation divides by the simulating capacity, so q2_n must be
     positive: the bound only exists in the interior of the
-    positive-capacity region.
+    positive-capacity region. No capacity exceeds the finite ceiling log_d.
     """
     q2_n = float(q2_n)
     if q2_n <= 0:
         raise ArgumentError(f"simulating capacity {q2_n} must be positive")
+    log_d = float(log_d)
+    if not 0.0 < log_d < math.inf:
+        raise ArgumentError(f"log_d {log_d} must be positive and finite")
+    q2_n = _check_range("q2_n", q2_n, 0.0, log_d)
     p1 = _check_range("p1", p1, 0.0, 1.0)
-    return p1 * float(log_d) + (1.0 - p1) * q2_n
+    return p1 * log_d + (1.0 - p1) * q2_n
 
 
 def mutual_gap_bound(

@@ -188,6 +188,17 @@ def _ascend(
     return params, f, used, tuple(reasons.tolist()), converged
 
 
+def _check_stack(ch: QuantumChannel, restarts: int, pieces: int) -> None:
+    """Refuse a restart stack with more entries than a D_MAX x D_MAX matrix.
+
+    Each restart holds `pieces` matrices of at most d x d, d the largest of
+    the input, output and environment dimensions.
+    """
+    d = max(ch.d_in, ch.d_out, len(ch.kraus))
+    if restarts * pieces * d * d > D_MAX**2:
+        raise DimensionError(f"{restarts} x {pieces} stacks of {d} x {d} exceed D_MAX^2")
+
+
 def _run_restarts(
     value_of,
     grad_of,
@@ -231,6 +242,7 @@ def max_coherent_information(
     d = ch.d_in
     if d * d > D_MAX:
         raise DimensionError(f"purification dimension {d * d} exceeds D_MAX={D_MAX}")
+    _check_stack(ch, restarts, 1)
     kb = ch.kraus
     ke = complementary(ch).kraus
     kb_adj, ke_adj = _adjoint(kb), _adjoint(ke)
@@ -274,6 +286,7 @@ def _max_over_ensembles(
 ) -> OptimizationReport:
     if ensemble_size < 2:
         raise ArgumentError(f"ensemble size must be >= 2, got {ensemble_size}")
+    _check_stack(ch, restarts, ensemble_size)
     d = ch.d_in
     m = ensemble_size
     legs = [ch.kraus]

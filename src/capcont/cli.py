@@ -12,7 +12,9 @@ Reports carry a versioned envelope (schema, tool version, seed,
 tolerances) and are emitted as deterministic JSON (sorted keys, no
 timestamps), CSV for trend tables, or plain text.  Identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 operational
-error, 2 at least one bound violation.
+error, 2 at least one bound violation.  The library decides every verdict
+with fixed tolerances, entropy TAU_ENT = 1e-7 and distance TAU_SDP = 1e-6,
+both printed in every envelope; this module only parses, calls, serializes.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ def _cmd_norm(args) -> tuple[int, dict, None]:
         "iterations": res.iterations,
         "status": res.status,
         "rel_gap": res.rel_gap,
-        "certified": res.certified(args.tol_dist),
+        "certified": res.certified(),
     }
     if args.probe_trials > 0:
         result["probe_lower_bound"] = diamond_lower_probe(
@@ -290,7 +292,7 @@ def _cmd_capacity(args) -> tuple[int, dict, None]:
     return EXIT_OK, result, None
 
 
-def _report_row(r: BoundReport, tol_ent: float) -> dict:
+def _report_row(r: BoundReport) -> dict:
     return {
         "quantity": r.quantity_name,
         "measured": r.measured,
@@ -300,7 +302,7 @@ def _report_row(r: BoundReport, tol_ent: float) -> dict:
         "d": r.d_b,
         "margin": r.margin,
         "hard": r.hard,
-        "violated": bool(r.hard and r.margin < -tol_ent),
+        "violated": r.violated,
         "detail": r.detail,
     }
 
@@ -309,10 +311,13 @@ def _cmd_verify(args) -> tuple[int, dict, None]:
     check = args.check
     if args.trials is not None and args.trials < 1:
         raise SpecError("bad-argument", f"--trials must be at least 1, got {args.trials}")
+    # Only the counts the user gave; the library owns every default.
+    trials = {} if args.trials is None else {"trials": args.trials}
+    copies = {} if args.n is None else {"n": args.n}
     if check == "fannes":
-        reports = verify_fannes(trials=_default(args.trials, 1000), seed=args.seed)
+        reports = verify_fannes(seed=args.seed, **trials)
     elif check == "af":
-        reports = verify_af(trials=_default(args.trials, 1000), seed=args.seed)
+        reports = verify_af(seed=args.seed, **trials)
     else:
         if not args.channel_a or not args.channel_b:
             raise SpecError(
@@ -321,22 +326,13 @@ def _cmd_verify(args) -> tuple[int, dict, None]:
         a = parse_channel_spec(args.channel_a)
         b = parse_channel_spec(args.channel_b)
         if check == "theorem3":
-            reports = verify_output_entropy(
-                a,
-                b,
-                n=_default(args.n, 1),
-                trials=_default(args.trials, 50),
-                seed=args.seed,
-            )
+            reports = verify_output_entropy(a, b, seed=args.seed, **copies, **trials)
         else:
             settings = CorollarySettings(
-                n=_default(args.n, 1),
-                trials=_default(args.trials, 10),
-                seed=args.seed,
-                optimized=args.optimized,
+                seed=args.seed, optimized=args.optimized, **copies, **trials
             )
             reports = verify_capacity_differences(a, b, settings)
-    rows = [_report_row(r, args.tol_ent) for r in reports]
+    rows = [_report_row(r) for r in reports]
     violations = sum(row["violated"] for row in rows)
     result = {
         "check": check,
@@ -375,10 +371,6 @@ def _cmd_assisted(args) -> tuple[int, dict, None]:
     return EXIT_OK, result, None
 
 
-def _default(value, fallback):
-    return fallback if value is None else value
-
-
 # ---------------------------------------------------------------------------
 # report assembly and emission
 
@@ -402,7 +394,7 @@ def _envelope(args, result: dict) -> dict:
         "version": __version__,
         "command": args.command_name,
         "seed": args.seed,
-        "tolerances": {"entropy": args.tol_ent, "distance": args.tol_dist},
+        "tolerances": {"entropy": TAU_ENT, "distance": TAU_SDP},
         "result": result,
     }
 
@@ -451,18 +443,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument(
         "--csv", action="store_true", help="emit CSV (trend tables only)"
-    )
-    common.add_argument(
-        "--tol-ent",
-        type=float,
-        default=TAU_ENT,
-        help="slack for entropy bound violations",
-    )
-    common.add_argument(
-        "--tol-dist",
-        type=float,
-        default=TAU_SDP,
-        help="certified-gap tolerance for distances",
     )
 
     parser = _Parser(prog="capcont", description=__doc__.splitlines()[0])

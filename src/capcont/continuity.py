@@ -144,7 +144,7 @@ class BoundReport:
 
     @property
     def violated(self) -> bool:
-        return self.hard and self.margin < -TAU_ENT
+        return bool(self.hard and self.margin < -TAU_ENT)
 
 
 # Trials measured as one stack. A constant block keeps a harness's memory
@@ -267,11 +267,7 @@ def hybrid_sequence(
     phi is a state on reference (x) input^n (n+1 tensor factors); slot k
     of state k switches from ch_n to ch_m as k runs from 0 to n.
     """
-    n = int(n)
-    if n < 1:
-        raise ArgumentError(f"copy count {n} must be >= 1")
-    if (ch_n.d_in, ch_n.d_out) != (ch_m.d_in, ch_m.d_out):
-        raise ArgumentError("channel pair must share input and output dimensions")
+    n = _check_pair(ch_n, ch_m, n)
     rho_in = phi.density() if not isinstance(phi, DensityMatrix) else phi
     if len(rho_in.dims) != n + 1 or any(d != ch_n.d_in for d in rho_in.dims[1:]):
         raise ArgumentError(
@@ -314,9 +310,23 @@ def random_nearby_pair(
     return ch_n, mix([ch_n, ch_r], [1.0 - q, q])
 
 
-def _measured_eps(ch_n: QuantumChannel, ch_m: QuantumChannel, eps: float | None) -> float:
+def _check_pair(ch_n: QuantumChannel, ch_m: QuantumChannel, n: int) -> int:
+    """The copy count n >= 1 of a channel pair with matching dimensions."""
+    n = int(n)
+    if n < 1:
+        raise ArgumentError(f"copy count {n} must be >= 1")
+    if (ch_n.d_in, ch_n.d_out) != (ch_m.d_in, ch_m.d_out):
+        raise ArgumentError("channel pair must share input and output dimensions")
+    return n
+
+
+def _checked_eps(ch_n, ch_m, n: int, eps: float | None) -> tuple[int, float]:
+    """_check_pair's n, then eps or the pair's certified diamond distance."""
+    n = _check_pair(ch_n, ch_m, n)
+    check_choi_dim(ch_n.d_in, ch_n.d_in, n)  # the reference (x) input^n state
+    check_choi_dim(ch_n.d_in, ch_n.d_out, n)  # the reference (x) output^n state
     if eps is not None:
-        return float(eps)
+        return n, float(eps)
     result = diamond_distance(ch_n, ch_m)
     if not result.certified():
         raise ArgumentError(
@@ -328,13 +338,13 @@ def _measured_eps(ch_n: QuantumChannel, ch_m: QuantumChannel, eps: float | None)
         # rounding) may overshoot the formula domain by the solver
         # tolerance while the true distance sits within it.
         value = 1.0
-    return value
+    return n, value
 
 
 def verify_output_entropy(
     ch_n: QuantumChannel,
     ch_m: QuantumChannel,
-    n: int,
+    n: int = 1,
     trials: int = 50,
     seed: int = 0,
     eps: float | None = None,
@@ -347,15 +357,8 @@ def verify_output_entropy(
     eps defaults to the certified diamond distance of the pair: the
     closed-form bracket for covariant pairs, the SDP otherwise.
     """
-    n = int(n)
-    if n < 1:
-        raise ArgumentError(f"copy count {n} must be >= 1")
-    if (ch_n.d_in, ch_n.d_out) != (ch_m.d_in, ch_m.d_out):
-        raise ArgumentError("channel pair must share input and output dimensions")
+    n, eps = _checked_eps(ch_n, ch_m, n, eps)
     d_in, d_out = ch_n.d_in, ch_n.d_out
-    check_choi_dim(d_in, d_in, n)  # the reference (x) input^n state
-    check_choi_dim(d_in, d_out, n)  # the reference (x) output^n state
-    eps = _measured_eps(ch_n, ch_m, eps)
     bound = output_entropy_bound(n, eps, d_out)
     d_ref = d_in**n
     dims = (d_ref,) + (d_in,) * n
@@ -424,11 +427,8 @@ def verify_capacity_differences(
     single-letter proxies are compared with the n = 1 corollary bounds as
     consistent-with reports.
     """
-    n = int(settings.n)
+    n, eps = _checked_eps(ch_n, ch_m, settings.n, settings.eps)
     d_in, d_out = ch_n.d_in, ch_n.d_out
-    check_choi_dim(d_in, d_in, n)  # the reference (x) input^n state
-    check_choi_dim(d_in, d_out, n)  # the reference (x) output^n state
-    eps = _measured_eps(ch_n, ch_m, settings.eps)
     step = output_entropy_bound(n, eps, d_out)
     pow_n = tensor_power(ch_n, n)
     pow_m = tensor_power(ch_m, n)

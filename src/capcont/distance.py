@@ -13,6 +13,8 @@ further independent check.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import sdp
@@ -78,9 +80,7 @@ def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
     sol = sdp.solve_diamond(j, d_in, d_out)
     slack = TAU_SDP * (1.0 + abs(sol.value))
     if sol.value < lower - slack or sol.dual_value > upper + slack:
-        sol.status = "max-iters"  # the certified interval misses the bracket
-    if sol.status == "optimal" and not sol.certified():
-        sol.status = "max-iters"  # keep the status honest about the gap
+        return replace(sol, status="max-iters")  # the interval misses the bracket
     return sol
 
 

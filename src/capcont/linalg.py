@@ -21,7 +21,6 @@ from .errors import ArgumentError, DimensionError
 TAU_HERM = 1e-9   # Hermiticity residual
 TAU_TR = 1e-9     # trace / normalization residual
 TAU_PSD = 1e-8    # admissible negative eigenvalue magnitude
-TAU_EIG = 1e-8    # eigendecomposition reconstruction residual
 TAU_TP = 1e-8     # trace-preservation residual for channels
 D_MAX = 4096      # largest matrix dimension any operation may produce
 

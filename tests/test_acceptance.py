@@ -71,7 +71,7 @@ def harness_pairs() -> list[tuple]:
         for i in range(20):
             ch_n, ch_m = random_nearby_pair(2, 2, rng_for(SEED, i))
             res = diamond_distance(ch_n, ch_m)
-            assert res.certified(1e-6), f"pair {i} not certified: {res.status}"
+            assert res.certified(), f"pair {i} not certified: {res.status}"
             _HARNESS.append((ch_n, ch_m, res.value))
     return _HARNESS
 

@@ -48,6 +48,16 @@ class TestSimulationUpperBound:
         with pytest.raises(ArgumentError):
             simulation_upper_bound(0.5, bad, 1.0)
 
+    @pytest.mark.parametrize("log_d", [0.0, -3.0, math.nan, math.inf])
+    def test_ceiling_must_be_positive_and_finite(self, log_d):
+        with pytest.raises(ArgumentError, match="must be positive and finite"):
+            simulation_upper_bound(0.5, 0.5, log_d)
+
+    @pytest.mark.parametrize("q2_n", [1.5, math.nan])
+    def test_capacity_above_ceiling_rejected(self, q2_n):
+        with pytest.raises(ArgumentError, match="outside"):
+            simulation_upper_bound(q2_n, 0.5, 1.0)
+
 
 class TestMutualGapBound:
     def test_worked_example(self):

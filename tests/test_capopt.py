@@ -7,6 +7,8 @@ maximizers.
 """
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +165,28 @@ def test_n_copy_dimension_overflow():
 def test_ensemble_size_validation():
     with pytest.raises(ArgumentError):
         max_holevo(identity(2), 1, restarts=1, iters=1)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: max_holevo(identity(2), 10**7, restarts=1, iters=1),
+        lambda: max_coherent_information(identity(2), restarts=10**7, iters=1),
+    ],
+    ids=["ensemble-size", "restarts"],
+)
+def test_oversized_restart_stacks_are_refused_before_drawing(run):
+    # 10^7 x 1 x 2^2 entries exceed D_MAX^2; drawing the starts would take gigabytes.
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match="exceed D_MAX"):
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert time.perf_counter() - start < 1.0
 
 
 def test_seeded_determinism():

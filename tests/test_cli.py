@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from capcont.channels import (
     to_choi,
     truncated_classical_example,
 )
+from capcont import cli
 from capcont.cli import (
     SpecError,
     _assert_finite,
@@ -22,6 +25,8 @@ from capcont.cli import (
     parse_channel_spec,
     state_from_dict,
 )
+from capcont.continuity import BoundReport
+from capcont.entropic import TAU_ENT
 from capcont.errors import NumericError
 
 
@@ -255,12 +260,26 @@ class TestExitCodes:
             assert code == 1
             assert error_code in err, text
 
-    def test_tolerance_override_reaches_violation_exit(self, capsys):
-        # a negative slack turns every finite margin into a violation,
-        # which exercises the exit path without breaking any true bound
-        code = main(["verify", "fannes", "--trials", "2", "--tol-ent", "-1", "--json"])
-        capsys.readouterr()
+    def test_violated_report_reaches_violation_exit(self, capsys, monkeypatch):
+        # One hard report just past the library's slack: the CLI prints the
+        # report's own verdict and exits 2, without any bound being broken.
+        def broken_harness(**kwargs):
+            return [BoundReport("entropy-difference", 1.0 + 2 * TAU_ENT, 1.0, 0.1, 1, 2)]
+
+        monkeypatch.setattr(cli, "verify_fannes", broken_harness)
+        code, report = run_json(capsys, ["verify", "fannes"])
         assert code == 2
+        assert report["result"]["violations"] == 1
+        assert report["result"]["reports"][0]["violated"] is True
+
+    @pytest.mark.parametrize("flag", ["--tol-ent", "--tol-dist"])
+    def test_tolerance_flags_are_gone(self, capsys, flag):
+        # The library fixes both tolerances; neither can be loosened per run.
+        code = main(["verify", "fannes", "--trials", "2", flag, "1e9"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error (usage)" in captured.err
+        assert captured.out == ""
 
     def test_oversized_channel_is_a_bad_parameter(self, capsys):
         argv = ["norm", "diamond", "--a", "erasure:d=100,p=0.5", "--b", "erasure:d=100,p=0.4"]
@@ -291,6 +310,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "usage" in err
+
+    @pytest.mark.parametrize("command, count", [("theorem3", 50), ("corollaries", 30)])
+    def test_verify_takes_its_defaults_from_the_library(self, capsys, command, count):
+        pair = ["--channel-a", "identity:d=2", "--channel-b", "depolarizing:d=2,p=0.1"]
+        code, report = run_json(capsys, ["verify", command] + pair)
+        assert code == 0
+        assert report["result"]["count"] == count
+        assert {r["n"] for r in report["result"]["reports"]} == {1}
 
     def test_missing_channels_for_theorem3(self, capsys):
         code = main(["verify", "theorem3", "--json"])
@@ -424,6 +451,23 @@ class TestAssistedCli:
         assert code == 0
         assert report["seed"] == 4
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--q2n", "nan"], "q2_n nan outside"),
+            (["--q2n", "0.5", "--logd", "nan"], "log_d nan must be positive and finite"),
+            (["--q2n", "5", "--logd", "1"], "q2_n 5.0 outside [0.0, 1.0]"),
+            (["--q2n", "0.5", "--logd", "-3"], "log_d -3.0 must be positive and finite"),
+        ],
+    )
+    def test_bounds_out_of_range_rejected(self, capsys, flags, message):
+        # No capacity exceeds its ceiling log d, which is positive and finite.
+        code = main(["assisted", "bounds", "--p1", "0.5"] + flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_p2_without_q2m_rejected(self, capsys):
         code = main(["assisted", "bounds", "--q2n", "0.5", "--p1", "0.2", "--p2", "0.1"])
         capsys.readouterr()
@@ -483,3 +527,19 @@ class TestCapacityCli:
         )
         assert code == 0
         assert report["result"]["ensemble_size"] == 4
+
+    def test_oversized_ensemble_is_refused_before_drawing(self, capsys):
+        argv = ["capacity", "holevo", "--channel", "identity:d=2", "--ensemble-size", "10000000"]
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "exceed D_MAX" in captured.err
+        assert captured.out == ""
+        assert peak < 1 << 20
+        assert time.perf_counter() - start < 1.0

@@ -191,6 +191,25 @@ def test_verify_output_entropy_rejects_mismatched_pair():
             verify_output_entropy(identity(2), other, 1, trials=1, eps=0.1)
 
 
+def test_verify_capacity_differences_rejects_mismatched_pair():
+    # eps given: the pair check, not a failed product, refuses the pair
+    for other in (identity(3), erasure(2, 0.1)):
+        with pytest.raises(ArgumentError, match="share input and output dimensions"):
+            verify_capacity_differences(identity(2), other, CorollarySettings(eps=0.1))
+
+
+def test_pair_harnesses_refuse_zero_copies_before_measuring(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("diamond_distance ran before the copy count was checked")
+
+    monkeypatch.setattr(continuity, "diamond_distance", unreachable)
+    pair = (identity(2), depolarizing(2, 0.1))
+    with pytest.raises(ArgumentError, match="copy count 0 must be >= 1"):
+        verify_capacity_differences(*pair, CorollarySettings(n=0))
+    with pytest.raises(ArgumentError, match="copy count 0 must be >= 1"):
+        verify_output_entropy(*pair, n=0)
+
+
 def test_verify_output_entropy_identical_pair_collapses():
     reports = verify_output_entropy(identity(2), identity(2), 1, trials=5, seed=2)
     assert all(r.epsilon == 0.0 for r in reports)

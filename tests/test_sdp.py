@@ -1,5 +1,6 @@
 """Tests for the interior-point solver's per-block factors, steps and types."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -224,6 +225,22 @@ def test_sdp_solution_fields_are_python_scalars():
     assert type(sol.value) is float and type(sol.dual_value) is float
     assert type(sol.certified()) is bool and sol.certified()
     json.dumps({"value": sol.value, "lower": sol.dual_value, "certified": sol.certified()})
+
+
+def test_sdp_solution_is_frozen():
+    # A verdict is decided once; a demotion makes a new solution.
+    sol = sdp.DiamondSolution(1.0, 1.0, 0, "optimal", 0.0, 0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.status = "max-iters"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_optimal_status_means_the_interval_is_within_tau_sdp(d):
+    for k in range(3):
+        a, b = random_nearby_pair(d, d, rng_for(1, d, k))
+        sol = sdp.solve_diamond(ChoiMatrix.difference(a, b).matrix, d, d)
+        assert sol.certified()
+        assert sol.value - sol.dual_value <= sdp.TAU_SDP * (1.0 + sol.value)
 
 
 # ------------------------------------------------------------- iterations
