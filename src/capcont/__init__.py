@@ -51,7 +51,6 @@ from .channels import (
 )
 from .continuity import (
     BoundReport,
-    CorollarySettings,
     HybridSequence,
     af_bound,
     capacity_difference_bounds,

@@ -24,6 +24,14 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> float:
     return value
 
 
+def _check_ceiling(log_d: float) -> float:
+    """The capacity ceiling log d, which is positive and finite."""
+    log_d = float(log_d)
+    if not 0.0 < log_d < math.inf:
+        raise ArgumentError(f"log_d {log_d} must be positive and finite")
+    return log_d
+
+
 @dataclass(frozen=True)
 class MixingGeometry:
     """Mixing coefficients and ball geometry for a mutual simulation.
@@ -47,8 +55,7 @@ class MixingGeometry:
             raise ArgumentError(f"Delta {self.Delta} must be positive")
         if not 0.0 < self.delta <= self.Delta:
             raise ArgumentError(f"delta {self.delta} outside (0, {self.Delta}]")
-        if not self.log_d > 0:
-            raise ArgumentError(f"log_d {self.log_d} must be positive")
+        _check_ceiling(self.log_d)
 
 
 def simulation_upper_bound(q2_n: float, p1: float, log_d: float) -> float:
@@ -61,9 +68,7 @@ def simulation_upper_bound(q2_n: float, p1: float, log_d: float) -> float:
     q2_n = float(q2_n)
     if q2_n <= 0:
         raise ArgumentError(f"simulating capacity {q2_n} must be positive")
-    log_d = float(log_d)
-    if not 0.0 < log_d < math.inf:
-        raise ArgumentError(f"log_d {log_d} must be positive and finite")
+    log_d = _check_ceiling(log_d)
     q2_n = _check_range("q2_n", q2_n, 0.0, log_d)
     p1 = _check_range("p1", p1, 0.0, 1.0)
     return p1 * log_d + (1.0 - p1) * q2_n
@@ -73,7 +78,7 @@ def mutual_gap_bound(
     q2_n: float, q2_m: float, p1: float, p2: float, log_d: float
 ) -> float:
     """Two-sided capacity gap bound min of p_i (log d - capacity_i)."""
-    log_d = float(log_d)
+    log_d = _check_ceiling(log_d)
     q2_n = _check_range("q2_n", q2_n, 0.0, log_d)
     q2_m = _check_range("q2_m", q2_m, 0.0, log_d)
     p1 = _check_range("p1", p1, 0.0, 1.0)
@@ -100,7 +105,7 @@ def continuity_delta(eps: float, Delta: float, log_d: float) -> float:
     with colinear_rescale and mutual_gap_bound bounds the assisted-capacity
     gap of any pair within this separation by eps.
     """
-    return float(Delta) * float(eps) / (2.0 * float(log_d))
+    return float(Delta) * float(eps) / (2.0 * _check_ceiling(log_d))
 
 
 def erasure_q2(p: float) -> float:

@@ -8,13 +8,18 @@ paths to JSON files {"d_in", "d_out", "kraus"} with row-major [re, im]
 pairs per operator; states and ensembles come from JSON files documented
 on their loaders.
 
+Each leaf command takes only the flags it reads, the shared --seed and
+--json after its name (`verify fannes --json`); any other flag is a usage
+error.  A verify count left out takes the library's default.
+
 Reports carry a versioned envelope (schema, tool version, seed,
 tolerances) and are emitted as deterministic JSON (sorted keys, no
-timestamps), CSV for trend tables, or plain text.  Identical invocations
-produce byte-identical output.  Exit codes: 0 success, 1 operational
-error, 2 at least one bound violation.  The library decides every verdict
-with fixed tolerances, entropy TAU_ENT = 1e-7 and distance TAU_SDP = 1e-6,
-both printed in every envelope; this module only parses, calls, serializes.
+timestamps), plain text, or CSV for the trend table (`demo
+discontinuity --csv`).  Identical invocations produce byte-identical
+output.  Exit codes: 0 success, 1 operational error, 2 at least one
+bound violation.  The library decides every verdict with fixed
+tolerances, entropy TAU_ENT = 1e-7 and distance TAU_SDP = 1e-6, both
+printed in every envelope; this module only parses, calls, serializes.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from .channels import (
 )
 from .continuity import (
     BoundReport,
-    CorollarySettings,
     discontinuity_demo,
     verify_af,
     verify_capacity_differences,
@@ -220,9 +224,9 @@ def ensemble_from_dict(data: dict) -> Ensemble:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit_code, result dict, csv rows or None)
+# subcommand handlers: each returns (exit_code, result dict)
 
-def _cmd_norm(args) -> tuple[int, dict, None]:
+def _cmd_norm(args) -> tuple[int, dict]:
     if args.probe_trials < 0:
         raise SpecError(
             "bad-argument", f"--probe-trials must be at least 0, got {args.probe_trials}"
@@ -244,19 +248,15 @@ def _cmd_norm(args) -> tuple[int, dict, None]:
         result["probe_lower_bound"] = diamond_lower_probe(
             choi, args.probe_trials, args.seed
         )
-    return EXIT_OK, result, None
+    return EXIT_OK, result
 
 
-def _cmd_entropy(args) -> tuple[int, dict, None]:
+def _cmd_entropy(args) -> tuple[int, dict]:
     state = state_from_dict(_load_json(args.state))
-    return (
-        EXIT_OK,
-        {"entropy": von_neumann_entropy(state), "dims": list(state.dims)},
-        None,
-    )
+    return EXIT_OK, {"entropy": von_neumann_entropy(state), "dims": list(state.dims)}
 
 
-def _cmd_info(args) -> tuple[int, dict, None]:
+def _cmd_info(args) -> tuple[int, dict]:
     ch = parse_channel_spec(args.channel)
     data = _load_json(args.input)
     if args.kind == "coherent":
@@ -265,10 +265,10 @@ def _cmd_info(args) -> tuple[int, dict, None]:
         value = holevo_information(ch, ensemble_from_dict(data))
     else:
         value = private_information(ch, ensemble_from_dict(data))
-    return EXIT_OK, {"kind": args.kind, "value": value}, None
+    return EXIT_OK, {"kind": args.kind, "value": value}
 
 
-def _cmd_capacity(args) -> tuple[int, dict, None]:
+def _cmd_capacity(args) -> tuple[int, dict]:
     ch = parse_channel_spec(args.channel)
     result = {"kind": args.kind, "n": args.n}
     if args.kind == "coherent":
@@ -289,7 +289,7 @@ def _cmd_capacity(args) -> tuple[int, dict, None]:
         stop_reasons=list(rep.stop_reasons),
         converged=rep.converged,
     )
-    return EXIT_OK, result, None
+    return EXIT_OK, result
 
 
 def _report_row(r: BoundReport) -> dict:
@@ -307,58 +307,47 @@ def _report_row(r: BoundReport) -> dict:
     }
 
 
-def _cmd_verify(args) -> tuple[int, dict, None]:
-    check = args.check
-    if args.trials is not None and args.trials < 1:
+def _cmd_verify(args) -> tuple[int, dict]:
+    # Built per call, so that a function rebound on this module after import
+    # (a wrapper that traces or replaces it) is the one called.
+    verifier = {
+        "fannes": verify_fannes,
+        "af": verify_af,
+        "theorem3": verify_output_entropy,
+        "corollaries": verify_capacity_differences,
+    }[args.check]
+    if getattr(args, "trials", 1) < 1:
         raise SpecError("bad-argument", f"--trials must be at least 1, got {args.trials}")
-    # Only the counts the user gave; the library owns every default.
-    trials = {} if args.trials is None else {"trials": args.trials}
-    copies = {} if args.n is None else {"n": args.n}
-    if check == "fannes":
-        reports = verify_fannes(seed=args.seed, **trials)
-    elif check == "af":
-        reports = verify_af(seed=args.seed, **trials)
-    else:
-        if not args.channel_a or not args.channel_b:
-            raise SpecError(
-                "bad-argument", f"verify {check} needs --channel-a and --channel-b"
-            )
-        a = parse_channel_spec(args.channel_a)
-        b = parse_channel_spec(args.channel_b)
-        if check == "theorem3":
-            reports = verify_output_entropy(a, b, seed=args.seed, **copies, **trials)
-        else:
-            settings = CorollarySettings(
-                seed=args.seed, optimized=args.optimized, **copies, **trials
-            )
-            reports = verify_capacity_differences(a, b, settings)
-    rows = [_report_row(r) for r in reports]
+    pair = [
+        parse_channel_spec(getattr(args, name))
+        for name in ("channel_a", "channel_b") if hasattr(args, name)
+    ]
+    given = {
+        name: getattr(args, name) for name in ("n", "trials", "optimized") if hasattr(args, name)
+    }
+    rows = [_report_row(r) for r in verifier(*pair, seed=args.seed, **given)]
     violations = sum(row["violated"] for row in rows)
     result = {
-        "check": check,
+        "check": args.check,
         "count": len(rows),
         "violations": violations,
         "min_margin": min(row["margin"] for row in rows),
         "reports": rows,
     }
-    return (EXIT_VIOLATION if violations else EXIT_OK), result, None
+    return (EXIT_VIOLATION if violations else EXIT_OK), result
 
 
-def _cmd_demo(args) -> tuple[int, dict, list[dict]]:
+def _cmd_demo(args) -> tuple[int, dict]:
     if args.n_max < 2:
         raise SpecError("bad-argument", f"--n-max must be at least 2, got {args.n_max}")
     rows = discontinuity_demo(range(2, args.n_max + 1))
-    return EXIT_OK, {"table": "discontinuity", "rows": rows}, rows
+    return EXIT_OK, {"table": "discontinuity", "rows": rows}
 
 
-def _cmd_assisted(args) -> tuple[int, dict, None]:
+def _cmd_assisted(args) -> tuple[int, dict]:
     if args.what == "erasure":
         lo, hi = erasure_qb_bounds(args.p)
-        return (
-            EXIT_OK,
-            {"p": args.p, "q2": erasure_q2(args.p), "qb_lower": lo, "qb_upper": hi},
-            None,
-        )
+        return EXIT_OK, {"p": args.p, "q2": erasure_q2(args.p), "qb_lower": lo, "qb_upper": hi}
     result = {
         "simulation_upper_bound": simulation_upper_bound(args.q2n, args.p1, args.logd)
     }
@@ -368,7 +357,7 @@ def _cmd_assisted(args) -> tuple[int, dict, None]:
         result["mutual_gap_bound"] = mutual_gap_bound(
             args.q2n, args.q2m, args.p1, args.p2, args.logd
         )
-    return EXIT_OK, result, None
+    return EXIT_OK, result
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +408,12 @@ def _pretty(obj, out, indent=0):
         out.write(f"{pad}{obj}\n")
 
 
-def _emit(args, report: dict, csv_rows) -> None:
-    if args.csv:
-        if csv_rows is None:
-            raise SpecError(
-                "bad-argument", "csv output is only available for trend tables"
-            )
-        writer = csv.DictWriter(sys.stdout, fieldnames=list(csv_rows[0]), lineterminator="\n")
+def _emit(args, report: dict) -> None:
+    if getattr(args, "csv", False):
+        rows = report["result"]["rows"]
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
-        writer.writerows(csv_rows)
+        writer.writerows(rows)
     elif args.json:
         print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
     else:
@@ -438,12 +424,12 @@ def _emit(args, report: dict, csv_rows) -> None:
 # argument surface
 
 def _build_parser() -> _Parser:
+    # The shared options go on each leaf only: given to a parent of nested
+    # leaves as well, the leaf's defaults would overwrite what was placed
+    # before the leaf's name.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="run seed, a non-negative integer")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument(
-        "--csv", action="store_true", help="emit CSV (trend tables only)"
-    )
 
     parser = _Parser(prog="capcont", description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -472,41 +458,50 @@ def _build_parser() -> _Parser:
     )
     p.set_defaults(func=_cmd_info)
 
-    p = sub.add_parser("capacity", parents=[common], help="maximized capacity proxy")
-    p.add_argument("kind", choices=["coherent", "holevo", "private"])
-    p.add_argument("--channel", required=True)
-    p.add_argument("--n", type=int, default=1, help="copy count")
-    p.add_argument("--restarts", type=int, default=RESTARTS)
-    p.add_argument("--iters", type=int, default=ITERS)
-    p.add_argument(
-        "--ensemble-size",
-        type=int,
-        default=None,
-        help="ensemble size for holevo/private; default the single-copy d_in"
-        " squared (4 for a qubit channel, at any --n)",
-    )
+    optimizer = argparse.ArgumentParser(add_help=False, parents=[common])
+    optimizer.add_argument("--channel", required=True)
+    optimizer.add_argument("--n", type=int, default=1, help="copy count")
+    optimizer.add_argument("--restarts", type=int, default=RESTARTS)
+    optimizer.add_argument("--iters", type=int, default=ITERS)
+    p = sub.add_parser("capacity", help="maximized capacity proxy")
     p.set_defaults(func=_cmd_capacity)
+    csub = p.add_subparsers(dest="kind", required=True, parser_class=_Parser)
+    csub.add_parser("coherent", parents=[optimizer])
+    for kind in ("holevo", "private"):
+        csub.add_parser(kind, parents=[optimizer]).add_argument(
+            "--ensemble-size",
+            type=int,
+            default=None,
+            help="default the single-copy d_in squared (4 for a qubit channel, at any --n)",
+        )
 
-    p = sub.add_parser("verify", parents=[common], help="bound verification harness")
-    p.add_argument("check", choices=["theorem3", "fannes", "af", "corollaries"])
-    p.add_argument("--channel-a")
-    p.add_argument("--channel-b")
-    p.add_argument("--n", type=int, default=None, help="copy count")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument(
+    # The verify counts default to SUPPRESS: only the ones the user gave
+    # reach the library, which owns every default.
+    trials = argparse.ArgumentParser(add_help=False, parents=[common])
+    trials.add_argument("--trials", type=int, default=argparse.SUPPRESS)
+    pair = argparse.ArgumentParser(add_help=False, parents=[trials])
+    pair.add_argument("--channel-a", required=True)
+    pair.add_argument("--channel-b", required=True)
+    pair.add_argument("--n", type=int, default=argparse.SUPPRESS, help="copy count")
+    p = sub.add_parser("verify", help="bound verification harness")
+    p.set_defaults(func=_cmd_verify)
+    vsub = p.add_subparsers(dest="check", required=True, parser_class=_Parser)
+    for check in ("fannes", "af"):
+        vsub.add_parser(check, parents=[trials])
+    vsub.add_parser("theorem3", parents=[pair])
+    vsub.add_parser("corollaries", parents=[pair]).add_argument(
         "--optimized",
         action="store_true",
-        help="also compare independently maximized proxies (corollaries)",
+        default=argparse.SUPPRESS,
+        help="also compare independently maximized proxies",
     )
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("demo", parents=[common], help="trend tables")
     p.add_argument("what", choices=["discontinuity"])
     p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--csv", action="store_true", help="emit CSV")
     p.set_defaults(func=_cmd_demo)
 
-    # The shared options go on each leaf only: given to assisted as well, the
-    # leaf's defaults would overwrite what was placed before the leaf's name.
     p = sub.add_parser("assisted", help="assisted-capacity arithmetic")
     asub = p.add_subparsers(dest="what", required=True, parser_class=_Parser)
     pb = asub.add_parser("bounds", parents=[common])
@@ -537,10 +532,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.seed < 0:
             raise SpecError("bad-argument", f"--seed must be at least 0, got {args.seed}")
         args.command_name = _command_name(args)
-        code, result, csv_rows = args.func(args)
+        code, result = args.func(args)
         report = _envelope(args, result)
         _assert_finite(report)
-        _emit(args, report, csv_rows)
+        _emit(args, report)
         return code
     except SpecError as exc:
         print(f"capcont: error ({exc.code}): {exc}", file=sys.stderr)

@@ -385,23 +385,11 @@ def verify_output_entropy(
     return reports
 
 
-@dataclass(frozen=True)
-class CorollarySettings:
-    """Knobs for verify_capacity_differences.
-
-    trials counts the shared fixed parameters per quantity; optimized
-    additionally runs the maximizers on both channels for the
-    consistent-with comparisons; eps overrides the measured distance.
-    """
-
-    n: int = 1
-    trials: int = 10
-    ensemble_size: int = 2
-    restarts: int = 4
-    iters: int = 400
-    seed: int = 0
-    optimized: bool = False
-    eps: float | None = None
+# Fixed parameters of verify_capacity_differences: the shared ensemble size,
+# and the restarts and iteration cap of each optimized comparison.
+_ENSEMBLE_SIZE = 2
+_RESTARTS = 4
+_ITERS = 400
 
 
 def _random_ensemble(d: int, size: int, rng: np.random.Generator):
@@ -415,7 +403,11 @@ def _random_ensemble(d: int, size: int, rng: np.random.Generator):
 def verify_capacity_differences(
     ch_n: QuantumChannel,
     ch_m: QuantumChannel,
-    settings: CorollarySettings = CorollarySettings(),
+    n: int = 1,
+    trials: int = 10,
+    seed: int = 0,
+    eps: float | None = None,
+    optimized: bool = False,
 ) -> list[BoundReport]:
     """Capacity-proxy differences of a channel pair against their bounds.
 
@@ -423,11 +415,12 @@ def verify_capacity_differences(
     ensemble (or input state) is evaluated through both n-copy channels
     and the difference is compared with 2n (4 eps log d_B + 2 H(eps)),
     doubled again for the private quantity whose proof splits into four
-    entropy terms.  With settings.optimized, independently maximized
-    single-letter proxies are compared with the n = 1 corollary bounds as
-    consistent-with reports.
+    entropy terms.  With optimized, independently maximized single-letter
+    proxies are compared with the n = 1 corollary bounds as consistent-with
+    reports.  eps defaults to the certified diamond distance of the pair, as
+    in verify_output_entropy.
     """
-    n, eps = _checked_eps(ch_n, ch_m, settings.n, settings.eps)
+    n, eps = _checked_eps(ch_n, ch_m, n, eps)
     d_in, d_out = ch_n.d_in, ch_n.d_out
     step = output_entropy_bound(n, eps, d_out)
     pow_n = tensor_power(ch_n, n)
@@ -436,9 +429,9 @@ def verify_capacity_differences(
     reports = []
 
     env_n, env_m = complementary(pow_n), complementary(pow_m)
-    for t in range(settings.trials):
-        rng = rng_for(settings.seed, t)
-        probs, states = _random_ensemble(d_inn, settings.ensemble_size, rng)
+    for t in range(trials):
+        rng = rng_for(seed, t)
+        probs, states = _random_ensemble(d_inn, _ENSEMBLE_SIZE, rng)
         rho = hermitian_part(_wishart(d_inn * d_inn, d_inn * d_inn, rng))
         chi_n, chi_m, chi_en, chi_em = (
             _holevo(ch.kraus, probs, states) for ch in (pow_n, pow_m, env_n, env_m)
@@ -452,18 +445,18 @@ def verify_capacity_differences(
             ("private-term", abs((chi_n - chi_en) - (chi_m - chi_em)), 4.0 * step),
         ):
             reports.append(
-                BoundReport(name, float(gap), bound, eps, n, d_out, settings.seed, f"trial {t}")
+                BoundReport(name, float(gap), bound, eps, n, d_out, seed, f"trial {t}")
             )
 
-    if settings.optimized:
+    if optimized:
         bounds = capacity_difference_bounds(eps, d_out)
 
         def best(kind: str, ch: QuantumChannel) -> float:
-            args = (settings.restarts, settings.iters, settings.seed)
+            args = (_RESTARTS, _ITERS, seed)
             if kind == "quantum":
                 return max_coherent_information(ch, *args).best_value
             runner = max_holevo if kind == "classical" else max_private
-            return runner(ch, settings.ensemble_size, *args).best_value
+            return runner(ch, _ENSEMBLE_SIZE, *args).best_value
 
         for kind in ("classical", "quantum", "private"):
             reports.append(
@@ -474,7 +467,7 @@ def verify_capacity_differences(
                     eps,
                     1,
                     d_out,
-                    settings.seed,
+                    seed,
                     "consistent-with: maximizers certify lower bounds only",
                     hard=False,
                 )
@@ -492,12 +485,15 @@ def discontinuity_demo(n_values: Sequence[int]) -> list[dict[str, float]]:
     half-erasure truncation, and the capacity continuity bound at the
     measured distance.  The bound is evaluated at min(eps, 1); rows with
     eps above 1 are exactly the regime where it is vacuous by design.
+    Every member is checked before any row is computed.
     """
-    rows = []
+    n_values = [int(n) for n in n_values]
     for n in n_values:
-        n = int(n)
         if n < 2:
             raise ArgumentError(f"truncation family needs n >= 2, got {n}")
+        check_choi_dim(n, n + 1)  # the n -> n + 1 truncation channels
+    rows = []
+    for n in n_values:
         ch_ref = erasure(n, 1.0)
         ch_trunc = truncated_classical_example(n)
         result = diamond_distance(ch_ref, ch_trunc)

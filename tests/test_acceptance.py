@@ -32,7 +32,6 @@ from capcont.channels import (
 )
 from capcont.cli import main
 from capcont.continuity import (
-    CorollarySettings,
     af_bound,
     discontinuity_demo,
     hybrid_sequence,
@@ -205,8 +204,7 @@ def test_6_capacity_difference_corollaries():
     problems = []
     worst = np.inf
     for i, (ch_n, ch_m, eps) in enumerate(harness_pairs()):
-        settings = CorollarySettings(n=1, trials=10, seed=i, eps=eps)
-        reports = verify_capacity_differences(ch_n, ch_m, settings)
+        reports = verify_capacity_differences(ch_n, ch_m, n=1, trials=10, seed=i, eps=eps)
         step = af_bound(eps, 2)
         for r in reports:
             factor = 4.0 if r.quantity_name == "private-term" else 2.0

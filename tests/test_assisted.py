@@ -50,8 +50,15 @@ class TestSimulationUpperBound:
 
     @pytest.mark.parametrize("log_d", [0.0, -3.0, math.nan, math.inf])
     def test_ceiling_must_be_positive_and_finite(self, log_d):
-        with pytest.raises(ArgumentError, match="must be positive and finite"):
-            simulation_upper_bound(0.5, 0.5, log_d)
+        # Every function that takes the ceiling refuses the same values.
+        for takes_ceiling in (
+            lambda: simulation_upper_bound(0.5, 0.5, log_d),
+            lambda: mutual_gap_bound(0.5, 0.5, 0.5, 0.5, log_d),
+            lambda: continuity_delta(0.1, 1.0, log_d),
+            lambda: MixingGeometry(p1=0.3, p2=0.4, Delta=1.0, delta=0.5, log_d=log_d),
+        ):
+            with pytest.raises(ArgumentError, match="must be positive and finite"):
+                takes_ceiling()
 
     @pytest.mark.parametrize("q2_n", [1.5, math.nan])
     def test_capacity_above_ceiling_rejected(self, q2_n):

@@ -328,6 +328,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("check", ["fannes", "af", "theorem3", "corollaries"])
     def test_nonpositive_trials_rejected(self, check, capsys):
         pair = ["--channel-a", "identity:d=2", "--channel-b", "depolarizing:d=2,p=0.1"]
+        pair = pair if check in ("theorem3", "corollaries") else []
         for trials in ("0", "-3"):
             code = main(["verify", check, "--trials", trials, "--json"] + pair)
             captured = capsys.readouterr()
@@ -367,10 +368,33 @@ class TestExitCodes:
         assert "Traceback" not in run.stderr
         assert run.stdout == ""
 
-    def test_csv_outside_trend_tables_rejected(self, capsys):
-        code = main(["verify", "fannes", "--trials", "1", "--csv"])
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "fannes", "--n", "5"],
+            ["verify", "af", "--optimized"],
+            ["verify", "af", "--channel-a", "identity:d=2"],
+            [
+                "verify", "theorem3", "--channel-a", "identity:d=2",
+                "--channel-b", "depolarizing:d=2,p=0.1", "--optimized",
+            ],
+            ["capacity", "coherent", "--channel", "dephasing:p=0.2", "--ensemble-size", "3"],
+            ["norm", "diamond", "--a", "identity:d=2", "--b", "depolarizing:d=2,p=0.1", "--csv"],
+            ["verify", "fannes", "--trials", "1", "--csv"],
+            ["verify", "--json", "fannes", "--trials", "1"],
+        ],
+        ids=[
+            "fannes-n", "af-optimized", "af-channel", "theorem3-optimized",
+            "coherent-ensemble-size", "norm-csv", "fannes-csv", "shared-option-before-leaf",
+        ],
+    )
+    def test_flags_the_leaf_does_not_read_are_refused(self, capsys, argv):
+        # Refused while parsing, before any work, instead of being ignored.
+        code = main(argv)
+        captured = capsys.readouterr()
         assert code == 1
+        assert "error (usage)" in captured.err
+        assert captured.out == ""
 
 
 class TestReports:

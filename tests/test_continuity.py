@@ -6,6 +6,7 @@ depolarizing pair, and the 2/log n envelope of the truncation family.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,6 @@ from capcont.channels import (
 from capcont import continuity
 from capcont.continuity import (
     BoundReport,
-    CorollarySettings,
     af_bound,
     capacity_difference_bounds,
     discontinuity_demo,
@@ -195,7 +195,7 @@ def test_verify_capacity_differences_rejects_mismatched_pair():
     # eps given: the pair check, not a failed product, refuses the pair
     for other in (identity(3), erasure(2, 0.1)):
         with pytest.raises(ArgumentError, match="share input and output dimensions"):
-            verify_capacity_differences(identity(2), other, CorollarySettings(eps=0.1))
+            verify_capacity_differences(identity(2), other, eps=0.1)
 
 
 def test_pair_harnesses_refuse_zero_copies_before_measuring(monkeypatch):
@@ -205,7 +205,7 @@ def test_pair_harnesses_refuse_zero_copies_before_measuring(monkeypatch):
     monkeypatch.setattr(continuity, "diamond_distance", unreachable)
     pair = (identity(2), depolarizing(2, 0.1))
     with pytest.raises(ArgumentError, match="copy count 0 must be >= 1"):
-        verify_capacity_differences(*pair, CorollarySettings(n=0))
+        verify_capacity_differences(*pair, n=0)
     with pytest.raises(ArgumentError, match="copy count 0 must be >= 1"):
         verify_output_entropy(*pair, n=0)
 
@@ -239,16 +239,13 @@ def test_verify_output_entropy_truncated_pair():
 
 
 def test_verify_capacity_differences_identical_pair():
-    reports = verify_capacity_differences(
-        identity(2), identity(2), CorollarySettings(trials=3, seed=5)
-    )
+    reports = verify_capacity_differences(identity(2), identity(2), trials=3, seed=5)
     assert all(r.measured <= 1e-9 for r in reports)
     assert not any(r.violated for r in reports)
 
 
 def test_verify_capacity_differences_depolarizing_pair():
-    settings = CorollarySettings(trials=5, seed=6)
-    reports = verify_capacity_differences(identity(2), depolarizing(2, 0.1), settings)
+    reports = verify_capacity_differences(identity(2), depolarizing(2, 0.1), trials=5, seed=6)
     assert abs(reports[0].epsilon - 0.15) <= 1e-6
     names = {r.quantity_name for r in reports}
     assert names == {"holevo-term", "coherent-term", "private-term"}
@@ -269,8 +266,9 @@ def test_verify_capacity_differences_depolarizing_pair():
 
 
 def test_verify_capacity_differences_optimized_reports_are_soft():
-    settings = CorollarySettings(trials=1, seed=7, optimized=True, restarts=2, iters=200)
-    reports = verify_capacity_differences(identity(2), depolarizing(2, 0.05), settings)
+    reports = verify_capacity_differences(
+        identity(2), depolarizing(2, 0.05), trials=1, seed=7, optimized=True
+    )
     soft = [r for r in reports if not r.hard]
     assert {r.quantity_name for r in soft} == {
         "optimized-classical-gap",
@@ -319,9 +317,16 @@ def test_discontinuity_demo_validation():
         discontinuity_demo([1])
 
 
+def test_discontinuity_demo_refuses_an_oversized_family_before_any_row():
+    # n = 64 is the first member past D_MAX; no row from n = 2 on is computed.
+    start = time.perf_counter()
+    with pytest.raises(DimensionError, match="Choi dimension 4160 exceeds D_MAX"):
+        discontinuity_demo(range(2, 100))
+    assert time.perf_counter() - start < 1.0
+
+
 # Reference harness: the per-trial loops that validate every state, kept
 # to pin the stacked harnesses to them bit for bit.
-
 
 def _ref_mixed_state_pair(d, rng, dims=None):
     rho = random_density_matrix(d, rng, dims=dims)
@@ -404,9 +409,7 @@ def test_n_copy_harnesses_refuse_oversized_states_before_drawing():
     tracemalloc.start()
     try:
         with pytest.raises(DimensionError):
-            verify_capacity_differences(
-                identity(2), depolarizing(2, 0.1), CorollarySettings(n=7, trials=0)
-            )
+            verify_capacity_differences(identity(2), depolarizing(2, 0.1), n=7, trials=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -433,11 +436,11 @@ def _ref_holevo(ch, ens):
 
 
 def test_stacked_corollary_terms_match_per_trial_reference():
-    ch_n, ch_m, n, trials, size, seed = dephasing(0.1), depolarizing(2, 0.1), 2, 4, 3, 3
-    settings = CorollarySettings(n=n, trials=trials, ensemble_size=size, seed=seed)
+    ch_n, ch_m, n, trials, seed = dephasing(0.1), depolarizing(2, 0.1), 2, 4, 3
+    size = continuity._ENSEMBLE_SIZE  # 2, fixed in the library
     got = [
         (r.quantity_name, r.measured, r.bound, r.detail)
-        for r in verify_capacity_differences(ch_n, ch_m, settings)
+        for r in verify_capacity_differences(ch_n, ch_m, n=n, trials=trials, seed=seed)
     ]
     step = got[0][2] / 2.0
     pow_n, pow_m = tensor_power(ch_n, n), tensor_power(ch_m, n)
@@ -487,3 +490,4 @@ def test_rng_for_rejects_negative_seed_or_branch():
         with pytest.raises(ArgumentError):
             rng_for(*args)
     assert rng_for(2**64, 0).random() == rng_for(2**64, 0).random()
+
