@@ -24,12 +24,12 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> float:
     return value
 
 
-def _check_ceiling(log_d: float) -> float:
-    """The capacity ceiling log d, which is positive and finite."""
-    log_d = float(log_d)
-    if not 0.0 < log_d < math.inf:
-        raise ArgumentError(f"log_d {log_d} must be positive and finite")
-    return log_d
+def _check_positive(name: str, value: float) -> float:
+    """A positive, finite argument: the ceiling log d, a radius or a gap."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ArgumentError(f"{name} {value} must be positive and finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,10 @@ class MixingGeometry:
     def __post_init__(self):
         _check_range("p1", self.p1, 0.0, 1.0)
         _check_range("p2", self.p2, 0.0, 0.5)
-        if not self.Delta > 0:
-            raise ArgumentError(f"Delta {self.Delta} must be positive")
+        _check_positive("Delta", self.Delta)
         if not 0.0 < self.delta <= self.Delta:
             raise ArgumentError(f"delta {self.delta} outside (0, {self.Delta}]")
-        _check_ceiling(self.log_d)
+        _check_positive("log_d", self.log_d)
 
 
 def simulation_upper_bound(q2_n: float, p1: float, log_d: float) -> float:
@@ -68,7 +67,7 @@ def simulation_upper_bound(q2_n: float, p1: float, log_d: float) -> float:
     q2_n = float(q2_n)
     if q2_n <= 0:
         raise ArgumentError(f"simulating capacity {q2_n} must be positive")
-    log_d = _check_ceiling(log_d)
+    log_d = _check_positive("log_d", log_d)
     q2_n = _check_range("q2_n", q2_n, 0.0, log_d)
     p1 = _check_range("p1", p1, 0.0, 1.0)
     return p1 * log_d + (1.0 - p1) * q2_n
@@ -78,7 +77,7 @@ def mutual_gap_bound(
     q2_n: float, q2_m: float, p1: float, p2: float, log_d: float
 ) -> float:
     """Two-sided capacity gap bound min of p_i (log d - capacity_i)."""
-    log_d = _check_ceiling(log_d)
+    log_d = _check_positive("log_d", log_d)
     q2_n = _check_range("q2_n", q2_n, 0.0, log_d)
     q2_m = _check_range("q2_m", q2_m, 0.0, log_d)
     p1 = _check_range("p1", p1, 0.0, 1.0)
@@ -101,11 +100,12 @@ def colinear_rescale(geom: MixingGeometry) -> tuple[float, float]:
 def continuity_delta(eps: float, Delta: float, log_d: float) -> float:
     """Separation radius Delta eps / (2 log d) that keeps the gap within eps.
 
-    All three arguments are positive by assumption; composing the result
+    All three arguments must be positive and finite; composing the result
     with colinear_rescale and mutual_gap_bound bounds the assisted-capacity
     gap of any pair within this separation by eps.
     """
-    return float(Delta) * float(eps) / (2.0 * _check_ceiling(log_d))
+    return (_check_positive("Delta", Delta) * _check_positive("eps", eps)
+            / (2.0 * _check_positive("log_d", log_d)))
 
 
 def erasure_q2(p: float) -> float:

@@ -29,6 +29,7 @@ import csv
 import json
 import math
 import operator
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -536,7 +537,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         report = _envelope(args, result)
         _assert_finite(report)
         _emit(args, report)
+        sys.stdout.flush()
         return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`capcont ... | head -1`). Point the
+        # stdout descriptor at devnull so that the flush at exit raises
+        # nothing, as the `signal` module docs recommend. An in-memory
+        # stdout has no descriptor to point anywhere.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):
+            return EXIT_ERROR
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return EXIT_ERROR
     except SpecError as exc:
         print(f"capcont: error ({exc.code}): {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -59,6 +59,11 @@ The predictor direction never moves the iterate: it only sizes the affine
 steps, and so sigma, and feeds the corrector's cross term. It is one
 unrefined solve. The corrector, which moves x, is refined until its Schur
 residual, the feasibility drift it injects, stops shrinking.
+
+This module is the only importer of scipy, and it imports scipy.linalg at
+the first solve, not at import: `distance`, `cli` and `capcont` read the
+constants and `DiamondSolution` from here, and a command that the bracket
+certifies, or that never measures a distance, does not load scipy.
 """
 
 from __future__ import annotations
@@ -66,9 +71,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.blas import zherk
 
+# scipy loads at the first SDP solve: `_capacitance` and `_Schur` import
+# scipy.linalg in their bodies.
 from .linalg import hermitian_part
 
 GAP_TARGET = 1e-8     # internal relative-gap target
@@ -149,6 +154,8 @@ def _capacitance(gw: np.ndarray, denom: np.ndarray) -> np.ndarray:
     at half weight), summed into H by zherk one row i at a time (memory
     O(n_c d_A^2)), give it all as I + H + Pi conj(H) Pi, Pi: (k, l) -> (l, k).
     """
+    import scipy.linalg as sla
+
     n_c, d_a, d_b = gw.shape
     weight = 1.0 / np.sqrt(denom)
     weight[np.diag_indices(n_c)] *= np.sqrt(0.5)
@@ -157,7 +164,7 @@ def _capacitance(gw: np.ndarray, denom: np.ndarray) -> np.ndarray:
     for i in range(n_c):
         # Row j of t holds T_kl[i, j] at column (l, k).
         t = (gw_conj[i:].reshape(-1, d_b) @ gw[i].T).reshape(n_c - i, d_a * d_a)
-        h = zherk(1.0, (t * weight[i, i:, None]).T, beta=1.0, c=h, overwrite_c=1)
+        h = sla.blas.zherk(1.0, (t * weight[i, i:, None]).T, beta=1.0, c=h, overwrite_c=1)
     h = np.triu(h) + np.triu(h, 1).conj().T
     swapped = h.reshape((d_a,) * 4).transpose(1, 0, 3, 2).reshape(h.shape)
     return np.eye(d_a * d_a) + h + swapped.conj()
@@ -202,6 +209,8 @@ class _Schur:
     """
 
     def __init__(self, d_a: int, d_b: int, w_p, w_q, g_rho):
+        import scipy.linalg as sla
+
         self.d_a, self.d_b = d_a, d_b
         n_c = d_a * d_b
         l = np.linalg.cholesky(w_p + w_q)
@@ -226,6 +235,8 @@ class _Schur:
         return hermitian_part(gh @ ((g @ r @ gh) / self._denom) @ g)
 
     def solve(self, r_y: np.ndarray, r_tau: float) -> tuple[np.ndarray, float]:
+        import scipy.linalg as sla
+
         d_a, d_b, g_rho = self.d_a, self.d_b, self._g_rho
         u1 = self._h0_solve(r_y)
         z0 = (g_rho.conj().T @ _trace_b(u1, d_a, d_b) @ g_rho).reshape(-1)

@@ -186,6 +186,15 @@ class TestContinuityDelta:
     def test_worked_example(self):
         assert continuity_delta(0.01, 0.1, 1.0) == pytest.approx(5e-4)
 
+    @pytest.mark.parametrize(
+        "eps, Delta",
+        [(-0.5, 1.0), (0.1, -2.0), (0.1, math.inf), (math.nan, 1.0)],
+        ids=["negative-eps", "negative-Delta", "infinite-Delta", "nan-eps"],
+    )
+    def test_gap_and_radius_must_be_positive_and_finite(self, eps, Delta):
+        with pytest.raises(ArgumentError, match="must be positive and finite"):
+            continuity_delta(eps, Delta, 1.0)
+
     def test_composition_keeps_gap_within_eps(self):
         # Worst-case mixing weights p1 = p2 = 1/2: the separation radius
         # from continuity_delta must keep min(q1, q2) log d within eps.

@@ -1,10 +1,12 @@
 """Tests for the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,14 @@ def run_json(capsys, argv):
     code = main(argv + ["--json"])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_fresh(args, **kwargs):
+    """Run a fresh interpreter that imports capcont from this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, text=True, **kwargs)
 
 
 class TestParseChannelSpec:
@@ -368,6 +378,22 @@ class TestExitCodes:
         assert "Traceback" not in run.stderr
         assert run.stdout == ""
 
+    def test_closed_stdout_exits_quietly(self):
+        # The reader has gone before the first write, as `| head -1` is once
+        # it has its line, so every write meets a broken pipe.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = run_fresh(
+                ["-m", "capcont.cli", "verify", "fannes", "--trials", "200", "--json"],
+                stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        assert run.stderr == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -567,3 +593,31 @@ class TestCapacityCli:
         assert captured.out == ""
         assert peak < 1 << 20
         assert time.perf_counter() - start < 1.0
+
+
+# Commands that never solve an SDP, then one generic pair that the bracket
+# cannot certify.
+LAZY_SCIPY = """
+import contextlib, io, sys
+import capcont, capcont.cli
+from capcont.continuity import random_nearby_pair
+from capcont.distance import diamond_distance
+from capcont.sampling import rng_for
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert capcont.cli.main(["verify", "fannes", "--trials", "10", "--json"]) == 0
+    assert capcont.cli.main([
+        "capacity", "coherent", "--channel", "erasure:d=2,p=0.25",
+        "--restarts", "1", "--iters", "50", "--json",
+    ]) == 0
+assert "scipy" not in sys.modules, "scipy loaded before the first SDP solve"
+sol = diamond_distance(*random_nearby_pair(3, 3, rng_for(1, 3, 0)))
+assert sol.certified() and sol.iterations > 0, sol
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_scipy_loads_at_the_first_sdp_solve():
+    # The in-process suite cannot see this: tests/test_sdp.py imports scipy.
+    run = run_fresh(["-c", LAZY_SCIPY], capture_output=True)
+    assert run.returncode == 0, run.stderr
