@@ -14,7 +14,10 @@ Channel application lives only here, in one kernel on raw matrices,
 _kraus_sum. _apply_full calls it on the whole space, or on a stack of
 whole-space matrices (the stack of K^dag gives the adjoint), and
 _apply_on_factors once per tensor slot, after moving the slot's axes to the
-ends. The public apply and apply_extended validate.
+ends. The public apply and apply_extended validate. A pure input needs no
+square matrix: _kraus_images returns the matrix Y whose columns are the
+images of the vector under every Kraus product, so the output is Y Y^dag,
+and its nonzero spectrum is that of the Gram matrix Y^dag Y.
 
 Conventions fixed here for reproducibility:
   * Choi matrix lives on in (x) out: J = sum_ij |i><j| (x) N(|i><j|).
@@ -195,6 +198,24 @@ def _apply_on_factors(
         d_tot = left * d_out * right
         mat = np.moveaxis(out, (0, 5), (1, 4)).reshape(d_tot, d_tot)
     return linalg.hermitian_part(mat), dims
+
+
+def _kraus_images(
+    kraus: np.ndarray, vec: np.ndarray, dims: tuple[int, ...], factors: Iterable[int]
+) -> np.ndarray:
+    """Images of a vector under every Kraus product on the listed tensor factors.
+
+    Column (k_1, ..., k_m), first index slowest as in tensor_power, is
+    (K_k1 (x) ... (x) K_km on the factors, identity elsewhere)|vec>, and the
+    rows run over the output space in factor order. So Y Y^dag is
+    _apply_on_factors of |vec><vec|, without forming either square matrix.
+    """
+    t = vec.reshape((1,) + tuple(dims))  # leading axis: the Kraus index so far
+    for f in factors:
+        t = np.tensordot(kraus, t, axes=([2], [1 + f]))  # (r, d_out, R, other axes)
+        t = np.moveaxis(t, (0, 1), (1, 2 + f))  # (R, r, ..., d_out in slot f, ...)
+        t = t.reshape((-1,) + t.shape[2:])
+    return t.reshape(len(t), -1).T
 
 
 def apply(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:

@@ -4,10 +4,12 @@ The bound formulas are closed-form expressions in the distance eps, the
 output dimension, and the copy count.  The harness measures both sides of
 each inequality on randomized instances: channel distances come from the
 certified diamond norm (the closed-form bracket for covariant pairs, the
-SDP otherwise), entropy differences from exact eigendecompositions, and
-capacity-proxy differences from either shared fixed parameters (hard
-checks) or independent maximizations (consistent-with checks, since the
-maximizers certify lower bounds only and cannot witness a violation).
+SDP otherwise), entropy differences from exact eigendecompositions (for
+the n-copy output of a pure input, of the smaller Gram matrix of its Kraus
+images, which shares the output's nonzero spectrum), and capacity-proxy
+differences from either shared fixed parameters (hard checks) or
+independent maximizations (consistent-with checks, since the maximizers
+certify lower bounds only and cannot witness a violation).
 Trials draw raw matrices from their own seeded streams and are measured
 as stacks; validated state types appear only at the public boundary.
 
@@ -31,6 +33,7 @@ from .capopt import max_coherent_information, max_holevo, max_private
 from .channels import (
     QuantumChannel,
     _apply_on_factors,
+    _kraus_images,
     complementary,
     erasure,
     mix,
@@ -341,6 +344,18 @@ def _checked_eps(ch_n, ch_m, n: int, eps: float | None) -> tuple[int, float]:
     return n, value
 
 
+def _pure_output_entropy(ch: QuantumChannel, v: np.ndarray, dims: tuple[int, ...]) -> float:
+    """Output entropy of ch on every factor of the pure state v but the first.
+
+    The output is Y Y^dag for Y = _kraus_images; the environment's state
+    Y^dag Y has the same nonzero spectrum, and the smaller of the two is
+    decomposed.
+    """
+    y = _kraus_images(ch.kraus, v, dims, range(1, len(dims)))
+    rows, cols = y.shape
+    return entropy_of_matrix(y.conj().T @ y if cols <= rows else y @ y.conj().T)
+
+
 def verify_output_entropy(
     ch_n: QuantumChannel,
     ch_m: QuantumChannel,
@@ -356,6 +371,14 @@ def verify_output_entropy(
     two outputs is compared with output_entropy_bound(n, eps, d_out).
     eps defaults to the certified diamond distance of the pair: the
     closed-form bracket for covariant pairs, the SDP otherwise.
+
+    Each entropy comes from a Gram matrix; |v><v| is never formed. For a
+    pure input |v>, the output is Y Y^dag, where Y's columns are the images
+    of |v> under the r^n Kraus products of the n-copy channel. Since the
+    state on reference, output and environment is pure, S(RB^n) = S(E^n),
+    and the environment's state is the Gram matrix Y^dag Y. So the entropy
+    is taken from Y^dag Y (r^n square) when r^n <= d_ref d_out^n, and from
+    the output Y Y^dag otherwise.
     """
     n, eps = _checked_eps(ch_n, ch_m, n, eps)
     d_in, d_out = ch_n.d_in, ch_n.d_out
@@ -363,13 +386,9 @@ def verify_output_entropy(
     d_ref = d_in**n
     dims = (d_ref,) + (d_in,) * n
     reports = []
-    slots = range(1, n + 1)
     for t in range(trials):
         v = haar_state(d_ref * d_in**n, rng_for(seed, t), dims=dims).vector
-        rho_in = hermitian_part(np.outer(v, v.conj()))
-        out_n, _ = _apply_on_factors(ch_n.kraus, rho_in, dims, slots)
-        out_m, _ = _apply_on_factors(ch_m.kraus, rho_in, dims, slots)
-        measured = abs(entropy_of_matrix(out_n) - entropy_of_matrix(out_m))
+        measured = abs(_pure_output_entropy(ch_n, v, dims) - _pure_output_entropy(ch_m, v, dims))
         reports.append(
             BoundReport(
                 quantity_name="output-entropy",

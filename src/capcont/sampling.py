@@ -64,6 +64,10 @@ def random_channel(
     k = d_in * d_out if kraus_count is None else int(kraus_count)
     if k < 1:
         raise ArgumentError(f"kraus_count must be positive, got {k}")
+    if k * d_out < d_in:  # no isometry from in into out (x) env exists
+        raise ArgumentError(
+            f"kraus_count {k} too small: {k} * d_out {d_out} < d_in {d_in}"
+        )
     check_choi_dim(d_in, d_out)
     g = rng.normal(size=(d_out * k, d_in)) + 1j * rng.normal(size=(d_out * k, d_in))
     q, _ = np.linalg.qr(g)  # columns orthonormal: an isometry into out (x) env

@@ -154,6 +154,34 @@ def test_apply_extended_matches_tensor_power():
     assert np.allclose(both.matrix, via_power.matrix, atol=1e-10)
 
 
+def test_kraus_images_give_the_output_of_a_pure_input():
+    # Y Y^dag is the output of |v><v|, on a middle slot, on non-adjacent
+    # slots with d_out != d_in, and on every slot; column k is the image
+    # under the k-th Kraus operator of the tensor power, first index slowest.
+    rng = rng_for(41)
+    chan = random_channel(2, 3, rng, kraus_count=3)
+    cases = [
+        ((3, 2, 3), (1,), ch.dephasing(0.3)),
+        ((2, 3, 2), (0, 2), chan),
+        ((2, 2), (0, 1), chan),
+    ]
+    for dims, factors, channel in cases:
+        v = rng.normal(size=int(np.prod(dims))) + 1j * rng.normal(size=int(np.prod(dims)))
+        y = ch._kraus_images(channel.kraus, v, dims, factors)
+        ref, _ = ch._apply_on_factors(channel.kraus, np.outer(v, v.conj()), dims, factors)
+        assert y.shape == (len(ref), len(channel.kraus) ** len(factors))
+        assert np.allclose(y @ y.conj().T, ref, atol=1e-12)
+    power = ch.tensor_power(chan, 2)
+    assert np.allclose(y, np.stack([k @ v for k in power.kraus], axis=1), atol=1e-12)
+
+
+def test_random_channel_refuses_an_environment_too_small_for_an_isometry():
+    # No isometry from C^8 into C^2 (x) C^3 exists.
+    with pytest.raises(ArgumentError, match="kraus_count 3 too small"):
+        random_channel(8, 2, rng_for(0), 3)
+    assert random_channel(8, 2, rng_for(0), 4).kraus.shape == (4, 2, 8)
+
+
 def test_apply_full_on_a_stack_equals_per_slice_calls():
     # Each slice of a stack gets its own broadcast product, summed in Kraus
     # index order, so it matches the 2-D call bit for bit: on channels,

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from capcont.channels import (
     _apply_full,
+    _apply_on_factors,
     apply_extended,
     complementary,
     dephasing,
@@ -227,6 +228,65 @@ def test_verify_output_entropy_depolarizing_pair():
     assert all(r.n == 2 and r.d_b == 2 for r in reports)
     assert not any(r.violated for r in reports)
     assert all(r.margin == r.bound - r.measured for r in reports)
+
+
+NEARBY_PAIR = random_nearby_pair(2, 2, rng_for(5, 2, 0))
+
+
+def test_nearby_pair_has_both_gram_sizes():
+    assert [len(c.kraus) for c in NEARBY_PAIR] == [4, 8]
+
+
+def _ref_output_entropy(ch_n, ch_m, n, trials, seed):
+    """Per-trial output-entropy differences from the formed n-copy outputs."""
+    dims = (ch_n.d_in**n,) + (ch_n.d_in,) * n
+    measured = []
+    for t in range(trials):
+        v = haar_state(ch_n.d_in ** (2 * n), rng_for(seed, t), dims=dims).vector
+        rho = np.outer(v, v.conj())
+        s_n, s_m = (
+            entropy_of_matrix(_apply_on_factors(ch.kraus, rho, dims, range(1, n + 1))[0])
+            for ch in (ch_n, ch_m)
+        )
+        measured.append(abs(s_n - s_m))
+    return measured
+
+
+@pytest.mark.parametrize("pair,copies", [
+    # The pairs and copy counts of the benchmark's harness workload.
+    ((identity(2), depolarizing(2, 0.1)), (1, 2, 3)),
+    ((identity(3), depolarizing(3, 0.1)), (1, 2)),
+    ((dephasing(0.1), depolarizing(2, 0.1)), (1, 2, 3)),
+    # 4 and 8 Kraus operators: 4^2 <= 16 takes the Y^dag Y branch, and the
+    # mix side's 8^2 > 16 the Y Y^dag branch.
+    (NEARBY_PAIR, (2,)),
+    # d_out = 3 != d_in = 2.
+    ((erasure(2, 0.1), erasure(2, 0.3)), (1, 2)),
+])
+def test_output_entropy_from_the_gram_matches_the_formed_outputs(pair, copies):
+    for n in copies:
+        reports = verify_output_entropy(*pair, n, trials=50, seed=1, eps=0.1)
+        ref = _ref_output_entropy(*pair, n, 50, 1)
+        assert max(abs(r.measured - m) for r, m in zip(reports, ref)) <= 1e-12
+        assert [r.detail for r in reports] == [f"trial {t}" for t in range(50)]
+    assert verify_output_entropy(*pair, copies[0], trials=0, eps=0.1) == []
+
+
+def test_identical_channels_measure_exactly_zero():
+    reports = verify_output_entropy(identity(3), identity(3), n=2, trials=5, eps=0.0)
+    assert [r.measured for r in reports] == [0.0] * 5
+
+
+def test_output_entropy_never_forms_the_output_square():
+    # At n = 5 the qubit output space is 2^10: one formed 1024 x 1024
+    # complex matrix alone would take 16 MiB.
+    tracemalloc.start()
+    try:
+        verify_output_entropy(identity(2), dephasing(0.1), n=5, trials=2, eps=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_verify_output_entropy_truncated_pair():
