@@ -16,8 +16,9 @@ whole-space matrices (the stack of K^dag gives the adjoint), and
 _apply_on_factors once per tensor slot, after moving the slot's axes to the
 ends. The public apply and apply_extended validate. A pure input needs no
 square matrix: _kraus_images returns the matrix Y whose columns are the
-images of the vector under every Kraus product, so the output is Y Y^dag,
-and its nonzero spectrum is that of the Gram matrix Y^dag Y.
+images of the vector under every Kraus product (of a Choi-rank family, so
+at most d_in d_out per copy), so the output is Y Y^dag, and its nonzero
+spectrum is that of the Gram matrix Y^dag Y.
 
 Conventions fixed here for reproducibility:
   * Choi matrix lives on in (x) out: J = sum_ij |i><j| (x) N(|i><j|).
@@ -200,18 +201,28 @@ def _apply_on_factors(
     return linalg.hermitian_part(mat), dims
 
 
-def _kraus_images(
-    kraus: np.ndarray, vec: np.ndarray, dims: tuple[int, ...], factors: Iterable[int]
-) -> np.ndarray:
-    """Images of a vector under every Kraus product on the listed tensor factors.
+def _kraus_images(kraus: np.ndarray, vec: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Images of a vector under every Kraus product on all its factors but the first.
 
-    Column (k_1, ..., k_m), first index slowest as in tensor_power, is
-    (K_k1 (x) ... (x) K_km on the factors, identity elsewhere)|vec>, and the
-    rows run over the output space in factor order. So Y Y^dag is
-    _apply_on_factors of |vec><vec|, without forming either square matrix.
+    dims[0] is a reference factor the channel leaves alone; each later
+    factor is an input of one channel copy. Column (k_1, ..., k_n), first
+    index slowest as in tensor_power, is (I (x) K_k1 (x) ... (x) K_kn)|vec>,
+    and the rows run over the reference and output factors in order. So
+    Y Y^dag is _apply_on_factors of |vec><vec|, without forming either
+    square matrix. A family of more than d_in d_out operators is first
+    replaced by the rows of S V^dag from the SVD of its stacked operators,
+    the same channel in Choi-rank form, so Y has at most (d_in d_out)^n
+    columns whatever the family's length.
     """
+    r, d_out, d_in = kraus.shape
+    if r > d_in * d_out:
+        try:
+            _, s, vh = np.linalg.svd(kraus.reshape(r, -1), full_matrices=False)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+            raise NumericError("svd", str(exc)) from exc
+        kraus = (s[:, None] * vh).reshape(-1, d_out, d_in)
     t = vec.reshape((1,) + tuple(dims))  # leading axis: the Kraus index so far
-    for f in factors:
+    for f in range(1, len(dims)):
         t = np.tensordot(kraus, t, axes=([2], [1 + f]))  # (r, d_out, R, other axes)
         t = np.moveaxis(t, (0, 1), (1, 2 + f))  # (R, r, ..., d_out in slot f, ...)
         t = t.reshape((-1,) + t.shape[2:])

@@ -5,7 +5,7 @@ output dimension, and the copy count.  The harness measures both sides of
 each inequality on randomized instances: channel distances come from the
 certified diamond norm (the closed-form bracket for covariant pairs, the
 SDP otherwise), entropy differences from exact eigendecompositions (for
-the n-copy output of a pure input, of the smaller Gram matrix of its Kraus
+the n-copy output of a pure input, of the Gram matrix of its Kraus
 images, which shares the output's nonzero spectrum), and capacity-proxy
 differences from either shared fixed parameters (hard checks) or
 independent maximizations (consistent-with checks, since the maximizers
@@ -348,12 +348,12 @@ def _pure_output_entropy(ch: QuantumChannel, v: np.ndarray, dims: tuple[int, ...
     """Output entropy of ch on every factor of the pure state v but the first.
 
     The output is Y Y^dag for Y = _kraus_images; the environment's state
-    Y^dag Y has the same nonzero spectrum, and the smaller of the two is
-    decomposed.
+    Y^dag Y has the same nonzero spectrum and is decomposed instead. It is
+    never the larger of the two: Y has at most (d_in d_out)^n columns, and
+    with a reference of dimension d_in^n that is its row count.
     """
-    y = _kraus_images(ch.kraus, v, dims, range(1, len(dims)))
-    rows, cols = y.shape
-    return entropy_of_matrix(y.conj().T @ y if cols <= rows else y @ y.conj().T)
+    y = _kraus_images(ch.kraus, v, dims)
+    return entropy_of_matrix(y.conj().T @ y)
 
 
 def verify_output_entropy(
@@ -376,9 +376,10 @@ def verify_output_entropy(
     pure input |v>, the output is Y Y^dag, where Y's columns are the images
     of |v> under the r^n Kraus products of the n-copy channel. Since the
     state on reference, output and environment is pure, S(RB^n) = S(E^n),
-    and the environment's state is the Gram matrix Y^dag Y. So the entropy
-    is taken from Y^dag Y (r^n square) when r^n <= d_ref d_out^n, and from
-    the output Y Y^dag otherwise.
+    and the environment's state is the Gram matrix Y^dag Y, whose entropy
+    is taken. A family of r <= d_in d_out operators makes it r^n square; a
+    longer one is first reduced to its Choi rank, so the Gram is never
+    larger than the (d_ref d_out^n)-square output.
     """
     n, eps = _checked_eps(ch_n, ch_m, n, eps)
     d_in, d_out = ch_n.d_in, ch_n.d_out

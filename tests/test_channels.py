@@ -155,21 +155,25 @@ def test_apply_extended_matches_tensor_power():
 
 
 def test_kraus_images_give_the_output_of_a_pure_input():
-    # Y Y^dag is the output of |v><v|, on a middle slot, on non-adjacent
-    # slots with d_out != d_in, and on every slot; column k is the image
-    # under the k-th Kraus operator of the tensor power, first index slowest.
+    # Y Y^dag is the output of |v><v| on every factor after the reference,
+    # with one slot, with d_out != d_in, and with a family longer than
+    # d_in d_out, which is reduced to d_in d_out columns per slot; column k
+    # is the image under the k-th Kraus operator of the tensor power, first
+    # index slowest.
     rng = rng_for(41)
     chan = random_channel(2, 3, rng, kraus_count=3)
     cases = [
-        ((3, 2, 3), (1,), ch.dephasing(0.3)),
-        ((2, 3, 2), (0, 2), chan),
-        ((2, 2), (0, 1), chan),
+        ((3, 2), ch.dephasing(0.3), 2),
+        ((2, 2, 2), chan, 3),
+        ((2, 2, 2), random_channel(2, 2, rng, kraus_count=12), 4),
+        ((1, 2, 2), chan, 3),
     ]
-    for dims, factors, channel in cases:
+    for dims, channel, columns in cases:
         v = rng.normal(size=int(np.prod(dims))) + 1j * rng.normal(size=int(np.prod(dims)))
-        y = ch._kraus_images(channel.kraus, v, dims, factors)
-        ref, _ = ch._apply_on_factors(channel.kraus, np.outer(v, v.conj()), dims, factors)
-        assert y.shape == (len(ref), len(channel.kraus) ** len(factors))
+        y = ch._kraus_images(channel.kraus, v, dims)
+        slots = range(1, len(dims))
+        ref, _ = ch._apply_on_factors(channel.kraus, np.outer(v, v.conj()), dims, slots)
+        assert y.shape == (len(ref), columns ** len(slots))
         assert np.allclose(y @ y.conj().T, ref, atol=1e-12)
     power = ch.tensor_power(chan, 2)
     assert np.allclose(y, np.stack([k @ v for k in power.kraus], axis=1), atol=1e-12)

@@ -231,10 +231,7 @@ def test_verify_output_entropy_depolarizing_pair():
 
 
 NEARBY_PAIR = random_nearby_pair(2, 2, rng_for(5, 2, 0))
-
-
-def test_nearby_pair_has_both_gram_sizes():
-    assert [len(c.kraus) for c in NEARBY_PAIR] == [4, 8]
+assert [len(c.kraus) for c in NEARBY_PAIR] == [4, 8]  # the mix side: 8 > d_in d_out
 
 
 def _ref_output_entropy(ch_n, ch_m, n, trials, seed):
@@ -257,8 +254,8 @@ def _ref_output_entropy(ch_n, ch_m, n, trials, seed):
     ((identity(2), depolarizing(2, 0.1)), (1, 2, 3)),
     ((identity(3), depolarizing(3, 0.1)), (1, 2)),
     ((dephasing(0.1), depolarizing(2, 0.1)), (1, 2, 3)),
-    # 4 and 8 Kraus operators: 4^2 <= 16 takes the Y^dag Y branch, and the
-    # mix side's 8^2 > 16 the Y Y^dag branch.
+    # 4 and 8 Kraus operators: the mix side's family is longer than
+    # d_in d_out = 4 and is reduced to its Choi rank first.
     (NEARBY_PAIR, (2,)),
     # d_out = 3 != d_in = 2.
     ((erasure(2, 0.1), erasure(2, 0.3)), (1, 2)),
@@ -287,6 +284,21 @@ def test_output_entropy_never_forms_the_output_square():
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
+
+
+def test_output_entropy_memory_is_bounded_by_the_choi_rank():
+    # 32 Kraus operators on a qubit: at n = 3 the unreduced Y would be
+    # 64 x 32^3 complex, 32 MiB; reduced to 4 per copy it is 64 x 64.
+    many = random_channel(2, 2, rng_for(6), kraus_count=32)
+    ref = _ref_output_entropy(identity(2), many, 3, 2, 0)
+    tracemalloc.start()
+    try:
+        reports = verify_output_entropy(identity(2), many, n=3, trials=2, eps=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert max(abs(r.measured - m) for r, m in zip(reports, ref)) <= 1e-12
 
 
 def test_verify_output_entropy_truncated_pair():
