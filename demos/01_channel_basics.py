@@ -40,7 +40,7 @@ print("round-trip choi error:", float(np.max(np.abs(to_choi(again).matrix - choi
 # out the output instead of the environment gives the complementary
 # channel; for erasure(d, p) that is erasure(d, 1-p) up to relabeling.
 iso = stinespring(ch)
-print("isometry shape:", iso.v.shape)
+print("isometry shape:", iso.shape)
 comp = complementary(ch)
 print("complementary output dimension:", comp.d_out)
 

@@ -29,7 +29,6 @@ from .capopt import (
 )
 from .channels import (
     ChoiMatrix,
-    IsometricExtension,
     QuantumChannel,
     apply,
     apply_extended,
@@ -59,7 +58,6 @@ from .continuity import (
     hybrid_sequence,
     output_entropy_bound,
     random_nearby_pair,
-    regularized_gap_bound,
     verify_af,
     verify_capacity_differences,
     verify_fannes,
@@ -99,7 +97,6 @@ from .linalg import (
     PureState,
     maximally_entangled,
     partial_trace,
-    purify,
     trace_norm,
 )
 from .sampling import (

@@ -40,7 +40,7 @@ import numpy as np
 from .channels import QuantumChannel, _apply_full, complementary, tensor_power
 from .entropic import Ensemble, _ensemble_outputs, _holevo, entropy_of_matrix
 from .errors import ArgumentError, DimensionError
-from .linalg import D_MAX, DensityMatrix, PureState, partial_trace_matrix
+from .linalg import D_MAX, DensityMatrix, PureState, dagger, partial_trace_matrix, real_inner
 from .sampling import rng_for
 
 RESTARTS = 16       # default random restarts per maximization
@@ -76,26 +76,16 @@ class OptimizationReport:
     converged: bool
 
 
-def _adjoint(kraus: np.ndarray) -> np.ndarray:
-    """Stack of K^dag: _apply_full on it applies the adjoint map."""
-    return kraus.conj().transpose(0, 2, 1)
-
-
 def _neg_log2(mat: np.ndarray) -> np.ndarray:
     """-log2 of each PSD matrix of a stack, eigenvalues floored at EPS_PERTURB."""
     w, u = np.linalg.eigh(mat)
     w = np.clip(w, EPS_PERTURB, None)
-    return (u * (-np.log2(w))[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return (u * (-np.log2(w))[..., None, :]) @ dagger(u)
 
 
 def _outer(vecs: np.ndarray) -> np.ndarray:
     """|v><v| of every vector of a (..., d) stack."""
     return vecs[..., :, None] * vecs.conj()[..., None, :]
-
-
-def _overlap(x: np.ndarray, y: np.ndarray) -> float:
-    """Re <x, y> over the flattened arrays."""
-    return float(np.vdot(x, y).real)
 
 
 def _per_piece(fn, *stacks: np.ndarray) -> np.ndarray:
@@ -154,7 +144,7 @@ def _ascend(
         at = [p[live] for p in params]
         g = grad_of(at)
         gsq = np.array([
-            sum(_overlap(gi, gi) for block in g for gi in block[i])
+            sum(real_inner(gi, gi) for block in g for gi in block[i])
             for i in range(len(live))
         ])
         gnorm[live] = np.sqrt(gsq)
@@ -188,13 +178,13 @@ def _ascend(
     return params, f, used, tuple(reasons.tolist()), converged
 
 
-def _check_stack(ch: QuantumChannel, restarts: int, pieces: int) -> None:
+def _check_stack(ch: QuantumChannel, restarts: int, pieces: int, side: int = 1) -> None:
     """Refuse a restart stack with more entries than a D_MAX x D_MAX matrix.
 
     Each restart holds `pieces` matrices of at most d x d, d the largest of
-    the input, output and environment dimensions.
+    the input, output and environment dimensions and `side`.
     """
-    d = max(ch.d_in, ch.d_out, len(ch.kraus))
+    d = max(ch.d_in, ch.d_out, len(ch.kraus), side)
     if restarts * pieces * d * d > D_MAX**2:
         raise DimensionError(f"{restarts} x {pieces} stacks of {d} x {d} exceed D_MAX^2")
 
@@ -242,10 +232,11 @@ def max_coherent_information(
     d = ch.d_in
     if d * d > D_MAX:
         raise DimensionError(f"purification dimension {d * d} exceeds D_MAX={D_MAX}")
-    _check_stack(ch, restarts, 1)
+    # rho_of forms a (d*d)-square purification outer product per restart.
+    _check_stack(ch, restarts, 1, side=d * d)
     kb = ch.kraus
     ke = complementary(ch).kraus
-    kb_adj, ke_adj = _adjoint(kb), _adjoint(ke)
+    kb_adj, ke_adj = dagger(kb), dagger(ke)
 
     # params: one (restarts, 1, d*d) block of purifications
     def rho_of(v: np.ndarray) -> np.ndarray:
@@ -263,7 +254,7 @@ def max_coherent_information(
         g_rho = _apply_full(kb_adj, _neg_log2(_apply_full(kb, rho)))
         g_rho -= _apply_full(ke_adj, _neg_log2(_apply_full(ke, rho)))
         hv = (v.reshape(-1, d, d) @ g_rho.swapaxes(-1, -2)).reshape(v.shape)
-        hv -= _per_piece(_overlap, v, hv)[..., None] * v
+        hv -= _per_piece(real_inner, v, hv)[..., None] * v
         return [2.0 * hv]
 
     def init_of(r):
@@ -292,7 +283,7 @@ def _max_over_ensembles(
     legs = [ch.kraus]
     if private:
         legs.append(complementary(ch).kraus)
-    legs = [(kraus, _adjoint(kraus)) for kraus in legs]
+    legs = [(kraus, dagger(kraus)) for kraus in legs]
 
     # params: (restarts, 1, m) softmax logits and (restarts, m, d) states
     def unpack(params):
@@ -318,10 +309,10 @@ def _max_over_ensembles(
             l_avg = _neg_log2(avg)
             back = _apply_full(adjoint, l_avg[:, None] - _neg_log2(outs))
             g_states += (sign * probs)[..., None] * (back @ states[..., None])[..., 0]
-            overlaps = np.array([[_overlap(o, l) for o in row] for row, l in zip(outs, l_avg)])
+            overlaps = np.array([[real_inner(o, l) for o in row] for row, l in zip(outs, l_avg)])
             g_probs += sign * (overlaps - entropy_of_matrix(outs))
             sign = -sign
-        g_states -= _per_piece(_overlap, states, g_states)[..., None] * states
+        g_states -= _per_piece(real_inner, states, g_states)[..., None] * states
         g_states *= 2.0
         means = np.array([float(p @ gp) for p, gp in zip(probs, g_probs)])
         g_z = probs * (g_probs - means[:, None])

@@ -113,26 +113,6 @@ class ChoiMatrix:
         return ChoiMatrix(float(c) * self.matrix, self.d_in, self.d_out)
 
 
-class IsometricExtension:
-    """Isometry V : in -> out (x) env with V^dag V = I."""
-
-    def __init__(self, v: np.ndarray, d_out: int, d_env: int):
-        v = linalg.as_matrix(v)
-        d_in = v.shape[1]
-        if v.shape[0] != d_out * d_env:
-            raise DimensionError(
-                f"isometry rows {v.shape[0]} != d_out*d_env = {d_out * d_env}"
-            )
-        res = float(np.max(np.abs(v.conj().T @ v - np.eye(d_in))))
-        if res > TAU_TP:
-            raise ArgumentError(f"V^dag V deviates from identity by {res:.3e}")
-        self.v = v
-        self.v.setflags(write=False)
-        self.d_in = d_in
-        self.d_out = d_out
-        self.d_env = d_env
-
-
 # ------------------------------------------------------------------ action
 
 
@@ -299,11 +279,14 @@ def from_choi(choi: ChoiMatrix) -> QuantumChannel:
 # ----------------------------------------------------- dilation machinery
 
 
-def stinespring(ch: QuantumChannel) -> IsometricExtension:
-    """Isometry V = sum_k K_k (x) |k>_env, environment dimension = #Kraus."""
+def stinespring(ch: QuantumChannel) -> np.ndarray:
+    """Isometry V = sum_k K_k (x) |k>_env as a (d_out * r, d_in) array.
+
+    The environment dimension is the Kraus count r; row b * r + k of V is
+    row b of K_k, so V^dag V = I and V rho V^dag lives on out (x) env.
+    """
     d_env = len(ch.kraus)
-    v = ch.kraus.transpose(1, 0, 2).reshape(ch.d_out * d_env, ch.d_in)
-    return IsometricExtension(v, ch.d_out, d_env)
+    return ch.kraus.transpose(1, 0, 2).reshape(ch.d_out * d_env, ch.d_in)
 
 
 def complementary(ch: QuantumChannel) -> QuantumChannel:
@@ -341,6 +324,13 @@ def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
     check_choi_dim(ch.d_in, ch.d_out, n)
     if n == 1:
         return ch
+    # The power's Kraus stack holds (r d_in d_out)^n entries. When that base
+    # is at least 2, n >= 25 exceeds D_MAX^2 without forming the power.
+    base = len(ch.kraus) * ch.d_in * ch.d_out
+    if base > 1 and (n >= (D_MAX**2).bit_length() or base**n > D_MAX**2):
+        raise DimensionError(
+            f"Kraus stack of {len(ch.kraus)}^{n} operators exceeds D_MAX^2 entries"
+        )
     # Stack index (k_1, ..., k_n), first index slowest; each operator is
     # the left-nested Kronecker product K_k1 (x) ... (x) K_kn.
     kraus = ch.kraus

@@ -104,24 +104,6 @@ def capacity_difference_bounds(eps: float, d_b: int) -> dict[str, float]:
     return {"classical": base, "quantum": base, "private": 2.0 * base}
 
 
-def regularized_gap_bound(gaps: Sequence[tuple[int, float]]) -> float:
-    """Tightest per-copy constant certified by per-n gaps.
-
-    If every n-copy quantity gap is at most n*c, the regularized (per-copy
-    limit) gap is at most c; given measured per-n gaps this returns the
-    smallest such c, namely max over n of gap/n.
-    """
-    gaps = [(int(n), float(g)) for n, g in gaps]
-    if not gaps:
-        raise ArgumentError("need at least one (n, gap) pair")
-    for n, g in gaps:
-        if n < 1:
-            raise ArgumentError(f"copy count {n} must be >= 1")
-        if g < 0:
-            raise ArgumentError(f"gap {g} must be nonnegative")
-    return max(g / n for n, g in gaps)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """One measured-versus-bound comparison.
@@ -137,7 +119,6 @@ class BoundReport:
     epsilon: float
     n: int
     d_b: int
-    seed: int | None = None
     detail: str = ""
     hard: bool = True
 
@@ -195,7 +176,7 @@ def verify_fannes(
             for t, m, e in zip(block, measured, eps):
                 detail = f"d {d}, trial {t}"
                 reports.append(BoundReport(
-                    "entropy-difference", float(m), fannes_bound(e, d), float(e), 1, d, seed, detail
+                    "entropy-difference", float(m), fannes_bound(e, d), float(e), 1, d, detail
                 ))
     return reports
 
@@ -231,7 +212,7 @@ def verify_af(
                 detail = f"d_a {d_a} x d_b {d_b}, trial {t}"
                 reports.append(BoundReport(
                     "conditional-entropy-difference", float(m), af_bound(e, d_a), float(e), 1,
-                    d_a, seed, detail,
+                    d_a, detail,
                 ))
     return reports
 
@@ -398,7 +379,6 @@ def verify_output_entropy(
                 epsilon=eps,
                 n=n,
                 d_b=d_out,
-                seed=seed,
                 detail=f"trial {t}",
             )
         )
@@ -465,7 +445,7 @@ def verify_capacity_differences(
             ("private-term", abs((chi_n - chi_en) - (chi_m - chi_em)), 4.0 * step),
         ):
             reports.append(
-                BoundReport(name, float(gap), bound, eps, n, d_out, seed, f"trial {t}")
+                BoundReport(name, float(gap), bound, eps, n, d_out, f"trial {t}")
             )
 
     if optimized:
@@ -487,7 +467,6 @@ def verify_capacity_differences(
                     eps,
                     1,
                     d_out,
-                    seed,
                     "consistent-with: maximizers certify lower bounds only",
                     hard=False,
                 )

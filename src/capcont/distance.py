@@ -20,7 +20,7 @@ import numpy as np
 from . import sdp
 from .channels import ChoiMatrix, QuantumChannel
 from .errors import ArgumentError
-from .linalg import DensityMatrix, PureState, maximally_entangled, trace_norm
+from .linalg import DensityMatrix, PureState, maximally_entangled, partial_trace_matrix, trace_norm
 from .sampling import haar_state, rng_for
 from .sdp import GAP_TARGET, TAU_SDP, DiamondSolution
 
@@ -42,7 +42,7 @@ def _bracket(j: np.ndarray, d_in: int, d_out: int) -> tuple[float, float]:
     lam, vecs = np.linalg.eigh(j)
     lower = float(np.sum(np.abs(lam))) / d_in
     abs_j = (vecs * np.abs(lam)) @ vecs.conj().T
-    upper = float(np.linalg.eigvalsh(sdp._trace_b(abs_j, d_in, d_out))[-1])
+    upper = float(np.linalg.eigvalsh(partial_trace_matrix(abs_j, (d_in, d_out), [0]))[-1])
     return lower, upper
 
 

@@ -1,7 +1,8 @@
 """Dense complex linear algebra substrate.
 
-Partial traces, purification and the trace norm, together with the two
-state types the rest of the package passes around. Everything is plain
+The shared primitives (conjugate transpose, Hermitian part, real inner
+product, partial trace and the trace norm), together with the two state
+types the rest of the package passes around. Everything is plain
 dense numpy; dimensions stay at desk scale by construction (D_MAX guards
 Kronecker blowup, and check_choi_dim refuses an oversized channel before
 it is built).
@@ -50,9 +51,19 @@ def herm_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T), initial=0.0))
 
 
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a (..., rows, cols) stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m^dag) / 2 of each matrix of a (..., d, d) stack, exactly Hermitian."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+    return (m + dagger(m)) / 2.0
+
+
+def real_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a, b> = Re Tr a^dag b over the flattened arrays."""
+    return float(np.vdot(a, b).real)
 
 
 def basis_state(d: int, i: int) -> np.ndarray:
@@ -136,28 +147,16 @@ def maximally_entangled(d: int) -> PureState:
     return PureState(v, (d, d))
 
 
-def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
+def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Partial trace of a square matrix over the factors not in `keep`.
 
-    Kept factors stay in their original order. Works on any square matrix,
-    not just density matrices; no normalization is applied. Leading axes
-    of a (..., d, d) stack are a batch, each slice traced on its own.
+    A raw kernel: mat is a complex (..., d, d) array whose leading axes are
+    a batch, each slice traced on its own; dims multiply to d, and keep is
+    a sorted nonempty list of factor indices. Kept factors stay in their
+    order, and no normalization is applied.
     """
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim < 2:
-        raise ArgumentError(f"expected a matrix, got ndim={mat.ndim}")
-    if not np.isfinite(mat).all():
-        raise ArgumentError("matrix has non-finite entries")
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(dims)
     k = len(dims)
-    keep = sorted(set(int(i) for i in keep))
-    if not keep:
-        raise ArgumentError("keep must be nonempty")
-    if keep[0] < 0 or keep[-1] >= k:
-        raise ArgumentError(f"keep indices {keep} out of range for {k} factors")
-    if math.prod(dims) != mat.shape[-1] or mat.shape[-2] != mat.shape[-1]:
-        raise DimensionError(f"matrix shape {mat.shape} incompatible with dims {dims}")
-
     batch = mat.shape[:-2]
     t = mat.reshape(batch + dims + dims)
     # Row axis i and column axis k+i share a subscript when factor i is traced.
@@ -172,20 +171,12 @@ def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[in
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on the kept factors."""
     keep = sorted(set(int(i) for i in keep))
+    if not keep:
+        raise ArgumentError("keep must be nonempty")
+    if keep[0] < 0 or keep[-1] >= len(rho.dims):
+        raise ArgumentError(f"keep indices {keep} out of range for {len(rho.dims)} factors")
     red = partial_trace_matrix(rho.matrix, rho.dims, keep)
     return DensityMatrix(red, tuple(rho.dims[i] for i in keep))
-
-
-def purify(rho: DensityMatrix) -> PureState:
-    """Pure state on d x r whose first marginal is rho (r = numerical rank)."""
-    w, v = npl.eigh(rho.matrix)
-    order = np.argsort(w)[::-1]
-    w, v = np.clip(w[order], 0.0, None), v[:, order]
-    r = max(1, int(np.sum(w > TAU_PSD)))
-    amp = v[:, :r] * np.sqrt(w[:r])
-    vec = amp.reshape(-1)  # row-major: index (a, i) -> a*r + i
-    vec = vec / npl.norm(vec)
-    return PureState(vec, (rho.d, r))
 
 
 def trace_norm(x: np.ndarray) -> float:

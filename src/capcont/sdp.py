@@ -74,7 +74,7 @@ import numpy as np
 
 # scipy loads at the first SDP solve: `_capacitance` and `_Schur` import
 # scipy.linalg in their bodies.
-from .linalg import hermitian_part
+from .linalg import dagger, hermitian_part, partial_trace_matrix, real_inner
 
 GAP_TARGET = 1e-8     # internal relative-gap target
 SOFT_GAP = 2.5e-7     # still reported optimal: meets the public 1e-6 absolute
@@ -99,18 +99,9 @@ class DiamondSolution:
         return self.status == "optimal"
 
 
-def _ct(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix of a (..., n, n) stack."""
-    return m.conj().swapaxes(-1, -2)
-
-
 def _diag(v: np.ndarray) -> np.ndarray:
     """diag(v) for each vector of a (..., n) stack."""
     return v[..., None, :] * np.eye(v.shape[-1])
-
-
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.vdot(a, b)))
 
 
 def _nt_scaling(l_x: np.ndarray, l_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,8 +111,8 @@ def _nt_scaling(l_x: np.ndarray, l_s: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Sigma^-1/2 P^dag L_S^dag) gives G^-1 X G^-dag = G^dag S G = Sigma, so
     W = G G^dag satisfies W S W = X. Returns (G, sigma).
     """
-    _, sig, qh = np.linalg.svd(_ct(l_s) @ l_x)
-    return (l_x @ _ct(qh)) / np.sqrt(sig)[..., None, :], sig
+    _, sig, qh = np.linalg.svd(dagger(l_s) @ l_x)
+    return (l_x @ dagger(qh)) / np.sqrt(sig)[..., None, :], sig
 
 
 def _damped(lam_min: float) -> float:
@@ -179,11 +170,6 @@ def _embed(x: np.ndarray, d_b: int) -> np.ndarray:
     return out.reshape(d_a * d_b, d_a * d_b)
 
 
-def _trace_b(y: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """Tr_B y on the 4-index view of y."""
-    return np.trace(y.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
-
-
 # ------------------------------------------------------------- Schur solve
 
 
@@ -228,7 +214,7 @@ class _Schur:
         # tau couples through h = W_rho^2 (x) I_B = V B(c), c = G_rho^dag G_rho.
         self._c = (g_rho.conj().T @ g_rho).reshape(-1)
         self._cap_c = sla.cho_solve(self._cap_cho, self._c, check_finite=False)
-        self._c_cap_c = _inner(self._c, self._cap_c)
+        self._c_cap_c = real_inner(self._c, self._cap_c)
 
     def _h0_solve(self, r: np.ndarray) -> np.ndarray:
         g, gh = self._g, self._gh
@@ -239,9 +225,9 @@ class _Schur:
 
         d_a, d_b, g_rho = self.d_a, self.d_b, self._g_rho
         u1 = self._h0_solve(r_y)
-        z0 = (g_rho.conj().T @ _trace_b(u1, d_a, d_b) @ g_rho).reshape(-1)
+        z0 = (g_rho.conj().T @ partial_trace_matrix(u1, (d_a, d_b), [0]) @ g_rho).reshape(-1)
         cap_z0 = sla.cho_solve(self._cap_cho, z0, check_finite=False)
-        tau = (r_tau + _inner(self._c, cap_z0)) / self._c_cap_c
+        tau = (r_tau + real_inner(self._c, cap_z0)) / self._c_cap_c
         z = (cap_z0 - tau * self._cap_c).reshape(d_a, d_a)
         return u1 - self._h0_solve(_embed(g_rho @ z @ g_rho.conj().T, d_b)), tau
 
@@ -266,7 +252,7 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
         return hermitian_part(pq[0] + pq[1] - _embed(rho, d_b)), float(np.trace(rho).real)
 
     def a_star(y, tau):
-        return y, tau * eye_a - _trace_b(y, d_a, d_b)
+        return y, tau * eye_a - partial_trace_matrix(y, (d_a, d_b), [0])
 
     # Exactly feasible interior starting points.
     x = [np.array([np.eye(n_c, dtype=complex) / (2 * d_a)] * 2), eye_a.astype(complex) / d_a]
@@ -280,8 +266,8 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
     iters = 0
 
     for iters in range(1, MAX_ITERS + 1):
-        gap = sum(_inner(xb, sb) for xb, sb in zip(x, s_dual))
-        p_obj = sum(_inner(cb, xb) for cb, xb in zip(c_blocks, x))
+        gap = sum(real_inner(xb, sb) for xb, sb in zip(x, s_dual))
+        p_obj = sum(real_inner(cb, xb) for cb, xb in zip(c_blocks, x))
         rel_gap = (p_obj - tau) / (1.0 + abs(p_obj))
         mu = gap / nu
         if rel_gap <= GAP_TARGET or mu <= MU_FLOOR:
@@ -293,12 +279,12 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
             # A block that lost definiteness fails its Cholesky factor here.
             gs, sigs = zip(*[_nt_scaling(np.linalg.cholesky(xb), np.linalg.cholesky(sb))
                              for xb, sb in zip(x, s_dual)])
-            w = [hermitian_part(g @ _ct(g)) for g in gs]
+            w = [hermitian_part(g @ dagger(g)) for g in gs]
             schur = _Schur(d_a, d_b, w[0][0], w[0][1], gs[1])
 
             def scaled_dual(dy, dtau):
                 """ds_hat = -G^dag A*(dy) G on every block."""
-                return [-(_ct(g) @ ab @ g) for g, ab in zip(gs, a_star(dy, dtau))]
+                return [-(dagger(g) @ ab @ g) for g, ab in zip(gs, a_star(dy, dtau))]
 
             # Predictor: pure affine direction. Rc = -X is -Sigma when scaled,
             # and its rhs -A(Rc) is the A(X) above. The direction only sizes
@@ -309,7 +295,7 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
             ap, ad = map(min, zip(*map(_steps, sigs, dx_hat)))
             # <X, S> is invariant under the NT congruence, so the affine gap
             # is measured in the scaled frame, where X = S = Sigma.
-            gap_aff = sum(_inner(_diag(sig) + ap * dxh, _diag(sig) + ad * dsh)
+            gap_aff = sum(real_inner(_diag(sig) + ap * dxh, _diag(sig) + ad * dsh)
                           for sig, dxh, dsh in zip(sigs, dx_hat, ds_hat))
             sigma = min(1.0, max((max(gap_aff, 0.0) / gap) ** 3, 1e-8))
 
@@ -319,7 +305,7 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
             targets = [_diag(sigma * mu / sig - sig)
                        - 2.0 * hermitian_part(dxh @ dsh) / (sig[..., :, None] + sig[..., None, :])
                        for sig, dxh, dsh in zip(sigs, dx_hat, ds_hat)]
-            rc_blocks = [hermitian_part(g @ t @ _ct(g)) for g, t in zip(gs, targets)]
+            rc_blocks = [hermitian_part(g @ t @ dagger(g)) for g, t in zip(gs, targets)]
             r_y, r_tau = a_op(*[-rb for rb in rc_blocks])
             dy, dtau = schur.solve(r_y, r_tau)
             # Iterative refinement of the step that moves x: its Schur
@@ -362,7 +348,7 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
 
     r_y, r_tau = a_op(*x)
     primal_res = max(float(np.max(np.abs(r_y))), abs(r_tau - 1.0))
-    p_obj = sum(_inner(cb, xb) for cb, xb in zip(c_blocks, x))
+    p_obj = sum(real_inner(cb, xb) for cb, xb in zip(c_blocks, x))
     rel_gap = (p_obj - tau) / (1.0 + abs(p_obj))
     # Rigorous lower bound: with E = P + Q - rho (x) I and lam = ||E||_2,
     # P + (lam I - E)/2, Q + (lam I - E)/2 and rho + lam I are feasible up

@@ -17,7 +17,6 @@ from capcont.capopt import (
     OptimizationReport,
     STALL_GRAD_TOL,
     TAU_OPT,
-    _adjoint,
     _ascend,
     max_coherent_information,
     max_holevo,
@@ -47,7 +46,7 @@ from capcont.entropic import (
     private_information,
 )
 from capcont.errors import ArgumentError, DimensionError
-from capcont.linalg import DensityMatrix, partial_trace_matrix
+from capcont.linalg import DensityMatrix, dagger, partial_trace_matrix
 from capcont.sampling import random_channel, random_density_matrix, random_unitary, rng_for
 
 
@@ -189,6 +188,15 @@ def test_oversized_restart_stacks_are_refused_before_drawing(run):
     assert time.perf_counter() - start < 1.0
 
 
+def test_coherent_restarts_count_the_purification_stack(monkeypatch):
+    # Each restart forms a (d^2)-square outer product of its purification:
+    # at D_MAX = 16, 4 restarts of 9 x 9 exceed 16^2 entries while the
+    # input, output and environment dimensions alone would pass.
+    monkeypatch.setattr("capcont.capopt.D_MAX", 16)
+    with pytest.raises(DimensionError, match="4 x 1 stacks of 9 x 9 exceed D_MAX"):
+        max_coherent_information(identity(3), restarts=4, iters=1)
+
+
 def test_seeded_determinism():
     a = max_coherent_information(erasure(2, 0.3), restarts=3, seed=5)
     b = max_coherent_information(erasure(2, 0.3), restarts=3, seed=5)
@@ -225,7 +233,7 @@ def test_adjoint_stack_satisfies_the_duality():
         g = rng.normal(size=(chan.d_out,) * 2) + 1j * rng.normal(size=(chan.d_out,) * 2)
         x = g + g.conj().T
         lhs = np.trace(x @ _apply_full(chan.kraus, rho))
-        rhs = np.trace(_apply_full(_adjoint(chan.kraus), x) @ rho)
+        rhs = np.trace(_apply_full(dagger(chan.kraus), x) @ rho)
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -380,7 +388,7 @@ def _ref_run_restarts(value_of, grad_of, init_of, restarts, iters):
 def _ref_coherent(ch, restarts, iters, seed):
     d = ch.d_in
     kb, ke = ch.kraus, complementary(ch).kraus
-    kb_adj, ke_adj = _adjoint(kb), _adjoint(ke)
+    kb_adj, ke_adj = dagger(kb), dagger(ke)
 
     def rho_of(v):
         return partial_trace_matrix(np.outer(v, v.conj()), (d, d), keep=[1])
@@ -413,7 +421,7 @@ def _ref_coherent(ch, restarts, iters, seed):
 def _ref_ensembles(ch, m, restarts, iters, seed, private):
     d = ch.d_in
     legs = [ch.kraus] + ([complementary(ch).kraus] if private else [])
-    legs = [(kraus, _adjoint(kraus)) for kraus in legs]
+    legs = [(kraus, dagger(kraus)) for kraus in legs]
 
     def unpack(params):
         probs = np.exp(params[0])

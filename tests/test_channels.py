@@ -279,17 +279,18 @@ def test_stinespring_isometry_and_consistency():
     rng = rng_for(4)
     for _ in range(5):
         chan = random_channel(2, 3, rng)
-        ext = ch.stinespring(chan)
-        assert np.max(np.abs(ext.v.conj().T @ ext.v - np.eye(2))) < 1e-10
+        v = ch.stinespring(chan)
+        d_env = len(chan.kraus)
+        assert v.shape == (3 * d_env, 2)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(2))) < 1e-10
         for s in _state_basis(2):
-            dilated = ext.v @ s.matrix @ ext.v.conj().T
-            marg = partial_trace_matrix(dilated, (ext.d_out, ext.d_env), keep=[0])
+            dilated = v @ s.matrix @ v.conj().T
+            marg = partial_trace_matrix(dilated, (3, d_env), keep=[0])
             assert np.allclose(marg, _apply_oracle(chan, s.matrix), atol=1e-10)
 
 
 def test_identity_has_trivial_environment():
-    ext = ch.stinespring(ch.identity(2))
-    assert ext.d_env == 1
+    assert ch.stinespring(ch.identity(2)).shape == (2, 2)
     comp = ch.complementary(ch.identity(2))
     assert comp.d_out == 1
     out = ch.apply(comp, random_density_matrix(2, rng_for(5)))
@@ -299,11 +300,11 @@ def test_identity_has_trivial_environment():
 def test_complementary_traces_out_output():
     rng = rng_for(6)
     chan = random_channel(2, 2, rng)
-    ext = ch.stinespring(chan)
+    v = ch.stinespring(chan)
     comp = ch.complementary(chan)
     for s in _state_basis(2):
-        dilated = ext.v @ s.matrix @ ext.v.conj().T
-        env = partial_trace_matrix(dilated, (ext.d_out, ext.d_env), keep=[1])
+        dilated = v @ s.matrix @ v.conj().T
+        env = partial_trace_matrix(dilated, (2, len(chan.kraus)), keep=[1])
         assert np.allclose(env, _apply_oracle(comp, s.matrix), atol=1e-10)
 
 
@@ -418,6 +419,19 @@ def test_oversized_channels_are_refused_before_they_are_built(build):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert time.perf_counter() - start < 1.0
+
+
+def test_tensor_power_refuses_an_oversized_kraus_stack(monkeypatch):
+    # A qubit family of 8 operators: at D_MAX = 64 its cube passes the Choi
+    # test, (2 * 2)^3 = 64, but its 8^3 operators hold 32^3 > 64^2 entries.
+    family = ch.mix([random_channel(2, 2, rng_for(7, i), kraus_count=4) for i in range(2)],
+                    [0.5, 0.5])
+    assert len(family.kraus) == 8
+    monkeypatch.setattr(ch, "D_MAX", 64)
+    monkeypatch.setattr(ch.linalg, "D_MAX", 64)
+    assert len(ch.tensor_power(family, 2).kraus) == 64
+    with pytest.raises(DimensionError, match="Kraus stack of 8\\^3 operators exceeds D_MAX"):
+        ch.tensor_power(family, 3)
 
 
 def test_erasure_zero_is_embedded_identity():

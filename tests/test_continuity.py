@@ -35,7 +35,6 @@ from capcont.continuity import (
     hybrid_sequence,
     output_entropy_bound,
     random_nearby_pair,
-    regularized_gap_bound,
     verify_af,
     verify_capacity_differences,
     verify_fannes,
@@ -120,24 +119,6 @@ def test_bound_argument_validation():
         fannes_bound(0.2, 1)
     with pytest.raises(ArgumentError):
         output_entropy_bound(0, 0.2, 2)
-
-
-def test_regularized_gap_bound_on_synthetic_families():
-    # f_n gaps of the form n*a + b have per-copy gaps a + b/n, so the
-    # certified constant is attained at n = 1 and dominates the limit a.
-    a, b = 0.3, 0.2
-    gaps = [(n, n * a + b) for n in (1, 2, 4, 8)]
-    c = regularized_gap_bound(gaps)
-    assert abs(c - (a + b)) <= 1e-15
-    assert a <= c
-    # Constant per-copy families certify their own constant.
-    assert regularized_gap_bound([(n, 0.7 * n) for n in (1, 3, 5)]) == 0.7
-    with pytest.raises(ArgumentError):
-        regularized_gap_bound([])
-    with pytest.raises(ArgumentError):
-        regularized_gap_bound([(0, 0.1)])
-    with pytest.raises(ArgumentError):
-        regularized_gap_bound([(1, -0.1)])
 
 
 def test_hybrid_sequence_identical_channels():

@@ -14,7 +14,6 @@ from capcont.linalg import (
     maximally_entangled,
     partial_trace,
     partial_trace_matrix,
-    purify,
     trace_norm,
 )
 
@@ -121,6 +120,13 @@ def test_partial_trace_matches_loop_oracle():
         assert np.allclose(partial_trace_matrix(m, dims, keep), _ptrace_oracle(m, dims, keep))
 
 
+@pytest.mark.parametrize("keep", [[], [2], [-1], [0, 5]])
+def test_partial_trace_refuses_empty_or_out_of_range_keep(keep):
+    rho = DensityMatrix.maximally_mixed(4, dims=(2, 2))
+    with pytest.raises(ArgumentError, match="keep"):
+        partial_trace(rho, keep)
+
+
 def test_partial_trace_duality():
     # Tr[pt_B(rho) X] == Tr[rho (X tensor I)] characterizes the partial trace.
     rng = np.random.default_rng(13)
@@ -141,33 +147,6 @@ def test_partial_trace_preserves_state_properties(seed, dims):
         red = partial_trace(rho, [i])  # constructor re-validates PSD and trace
         assert red.dims == (dims[i],)
         assert abs(red.matrix.trace().real - 1.0) < 1e-10
-
-
-# ----------------------------------------------------------------- purify
-
-
-def test_purify_pure_state_has_trivial_reference():
-    rho = DensityMatrix.from_pure(basis_state(2, 0))
-    psi = purify(rho)
-    assert psi.dims == (2, 1)
-    assert np.allclose(psi.density().matrix.reshape(2, 2), rho.matrix)
-
-
-def test_purify_round_trip_rank2_qutrit():
-    rho = DensityMatrix(np.diag([0.5, 0.5, 0.0]))
-    psi = purify(rho)
-    assert psi.dims == (3, 2)
-    back = partial_trace(psi.density(), [0])
-    assert np.allclose(back.matrix, rho.matrix, atol=1e-10)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 6))
-def test_purify_round_trip(seed, d):
-    rho = DensityMatrix(_rand_dm(np.random.default_rng(seed), d))
-    psi = purify(rho)
-    back = partial_trace(psi.density(), [0])
-    assert np.allclose(back.matrix, rho.matrix, atol=1e-9)
 
 
 # ------------------------------------------------------------- trace norm

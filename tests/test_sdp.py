@@ -11,6 +11,7 @@ from capcont import sdp
 from capcont.continuity import random_nearby_pair
 from capcont.channels import ChoiMatrix
 from capcont.distance import diamond_distance
+from capcont.linalg import dagger
 from capcont.sampling import rng_for
 
 
@@ -63,7 +64,7 @@ def _scaled(x, s, dx, ds):
     """(sigma, G^-1 dx G^-dag, G^dag ds G) in the NT frame of the pair (x, s)."""
     g, sig = sdp._nt_scaling(np.linalg.cholesky(x), np.linalg.cholesky(s))
     g_inv = np.linalg.inv(g)
-    return sig, g_inv @ dx @ sdp._ct(g_inv), sdp._ct(g) @ ds @ g
+    return sig, g_inv @ dx @ dagger(g_inv), dagger(g) @ ds @ g
 
 
 @pytest.mark.parametrize("n", [2, 4, 16])
@@ -110,9 +111,9 @@ def test_predictor_steps_from_one_spectrum_match_oracle(n, scale):
     m = scale * np.array([_random_hermitian(n, rng) for _ in range(2)])
     g, sig = sdp._nt_scaling(np.linalg.cholesky(x), np.linalg.cholesky(s))
     g_inv = np.linalg.inv(g)
-    w = g @ sdp._ct(g)
+    w = g @ dagger(g)
     dx, ds = -x + w @ m @ w, -m
-    got = sdp._steps(sig, g_inv @ dx @ sdp._ct(g_inv))
+    got = sdp._steps(sig, g_inv @ dx @ dagger(g_inv))
     expect = (min(_max_step_oracle(x[k], dx[k]) for k in range(2)),
               min(_max_step_oracle(s[k], ds[k]) for k in range(2)))
     for a, b in zip(got, expect):
@@ -134,9 +135,14 @@ def test_stacked_nt_scaling_equals_per_slice_calls(n):
 # ------------------------------------------------------------- Schur solve
 
 
+def _trace_b(y, d_a, d_b):
+    """Tr_B y on the 4-index view of y."""
+    return np.trace(y.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
+
+
 def _h_apply(y, tau, w_p, w_q, w_rho, d_a, d_b):
     """H(y) = A(W A*(y) W), written out from the SDP's A and A*."""
-    rho_dir = tau * np.eye(d_a) - sdp._trace_b(y, d_a, d_b)
+    rho_dir = tau * np.eye(d_a) - _trace_b(y, d_a, d_b)
     p, q, rho = w_p @ y @ w_p, w_q @ y @ w_q, w_rho @ rho_dir @ w_rho
     return p + q - sdp._embed(rho, d_b), np.trace(rho).real
 
@@ -171,7 +177,7 @@ def _solve_y_oracle(schur, r):
     was eliminated through the capacitance."""
     d_a, d_b, g_rho = schur.d_a, schur.d_b, schur._g_rho
     u1 = schur._h0_solve(r)
-    rhs = (g_rho.conj().T @ sdp._trace_b(u1, d_a, d_b) @ g_rho).reshape(-1)
+    rhs = (g_rho.conj().T @ _trace_b(u1, d_a, d_b) @ g_rho).reshape(-1)
     z = sla.cho_solve(schur._cap_cho, rhs).reshape(d_a, d_a)
     return u1 - schur._h0_solve(sdp._embed(g_rho @ z @ g_rho.conj().T, d_b))
 
