@@ -2,7 +2,7 @@
 
 Coherent information, Holevo information, and private information are all
 non-concave in their natural parameterizations, so every maximizer here is
-a lower-bound certifier: multi-start projected ascent whose best found
+a lower-bound certifier: multi-start L-BFGS ascent whose best found
 value is reported together with the point that achieves it.  No claim of
 global optimality is made.
 
@@ -15,9 +15,14 @@ deficiency.
 Restarts run in lockstep on one leading batch axis, and an ensemble's
 states on a second one, so one kernel call serves every restart and state
 of a channel leg.  Each restart draws its start from its own RNG stream
-(derived from the seed and the restart index) and keeps its own step
-size, Armijo backtracking and stop tests.  A restart leaves the batch at
-the first of four stops:
+(derived from the seed and the restart index) and keeps its own
+curvature pairs, Armijo backtracking and stop tests.  Its step direction
+is the limited-memory BFGS one (Nocedal and Wright, Numerical
+Optimization, ch. 7) on the product of the state spheres and the logit
+space: the last LBFGS_MEMORY pairs, each projected onto the tangent
+space where it was taken (Absil, Mahony and Sepulchre, Optimization
+Algorithms on Matrix Manifolds, ch. 8), and the direction projected onto
+the current one.  A restart leaves the batch at the first of four stops:
 
 - ``gradient``: its gradient norm falls below GRAD_TOL;
 - ``stalled``: an accepted line-search step raises f by no more than
@@ -50,6 +55,8 @@ STALL_RTOL = 4e-16  # an accepted step raising f by at most this * max(|f|, 1) s
 STALL_GRAD_TOL = 1e-6  # a stalled restart below this gradient norm has converged
 EPS_PERTURB = 1e-10  # eigenvalue floor inside the matrix logarithm
 TAU_OPT = 1e-3      # slack for comparisons between independently found optima
+LBFGS_MEMORY = 8    # curvature pairs kept per restart
+CURVATURE_RTOL = 1e-10  # a pair is stored only if s.y > this * |s| |y|
 
 
 @dataclass(frozen=True)
@@ -114,28 +121,108 @@ def _renorm(params: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
+def _dots(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
+    """Re <a, b> per restart: one real_inner per block, summed in block order."""
+    return np.array([sum(real_inner(x[i], y[i]) for x, y in zip(a, b)) for i in range(len(a[0]))])
+
+
+def _tangent(at: list[np.ndarray], v: list[np.ndarray]) -> list[np.ndarray]:
+    """v projected onto the tangent space at `at`: v - Re<u, v> u on each sphere piece.
+
+    Logit blocks are left as they are.
+    """
+    return [
+        vi - _per_piece(real_inner, u, vi)[..., None] * u if np.iscomplexobj(u) else vi
+        for u, vi in zip(at, v)
+    ]
+
+
+class _Memory:
+    """Each restart's last LBFGS_MEMORY curvature pairs (s, y), oldest first.
+
+    Slot j of restart i holds a pair when j < held[i]. rho is 1 / s.y, and
+    gamma = s.y / y.y of the newest pair scales the initial inverse
+    Hessian H0 = gamma I.
+    """
+
+    def __init__(self, params: list[np.ndarray]):
+        n = len(params[0])
+        self.s = [np.zeros((n, LBFGS_MEMORY) + p.shape[1:], p.dtype) for p in params]
+        self.y = [np.zeros_like(s) for s in self.s]
+        self.rho = np.zeros((n, LBFGS_MEMORY))
+        self.gamma = np.zeros(n)
+        self.held = np.zeros(n, dtype=int)
+
+    def store(self, rows: np.ndarray, s: list[np.ndarray], y: list[np.ndarray]) -> None:
+        """Append the pairs of these restarts whose curvature s.y is positive."""
+        sy, ss, yy = _dots(s, y), _dots(s, s), _dots(y, y)
+        ok = sy > CURVATURE_RTOL * np.sqrt(ss * yy)
+        rows = rows[ok]
+        full = rows[self.held[rows] == LBFGS_MEMORY]
+        slot = np.minimum(self.held[rows], LBFGS_MEMORY - 1)
+        for mem, new in zip(self.s + self.y, s + y):
+            mem[full, :-1] = mem[full, 1:]
+            mem[rows, slot] = new[ok]
+        self.rho[full, :-1] = self.rho[full, 1:]
+        self.rho[rows, slot] = 1.0 / sy[ok]
+        self.gamma[rows] = sy[ok] / yy[ok]
+        self.held[rows] = slot + 1
+
+    def apply(self, rows: np.ndarray, g: list[np.ndarray]) -> list[np.ndarray]:
+        """H g by the two-loop recursion, for restarts that hold a pair."""
+        held = self.held[rows]
+        mem_s, mem_y = [s[rows] for s in self.s], [y[rows] for y in self.y]
+        rho = self.rho[rows]
+        q = [gi.copy() for gi in g]
+        alpha = np.zeros((len(rows), LBFGS_MEMORY))
+        # Pairs are stored oldest first, so slot j is held by every restart
+        # below the shortest memory; a slice then saves the fancy indexing.
+        for j in reversed(range(held.max())):
+            act = slice(None) if held.min() > j else np.flatnonzero(held > j)
+            a = rho[act, j] * _dots([s[act, j] for s in mem_s], [qi[act] for qi in q])
+            alpha[act, j] = a
+            for qi, y in zip(q, mem_y):
+                qi[act] = qi[act] - a[:, None, None] * y[act, j]
+        r = [self.gamma[rows][:, None, None] * qi for qi in q]
+        for j in range(held.max()):
+            act = slice(None) if held.min() > j else np.flatnonzero(held > j)
+            b = rho[act, j] * _dots([y[act, j] for y in mem_y], [ri[act] for ri in r])
+            for ri, s in zip(r, mem_s):
+                ri[act] = ri[act] + (alpha[act, j] - b)[:, None, None] * s[act, j]
+        return r
+
+
 def _ascend(
     value_of: Callable[[list[np.ndarray]], np.ndarray],
     grad_of: Callable[[list[np.ndarray]], list[np.ndarray]],
     params: list[np.ndarray],
     iters: int,
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, tuple[str, ...], np.ndarray]:
-    """Projected gradient ascent with Armijo backtracking, restarts in lockstep.
+    """L-BFGS ascent with Armijo backtracking, restarts in lockstep.
 
     params is a list of (restarts, pieces, n) blocks. value_of maps such a
     list, for any subset of the restarts, to one value per restart, and
-    grad_of to gradient blocks of the same shapes. Every restart keeps its
-    own step size and leaves the batch at its first stop (see the module
-    docstring); within a line search, a restart stops backtracking once
-    its trial step is accepted. Returns every restart's final parameters,
-    value, iteration count, stop reason and convergence flag.
+    grad_of to gradient blocks of the same shapes, tangent to the spheres.
+
+    Each restart keeps its own curvature pairs: s = x_new - x_old and
+    y = g_old - g_new, both projected onto the tangent space at x_new,
+    stored only when s.y > CURVATURE_RTOL |s| |y|. Its direction p is the
+    two-loop recursion's H g, projected onto the tangent space; with no
+    pairs, or when <g, p> is not positive, p is g and the pairs are
+    dropped. The line search starts at t = 1 and halves t until
+    f(x + t p), renormalized, reaches f + 1e-4 t <g, p>, or t falls to
+    1e-14. A restart leaves the batch at its first stop (see the module
+    docstring). Returns every restart's final parameters, value,
+    iteration count, stop reason and convergence flag.
     """
     params = _renorm(params)
     f = value_of(params)
-    step = np.ones(len(f))
     used = np.zeros(len(f), dtype=int)
     gnorm = np.zeros(len(f))
     reasons = np.full(len(f), "iteration-cap", dtype=object)
+    memory = _Memory(params)
+    x_prev = [np.empty_like(p) for p in params]
+    g_prev = [np.empty_like(p) for p in params]
     live = np.arange(len(f))
     for it in range(1, iters + 1):
         if not live.size:
@@ -143,33 +230,47 @@ def _ascend(
         used[live] = it
         at = [p[live] for p in params]
         g = grad_of(at)
-        gsq = np.array([
-            sum(real_inner(gi, gi) for block in g for gi in block[i])
-            for i in range(len(live))
-        ])
+        gsq = _dots(g, g)
         gnorm[live] = np.sqrt(gsq)
         done = gnorm[live] < GRAD_TOL
         reasons[live[done]] = "gradient"
         keep = ~done
         live, gsq = live[keep], gsq[keep]
         at, g = [a[keep] for a in at], [gi[keep] for gi in g]
+        if it > 1 and live.size:
+            s = _tangent(at, [a - xp[live] for a, xp in zip(at, x_prev)])
+            y = _tangent(at, [gp[live] - gi for gp, gi in zip(g_prev, g)])
+            memory.store(live, s, y)
+        p, slope = [gi.copy() for gi in g], gsq.copy()
+        has = np.flatnonzero(memory.held[live] > 0)
+        if has.size:
+            g_has = [gi[has] for gi in g]
+            hg = _tangent([a[has] for a in at], memory.apply(live[has], g_has))
+            hslope = _dots(g_has, hg)
+            up = hslope > 0
+            for pi, hi in zip(p, hg):
+                pi[has[up]] = hi[up]
+            slope[has[up]] = hslope[up]
+            memory.held[live[has[~up]]] = 0
         f_old = f[live]
-        t = np.minimum(2.0 * step[live], 1.0)
+        t = np.ones(len(live))
         improved = np.zeros(len(live), dtype=bool)
-        trying = np.flatnonzero(t > 1e-14)
+        trying = np.arange(len(live))
         while trying.size:
             tt = t[trying]
-            cand = _renorm([a[trying] + tt[:, None, None] * gi[trying] for a, gi in zip(at, g)])
+            cand = _renorm([a[trying] + tt[:, None, None] * pi[trying] for a, pi in zip(at, p)])
             fc = value_of(cand)
-            ok = fc >= f[live[trying]] + 1e-4 * tt * gsq[trying]
+            ok = fc >= f[live[trying]] + 1e-4 * tt * slope[trying]
             won = live[trying[ok]]
-            for p, c in zip(params, cand):
-                p[won] = c[ok]
-            f[won], step[won] = fc[ok], tt[ok]
+            for par, c in zip(params, cand):
+                par[won] = c[ok]
+            f[won] = fc[ok]
             improved[trying[ok]] = True
             trying = trying[~ok]
             t[trying] *= 0.5
             trying = trying[t[trying] > 1e-14]
+        for xp, gp, a, gi in zip(x_prev, g_prev, at, g):
+            xp[live], gp[live] = a, gi
         stalled = improved & (f[live] - f_old <= STALL_RTOL * np.maximum(np.abs(f_old), 1.0))
         reasons[live[~improved]] = "line-search"
         reasons[live[stalled]] = "stalled"

@@ -322,12 +322,13 @@ def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
     if n < 1:
         raise ArgumentError(f"tensor power needs n >= 1, got {n}")
     check_choi_dim(ch.d_in, ch.d_out, n)
-    if n == 1:
-        return ch
-    # The power's Kraus stack holds (r d_in d_out)^n entries. When that base
-    # is at least 2, n >= 25 exceeds D_MAX^2 without forming the power.
+    # The power's Kraus stack holds (r d_in d_out)^n entries. A base of 1 is
+    # one 1 x 1 operator, whose every power is the same channel; from a base
+    # of 2, n >= 25 exceeds D_MAX^2 without forming the power.
     base = len(ch.kraus) * ch.d_in * ch.d_out
-    if base > 1 and (n >= (D_MAX**2).bit_length() or base**n > D_MAX**2):
+    if n == 1 or base == 1:
+        return ch
+    if n >= (D_MAX**2).bit_length() or base**n > D_MAX**2:
         raise DimensionError(
             f"Kraus stack of {len(ch.kraus)}^{n} operators exceeds D_MAX^2 entries"
         )

@@ -322,6 +322,11 @@ def _checked_eps(ch_n, ch_m, n: int, eps: float | None) -> tuple[int, float]:
         # rounding) may overshoot the formula domain by the solver
         # tolerance while the true distance sits within it.
         value = 1.0
+    elif value > 1.0:
+        raise ArgumentError(
+            f"the pair's certified diamond distance {value!r} is above 1, "
+            "the end of the bounds' domain"
+        )
     return n, value
 
 

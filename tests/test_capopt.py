@@ -293,8 +293,11 @@ def test_stall_rule_does_not_stop_short(kind, ch, n, value):
     else:
         runner = n_copy_holevo if kind == "holevo" else n_copy_private
         rep = runner(ch, n, ch.d_in**2, restarts=4, iters=400, seed=0)
-    assert abs(rep.best_value - value) <= 1e-12
+    assert abs(rep.best_value - value) <= 1e-14
     assert rep.converged
+    # L-BFGS steps: gradient steps took 214 iterations on the holevo case
+    # and stalled 1.1e-14 below its closed form.
+    assert max(rep.iterations) <= 100
 
 
 def test_stall_converges_only_below_the_gradient_threshold():
@@ -316,6 +319,60 @@ def test_stall_converges_only_below_the_gradient_threshold():
     assert stop(1.5 * STALL_GRAD_TOL) == (1, "stalled", False)
 
 
+def _scripted_ascent(grads, start, iters):
+    # One restart whose every step passes the Armijo test at t = 1 and
+    # never stalls: value_of rises by 1 per call. grad_of returns the
+    # scripted gradients in turn. Returns the points value_of saw: the
+    # start, then the point after each step.
+    seen = []
+    script = iter(grads)
+
+    def value_of(params):
+        seen.append(params[0][0, 0].copy())
+        return np.array([float(len(seen))])
+
+    def grad_of(params):
+        return [np.asarray(next(script), dtype=params[0].dtype).reshape(params[0].shape)]
+
+    _ascend(value_of, grad_of, [np.asarray(start).reshape(1, 1, -1)], iters)
+    return seen
+
+
+def test_a_pair_without_positive_curvature_is_not_stored():
+    # Logits [0, -10, -10] keep their maximum at index 0, so every step
+    # x + p is exact. Step 1 takes g1; step 2 takes H g2 = s1, from the
+    # pair s1 = [0, 1, 0], y1 = g1 - g2 = [0, .5, 0]. The next pair has
+    # s2 . y2 = [0, 1, 0] . [0, -.1, -1] < 0, so step 3 is H g3 from the
+    # first pair alone. Had the second pair been stored, the two-loop
+    # direction would descend and step 3 would fall back to g3.
+    seen = _scripted_ascent([[0, 1, 0], [0, 0.5, 0], [0, 0.6, 1]], [0.0, -10, -10], 3)
+    steps = np.diff(seen, axis=0)
+    assert np.allclose(steps, [[0, 1, 0], [0, 1, 0], [0, 1.2, 2]], rtol=0, atol=1e-14)
+
+
+def test_a_non_ascent_direction_falls_back_to_the_gradient():
+    # On a sphere piece of C^2: g1 and g2 are tangent and store the pair
+    # (s1, y1) at x2. g3 has a large normal component, along which the
+    # projected two-loop direction P H g3 descends (<g3, P H g3> < 0), so
+    # step 3 takes g3 itself and drops the pair. g4 = P g3 + s3 makes
+    # s3 . y3 < 0, so step 4 has no pair either and takes g4.
+    def tangent(x, v):
+        return v - np.vdot(x, v).real * x
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    x1 = np.array([1, 0], dtype=complex)
+    g1, g2 = np.array([0, 1], dtype=complex), np.array([-0.25, 0.25 + 0.5j])
+    x3 = _scripted_ascent([g1, g2], x1, 2)[2]
+    g3 = 0.1 * unit(tangent(x3, np.array([0, 1j]))) - 4.0 * x3
+    x4 = _scripted_ascent([g1, g2, g3], x1, 3)[3]
+    assert np.allclose(x4, unit(x3 + g3), rtol=0, atol=1e-15)
+    g4 = tangent(x4, g3) + tangent(x4, x4 - x3)
+    x5 = _scripted_ascent([g1, g2, g3, g4], x1, 4)[4]
+    assert np.allclose(x5, unit(x4 + g4), rtol=0, atol=1e-15)
+
+
 # ------------------------------------------------ sequential reference
 #
 # The maximizers run every restart in lockstep on one batch axis. The
@@ -330,37 +387,79 @@ def _ref_neg_log2(mat):
     return (u * (-np.log2(w))) @ u.conj().T
 
 
-def _ref_renorm(params):
+def _ref_dot(a, b):
+    return sum(float(np.vdot(x, y).real) for x, y in zip(a, b))
+
+
+def _ref_renorm(params, piece):
+    # piece: the length of each unit vector of a complex block.
     out = []
-    for p in params:
+    for p, n in zip(params, piece):
         if np.iscomplexobj(p):
-            out.append(p / np.linalg.norm(p))
+            out.append(np.concatenate([u / np.linalg.norm(u) for u in p.reshape(-1, n)]))
         else:
             out.append(p - np.max(p))
     return out
 
 
-def _ref_ascend(value_of, grad_of, params, iters):
-    params = _ref_renorm(params)
+def _ref_tangent(x, v, piece):
+    out = []
+    for p, w, n in zip(x, v, piece):
+        if np.iscomplexobj(p):
+            w = np.concatenate([
+                wk - float(np.vdot(uk, wk).real) * uk
+                for uk, wk in zip(p.reshape(-1, n), w.reshape(-1, n))
+            ])
+        out.append(w)
+    return out
+
+
+def _ref_ascend(value_of, grad_of, params, iters, piece):
+    # L-BFGS (Nocedal and Wright, Algorithm 7.4) with at most 8 pairs, on
+    # the sphere pieces' tangent spaces; Armijo backtracking from t = 1.
+    params = _ref_renorm(params, piece)
     f = value_of(params)
-    step = 1.0
+    pairs, gamma, prev = [], None, None
     used = 0
     reason = "iteration-cap"
     for used in range(1, iters + 1):
         g = grad_of(params)
-        gsq = sum(float(np.vdot(gi, gi).real) for gi in g)
-        gnorm = np.sqrt(gsq)
+        gsq = _ref_dot(g, g)
+        gnorm = math.sqrt(gsq)
         if gnorm < 1e-8:
             reason = "gradient"
             break
-        t = min(2.0 * step, 1.0)
+        if prev is not None:
+            s = _ref_tangent(params, [a - b for a, b in zip(params, prev[0])], piece)
+            y = _ref_tangent(params, [a - b for a, b in zip(prev[1], g)], piece)
+            sy, yy = _ref_dot(s, y), _ref_dot(y, y)
+            if sy > 1e-10 * math.sqrt(_ref_dot(s, s) * yy):
+                pairs = (pairs + [(s, y, 1.0 / sy)])[-8:]
+                gamma = sy / yy
+        p, slope = g, gsq
+        if pairs:
+            q, alphas = g, []
+            for s, y, rho in reversed(pairs):
+                alphas.insert(0, rho * _ref_dot(s, q))
+                q = [qi - alphas[0] * yi for qi, yi in zip(q, y)]
+            r = [gamma * qi for qi in q]
+            for (s, y, rho), alpha in zip(pairs, alphas):
+                beta = rho * _ref_dot(y, r)
+                r = [ri + (alpha - beta) * si for ri, si in zip(r, s)]
+            r = _ref_tangent(params, r, piece)
+            if _ref_dot(g, r) > 0:
+                p, slope = r, _ref_dot(g, r)
+            else:
+                pairs = []
+        t = 1.0
         f_old = f
         improved = False
         while t > 1e-14:
-            cand = _ref_renorm([p + t * gi for p, gi in zip(params, g)])
+            cand = _ref_renorm([x + t * pi for x, pi in zip(params, p)], piece)
             fc = value_of(cand)
-            if fc >= f + 1e-4 * t * gsq:
-                params, f, step, improved = cand, fc, t, True
+            if fc >= f + 1e-4 * t * slope:
+                prev = (params, g)
+                params, f, improved = cand, fc, True
                 break
             t *= 0.5
         if not improved:
@@ -373,11 +472,11 @@ def _ref_ascend(value_of, grad_of, params, iters):
     return params, f, used, reason, converged
 
 
-def _ref_run_restarts(value_of, grad_of, init_of, restarts, iters):
+def _ref_run_restarts(value_of, grad_of, init_of, restarts, iters, piece):
     best_params, best_f, best_conv = None, -np.inf, False
     counts, reasons = [], []
     for r in range(restarts):
-        params, f, used, reason, conv = _ref_ascend(value_of, grad_of, init_of(r), iters)
+        params, f, used, reason, conv = _ref_ascend(value_of, grad_of, init_of(r), iters, piece)
         counts.append(used)
         reasons.append(reason)
         if f > best_f:
@@ -413,7 +512,7 @@ def _ref_coherent(ch, restarts, iters, seed):
         return [rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)]
 
     params, f, counts, reasons, conv = _ref_run_restarts(
-        value_of, grad_of, init_of, restarts, iters
+        value_of, grad_of, init_of, restarts, iters, [d * d]
     )
     return f, counts, reasons, conv, params[0]
 
@@ -423,10 +522,11 @@ def _ref_ensembles(ch, m, restarts, iters, seed, private):
     legs = [ch.kraus] + ([complementary(ch).kraus] if private else [])
     legs = [(kraus, dagger(kraus)) for kraus in legs]
 
+    # params: the logits and the m states, one after another
     def unpack(params):
         probs = np.exp(params[0])
         probs /= probs.sum()
-        return probs, params[1:]
+        return probs, params[1].reshape(m, d)
 
     def leg_terms(kraus, probs, states):
         outs = [_apply_full(kraus, np.outer(u, u.conj())) for u in states]
@@ -463,15 +563,15 @@ def _ref_ensembles(ch, m, restarts, iters, seed, private):
             g_states[k] -= np.vdot(u, g_states[k]).real * u
             g_states[k] *= 2.0
         g_z = probs * (g_probs - float(probs @ g_probs))
-        return [g_z] + g_states
+        return [g_z, np.concatenate(g_states)]
 
     def init_of(r):
         rng = rng_for(seed, r)
         vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(m)]
-        return [rng.standard_normal(m) * 0.1] + vecs
+        return [rng.standard_normal(m) * 0.1, np.concatenate(vecs)]
 
     params, f, counts, reasons, conv = _ref_run_restarts(
-        value_of, grad_of, init_of, restarts, iters
+        value_of, grad_of, init_of, restarts, iters, [None, d]
     )
     probs, states = unpack(params)
     return f, counts, reasons, conv, probs, states
@@ -519,10 +619,13 @@ def test_lockstep_ascent_matches_sequential_reference(kind, ch, seed, restarts, 
 
 def test_lockstep_reference_covers_capped_and_finished_restarts():
     # The batch must shrink mid-run: some restarts stall and leave it
-    # while others run on to the iteration cap.
-    f, counts, reasons, conv, _ = _ref_coherent(dephasing(0.2), 4, 18, 0)
-    assert max(counts) == 18 and min(counts) < 18
+    # while others run on to the iteration cap. L-BFGS stops every
+    # dephasing(0.2) restart at iteration 5 to 11 (seeds 0-59), too evenly
+    # for any cap to split them; these five erasure restarts stop at 7 to
+    # 11 under a cap of 400.
+    f, counts, reasons, conv, _ = _ref_coherent(erasure(3, 0.2), 5, 9, 11)
+    assert max(counts) == 9 and min(counts) < 9
     assert reasons.count("iteration-cap") == 2 and reasons.count("stalled") == 2
-    rep = max_coherent_information(dephasing(0.2), restarts=4, iters=18, seed=0)
+    rep = max_coherent_information(erasure(3, 0.2), restarts=5, iters=9, seed=11)
     assert rep.iterations == counts and rep.stop_reasons == reasons
     assert rep.best_value == f

@@ -372,6 +372,15 @@ def test_tensor_power_basics():
         ch.tensor_power(ch.identity(16), 4)
 
 
+def test_tensor_power_of_one_operator_on_one_dimension_is_the_channel():
+    # Every power of a single 1 x 1 operator is the same channel, so a huge
+    # n returns at once rather than multiplying n - 1 times.
+    one = ch.identity(1)
+    start = time.perf_counter()
+    assert ch.tensor_power(one, 10**9) is one
+    assert time.perf_counter() - start < 0.1
+
+
 def test_tensor_power_matches_sequential_application():
     rng = rng_for(11)
     e = ch.erasure(2, 0.3)

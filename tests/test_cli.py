@@ -308,6 +308,17 @@ class TestExitCodes:
         assert "exceeds D_MAX" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["theorem3", "corollaries"])
+    def test_pair_further_apart_than_one_is_refused(self, capsys, command):
+        # ||id - const||_diamond = 2, beyond the bounds' domain [0, 1]
+        pair = ["--channel-a", "identity:d=2", "--channel-b", "constant:d=2"]
+        code = main(["verify", command, "--trials", "1"] + pair)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "certified diamond distance 2.0" in captured.err
+        assert "is above 1" in captured.err
+        assert captured.out == ""
+
     def test_mismatched_pair_fails(self, capsys):
         code = main(["norm", "diamond", "--a", "identity:d=2", "--b", "identity:d=3"])
         captured = capsys.readouterr()
@@ -543,13 +554,14 @@ class TestCapacityCli:
             [
                 "capacity", "coherent",
                 "--channel", "erasure:d=2,p=0.25",
-                "--restarts", "3", "--iters", "10",
+                "--restarts", "3", "--iters", "2",
             ],
         )
         assert code == 0
         result = report["result"]
         assert len(result["stop_reasons"]) == len(result["iterations"]) == 3
-        # 10 iterations are too few to reach the optimum from a random start
+        # 2 iterations are too few to reach the optimum from a random start
+        # (L-BFGS takes 5 or 6 here)
         assert result["stop_reasons"] == ["iteration-cap"] * 3
         assert result["converged"] is False
 
