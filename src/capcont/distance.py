@@ -20,7 +20,8 @@ import numpy as np
 from . import sdp
 from .channels import ChoiMatrix, QuantumChannel
 from .errors import ArgumentError
-from .linalg import DensityMatrix, PureState, maximally_entangled, partial_trace_matrix, trace_norm
+from .linalg import DensityMatrix, PureState, maximally_entangled, partial_trace_matrix
+from .linalg import probe_trace_norm, trace_norm
 from .sampling import haar_state, rng_for
 from .sdp import GAP_TARGET, TAU_SDP, DiamondSolution
 
@@ -70,13 +71,13 @@ def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
     """
     j = choi.matrix
     if float(np.max(np.abs(j))) == 0.0:
-        return DiamondSolution(0.0, 0.0, 0, "optimal", 0.0, 0.0)
+        return DiamondSolution(0.0, 0.0, 0, "optimal", 0.0)
     d_in, d_out = choi.d_in, choi.d_out
     lower, upper = _bracket(j, d_in, d_out)
     if upper - lower <= GAP_TARGET * upper:
         # Rounding can put lower a few ulps above upper; clamp the interval.
         gap = max(0.0, upper - lower) / (1.0 + upper)
-        return DiamondSolution(upper, min(lower, upper), 0, "optimal", gap, 0.0)
+        return DiamondSolution(upper, min(lower, upper), 0, "optimal", gap)
     sol = sdp.solve_diamond(j, d_in, d_out)
     slack = TAU_SDP * (1.0 + abs(sol.value))
     if sol.value < lower - slack or sol.dual_value > upper + slack:
@@ -92,19 +93,14 @@ def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondSolution:
 def probe_value(choi: ChoiMatrix, psi: PureState) -> float:
     """||(map (x) I)(psi)||_1 for a pure probe on in (x) ref.
 
-    Contracts the Choi matrix J, viewed as (d_in, d_out, d_in, d_out), with
-    the probe's amplitude matrix M: the output on out (x) ref is
-    out[b, r, c, s] = sum_ij M[i, r] J[i, b, j, c] conj(M[j, s]).
+    Contracts the Choi matrix with the probe's amplitude matrix
+    (`linalg.probe_trace_norm`, which the SDP's certificate also uses).
     Always a lower bound on the diamond norm.
     """
     d_in, d_out = choi.d_in, choi.d_out
     if len(psi.dims) != 2 or psi.dims[0] != d_in:
         raise ArgumentError(f"probe needs dims (d_in, d_ref), got {psi.dims}")
-    d_ref = psi.dims[1]
-    mat = psi.vector.reshape(d_in, d_ref)  # amplitude matrix of the probe
-    j = choi.matrix.reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
-    out = (mat.T @ j @ mat.conj()).transpose(0, 2, 1, 3).reshape((d_out * d_ref,) * 2)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(out))))
+    return probe_trace_norm(choi.matrix, psi.vector.reshape(d_in, psi.dims[1]), d_in, d_out)
 
 
 def diamond_lower_probe(choi: ChoiMatrix, trials: int, seed: int) -> float:

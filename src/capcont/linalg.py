@@ -1,11 +1,11 @@
 """Dense complex linear algebra substrate.
 
 The shared primitives (conjugate transpose, Hermitian part, real inner
-product, partial trace and the trace norm), together with the two state
-types the rest of the package passes around. Everything is plain
-dense numpy; dimensions stay at desk scale by construction (D_MAX guards
-Kronecker blowup, and check_choi_dim refuses an oversized channel before
-it is built).
+product, partial trace, the trace norm and a probe's output trace norm),
+together with the two state types the rest of the package passes around.
+Everything is plain dense numpy; dimensions stay at desk scale by
+construction (D_MAX guards Kronecker blowup, and check_choi_dim refuses an
+oversized channel before it is built).
 """
 
 from __future__ import annotations
@@ -81,8 +81,10 @@ class PureState:
     def __init__(self, vector: np.ndarray, dims: Sequence[int]):
         v = np.asarray(vector, dtype=complex).reshape(-1)
         dims = tuple(int(d) for d in dims)
-        if int(np.prod(dims)) != v.size:
-            raise DimensionError(f"dims {dims} do not multiply to vector size {v.size}")
+        if int(np.prod(dims)) != v.size or any(x < 1 for x in dims):
+            raise DimensionError(f"dims {dims} are not positive factors of vector size {v.size}")
+        if not np.all(np.isfinite(v)):
+            raise ArgumentError("state vector has non-finite entries")
         nrm = npl.norm(v)
         if abs(nrm - 1.0) > 1e-6:
             raise ArgumentError(f"vector norm {nrm} is not 1")
@@ -177,6 +179,21 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         raise ArgumentError(f"keep indices {keep} out of range for {len(rho.dims)} factors")
     red = partial_trace_matrix(rho.matrix, rho.dims, keep)
     return DensityMatrix(red, tuple(rho.dims[i] for i in keep))
+
+
+def probe_trace_norm(j: np.ndarray, mat: np.ndarray, d_in: int, d_out: int) -> float:
+    """||(map (x) I)(psi)||_1 from a map's Choi matrix j and a probe's amplitudes.
+
+    A raw kernel: j is the map's Choi matrix on in (x) out, viewed as
+    (d_in, d_out, d_in, d_out), and mat is the d_in x d_ref amplitude matrix
+    M of psi on in (x) ref. The output on out (x) ref is
+    out[b, r, c, s] = sum_ij M[i, r] J[i, b, j, c] conj(M[j, s]), and no
+    normalization is applied.
+    """
+    d_ref = mat.shape[1]
+    jt = j.reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
+    out = (mat.T @ jt @ mat.conj()).transpose(0, 2, 1, 3).reshape((d_out * d_ref,) * 2)
+    return float(np.sum(np.abs(npl.eigvalsh(out))))
 
 
 def trace_norm(x: np.ndarray) -> float:

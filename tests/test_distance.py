@@ -21,7 +21,13 @@ from capcont.distance import (
 )
 from capcont.errors import ArgumentError
 from capcont.linalg import DensityMatrix, PureState, basis_state, maximally_entangled
-from capcont.sampling import haar_state, random_channel, random_density_matrix, rng_for
+from capcont.sampling import (
+    haar_state,
+    random_channel,
+    random_density_matrix,
+    random_unitary,
+    rng_for,
+)
 from capcont.sdp import DiamondSolution
 
 # ---------------------------------------------------------------- oracles
@@ -128,7 +134,7 @@ def test_diamond_norm_certifies_nearby_pairs(d, k):
 
 def test_diamond_lower_bound_never_exceeds_value():
     # The first three pairs are ones where the raw primal objective <J, P - Q>
-    # of a drifted primal point exceeded the certified upper bound.
+    # of the solver's drifted primal point exceeded the certified upper bound.
     cases = [(3, 2, 3), (4, 2, 11), (20, 2, 4)]
     cases += [(seed, d, k) for seed in range(1, 5) for d in (2, 3) for k in range(15)]
     for seed, d, k in cases:
@@ -136,6 +142,43 @@ def test_diamond_lower_bound_never_exceeds_value():
         assert res.certified()
         assert type(res.dual_value) is float  # np.float64 would make certified() an np.bool_
         assert res.dual_value <= res.value, (seed, d, k)
+
+
+# One seeded pair per family and size, on the inputs most likely to break a
+# certificate: (nearby) unitaries at distance ~arg, low Kraus rank, mixtures
+# at q = 1e-6, asymmetric dimensions and d = 9, 10.
+_CORPUS = (
+    [("unitary", d, dist) for d in range(2, 7) for dist in (1e-1, 1e-3, 1e-6)]
+    + [("rank2", d, 0.1) for d in (3, 5, 7)]
+    + [("mixture", d, 1e-6) for d in (2, 4)]
+    + [("nearby", d_in, d_out) for d_in, d_out in ((2, 8), (8, 2), (3, 7), (7, 3), (9, 9), (10, 10))]
+)
+
+
+def _corpus_pair(family, d, arg):
+    rng = rng_for(90, _CORPUS.index((family, d, arg)))
+    if family == "unitary":  # U against U exp(i arg H / 2), ||H|| = 1
+        u = random_unitary(d, rng)
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        w, v = np.linalg.eigh((a + a.conj().T) / 2)
+        step = (v * np.exp(0.5j * arg * w / np.max(np.abs(w)))) @ v.conj().T
+        return ch.QuantumChannel([u]), ch.QuantumChannel([u @ step])
+    if family == "nearby":
+        return random_nearby_pair(d, arg, rng)
+    kraus_count = 2 if family == "rank2" else None
+    a = random_channel(d, d, rng, kraus_count)
+    return a, ch.mix([a, random_channel(d, d, rng, kraus_count)], [1.0 - arg, arg])
+
+
+@pytest.mark.parametrize("family,d,arg", _CORPUS)
+def test_diamond_certificate_corpus(family, d, arg):
+    m = ch.ChoiMatrix.difference(*_corpus_pair(family, d, arg))
+    res = diamond_norm(m)
+    assert res.certified()
+    assert res.dual_value <= res.value
+    lower, upper = _bracket(m.matrix, m.d_in, m.d_out)
+    slack = sdp.TAU_SDP * (1.0 + res.value)
+    assert lower - slack <= res.dual_value and res.value <= upper + slack
 
 
 _BRACKET_PAIRS = [
@@ -176,7 +219,7 @@ def test_diamond_norm_rejects_sdp_interval_outside_the_bracket(monkeypatch, side
     fake = 0.5 * lower if side == "below-lower" else upper + 0.1
 
     def wrong_solver(j, d_in, d_out):
-        return DiamondSolution(fake, fake, 7, "optimal", 0.0, 0.0)
+        return DiamondSolution(fake, fake, 7, "optimal", 0.0)
 
     monkeypatch.setattr(sdp, "solve_diamond", wrong_solver)
     res = diamond_norm(m)

@@ -94,6 +94,18 @@ def test_pure_state_normalization():
     assert np.allclose(psi.density().matrix, np.full((2, 2), 0.5))
 
 
+@pytest.mark.parametrize("vector,dims,error,match", [
+    ([np.nan, 0.0], (2,), ArgumentError, "non-finite"),
+    ([np.inf, 0.0], (2,), ArgumentError, "non-finite"),
+    ([1.0, 0.0, 0.0, 0.0], (-2, -2), DimensionError, "positive"),
+])
+def test_pure_state_rejects_bad_input(vector, dims, error, match):
+    # A NaN norm passed the norm check, and negative dims with a positive
+    # product passed the size check.
+    with pytest.raises(error, match=match):
+        PureState(np.array(vector), dims)
+
+
 # ---------------------------------------------------------- partial trace
 
 

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from capcont import channels as ch
 from capcont import sdp
 from capcont.continuity import random_nearby_pair
 from capcont.channels import ChoiMatrix
-from capcont.distance import diamond_distance
-from capcont.linalg import dagger
-from capcont.sampling import rng_for
+from capcont.distance import _bracket, diamond_distance
+from capcont.linalg import dagger, partial_trace_matrix
+from capcont.sampling import random_density_matrix, rng_for
 
 
 def _random_pd(n, rng, floor=0.05):
@@ -235,7 +236,7 @@ def test_sdp_solution_fields_are_python_scalars():
 
 def test_sdp_solution_is_frozen():
     # A verdict is decided once; a demotion makes a new solution.
-    sol = sdp.DiamondSolution(1.0, 1.0, 0, "optimal", 0.0, 0.0)
+    sol = sdp.DiamondSolution(1.0, 1.0, 0, "optimal", 0.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         sol.status = "max-iters"
 
@@ -247,6 +248,50 @@ def test_optimal_status_means_the_interval_is_within_tau_sdp(d):
         sol = sdp.solve_diamond(ChoiMatrix.difference(a, b).matrix, d, d)
         assert sol.certified()
         assert sol.value - sol.dual_value <= sdp.TAU_SDP * (1.0 + sol.value)
+
+
+# ------------------------------------------------------------- certificate
+
+
+def _choi_and_abs(a, b):
+    j = ChoiMatrix.difference(a, b).matrix
+    lam, vecs = np.linalg.eigh(j)
+    return j, (vecs * np.abs(lam)) @ dagger(vecs)
+
+
+@pytest.mark.parametrize("delta", [1e-14, 1e-10])
+@pytest.mark.parametrize("d", [2, 3])
+def test_interval_lifts_an_infeasible_dual_by_d_b_delta(d, delta):
+    # Z = |J| is feasible and optimal for identity vs depolarizing; shifted
+    # by -delta I, Z - J and Z + J each get the eigenvalue -delta, and
+    # lambda_max(Tr_B Z) drops by d_B delta below the norm. The certificate
+    # must add exactly that back rather than trust the iterate.
+    j, abs_j = _choi_and_abs(ch.identity(d), ch.depolarizing(d, 0.1))
+    rho = np.eye(d) / d
+    z = abs_j - delta * np.eye(d * d)
+    _, upper = sdp._interval(j, rho, z, d, d)
+    drop = float(np.linalg.eigvalsh(partial_trace_matrix(z, (d, d), [0]))[-1])
+    assert abs((upper - drop) - d * delta) <= 1e-15
+    assert abs(upper - sdp._interval(j, rho, abs_j, d, d)[1]) <= 1e-15
+    assert upper >= _bracket(j, d, d)[0]  # the Bell value, here the norm
+
+
+def test_interval_lower_bound_at_the_maximally_mixed_input_is_the_bell_value():
+    a, b = random_nearby_pair(3, 3, rng_for(69))
+    j, abs_j = _choi_and_abs(a, b)
+    lower, _ = sdp._interval(j, np.eye(3) / 3, abs_j, 3, 3)
+    assert lower == pytest.approx(_bracket(j, 3, 3)[0], rel=1e-12)
+
+
+def test_interval_lower_bound_ignores_the_trace_of_rho():
+    rng = rng_for(70)
+    a, b = random_nearby_pair(3, 3, rng)
+    j, abs_j = _choi_and_abs(a, b)
+    rho = random_density_matrix(3, rng).matrix
+    lower, _ = sdp._interval(j, rho, abs_j, 3, 3)
+    assert sdp._interval(j, (1.0 + 1e-6) * rho, abs_j, 3, 3)[0] == pytest.approx(lower, rel=1e-12)
+    sol = diamond_distance(a, b)
+    assert lower <= sol.value  # any rho gives a lower bound
 
 
 # ------------------------------------------------------------- iterations
