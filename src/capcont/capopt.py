@@ -8,9 +8,9 @@ global optimality is made.
 
 Pure states are parameterized by unconstrained complex vectors normalized
 on evaluation; ensembles add a softmax over real logits.  Gradients go
-through the eigendecomposition of each output state, with eigenvalues
-floored at EPS_PERTURB so the matrix logarithm stays finite near rank
-deficiency.
+through one eigendecomposition of each output state, which gives both its
+matrix logarithm, with eigenvalues floored at EPS_PERTURB so it stays
+finite near rank deficiency, and its entropy.
 
 Restarts run in lockstep on one leading batch axis, and an ensemble's
 states on a second one, so one kernel call serves every restart and state
@@ -30,9 +30,15 @@ the current one.  A restart leaves the batch at the first of four stops:
 - ``line-search``: backtracking finds no acceptable step;
 - ``iteration-cap``: it reaches the iteration cap.
 
-The batched kernels match per-slice calls bit for bit, and every scalar
-reduction is taken per restart in a fixed order, so the report is
-bit-identical to running the restarts one after another.
+The batched kernels match per-slice calls bit for bit.  Every scalar
+reduction (norms, tangent projections, curvature and slope dots, the
+ensemble gradient's overlaps and means) is one row reduction, ``_rows``:
+Re <a[i], b[i]> for every leading index i in one einsum over the real
+views, whose sum for row i reads row i alone.  A restart's dots run over
+its blocks flattened into one real row, the layout the curvature pairs are
+kept in.  So the report is bit-identical to running the restarts one after
+another; ``test_row_reduction_is_batch_invariant`` pins the row property
+and ``test_lockstep_ascent_matches_sequential_reference`` the report.
 """
 
 from __future__ import annotations
@@ -43,9 +49,9 @@ from typing import Callable
 import numpy as np
 
 from .channels import QuantumChannel, _apply_full, complementary, tensor_power
-from .entropic import Ensemble, _ensemble_outputs, _holevo, entropy_of_matrix
+from .entropic import Ensemble, _ensemble_outputs, _holevo, entropy_of_matrix, entropy_of_spectra
 from .errors import ArgumentError, DimensionError
-from .linalg import D_MAX, DensityMatrix, PureState, dagger, partial_trace_matrix, real_inner
+from .linalg import D_MAX, DensityMatrix, PureState, dagger, partial_trace_matrix
 from .sampling import rng_for
 
 RESTARTS = 16       # default random restarts per maximization
@@ -83,11 +89,24 @@ class OptimizationReport:
     converged: bool
 
 
-def _neg_log2(mat: np.ndarray) -> np.ndarray:
-    """-log2 of each PSD matrix of a stack, eigenvalues floored at EPS_PERTURB."""
-    w, u = np.linalg.eigh(mat)
+def _neg_log2(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """-log2 of each PSD matrix of a stack from its eigh, eigenvalues floored at EPS_PERTURB."""
     w = np.clip(w, EPS_PERTURB, None)
     return (u * (-np.log2(w))[..., None, :]) @ dagger(u)
+
+
+def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a[i], b[i]> over the trailing axes, for each leading index i.
+
+    One einsum over the real views, where Re <x, y> is the plain dot
+    product. Its sum for row i reads row i alone, in the same order for
+    any number of rows, so each value is bit-equal to that of the row
+    reduced by itself.
+    """
+    n = len(a)
+    return np.einsum(
+        "ij,ij->i", a.reshape(n, -1).view(np.float64), b.reshape(n, -1).view(np.float64)
+    )
 
 
 def _outer(vecs: np.ndarray) -> np.ndarray:
@@ -95,13 +114,10 @@ def _outer(vecs: np.ndarray) -> np.ndarray:
     return vecs[..., :, None] * vecs.conj()[..., None, :]
 
 
-def _per_piece(fn, *stacks: np.ndarray) -> np.ndarray:
-    """fn on the matching pieces of (restarts, pieces, ...) stacks, one at a time.
-
-    Scalar reductions go through here exactly as a single restart takes
-    them, so that their summation order does not depend on the batch.
-    """
-    return np.array([[fn(*xs) for xs in zip(*rows)] for rows in zip(*stacks)])
+def _piece_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a, b> on each piece of two (restarts, pieces, ...) stacks."""
+    pieces = a.shape[0] * a.shape[1]
+    return _rows(a.reshape(pieces, -1), b.reshape(pieces, -1)).reshape(a.shape[:2])
 
 
 def _renorm(params: list[np.ndarray]) -> list[np.ndarray]:
@@ -114,16 +130,31 @@ def _renorm(params: list[np.ndarray]) -> list[np.ndarray]:
     out = []
     for p in params:
         if np.iscomplexobj(p):
-            norms = _per_piece(np.linalg.norm, p)
-            out.append(p / norms[..., None])
+            out.append(p / np.sqrt(_piece_rows(p, p))[..., None])
         else:
             out.append(p - np.max(p, axis=-1, keepdims=True))
     return out
 
 
+def _flat(blocks: list[np.ndarray]) -> np.ndarray:
+    """Each restart's blocks as one float64 row: their real views, in block order."""
+    rows = [b.reshape(len(b), -1).view(np.float64) for b in blocks]
+    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
+
+
+def _unflat(rows: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Split _flat rows back into blocks shaped and typed like `like`."""
+    out, start = [], 0
+    for b in like:
+        width = b[0].size * b.itemsize // 8
+        out.append(rows[:, start : start + width].view(b.dtype).reshape(b.shape))
+        start += width
+    return out
+
+
 def _dots(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
-    """Re <a, b> per restart: one real_inner per block, summed in block order."""
-    return np.array([sum(real_inner(x[i], y[i]) for x, y in zip(a, b)) for i in range(len(a[0]))])
+    """Re <a, b> per restart: one row reduction over the flattened blocks."""
+    return _rows(_flat(a), _flat(b))
 
 
 def _tangent(at: list[np.ndarray], v: list[np.ndarray]) -> list[np.ndarray]:
@@ -132,7 +163,7 @@ def _tangent(at: list[np.ndarray], v: list[np.ndarray]) -> list[np.ndarray]:
     Logit blocks are left as they are.
     """
     return [
-        vi - _per_piece(real_inner, u, vi)[..., None] * u if np.iscomplexobj(u) else vi
+        vi - _piece_rows(u, vi)[..., None] * u if np.iscomplexobj(u) else vi
         for u, vi in zip(at, v)
     ]
 
@@ -140,27 +171,30 @@ def _tangent(at: list[np.ndarray], v: list[np.ndarray]) -> list[np.ndarray]:
 class _Memory:
     """Each restart's last LBFGS_MEMORY curvature pairs (s, y), oldest first.
 
-    Slot j of restart i holds a pair when j < held[i]. rho is 1 / s.y, and
-    gamma = s.y / y.y of the newest pair scales the initial inverse
-    Hessian H0 = gamma I.
+    Pairs are kept as _flat rows, so each slot of the two-loop recursion is
+    one row reduction and one update. Slot j of restart i holds a pair when
+    j < held[i]. rho is 1 / s.y, and gamma = s.y / y.y of the newest pair
+    scales the initial inverse Hessian H0 = gamma I.
     """
 
     def __init__(self, params: list[np.ndarray]):
-        n = len(params[0])
-        self.s = [np.zeros((n, LBFGS_MEMORY) + p.shape[1:], p.dtype) for p in params]
-        self.y = [np.zeros_like(s) for s in self.s]
+        flat = _flat(params)
+        n = len(flat)
+        self.s = np.zeros((n, LBFGS_MEMORY, flat.shape[1]))
+        self.y = np.zeros_like(self.s)
         self.rho = np.zeros((n, LBFGS_MEMORY))
         self.gamma = np.zeros(n)
         self.held = np.zeros(n, dtype=int)
 
     def store(self, rows: np.ndarray, s: list[np.ndarray], y: list[np.ndarray]) -> None:
         """Append the pairs of these restarts whose curvature s.y is positive."""
-        sy, ss, yy = _dots(s, y), _dots(s, s), _dots(y, y)
+        s, y = _flat(s), _flat(y)
+        sy, ss, yy = _rows(s, y), _rows(s, s), _rows(y, y)
         ok = sy > CURVATURE_RTOL * np.sqrt(ss * yy)
         rows = rows[ok]
         full = rows[self.held[rows] == LBFGS_MEMORY]
         slot = np.minimum(self.held[rows], LBFGS_MEMORY - 1)
-        for mem, new in zip(self.s + self.y, s + y):
+        for mem, new in ((self.s, s), (self.y, y)):
             mem[full, :-1] = mem[full, 1:]
             mem[rows, slot] = new[ok]
         self.rho[full, :-1] = self.rho[full, 1:]
@@ -171,25 +205,22 @@ class _Memory:
     def apply(self, rows: np.ndarray, g: list[np.ndarray]) -> list[np.ndarray]:
         """H g by the two-loop recursion, for restarts that hold a pair."""
         held = self.held[rows]
-        mem_s, mem_y = [s[rows] for s in self.s], [y[rows] for y in self.y]
-        rho = self.rho[rows]
-        q = [gi.copy() for gi in g]
+        mem_s, mem_y, rho = self.s[rows], self.y[rows], self.rho[rows]
+        q = _flat(g).copy()
         alpha = np.zeros((len(rows), LBFGS_MEMORY))
         # Pairs are stored oldest first, so slot j is held by every restart
         # below the shortest memory; a slice then saves the fancy indexing.
         for j in reversed(range(held.max())):
             act = slice(None) if held.min() > j else np.flatnonzero(held > j)
-            a = rho[act, j] * _dots([s[act, j] for s in mem_s], [qi[act] for qi in q])
+            a = rho[act, j] * _rows(mem_s[act, j], q[act])
             alpha[act, j] = a
-            for qi, y in zip(q, mem_y):
-                qi[act] = qi[act] - a[:, None, None] * y[act, j]
-        r = [self.gamma[rows][:, None, None] * qi for qi in q]
+            q[act] -= a[:, None] * mem_y[act, j]
+        r = self.gamma[rows][:, None] * q
         for j in range(held.max()):
             act = slice(None) if held.min() > j else np.flatnonzero(held > j)
-            b = rho[act, j] * _dots([y[act, j] for y in mem_y], [ri[act] for ri in r])
-            for ri, s in zip(r, mem_s):
-                ri[act] = ri[act] + (alpha[act, j] - b)[:, None, None] * s[act, j]
-        return r
+            b = rho[act, j] * _rows(mem_y[act, j], r[act])
+            r[act] += (alpha[act, j] - b)[:, None] * mem_s[act, j]
+        return _unflat(r, g)
 
 
 def _ascend(
@@ -352,10 +383,10 @@ def max_coherent_information(
     def grad_of(params):
         v = params[0]
         rho = rho_of(v[:, 0])
-        g_rho = _apply_full(kb_adj, _neg_log2(_apply_full(kb, rho)))
-        g_rho -= _apply_full(ke_adj, _neg_log2(_apply_full(ke, rho)))
+        g_rho = _apply_full(kb_adj, _neg_log2(*np.linalg.eigh(_apply_full(kb, rho))))
+        g_rho -= _apply_full(ke_adj, _neg_log2(*np.linalg.eigh(_apply_full(ke, rho))))
         hv = (v.reshape(-1, d, d) @ g_rho.swapaxes(-1, -2)).reshape(v.shape)
-        hv -= _per_piece(real_inner, v, hv)[..., None] * v
+        hv -= _piece_rows(v, hv)[..., None] * v
         return [2.0 * hv]
 
     def init_of(r):
@@ -407,15 +438,16 @@ def _max_over_ensembles(
         sign = 1.0
         for kraus, adjoint in legs:
             outs, avg = _ensemble_outputs(kraus, probs, _outer(states))
-            l_avg = _neg_log2(avg)
-            back = _apply_full(adjoint, l_avg[:, None] - _neg_log2(outs))
+            l_avg = _neg_log2(*np.linalg.eigh(avg))
+            w, u = np.linalg.eigh(outs)
+            back = _apply_full(adjoint, l_avg[:, None] - _neg_log2(w, u))
             g_states += (sign * probs)[..., None] * (back @ states[..., None])[..., 0]
-            overlaps = np.array([[real_inner(o, l) for o in row] for row, l in zip(outs, l_avg)])
-            g_probs += sign * (overlaps - entropy_of_matrix(outs))
+            overlaps = _piece_rows(outs, np.broadcast_to(l_avg[:, None], outs.shape))
+            g_probs += sign * (overlaps - entropy_of_spectra(w))
             sign = -sign
-        g_states -= _per_piece(real_inner, states, g_states)[..., None] * states
+        g_states -= _piece_rows(states, g_states)[..., None] * states
         g_states *= 2.0
-        means = np.array([float(p @ gp) for p, gp in zip(probs, g_probs)])
+        means = _rows(probs, g_probs)
         g_z = probs * (g_probs - means[:, None])
         return [g_z[:, None], g_states]
 

@@ -29,16 +29,15 @@ def entropy_of_spectrum(w: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def entropy_of_matrix(mat: np.ndarray) -> float | np.ndarray:
-    """Entropy of a Hermitian matrix treated as a state (no validation).
+def entropy_of_spectra(w: np.ndarray) -> float | np.ndarray:
+    """Entropies in bits of the clipped eigenvalue rows of a (..., n) array.
 
-    A (..., n, n) stack gives the array of its slices' entropies, each
-    bit-equal to that of the slice alone. Clipped zeros lead an ascending
-    spectrum and numpy sums fewer than 8 terms one by one, so below 8
-    eigenvalues a zero-masked row sum equals the filtered sum; longer
-    spectra are summed row by row.
+    A 1-D spectrum gives a float. Each row of a stack gives the entropy of
+    that row alone, bit for bit: clipped zeros lead an ascending spectrum
+    and numpy sums fewer than 8 terms one by one, so below 8 eigenvalues a
+    zero-masked row sum equals the filtered sum; longer spectra are summed
+    row by row.
     """
-    w = np.linalg.eigvalsh(linalg.hermitian_part(mat))
     if w.ndim == 1:
         return entropy_of_spectrum(w)
     if w.shape[-1] >= 8:
@@ -46,6 +45,16 @@ def entropy_of_matrix(mat: np.ndarray) -> float | np.ndarray:
         return np.array(rows).reshape(w.shape[:-1])
     p = np.clip(w, 0.0, 1.0)
     return -np.sum(p * np.log2(p, out=np.zeros_like(p), where=p > 0.0), axis=-1)
+
+
+def entropy_of_matrix(mat: np.ndarray) -> float | np.ndarray:
+    """Entropy of a Hermitian matrix treated as a state (no validation).
+
+    The ascending spectrum of the Hermitian part goes to
+    entropy_of_spectra, so a (..., n, n) stack gives the array of its
+    slices' entropies, each bit-equal to that of the slice alone.
+    """
+    return entropy_of_spectra(np.linalg.eigvalsh(linalg.hermitian_part(mat)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -91,7 +91,7 @@ class DiamondSolution:
     dual_value: float   # certified lower bound, the probe value at the final rho
     iterations: int     # 0 when the closed-form bracket certified the norm
     status: str         # optimal | max-iters
-    rel_gap: float      # (value - dual_value) / (1 + value) in the solver's units
+    rel_gap: float      # (value - dual_value) / (1 + value), in the map's own units
 
     def certified(self) -> bool:
         return self.status == "optimal"
@@ -343,11 +343,12 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
         s_dual = [hermitian_part(sb - ad * ab) for sb, ab in zip(s_dual, a_star(dy, dtau))]
 
     dual_value, value = _interval(j, x[1], -y_dual, d_a, d_b)
-    rel_gap = (value - dual_value) / (1.0 + value)
+    norm_gap = (value - dual_value) / (1.0 + value)
     value, dual_value = value * scale, dual_value * scale
     # Honest final audit, the one place a solution is certified. It is
-    # optimal only if (1) the rebuilt interval's relative gap meets SOFT_GAP
-    # and (2) the interval is within TAU_SDP (1 + |value|).
-    optimal = rel_gap <= SOFT_GAP and abs(value - dual_value) <= TAU_SDP * (1.0 + abs(value))
+    # optimal only if (1) the rebuilt interval's relative gap, in units of
+    # ||J||_2, meets SOFT_GAP and (2) the interval is within TAU_SDP (1 + |value|).
+    optimal = norm_gap <= SOFT_GAP and abs(value - dual_value) <= TAU_SDP * (1.0 + abs(value))
     return DiamondSolution(value=value, dual_value=dual_value, iterations=iters,
-                           status="optimal" if optimal else "max-iters", rel_gap=rel_gap)
+                           status="optimal" if optimal else "max-iters",
+                           rel_gap=(value - dual_value) / (1.0 + value))

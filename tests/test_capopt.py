@@ -18,6 +18,7 @@ from capcont.capopt import (
     STALL_GRAD_TOL,
     TAU_OPT,
     _ascend,
+    _rows,
     max_coherent_information,
     max_holevo,
     max_private,
@@ -42,6 +43,7 @@ from capcont.entropic import (
     Ensemble,
     coherent_information,
     entropy_of_matrix,
+    entropy_of_spectra,
     holevo_information,
     private_information,
 )
@@ -300,6 +302,18 @@ def test_stall_rule_does_not_stop_short(kind, ch, n, value):
     assert max(rep.iterations) <= 100
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind, ch, n, value", _CLOSED_FORMS)
+def test_capacity_cases_converge_at_every_op_seed(kind, ch, n, value, seed):
+    if kind == "coherent":
+        rep = n_copy_coherent_information(ch, n, restarts=4, iters=400, seed=seed)
+    else:
+        runner = n_copy_holevo if kind == "holevo" else n_copy_private
+        rep = runner(ch, n, ch.d_in**2, restarts=4, iters=400, seed=seed)
+    assert rep.converged
+    assert abs(rep.best_value - value) <= 1e-12
+
+
 def test_stall_converges_only_below_the_gradient_threshold():
     # A linear objective along a reported gradient of norm s: every step
     # of length t raises f by 2e-10 * t * s, which passes the Armijo test
@@ -381,14 +395,22 @@ def test_a_non_ascent_direction_falls_back_to_the_gradient():
 # values, iteration counts, stop reasons, flags and maximizers.
 
 
-def _ref_neg_log2(mat):
-    w, u = np.linalg.eigh(mat)
+def _ref_neg_log2(w, u):
     w = np.clip(w, 1e-10, None)
     return (u * (-np.log2(w))) @ u.conj().T
 
 
+def _ref_inner(x, y):
+    # Re <x, y> as the dot product of the real views, the ascent's reduction.
+    return float(np.einsum("i,i->", x.reshape(-1).view(np.float64), y.reshape(-1).view(np.float64)))
+
+
 def _ref_dot(a, b):
-    return sum(float(np.vdot(x, y).real) for x, y in zip(a, b))
+    # Over all blocks at once: their real views, concatenated in block order.
+    def flat(blocks):
+        return np.concatenate([x.view(np.float64) for x in blocks])
+
+    return _ref_inner(flat(a), flat(b))
 
 
 def _ref_renorm(params, piece):
@@ -396,7 +418,7 @@ def _ref_renorm(params, piece):
     out = []
     for p, n in zip(params, piece):
         if np.iscomplexobj(p):
-            out.append(np.concatenate([u / np.linalg.norm(u) for u in p.reshape(-1, n)]))
+            out.append(np.concatenate([u / np.sqrt(_ref_inner(u, u)) for u in p.reshape(-1, n)]))
         else:
             out.append(p - np.max(p))
     return out
@@ -407,7 +429,7 @@ def _ref_tangent(x, v, piece):
     for p, w, n in zip(x, v, piece):
         if np.iscomplexobj(p):
             w = np.concatenate([
-                wk - float(np.vdot(uk, wk).real) * uk
+                wk - _ref_inner(uk, wk) * uk
                 for uk, wk in zip(p.reshape(-1, n), w.reshape(-1, n))
             ])
         out.append(w)
@@ -501,10 +523,10 @@ def _ref_coherent(ch, restarts, iters, seed):
     def grad_of(params):
         v = params[0]
         rho = rho_of(v)
-        g_rho = _apply_full(kb_adj, _ref_neg_log2(_apply_full(kb, rho)))
-        g_rho -= _apply_full(ke_adj, _ref_neg_log2(_apply_full(ke, rho)))
+        g_rho = _apply_full(kb_adj, _ref_neg_log2(*np.linalg.eigh(_apply_full(kb, rho))))
+        g_rho -= _apply_full(ke_adj, _ref_neg_log2(*np.linalg.eigh(_apply_full(ke, rho))))
         hv = (v.reshape(d, d) @ g_rho.T).reshape(-1)
-        hv -= np.vdot(v, hv).real * v
+        hv -= _ref_inner(v, hv) * v
         return [2.0 * hv]
 
     def init_of(r):
@@ -551,18 +573,18 @@ def _ref_ensembles(ch, m, restarts, iters, seed, private):
         sign = 1.0
         for kraus, adjoint in legs:
             outs, avg = leg_terms(kraus, probs, states)
-            l_avg = _ref_neg_log2(avg)
+            l_avg = _ref_neg_log2(*np.linalg.eigh(avg))
             for k, (u, out) in enumerate(zip(states, outs)):
-                back = _apply_full(adjoint, l_avg - _ref_neg_log2(out))
+                # One eigh of each output serves its -log2 and its entropy.
+                w_out, u_out = np.linalg.eigh(out)
+                back = _apply_full(adjoint, l_avg - _ref_neg_log2(w_out, u_out))
                 g_states[k] += sign * probs[k] * (back @ u)
-                g_probs[k] += sign * (
-                    float(np.vdot(out, l_avg).real) - entropy_of_matrix(out)
-                )
+                g_probs[k] += sign * (_ref_inner(out, l_avg) - entropy_of_spectra(w_out))
             sign = -sign
         for k, u in enumerate(states):
-            g_states[k] -= np.vdot(u, g_states[k]).real * u
+            g_states[k] -= _ref_inner(u, g_states[k]) * u
             g_states[k] *= 2.0
-        g_z = probs * (g_probs - float(probs @ g_probs))
+        g_z = probs * (g_probs - _ref_inner(probs, g_probs))
         return [g_z, np.concatenate(g_states)]
 
     def init_of(r):
@@ -594,6 +616,26 @@ def _lockstep_cases():
     square = tensor_power(erasure(2, 0.25), 2)
     cases.append(pytest.param("coherent", square, 0, 2, 40, id="coherent-erasure^2-seed0"))
     return cases
+
+
+@pytest.mark.parametrize("length", [*range(1, 41), 64, 81, 256])
+def test_row_reduction_is_batch_invariant(length):
+    # Lockstep rests on this: each row of the batched Re <a[i], b[i]> is
+    # the row reduced alone, for any batch size and for the fancy-indexed
+    # row subsets the ascent passes, and equals the reference's reduction.
+    rng = rng_for(43, length)
+    for count in range(1, 17):
+        a, b = (
+            rng.standard_normal((count, length)) + 1j * rng.standard_normal((count, length))
+            for _ in range(2)
+        )
+        full = _rows(a, b)
+        for i in range(count):
+            assert full[i] == _rows(a[i : i + 1], b[i : i + 1])[0] == _ref_inner(a[i], b[i])
+        subset = np.sort(rng.choice(count, size=(count + 1) // 2, replace=False))
+        assert np.array_equal(_rows(a[subset], b[subset]), full[subset])
+        real = a.real.copy()
+        assert np.array_equal(_rows(real[subset], real[subset]), _rows(real, real)[subset])
 
 
 @pytest.mark.parametrize("kind, ch, seed, restarts, iters", _lockstep_cases())

@@ -242,6 +242,24 @@ def test_diamond_norm_of_small_generic_map_runs_the_sdp():
     assert small.value == pytest.approx(1e-7 * base.value, rel=1e-6)
 
 
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e3])
+@pytest.mark.parametrize(
+    "pair, sdp_route",
+    [
+        (lambda: random_nearby_pair(2, 2, rng_for(1, 2, 0)), True),
+        (lambda: (ch.identity(2), ch.depolarizing(2, 0.1)), False),
+    ],
+    ids=["sdp", "bracket"],
+)
+def test_rel_gap_is_in_the_maps_own_units(pair, sdp_route, scale):
+    # Both routes report the same quantity: the SDP solves at ||J||_2 = 1,
+    # but its rel_gap is taken after the interval is scaled back.
+    res = diamond_norm(ch.ChoiMatrix.difference(*pair()).scaled(scale))
+    assert (res.iterations > 0) == sdp_route
+    assert res.certified()
+    assert res.rel_gap == (res.value - res.dual_value) / (1.0 + res.value)
+
+
 # Closed forms that the bracket now certifies in diamond_norm; the solver
 # itself must still reproduce them.
 _SDP_ORACLE_PAIRS = [(a, b, e) for a, b, e in _BRACKET_PAIRS] + [
