@@ -2,13 +2,14 @@
 
 A channel is stored as one read-only (r, d_out, d_in) stack of Kraus
 operators summing to the identity under K^dag K (trace preservation);
-complete positivity is automatic in this form. Conversions to and from the
-Choi matrix give canonical minimal Kraus families, Stinespring dilation
-gives the complementary channel, and a small zoo of named constructors
-covers the channels the harnesses exercise: identity, constant, erasure,
-depolarizing, dephasing, and the capacity discontinuity families (an
-n-level identity mixed with a sink map, in both its classical and quantum
-parameterizations).
+complete positivity is automatic in this form. A family longer than the
+Choi rank bound d_in d_out is stored in Choi-rank form, so ``kraus`` may
+be shorter than the family given. Choi conversions give canonical minimal
+Kraus families, Stinespring dilation gives the complementary channel, and
+a small zoo of named constructors covers the channels the harnesses
+exercise: identity, constant, erasure, depolarizing, dephasing, and the
+capacity discontinuity families (an n-level identity mixed with a sink
+map, in both its classical and quantum parameterizations).
 
 Channel application lives only here, in one kernel on raw matrices,
 _kraus_sum. _apply_full calls it on the whole space, or on a stack of
@@ -16,9 +17,9 @@ whole-space matrices (the stack of K^dag gives the adjoint), and
 _apply_on_factors once per tensor slot, after moving the slot's axes to the
 ends. The public apply and apply_extended validate. A pure input needs no
 square matrix: _kraus_images returns the matrix Y whose columns are the
-images of the vector under every Kraus product (of a Choi-rank family, so
-at most d_in d_out per copy), so the output is Y Y^dag, and its nonzero
-spectrum is that of the Gram matrix Y^dag Y.
+images of the vector under every Kraus product (at most d_in d_out per
+copy), so the output is Y Y^dag, and its nonzero spectrum is that of the
+Gram matrix Y^dag Y.
 
 Conventions fixed here for reproducibility:
   * Choi matrix lives on in (x) out: J = sum_ij |i><j| (x) N(|i><j|).
@@ -45,7 +46,10 @@ class QuantumChannel:
     ----------
     kraus : (r, d_out, d_in) array or sequence of r (d_out, d_in) matrices
         Kraus operators; must satisfy sum K^dag K = I within TAU_TP. They
-        are copied into the read-only stack ``self.kraus``.
+        are copied into the read-only stack ``self.kraus``, unchanged if at
+        most d_in*d_out, else as the rows of S V^dag from the SVD of the
+        stacked operators: the same channel in Choi-rank form, so ``kraus``
+        may be shorter than the family given.
     """
 
     def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray):
@@ -64,7 +68,7 @@ class QuantumChannel:
             raise ArgumentError(f"expected a stack of Kraus matrices, got ndim={stack.ndim}")
         if not np.all(np.isfinite(stack)):
             raise ArgumentError("Kraus operators have non-finite entries")
-        _, d_out, d_in = stack.shape
+        r, d_out, d_in = stack.shape
         check_choi_dim(d_in, d_out)
         rows = stack.reshape(-1, d_in)  # sum_k K^dag K as one product
         res = float(np.max(np.abs(rows.conj().T @ rows - np.eye(d_in))))
@@ -72,6 +76,12 @@ class QuantumChannel:
             raise TPViolationError(
                 f"Kraus family is not trace-preserving: residual {res:.3e}"
             )
+        if r > d_in * d_out:  # Choi-rank form: the rows of S V^dag of the stacked operators
+            try:
+                _, s, vh = np.linalg.svd(stack.reshape(r, -1), full_matrices=False)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+                raise NumericError("svd", str(exc)) from exc
+            stack = (s[:, None] * vh).reshape(-1, d_out, d_in)
         stack.setflags(write=False)
         self.kraus = stack
         self.d_in = d_in
@@ -189,18 +199,9 @@ def _kraus_images(kraus: np.ndarray, vec: np.ndarray, dims: tuple[int, ...]) -> 
     index slowest as in tensor_power, is (I (x) K_k1 (x) ... (x) K_kn)|vec>,
     and the rows run over the reference and output factors in order. So
     Y Y^dag is _apply_on_factors of |vec><vec|, without forming either
-    square matrix. A family of more than d_in d_out operators is first
-    replaced by the rows of S V^dag from the SVD of its stacked operators,
-    the same channel in Choi-rank form, so Y has at most (d_in d_out)^n
-    columns whatever the family's length.
+    square matrix. Y has at most (d_in d_out)^n columns, since a channel's
+    family is stored in Choi-rank form.
     """
-    r, d_out, d_in = kraus.shape
-    if r > d_in * d_out:
-        try:
-            _, s, vh = np.linalg.svd(kraus.reshape(r, -1), full_matrices=False)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-            raise NumericError("svd", str(exc)) from exc
-        kraus = (s[:, None] * vh).reshape(-1, d_out, d_in)
     t = vec.reshape((1,) + tuple(dims))  # leading axis: the Kraus index so far
     for f in range(1, len(dims)):
         t = np.tensordot(kraus, t, axes=([2], [1 + f]))  # (r, d_out, R, other axes)
@@ -322,16 +323,9 @@ def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
     if n < 1:
         raise ArgumentError(f"tensor power needs n >= 1, got {n}")
     check_choi_dim(ch.d_in, ch.d_out, n)
-    # The power's Kraus stack holds (r d_in d_out)^n entries. A base of 1 is
-    # one 1 x 1 operator, whose every power is the same channel; from a base
-    # of 2, n >= 25 exceeds D_MAX^2 without forming the power.
-    base = len(ch.kraus) * ch.d_in * ch.d_out
-    if n == 1 or base == 1:
+    # A 1 x 1 channel passes the Choi test at any n, and is its own power.
+    if n == 1 or ch.d_in * ch.d_out == 1:
         return ch
-    if n >= (D_MAX**2).bit_length() or base**n > D_MAX**2:
-        raise DimensionError(
-            f"Kraus stack of {len(ch.kraus)}^{n} operators exceeds D_MAX^2 entries"
-        )
     # Stack index (k_1, ..., k_n), first index slowest; each operator is
     # the left-nested Kronecker product K_k1 (x) ... (x) K_kn.
     kraus = ch.kraus
@@ -454,8 +448,9 @@ def channel_to_dict(ch: QuantumChannel) -> dict:
 def channel_from_dict(data: dict) -> QuantumChannel:
     """Inverse of channel_to_dict, validating shape and trace preservation."""
     try:
-        d_in = operator.index(data["d_in"])
-        d_out = operator.index(data["d_out"])
+        if isinstance(data["d_in"], bool) or isinstance(data["d_out"], bool):
+            raise TypeError("a boolean is not a dimension")
+        d_in, d_out = (operator.index(data[k]) for k in ("d_in", "d_out"))
         raw = data["kraus"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed channel dict: {exc}") from exc

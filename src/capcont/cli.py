@@ -193,6 +193,8 @@ def state_from_dict(data: dict) -> DensityMatrix:
         raise SpecError("malformed-state", f"matrix length {flat.size} is not square")
     try:
         dims = tuple(operator.index(x) for x in data["dims"]) if "dims" in data else None
+        if dims is not None and any(isinstance(x, bool) for x in data["dims"]):
+            raise TypeError("a boolean is not a dimension")
     except TypeError as exc:
         raise SpecError("malformed-state", f"dims must be a list of integers: {exc}") from exc
     try:

@@ -288,6 +288,8 @@ def random_nearby_pair(
     q in (0, q_max], which keeps the pair's diamond distance nontrivial
     but controlled; the distance itself is still measured, never assumed.
     """
+    if not 0.0 < q_max <= 1.0:  # also refuses NaN
+        raise ArgumentError(f"q_max must be in (0, 1], got {q_max}")
     ch_n = random_channel(d_in, d_out, rng)
     ch_r = random_channel(d_in, d_out, rng)
     q = q_max * (1.0 - rng.random())
@@ -363,9 +365,8 @@ def verify_output_entropy(
     of |v> under the r^n Kraus products of the n-copy channel. Since the
     state on reference, output and environment is pure, S(RB^n) = S(E^n),
     and the environment's state is the Gram matrix Y^dag Y, whose entropy
-    is taken. A family of r <= d_in d_out operators makes it r^n square; a
-    longer one is first reduced to its Choi rank, so the Gram is never
-    larger than the (d_ref d_out^n)-square output.
+    is taken. A channel's family is stored in Choi-rank form, r <= d_in d_out,
+    so the r^n-square Gram is never larger than the (d_ref d_out^n)-square output.
     """
     n, eps = _checked_eps(ch_n, ch_m, n, eps)
     d_in, d_out = ch_n.d_in, ch_n.d_out

@@ -59,7 +59,8 @@ def random_channel(
     """Random channel from a Haar-random isometry into out (x) env.
 
     kraus_count fixes the environment dimension; the default d_in*d_out
-    gives a generic full-rank Choi matrix.
+    gives a generic full-rank Choi matrix. A larger kraus_count draws a
+    larger isometry, and the channel is then stored in Choi-rank form.
     """
     k = d_in * d_out if kraus_count is None else int(kraus_count)
     if k < 1:

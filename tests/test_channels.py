@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capcont import channels as ch
+from capcont import sampling
 from capcont.errors import ArgumentError, CPViolationError, DimensionError
 from capcont.linalg import DensityMatrix, basis_state, maximally_entangled, partial_trace_matrix
 from capcont.sampling import random_channel, random_density_matrix, rng_for
@@ -97,6 +98,67 @@ def test_channel_copies_its_kraus_stack():
     assert not chan.kraus.flags.writeable and chan.kraus.flags.c_contiguous
 
 
+def _record_families(monkeypatch):
+    """Patch QuantumChannel where channels and sampling build one; return the families given."""
+    given, build = [], ch.QuantumChannel
+
+    def record(kraus):
+        given.append(np.array(kraus, dtype=complex))
+        return build(kraus)
+
+    for module in (ch, sampling):
+        monkeypatch.setattr(module, "QuantumChannel", record)
+    return given
+
+
+def _halved_twice(chan):
+    """A file dict with chan's family written twice at weight 1/2."""
+    data = ch.channel_to_dict(chan)
+    halved = [[[x / np.sqrt(2.0), y / np.sqrt(2.0)] for x, y in op] for op in data["kraus"]]
+    return {**data, "kraus": 2 * halved}
+
+
+_LONG_FAMILIES = {
+    "mix": lambda: ch.mix([random_channel(2, 3, rng_for(50, i)) for i in range(2)], [0.3, 0.7]),
+    "random": lambda: random_channel(3, 4, rng_for(51), kraus_count=40),
+    "file": lambda: ch.channel_from_dict(_halved_twice(ch.depolarizing(2, 0.1))),
+}
+
+
+@pytest.mark.parametrize("build", _LONG_FAMILIES.values(), ids=list(_LONG_FAMILIES))
+def test_long_families_are_stored_in_choi_rank_form(monkeypatch, build):
+    given = _record_families(monkeypatch)
+    chan = build()
+    raw = given[-1]
+    assert len(raw) > chan.d_in * chan.d_out >= len(chan.kraus)
+    vecs = raw.transpose(0, 2, 1).reshape(len(raw), -1)  # row k: K_k^T flattened, as in to_choi
+    assert np.max(np.abs(ch.to_choi(chan).matrix - vecs.T @ vecs.conj())) <= 1e-12
+
+
+_SHORT_FAMILIES = {
+    "identity": lambda: ch.identity(3),
+    "constant": lambda: ch.constant_channel(3),
+    "erasure": lambda: ch.erasure(3, 0.2),
+    "erasure-0": lambda: ch.erasure(2, 0.0),
+    "depolarizing": lambda: ch.depolarizing(3, 0.1),
+    "dephasing": lambda: ch.dephasing(0.2),
+    "truncated-classical": lambda: ch.truncated_classical_example(4),
+    "truncated-quantum": lambda: ch.truncated_quantum_example(4),
+    "from-choi": lambda: ch.from_choi(ch.to_choi(random_channel(2, 3, rng_for(52)))),
+    "complementary": lambda: ch.complementary(ch.erasure(2, 0.3)),
+    "complementary-random": lambda: ch.complementary(random_channel(3, 2, rng_for(53))),
+    "tensor-power": lambda: ch.tensor_power(random_channel(2, 2, rng_for(54)), 2),
+}
+
+
+@pytest.mark.parametrize("build", _SHORT_FAMILIES.values(), ids=list(_SHORT_FAMILIES))
+def test_families_within_the_choi_rank_bound_are_stored_as_given(monkeypatch, build):
+    given = _record_families(monkeypatch)
+    chan = build()
+    assert len(given[-1]) <= chan.d_in * chan.d_out
+    assert np.array_equal(chan.kraus, given[-1])
+
+
 def test_apply_extended_identity_cases():
     phi = maximally_entangled(2).density()
     assert ch.apply_extended(ch.identity(2), phi, set()) is phi
@@ -131,12 +193,11 @@ def test_apply_extended_middle_slot_matches_kron_reference():
     rng = rng_for(23)
     chan = random_channel(3, 4, rng)  # 12 Kraus operators by default
     assert chan.kraus.shape == (12, 4, 3)
-    # A middle slot, the non-adjacent slots of a (3, 2, 3) space, and a
-    # 40-operator family whose terms on a (2, 3, 2) slot (4 x 4 x 2^4
-    # output entries each) need several _TERM_BUDGET blocks.
-    many = random_channel(3, 4, rng, kraus_count=40)
-    assert len(many.kraus) * 4 * 4 * 2**4 > ch._TERM_BUDGET
-    cases = [(chan, (2, 3, 2), {1}), (chan, (3, 2, 3), {0, 2}), (many, (2, 3, 2), {1})]
+    # A middle slot, the non-adjacent slots of a (3, 2, 3) space, and the
+    # middle slot of a (3, 3, 3) space, whose 12 terms (4 x 4 x 3^4 output
+    # entries each, 3 to a block) need several _TERM_BUDGET blocks.
+    assert len(chan.kraus) * 4 * 4 * 3**4 > ch._TERM_BUDGET
+    cases = [(chan, (2, 3, 2), {1}), (chan, (3, 2, 3), {0, 2}), (chan, (3, 3, 3), {1})]
     for channel, dims, factors in cases:
         rho = random_density_matrix(int(np.prod(dims)), rng, dims=dims)
         out = ch.apply_extended(channel, rho, factors)
@@ -156,10 +217,10 @@ def test_apply_extended_matches_tensor_power():
 
 def test_kraus_images_give_the_output_of_a_pure_input():
     # Y Y^dag is the output of |v><v| on every factor after the reference,
-    # with one slot, with d_out != d_in, and with a family longer than
-    # d_in d_out, which is reduced to d_in d_out columns per slot; column k
-    # is the image under the k-th Kraus operator of the tensor power, first
-    # index slowest.
+    # with one slot, with d_out != d_in, and with a channel drawn with more
+    # than d_in d_out operators, stored in Choi-rank form, so with d_in d_out
+    # columns per slot; column k is the image under the k-th Kraus operator
+    # of the tensor power, first index slowest.
     rng = rng_for(41)
     chan = random_channel(2, 3, rng, kraus_count=3)
     cases = [
@@ -189,17 +250,17 @@ def test_random_channel_refuses_an_environment_too_small_for_an_isometry():
 def test_apply_full_on_a_stack_equals_per_slice_calls():
     # Each slice of a stack gets its own broadcast product, summed in Kraus
     # index order, so it matches the 2-D call bit for bit: on channels,
-    # complementary channels, adjoint stacks and a 40-operator family whose
-    # terms on a 16-slice stack need several _TERM_BUDGET blocks.
+    # complementary channels, adjoint stacks and a 12-operator family whose
+    # terms on a 22-slice stack need several _TERM_BUDGET blocks.
     rng = rng_for(29)
-    many = random_channel(3, 4, rng, kraus_count=40)
-    assert len(many.kraus) * 4 * 4 * 16 > ch._TERM_BUDGET
+    many = random_channel(3, 4, rng)
+    assert len(many.kraus) * 4 * 4 * 22 > ch._TERM_BUDGET
     chans = [ch.erasure(2, 0.25), ch.dephasing(0.2), ch.depolarizing(2, 0.2), many]
     chans += [ch.complementary(c) for c in chans[:3]] + [ch.tensor_power(chans[0], 2)]
     for chan in chans:
         for kraus in (chan.kraus, chan.kraus.conj().transpose(0, 2, 1)):
             d = kraus.shape[2]
-            for shape in ((1,), (16,), (3, 2)):
+            for shape in ((1,), (22,), (3, 2)):
                 vecs = rng.normal(size=shape + (d,)) + 1j * rng.normal(size=shape + (d,))
                 mats = vecs[..., :, None] * vecs.conj()[..., None, :]
                 out = ch._apply_full(kraus, mats)
@@ -207,7 +268,7 @@ def test_apply_full_on_a_stack_equals_per_slice_calls():
                 for idx in np.ndindex(*shape):
                     assert np.array_equal(out[idx], ch._apply_full(kraus, mats[idx]))
     rho = random_density_matrix(3, rng).matrix
-    out = ch._apply_full(many.kraus, np.stack([rho] * 16))
+    out = ch._apply_full(many.kraus, np.stack([rho] * 22))
     assert np.allclose(out[-1], _apply_oracle(many, rho), atol=1e-12)
 
 
@@ -430,17 +491,21 @@ def test_oversized_channels_are_refused_before_they_are_built(build):
     assert time.perf_counter() - start < 1.0
 
 
-def test_tensor_power_refuses_an_oversized_kraus_stack(monkeypatch):
-    # A qubit family of 8 operators: at D_MAX = 64 its cube passes the Choi
-    # test, (2 * 2)^3 = 64, but its 8^3 operators hold 32^3 > 64^2 entries.
+def test_tensor_power_of_a_long_mixture_stays_within_d_max_squared(monkeypatch):
+    # A qubit mixture of 8 operators is stored as its Choi rank, 4, so at
+    # D_MAX = 64 its cube, which passes the Choi test at (2 * 2)^3 = 64,
+    # holds 4^3 operators of 8 x 8: 64^2 entries, where 8^3 would hold 32^3.
     family = ch.mix([random_channel(2, 2, rng_for(7, i), kraus_count=4) for i in range(2)],
                     [0.5, 0.5])
-    assert len(family.kraus) == 8
+    assert len(family.kraus) == 4
     monkeypatch.setattr(ch, "D_MAX", 64)
     monkeypatch.setattr(ch.linalg, "D_MAX", 64)
-    assert len(ch.tensor_power(family, 2).kraus) == 64
-    with pytest.raises(DimensionError, match="Kraus stack of 8\\^3 operators exceeds D_MAX"):
-        ch.tensor_power(family, 3)
+    assert len(ch.tensor_power(family, 2).kraus) == 16
+    cube = ch.tensor_power(family, 3)
+    assert cube.kraus.shape == (64, 8, 8) and cube.kraus.size <= 64**2
+    rho = random_density_matrix(8, rng_for(8), dims=(2, 2, 2))
+    per_slot = ch.apply_extended(family, rho, {0, 1, 2})
+    assert np.allclose(_apply_oracle(cube, rho.matrix), per_slot.matrix, atol=1e-12)
 
 
 def test_erasure_zero_is_embedded_identity():

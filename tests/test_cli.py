@@ -114,7 +114,11 @@ class TestParseChannelSpec:
 
     def test_non_integer_dimensions_in_file(self, tmp_path, capsys):
         good = channel_to_dict(identity(2))
-        for bad in ({"d_in": 2.9}, {"d_out": "2"}, {"d_in": 2.0}):
+        trace = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]  # the 2 -> 1 trace map
+        # JSON true is not a dimension, though operator.index(True) == 1.
+        bools = ({"d_in": True, "d_out": True, "kraus": [[[1.0, 0.0]]]},
+                 {"d_out": True, "kraus": trace})
+        for bad in ({"d_in": 2.9}, {"d_out": "2"}, {"d_in": 2.0}) + bools:
             path = tmp_path / "dims.json"
             path.write_text(json.dumps({**good, **bad}))
             with pytest.raises(SpecError) as exc:
@@ -192,6 +196,8 @@ class TestStateAndEnsembleFiles:
             {"matrix": pure, "dims": [1.5, 1.5]},
             {"matrix": pure, "dims": 2},
             {"matrix": pure, "dims": [-1, -2]},  # product matches, factors do not
+            {"matrix": [[1.0, 0.0]], "dims": [True]},  # a boolean, though int(True) == 1
+            {"matrix": pure, "dims": [2, True]},
         ]
         for data in bad_states:
             with pytest.raises(SpecError) as exc:

@@ -212,7 +212,7 @@ def test_verify_output_entropy_depolarizing_pair():
 
 
 NEARBY_PAIR = random_nearby_pair(2, 2, rng_for(5, 2, 0))
-assert [len(c.kraus) for c in NEARBY_PAIR] == [4, 8]  # the mix side: 8 > d_in d_out
+assert [len(c.kraus) for c in NEARBY_PAIR] == [4, 4]  # the mix side's 8 stored as its Choi rank
 
 
 def _ref_output_entropy(ch_n, ch_m, n, trials, seed):
@@ -235,8 +235,8 @@ def _ref_output_entropy(ch_n, ch_m, n, trials, seed):
     ((identity(2), depolarizing(2, 0.1)), (1, 2, 3)),
     ((identity(3), depolarizing(3, 0.1)), (1, 2)),
     ((dephasing(0.1), depolarizing(2, 0.1)), (1, 2, 3)),
-    # 4 and 8 Kraus operators: the mix side's family is longer than
-    # d_in d_out = 4 and is reduced to its Choi rank first.
+    # The mix side was built from 8 Kraus operators, more than
+    # d_in d_out = 4, and is stored in Choi-rank form.
     (NEARBY_PAIR, (2,)),
     # d_out = 3 != d_in = 2.
     ((erasure(2, 0.1), erasure(2, 0.3)), (1, 2)),
@@ -268,8 +268,9 @@ def test_output_entropy_never_forms_the_output_square():
 
 
 def test_output_entropy_memory_is_bounded_by_the_choi_rank():
-    # 32 Kraus operators on a qubit: at n = 3 the unreduced Y would be
-    # 64 x 32^3 complex, 32 MiB; reduced to 4 per copy it is 64 x 64.
+    # A qubit channel drawn with 32 Kraus operators: at n = 3 an unreduced
+    # Y would be 64 x 32^3 complex, 32 MiB; stored as its Choi rank, 4 per
+    # copy, it is 64 x 64.
     many = random_channel(2, 2, rng_for(6), kraus_count=32)
     ref = _ref_output_entropy(identity(2), many, 3, 2, 0)
     tracemalloc.start()
@@ -338,6 +339,16 @@ def test_random_nearby_pair_distance_is_controlled():
         ch_n, ch_m = random_nearby_pair(2, 2, rng)
         eps = diamond_distance(ch_n, ch_m).value
         assert 0.0 < eps <= 0.6 + 1e-6  # q <= 0.3, distance <= 2q
+
+
+@pytest.mark.parametrize("q_max", [0.0, -0.1, 1.5, 5.0, math.nan, math.inf])
+def test_random_nearby_pair_refuses_q_max_outside_the_unit_interval(q_max):
+    # q_max = 0 would return two identical channels; above 1 or NaN, mix
+    # would fail on weights the caller never passed.
+    with pytest.raises(ArgumentError, match="q_max"):
+        random_nearby_pair(2, 2, rng_for(0), q_max)
+    ch_n, ch_m = random_nearby_pair(2, 2, rng_for(0), 1.0)
+    assert diamond_distance(ch_n, ch_m).value > 0.0
 
 
 def test_discontinuity_demo_trend():
