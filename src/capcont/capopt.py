@@ -7,10 +7,12 @@ value is reported together with the point that achieves it.  No claim of
 global optimality is made.
 
 Pure states are parameterized by unconstrained complex vectors normalized
-on evaluation; ensembles add a softmax over real logits.  Gradients go
-through one eigendecomposition of each output state, which gives both its
+on evaluation; ensembles add a softmax over real logits.  One evaluation
+gives a point's value and its gradient from one eigendecomposition of each
+output state: its spectrum gives the entropy, and its eigenvectors the
 matrix logarithm, with eigenvalues floored at EPS_PERTURB so it stays
-finite near rank deficiency, and its entropy.
+finite near rank deficiency.  The ascent evaluates each point once; an
+accepted line-search trial's gradient serves the next step.
 
 Restarts run in lockstep on one leading batch axis, and an ensemble's
 states on a second one, so one kernel call serves every restart and state
@@ -34,11 +36,13 @@ The batched kernels match per-slice calls bit for bit.  Every scalar
 reduction (norms, tangent projections, curvature and slope dots, the
 ensemble gradient's overlaps and means) is one row reduction, ``_rows``:
 Re <a[i], b[i]> for every leading index i in one einsum over the real
-views, whose sum for row i reads row i alone.  A restart's dots run over
-its blocks flattened into one real row, the layout the curvature pairs are
-kept in.  So the report is bit-identical to running the restarts one after
-another; ``test_row_reduction_is_batch_invariant`` pins the row property
-and ``test_lockstep_ascent_matches_sequential_reference`` the report.
+views, whose sum for row i reads row i alone.  A restart's point is one
+real row, its blocks flattened in order (``_flat``), the layout its
+gradient and curvature pairs are kept in too; the sphere and logit blocks
+are views into that row (``_blocks``).  So the report is bit-identical to
+running the restarts one after another;
+``test_row_reduction_is_batch_invariant`` pins the row property and
+``test_lockstep_ascent_matches_sequential_reference`` the report.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import QuantumChannel, _apply_full, complementary, tensor_power
-from .entropic import Ensemble, _ensemble_outputs, _holevo, entropy_of_matrix, entropy_of_spectra
+from .entropic import Ensemble, _ensemble_outputs, entropy_of_spectra
 from .errors import ArgumentError, DimensionError
 from .linalg import D_MAX, DensityMatrix, PureState, dagger, partial_trace_matrix
 from .sampling import rng_for
@@ -120,52 +124,49 @@ def _piece_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _rows(a.reshape(pieces, -1), b.reshape(pieces, -1)).reshape(a.shape[:2])
 
 
-def _renorm(params: list[np.ndarray]) -> list[np.ndarray]:
-    """Project parameters back onto their domains.
+def _flat(blocks: list[np.ndarray]) -> np.ndarray:
+    """Each restart's blocks as one new float64 row: their real views, in block order."""
+    return np.concatenate([b.reshape(len(b), -1).view(np.float64) for b in blocks], axis=1)
+
+
+def _blocks(rows: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Views of the blocks in _flat rows, shaped and typed like the blocks of `like`.
+
+    rows is C-contiguous, so each view writes through to it.
+    """
+    out, start = [], 0
+    for b in like:
+        width = b[0].size * b.itemsize // 8
+        out.append(rows[:, start : start + width].view(b.dtype).reshape(len(rows), *b.shape[1:]))
+        start += width
+    return out
+
+
+def _renorm(rows: np.ndarray, like: list[np.ndarray]) -> np.ndarray:
+    """Project _flat rows back onto their domains, in place, and return them.
 
     Each block is (restarts, pieces, n). Complex pieces are unit vectors
     on a sphere; real pieces are softmax logits, recentred so the
     exponentials cannot overflow.
     """
-    out = []
-    for p in params:
+    for p in _blocks(rows, like):
         if np.iscomplexobj(p):
-            out.append(p / np.sqrt(_piece_rows(p, p))[..., None])
+            p /= np.sqrt(_piece_rows(p, p))[..., None]
         else:
-            out.append(p - np.max(p, axis=-1, keepdims=True))
-    return out
+            p -= np.max(p, axis=-1, keepdims=True)
+    return rows
 
 
-def _flat(blocks: list[np.ndarray]) -> np.ndarray:
-    """Each restart's blocks as one float64 row: their real views, in block order."""
-    rows = [b.reshape(len(b), -1).view(np.float64) for b in blocks]
-    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
+def _tangent(at: np.ndarray, v: np.ndarray, like: list[np.ndarray]) -> np.ndarray:
+    """v projected, in place, onto the tangent space at `at`; both are _flat rows.
 
-
-def _unflat(rows: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-    """Split _flat rows back into blocks shaped and typed like `like`."""
-    out, start = [], 0
-    for b in like:
-        width = b[0].size * b.itemsize // 8
-        out.append(rows[:, start : start + width].view(b.dtype).reshape(b.shape))
-        start += width
-    return out
-
-
-def _dots(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
-    """Re <a, b> per restart: one row reduction over the flattened blocks."""
-    return _rows(_flat(a), _flat(b))
-
-
-def _tangent(at: list[np.ndarray], v: list[np.ndarray]) -> list[np.ndarray]:
-    """v projected onto the tangent space at `at`: v - Re<u, v> u on each sphere piece.
-
-    Logit blocks are left as they are.
+    Each sphere piece u of `at` takes v - Re<u, v> u; logit blocks are left
+    as they are.
     """
-    return [
-        vi - _piece_rows(u, vi)[..., None] * u if np.iscomplexobj(u) else vi
-        for u, vi in zip(at, v)
-    ]
+    for u, w in zip(_blocks(at, like), _blocks(v, like)):
+        if np.iscomplexobj(u):
+            w -= _piece_rows(u, w)[..., None] * u
+    return v
 
 
 class _Memory:
@@ -177,18 +178,15 @@ class _Memory:
     scales the initial inverse Hessian H0 = gamma I.
     """
 
-    def __init__(self, params: list[np.ndarray]):
-        flat = _flat(params)
-        n = len(flat)
-        self.s = np.zeros((n, LBFGS_MEMORY, flat.shape[1]))
+    def __init__(self, n: int, width: int):
+        self.s = np.zeros((n, LBFGS_MEMORY, width))
         self.y = np.zeros_like(self.s)
         self.rho = np.zeros((n, LBFGS_MEMORY))
         self.gamma = np.zeros(n)
         self.held = np.zeros(n, dtype=int)
 
-    def store(self, rows: np.ndarray, s: list[np.ndarray], y: list[np.ndarray]) -> None:
+    def store(self, rows: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
         """Append the pairs of these restarts whose curvature s.y is positive."""
-        s, y = _flat(s), _flat(y)
         sy, ss, yy = _rows(s, y), _rows(s, s), _rows(y, y)
         ok = sy > CURVATURE_RTOL * np.sqrt(ss * yy)
         rows = rows[ok]
@@ -202,11 +200,11 @@ class _Memory:
         self.gamma[rows] = sy[ok] / yy[ok]
         self.held[rows] = slot + 1
 
-    def apply(self, rows: np.ndarray, g: list[np.ndarray]) -> list[np.ndarray]:
+    def apply(self, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
         """H g by the two-loop recursion, for restarts that hold a pair."""
         held = self.held[rows]
         mem_s, mem_y, rho = self.s[rows], self.y[rows], self.rho[rows]
-        q = _flat(g).copy()
+        q = g.copy()
         alpha = np.zeros((len(rows), LBFGS_MEMORY))
         # Pairs are stored oldest first, so slot j is held by every restart
         # below the shortest memory; a slice then saves the fancy indexing.
@@ -220,20 +218,21 @@ class _Memory:
             act = slice(None) if held.min() > j else np.flatnonzero(held > j)
             b = rho[act, j] * _rows(mem_y[act, j], r[act])
             r[act] += (alpha[act, j] - b)[:, None] * mem_s[act, j]
-        return _unflat(r, g)
+        return r
 
 
 def _ascend(
-    value_of: Callable[[list[np.ndarray]], np.ndarray],
-    grad_of: Callable[[list[np.ndarray]], list[np.ndarray]],
+    evaluate: Callable[[list[np.ndarray]], tuple[np.ndarray, list[np.ndarray]]],
     params: list[np.ndarray],
     iters: int,
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, tuple[str, ...], np.ndarray]:
     """L-BFGS ascent with Armijo backtracking, restarts in lockstep.
 
-    params is a list of (restarts, pieces, n) blocks. value_of maps such a
-    list, for any subset of the restarts, to one value per restart, and
-    grad_of to gradient blocks of the same shapes, tangent to the spheres.
+    params is a list of (restarts, pieces, n) blocks; the ascent keeps each
+    restart's point as one _flat row. evaluate maps such blocks, for any
+    subset of the restarts, to one value per restart and gradient blocks of
+    the same shapes, tangent to the spheres. Every point is evaluated once:
+    an accepted line-search trial's gradient is the next iteration's.
 
     Each restart keeps its own curvature pairs: s = x_new - x_old and
     y = g_old - g_new, both projected onto the tangent space at x_new,
@@ -243,44 +242,40 @@ def _ascend(
     dropped. The line search starts at t = 1 and halves t until
     f(x + t p), renormalized, reaches f + 1e-4 t <g, p>, or t falls to
     1e-14. A restart leaves the batch at its first stop (see the module
-    docstring). Returns every restart's final parameters, value,
+    docstring). Returns every restart's final parameter blocks, value,
     iteration count, stop reason and convergence flag.
     """
-    params = _renorm(params)
-    f = value_of(params)
+    x = _renorm(_flat(params), params)
+    f, g = evaluate(_blocks(x, params))
+    g = _flat(g)
     used = np.zeros(len(f), dtype=int)
     gnorm = np.zeros(len(f))
     reasons = np.full(len(f), "iteration-cap", dtype=object)
-    memory = _Memory(params)
-    x_prev = [np.empty_like(p) for p in params]
-    g_prev = [np.empty_like(p) for p in params]
+    memory = _Memory(*x.shape)
+    x_prev, g_prev = np.empty_like(x), np.empty_like(g)
     live = np.arange(len(f))
     for it in range(1, iters + 1):
         if not live.size:
             break
         used[live] = it
-        at = [p[live] for p in params]
-        g = grad_of(at)
-        gsq = _dots(g, g)
+        at, gl = x[live], g[live]
+        gsq = _rows(gl, gl)
         gnorm[live] = np.sqrt(gsq)
         done = gnorm[live] < GRAD_TOL
         reasons[live[done]] = "gradient"
         keep = ~done
-        live, gsq = live[keep], gsq[keep]
-        at, g = [a[keep] for a in at], [gi[keep] for gi in g]
+        live, gsq, at, gl = live[keep], gsq[keep], at[keep], gl[keep]
         if it > 1 and live.size:
-            s = _tangent(at, [a - xp[live] for a, xp in zip(at, x_prev)])
-            y = _tangent(at, [gp[live] - gi for gp, gi in zip(g_prev, g)])
+            s = _tangent(at, at - x_prev[live], params)
+            y = _tangent(at, g_prev[live] - gl, params)
             memory.store(live, s, y)
-        p, slope = [gi.copy() for gi in g], gsq.copy()
+        p, slope = gl.copy(), gsq.copy()
         has = np.flatnonzero(memory.held[live] > 0)
         if has.size:
-            g_has = [gi[has] for gi in g]
-            hg = _tangent([a[has] for a in at], memory.apply(live[has], g_has))
-            hslope = _dots(g_has, hg)
+            hg = _tangent(at[has], memory.apply(live[has], gl[has]), params)
+            hslope = _rows(gl[has], hg)
             up = hslope > 0
-            for pi, hi in zip(p, hg):
-                pi[has[up]] = hi[up]
+            p[has[up]] = hg[up]
             slope[has[up]] = hslope[up]
             memory.held[live[has[~up]]] = 0
         f_old = f[live]
@@ -289,25 +284,22 @@ def _ascend(
         trying = np.arange(len(live))
         while trying.size:
             tt = t[trying]
-            cand = _renorm([a[trying] + tt[:, None, None] * pi[trying] for a, pi in zip(at, p)])
-            fc = value_of(cand)
+            cand = _renorm(at[trying] + tt[:, None] * p[trying], params)
+            fc, gc = evaluate(_blocks(cand, params))
             ok = fc >= f[live[trying]] + 1e-4 * tt * slope[trying]
             won = live[trying[ok]]
-            for par, c in zip(params, cand):
-                par[won] = c[ok]
-            f[won] = fc[ok]
+            x[won], f[won], g[won] = cand[ok], fc[ok], _flat(gc)[ok]
             improved[trying[ok]] = True
             trying = trying[~ok]
             t[trying] *= 0.5
             trying = trying[t[trying] > 1e-14]
-        for xp, gp, a, gi in zip(x_prev, g_prev, at, g):
-            xp[live], gp[live] = a, gi
+        x_prev[live], g_prev[live] = at, gl
         stalled = improved & (f[live] - f_old <= STALL_RTOL * np.maximum(np.abs(f_old), 1.0))
         reasons[live[~improved]] = "line-search"
         reasons[live[stalled]] = "stalled"
         live = live[improved & ~stalled]
     converged = (reasons == "gradient") | ((reasons == "stalled") & (gnorm < STALL_GRAD_TOL))
-    return params, f, used, tuple(reasons.tolist()), converged
+    return _blocks(x, params), f, used, tuple(reasons.tolist()), converged
 
 
 def _check_stack(ch: QuantumChannel, restarts: int, pieces: int, side: int = 1) -> None:
@@ -322,8 +314,7 @@ def _check_stack(ch: QuantumChannel, restarts: int, pieces: int, side: int = 1) 
 
 
 def _run_restarts(
-    value_of,
-    grad_of,
+    evaluate: Callable[[list[np.ndarray]], tuple[np.ndarray, list[np.ndarray]]],
     init_of: Callable[[int], list[np.ndarray]],
     argmax_of: Callable[[list[np.ndarray]], PureState | Ensemble],
     restarts: int,
@@ -337,7 +328,7 @@ def _run_restarts(
     if restarts < 1 or iters < 1:
         raise ArgumentError("restarts and iters must be positive")
     starts = [np.stack(blocks) for blocks in zip(*(init_of(r) for r in range(restarts)))]
-    params, f, used, reasons, conv = _ascend(value_of, grad_of, starts, iters)
+    params, f, used, reasons, conv = _ascend(evaluate, starts, iters)
     best = int(np.argmax(f))
     return OptimizationReport(
         best_value=float(f[best]),
@@ -374,20 +365,15 @@ def max_coherent_information(
     def rho_of(v: np.ndarray) -> np.ndarray:
         return partial_trace_matrix(_outer(v), (d, d), keep=[1])
 
-    def value_of(params):
-        rho = rho_of(params[0][:, 0])
-        return entropy_of_matrix(_apply_full(kb, rho)) - entropy_of_matrix(
-            _apply_full(ke, rho)
-        )
-
-    def grad_of(params):
+    def evaluate(params):
         v = params[0]
         rho = rho_of(v[:, 0])
-        g_rho = _apply_full(kb_adj, _neg_log2(*np.linalg.eigh(_apply_full(kb, rho))))
-        g_rho -= _apply_full(ke_adj, _neg_log2(*np.linalg.eigh(_apply_full(ke, rho))))
+        wb, ub = np.linalg.eigh(_apply_full(kb, rho))
+        we, ue = np.linalg.eigh(_apply_full(ke, rho))
+        g_rho = _apply_full(kb_adj, _neg_log2(wb, ub)) - _apply_full(ke_adj, _neg_log2(we, ue))
         hv = (v.reshape(-1, d, d) @ g_rho.swapaxes(-1, -2)).reshape(v.shape)
         hv -= _piece_rows(v, hv)[..., None] * v
-        return [2.0 * hv]
+        return entropy_of_spectra(wb) - entropy_of_spectra(we), [2.0 * hv]
 
     def init_of(r):
         rng = rng_for(seed, r)
@@ -396,7 +382,7 @@ def max_coherent_information(
     def argmax_of(params):
         return PureState(params[0][0, 0], dims=(d, d))
 
-    return _run_restarts(value_of, grad_of, init_of, argmax_of, restarts, iters)
+    return _run_restarts(evaluate, init_of, argmax_of, restarts, iters)
 
 
 def _max_over_ensembles(
@@ -424,32 +410,30 @@ def _max_over_ensembles(
         probs /= probs.sum(axis=-1, keepdims=True)
         return probs, states
 
-    def value_of(params):
+    def evaluate(params):
         probs, states = unpack(params)
-        rhos = _outer(states)
-        return sum(
-            sign * _holevo(kraus, probs, rhos) for sign, (kraus, _) in zip((1.0, -1.0), legs)
-        )
-
-    def grad_of(params):
-        probs, states = unpack(params)
+        value = 0.0
         g_states = np.zeros(states.shape, dtype=complex)
         g_probs = np.zeros(probs.shape)
         sign = 1.0
         for kraus, adjoint in legs:
             outs, avg = _ensemble_outputs(kraus, probs, _outer(states))
-            l_avg = _neg_log2(*np.linalg.eigh(avg))
+            w_avg, u_avg = np.linalg.eigh(avg)
             w, u = np.linalg.eigh(outs)
+            s_outs = entropy_of_spectra(w)
+            mean_s = sum(probs[:, k] * s_outs[:, k] for k in range(m))
+            value = value + sign * (entropy_of_spectra(w_avg) - mean_s)
+            l_avg = _neg_log2(w_avg, u_avg)
             back = _apply_full(adjoint, l_avg[:, None] - _neg_log2(w, u))
             g_states += (sign * probs)[..., None] * (back @ states[..., None])[..., 0]
             overlaps = _piece_rows(outs, np.broadcast_to(l_avg[:, None], outs.shape))
-            g_probs += sign * (overlaps - entropy_of_spectra(w))
+            g_probs += sign * (overlaps - s_outs)
             sign = -sign
         g_states -= _piece_rows(states, g_states)[..., None] * states
         g_states *= 2.0
         means = _rows(probs, g_probs)
         g_z = probs * (g_probs - means[:, None])
-        return [g_z[:, None], g_states]
+        return value, [g_z[:, None], g_states]
 
     def init_of(r):
         rng = rng_for(seed, r)
@@ -464,7 +448,7 @@ def _max_over_ensembles(
             [(float(p), DensityMatrix.from_pure(u)) for p, u in zip(probs[0], states[0])]
         )
 
-    return _run_restarts(value_of, grad_of, init_of, argmax_of, restarts, iters)
+    return _run_restarts(evaluate, init_of, argmax_of, restarts, iters)
 
 
 def max_holevo(

@@ -29,7 +29,6 @@ Conventions fixed here for reproducibility:
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -320,6 +319,7 @@ def mix(chs: Sequence[QuantumChannel], probs: Sequence[float]) -> QuantumChannel
 
 def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
     """n-fold parallel application ch^(x)n."""
+    n = linalg.as_index(n, "n")
     if n < 1:
         raise ArgumentError(f"tensor power needs n >= 1, got {n}")
     check_choi_dim(ch.d_in, ch.d_out, n)
@@ -448,9 +448,7 @@ def channel_to_dict(ch: QuantumChannel) -> dict:
 def channel_from_dict(data: dict) -> QuantumChannel:
     """Inverse of channel_to_dict, validating shape and trace preservation."""
     try:
-        if isinstance(data["d_in"], bool) or isinstance(data["d_out"], bool):
-            raise TypeError("a boolean is not a dimension")
-        d_in, d_out = (operator.index(data[k]) for k in ("d_in", "d_out"))
+        d_in, d_out = (linalg.as_index(data[k], k) for k in ("d_in", "d_out"))
         raw = data["kraus"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed channel dict: {exc}") from exc

@@ -28,7 +28,6 @@ import argparse
 import csv
 import json
 import math
-import operator
 import os
 import sys
 from pathlib import Path
@@ -87,7 +86,7 @@ from .errors import (
     NumericError,
     TPViolationError,
 )
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, as_index
 
 EXIT_OK = 0
 EXIT_ERROR = 1       # operational failure: bad input, solver failure, I/O
@@ -192,10 +191,8 @@ def state_from_dict(data: dict) -> DensityMatrix:
     if d * d != flat.size:
         raise SpecError("malformed-state", f"matrix length {flat.size} is not square")
     try:
-        dims = tuple(operator.index(x) for x in data["dims"]) if "dims" in data else None
-        if dims is not None and any(isinstance(x, bool) for x in data["dims"]):
-            raise TypeError("a boolean is not a dimension")
-    except TypeError as exc:
+        dims = tuple(as_index(x, "dims") for x in data["dims"]) if "dims" in data else None
+    except (TypeError, ArgumentError) as exc:
         raise SpecError("malformed-state", f"dims must be a list of integers: {exc}") from exc
     try:
         return DensityMatrix(flat.reshape(d, d), dims)

@@ -53,7 +53,7 @@ from .entropic import (
     holevo_information,
 )
 from .errors import ArgumentError
-from .linalg import DensityMatrix, check_choi_dim, hermitian_part, partial_trace_matrix
+from .linalg import DensityMatrix, as_index, check_choi_dim, hermitian_part, partial_trace_matrix
 from .sampling import _wishart, haar_state, random_channel, rng_for
 
 
@@ -64,8 +64,8 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-def _check_dim(d: int) -> int:
-    d = int(d)
+def _check_dim(d: int, name: str) -> int:
+    d = as_index(d, name)
     if d < 2:
         raise ArgumentError(f"dimension {d} must be >= 2")
     return d
@@ -74,20 +74,20 @@ def _check_dim(d: int) -> int:
 def fannes_bound(eps: float, d: int) -> float:
     """Entropy continuity in trace distance: eps * log d + H(eps)."""
     eps = _check_eps(eps)
-    d = _check_dim(d)
+    d = _check_dim(d, "d")
     return eps * math.log2(d) + binary_entropy(eps)
 
 
 def af_bound(eps: float, d_a: int) -> float:
     """Conditional-entropy continuity: 4 eps * log d_A + 2 H(eps)."""
     eps = _check_eps(eps)
-    d_a = _check_dim(d_a)
+    d_a = _check_dim(d_a, "d_a")
     return 4.0 * eps * math.log2(d_a) + 2.0 * binary_entropy(eps)
 
 
 def output_entropy_bound(n: int, eps: float, d_b: int) -> float:
     """n-copy output-entropy continuity: n (4 eps * log d_B + 2 H(eps))."""
-    n = int(n)
+    n = as_index(n, "n")
     if n < 1:
         raise ArgumentError(f"copy count {n} must be >= 1")
     return n * af_bound(eps, d_b)
@@ -165,7 +165,7 @@ def verify_fannes(
 
     The trials of one dimension are measured in stacks of _TRIAL_BLOCK.
     """
-    dims = [_check_dim(d) for d in dims]
+    dims = [_check_dim(d, "dims") for d in dims]
     if int(trials) < 1:
         return []
     reports = []
@@ -198,7 +198,7 @@ def verify_af(
     def cond_entropy(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
         return entropy_of_matrix(rho) - entropy_of_matrix(partial_trace_matrix(rho, dims, [1]))
 
-    dim_pairs = [(_check_dim(d_a), _check_dim(d_b)) for d_a, d_b in dim_pairs]
+    dim_pairs = [(_check_dim(d_a, "d_a"), _check_dim(d_b, "d_b")) for d_a, d_b in dim_pairs]
     if int(trials) < 1:
         return []
     reports = []
@@ -298,7 +298,7 @@ def random_nearby_pair(
 
 def _check_pair(ch_n: QuantumChannel, ch_m: QuantumChannel, n: int) -> int:
     """The copy count n >= 1 of a channel pair with matching dimensions."""
-    n = int(n)
+    n = as_index(n, "n")
     if n < 1:
         raise ArgumentError(f"copy count {n} must be >= 1")
     if (ch_n.d_in, ch_n.d_out) != (ch_m.d_in, ch_m.d_out):
@@ -492,7 +492,7 @@ def discontinuity_demo(n_values: Sequence[int]) -> list[dict[str, float]]:
     eps above 1 are exactly the regime where it is vacuous by design.
     Every member is checked before any row is computed.
     """
-    n_values = [int(n) for n in n_values]
+    n_values = [as_index(n, "n_values") for n in n_values]
     for n in n_values:
         if n < 2:
             raise ArgumentError(f"truncation family needs n >= 2, got {n}")

@@ -71,13 +71,12 @@ def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
     """
     j = choi.matrix
     if float(np.max(np.abs(j))) == 0.0:
-        return DiamondSolution(0.0, 0.0, 0, "optimal", 0.0)
+        return DiamondSolution(0.0, 0.0, 0, "optimal")
     d_in, d_out = choi.d_in, choi.d_out
     lower, upper = _bracket(j, d_in, d_out)
     if upper - lower <= GAP_TARGET * upper:
         # Rounding can put lower a few ulps above upper; clamp the interval.
-        gap = max(0.0, upper - lower) / (1.0 + upper)
-        return DiamondSolution(upper, min(lower, upper), 0, "optimal", gap)
+        return DiamondSolution(upper, min(lower, upper), 0, "optimal")
     sol = sdp.solve_diamond(j, d_in, d_out)
     slack = TAU_SDP * (1.0 + abs(sol.value))
     if sol.value < lower - slack or sol.dual_value > upper + slack:

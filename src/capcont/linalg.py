@@ -11,6 +11,7 @@ oversized channel before it is built).
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,6 +25,13 @@ TAU_TR = 1e-9     # trace / normalization residual
 TAU_PSD = 1e-8    # admissible negative eigenvalue magnitude
 TAU_TP = 1e-8     # trace-preservation residual for channels
 D_MAX = 4096      # largest matrix dimension any operation may produce
+
+
+def as_index(value: object, name: str) -> int:
+    """A dimension or count `name` by operator.index: numpy integers pass, not floats or bools."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def check_choi_dim(d_in: int, d_out: int, n: int = 1) -> None:

@@ -91,7 +91,11 @@ class DiamondSolution:
     dual_value: float   # certified lower bound, the probe value at the final rho
     iterations: int     # 0 when the closed-form bracket certified the norm
     status: str         # optimal | max-iters
-    rel_gap: float      # (value - dual_value) / (1 + value), in the map's own units
+
+    @property
+    def rel_gap(self) -> float:
+        """(value - dual_value) / (1 + value), in the map's own units."""
+        return (self.value - self.dual_value) / (1.0 + self.value)
 
     def certified(self) -> bool:
         return self.status == "optimal"
@@ -261,7 +265,7 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
     j = hermitian_part(np.asarray(j, dtype=complex))
     scale = float(np.linalg.norm(j, 2))
     if scale < 1e-300:
-        return DiamondSolution(0.0, 0.0, 0, "optimal", 0.0)
+        return DiamondSolution(0.0, 0.0, 0, "optimal")
     j = j / scale
 
     eye_a = np.eye(d_a)
@@ -350,5 +354,4 @@ def solve_diamond(j: np.ndarray, d_a: int, d_b: int) -> DiamondSolution:
     # ||J||_2, meets SOFT_GAP and (2) the interval is within TAU_SDP (1 + |value|).
     optimal = norm_gap <= SOFT_GAP and abs(value - dual_value) <= TAU_SDP * (1.0 + abs(value))
     return DiamondSolution(value=value, dual_value=dual_value, iterations=iters,
-                           status="optimal" if optimal else "max-iters",
-                           rel_gap=(value - dual_value) / (1.0 + value))
+                           status="optimal" if optimal else "max-iters")

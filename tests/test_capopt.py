@@ -41,8 +41,8 @@ from capcont.channels import (
 )
 from capcont.entropic import (
     Ensemble,
+    _ensemble_outputs,
     coherent_information,
-    entropy_of_matrix,
     entropy_of_spectra,
     holevo_information,
     private_information,
@@ -319,13 +319,11 @@ def test_stall_converges_only_below_the_gradient_threshold():
     # of length t raises f by 2e-10 * t * s, which passes the Armijo test
     # at t = 1 and is below the rounding floor of f ~ 0.
     def stop(s):
-        def value_of(params):
-            return 2e-10 * (params[0][:, 0, 0] - params[0][:, 0, 1])
+        def evaluate(params):
+            value = 2e-10 * (params[0][:, 0, 0] - params[0][:, 0, 1])
+            return value, [np.broadcast_to([0.0, -s], params[0].shape)]
 
-        def grad_of(params):
-            return [np.broadcast_to([0.0, -s], params[0].shape)]
-
-        _, _, used, reasons, conv = _ascend(value_of, grad_of, [np.zeros((1, 1, 2))], 50)
+        _, _, used, reasons, conv = _ascend(evaluate, [np.zeros((1, 1, 2))], 50)
         return int(used[0]), reasons[0], bool(conv[0])
 
     assert STALL_GRAD_TOL == 1e-6
@@ -335,20 +333,19 @@ def test_stall_converges_only_below_the_gradient_threshold():
 
 def _scripted_ascent(grads, start, iters):
     # One restart whose every step passes the Armijo test at t = 1 and
-    # never stalls: value_of rises by 1 per call. grad_of returns the
-    # scripted gradients in turn. Returns the points value_of saw: the
-    # start, then the point after each step.
+    # never stalls: the value rises by 1 per evaluation. The evaluations
+    # return the scripted gradients in turn, then a zero gradient at the
+    # point after the last step, which no step reads. Returns the points
+    # evaluated: the start, then the point after each step.
     seen = []
-    script = iter(grads)
+    script = iter([*grads, np.zeros_like(start)])
 
-    def value_of(params):
+    def evaluate(params):
         seen.append(params[0][0, 0].copy())
-        return np.array([float(len(seen))])
+        grad = np.asarray(next(script), dtype=params[0].dtype).reshape(params[0].shape)
+        return np.array([float(len(seen))]), [grad]
 
-    def grad_of(params):
-        return [np.asarray(next(script), dtype=params[0].dtype).reshape(params[0].shape)]
-
-    _ascend(value_of, grad_of, [np.asarray(start).reshape(1, 1, -1)], iters)
+    _ascend(evaluate, [np.asarray(start).reshape(1, 1, -1)], iters)
     return seen
 
 
@@ -393,6 +390,11 @@ def test_a_non_ascent_direction_falls_back_to_the_gradient():
 # reference below runs one restart at a time, on 2-D matrices and one
 # state at a time. The batched report must equal it bit for bit: same
 # values, iteration counts, stop reasons, flags and maximizers.
+
+
+def _ref_entropy(mat):
+    # From the spectrum of the eigh that also gives the matrix's -log2.
+    return entropy_of_spectra(np.linalg.eigh(mat)[0])
 
 
 def _ref_neg_log2(w, u):
@@ -516,9 +518,7 @@ def _ref_coherent(ch, restarts, iters, seed):
 
     def value_of(params):
         rho = rho_of(params[0])
-        return entropy_of_matrix(_apply_full(kb, rho)) - entropy_of_matrix(
-            _apply_full(ke, rho)
-        )
+        return _ref_entropy(_apply_full(kb, rho)) - _ref_entropy(_apply_full(ke, rho))
 
     def grad_of(params):
         v = params[0]
@@ -559,10 +559,8 @@ def _ref_ensembles(ch, m, restarts, iters, seed, private):
         total, sign = 0.0, 1.0
         for kraus, _ in legs:
             outs, avg = leg_terms(kraus, probs, states)
-            total += sign * (
-                entropy_of_matrix(avg)
-                - sum(p * entropy_of_matrix(o) for p, o in zip(probs, outs))
-            )
+            mean_s = sum(p * _ref_entropy(o) for p, o in zip(probs, outs))
+            total += sign * (_ref_entropy(avg) - mean_s)
             sign = -sign
         return total
 
@@ -671,3 +669,26 @@ def test_lockstep_reference_covers_capped_and_finished_restarts():
     rep = max_coherent_information(erasure(3, 0.2), restarts=5, iters=9, seed=11)
     assert rep.iterations == counts and rep.stop_reasons == reasons
     assert rep.best_value == f
+
+
+@pytest.mark.parametrize("runner", [max_holevo, max_private])
+def test_each_point_goes_through_the_channel_once(runner, monkeypatch):
+    # One evaluation gives a point's value and gradient, so no leg ever
+    # receives the same restart's state stack twice: not at the start, and
+    # not when an accepted line-search trial becomes the next iterate.
+    # Both names are wrapped, so a value taken through entropic._holevo is
+    # seen too.
+    seen = []
+
+    def record(kraus, probs, states):
+        seen.extend((kraus.tobytes(), stack.tobytes()) for stack in states)
+        return _ensemble_outputs(kraus, probs, states)
+
+    for module in ("capcont.capopt", "capcont.entropic"):
+        monkeypatch.setattr(f"{module}._ensemble_outputs", record)
+    rep = runner(erasure(2, 0.25), 3, restarts=3, iters=40, seed=5)
+    assert sum(rep.iterations) > 3 * 5
+    legs = 2 if runner is max_private else 1
+    assert len({kraus for kraus, _ in seen}) == legs
+    assert len(seen) > legs * sum(rep.iterations)
+    assert len(set(seen)) == len(seen)

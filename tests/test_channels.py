@@ -433,6 +433,16 @@ def test_tensor_power_basics():
         ch.tensor_power(ch.identity(16), 4)
 
 
+def test_tensor_power_refuses_a_non_integral_copy_count():
+    # An integral float used to fail inside the Kronecker loop with a raw
+    # TypeError; numpy integers are copy counts like any other.
+    for bad in (2.0, 2.5, True):
+        with pytest.raises(ArgumentError, match=f"^n must be an integer, got {bad!r}$"):
+            ch.tensor_power(ch.identity(2), bad)
+    square = ch.tensor_power(ch.identity(2), np.int64(2))
+    assert np.array_equal(square.kraus, ch.tensor_power(ch.identity(2), 2).kraus)
+
+
 def test_tensor_power_of_one_operator_on_one_dimension_is_the_channel():
     # Every power of a single 1 x 1 operator is the same channel, so a huge
     # n returns at once rather than multiplying n - 1 times.

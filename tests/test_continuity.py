@@ -192,6 +192,37 @@ def test_pair_harnesses_refuse_zero_copies_before_measuring(monkeypatch):
         verify_output_entropy(*pair, n=0)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda bad: fannes_bound(0.1, bad), "d"),
+        (lambda bad: af_bound(0.1, bad), "d_a"),
+        (lambda bad: output_entropy_bound(bad, 0.1, 2), "n"),
+        (lambda bad: verify_fannes(dims=(bad,), trials=1), "dims"),
+        (lambda bad: verify_af(dim_pairs=((2, bad),), trials=1), "d_b"),
+        (lambda bad: verify_output_entropy(identity(2), identity(2), n=bad, trials=1), "n"),
+        (lambda bad: verify_capacity_differences(identity(2), identity(2), n=bad), "n"),
+        (lambda bad: discontinuity_demo([bad]), "n_values"),
+    ],
+    ids=["fannes", "af", "output-bound", "verify-fannes", "verify-af", "theorem3",
+         "corollaries", "discontinuity"],
+)
+def test_non_integral_dimensions_and_copy_counts_are_refused(call, name):
+    # int() would truncate: 2.5 -> the d = 2 bound or 2 copies, 2.9 -> n = 2.
+    for bad in (2.5, 2.9, 3.0, True):
+        with pytest.raises(ArgumentError, match=f"^{name} must be an integer, got {bad!r}$"):
+            call(bad)
+
+
+def test_numpy_integer_dimensions_and_copy_counts_pass():
+    assert fannes_bound(0.1, np.int64(4)) == fannes_bound(0.1, 4)
+    assert af_bound(0.1, np.int32(3)) == af_bound(0.1, 3)
+    assert output_entropy_bound(np.uint8(2), 0.1, 2) == output_entropy_bound(2, 0.1, 2)
+    assert discontinuity_demo([np.int64(2)]) == discontinuity_demo([2])
+    reports = verify_output_entropy(identity(2), identity(2), n=np.int64(2), trials=1)
+    assert reports == verify_output_entropy(identity(2), identity(2), n=2, trials=1)
+
+
 def test_verify_output_entropy_identical_pair_collapses():
     reports = verify_output_entropy(identity(2), identity(2), 1, trials=5, seed=2)
     assert all(r.epsilon == 0.0 for r in reports)

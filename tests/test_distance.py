@@ -219,7 +219,7 @@ def test_diamond_norm_rejects_sdp_interval_outside_the_bracket(monkeypatch, side
     fake = 0.5 * lower if side == "below-lower" else upper + 0.1
 
     def wrong_solver(j, d_in, d_out):
-        return DiamondSolution(fake, fake, 7, "optimal", 0.0)
+        return DiamondSolution(fake, fake, 7, "optimal")
 
     monkeypatch.setattr(sdp, "solve_diamond", wrong_solver)
     res = diamond_norm(m)

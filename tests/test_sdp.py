@@ -236,7 +236,7 @@ def test_sdp_solution_fields_are_python_scalars():
 
 def test_sdp_solution_is_frozen():
     # A verdict is decided once; a demotion makes a new solution.
-    sol = sdp.DiamondSolution(1.0, 1.0, 0, "optimal", 0.0)
+    sol = sdp.DiamondSolution(1.0, 1.0, 0, "optimal")
     with pytest.raises(dataclasses.FrozenInstanceError):
         sol.status = "max-iters"
 
