@@ -19,8 +19,10 @@ from capcont import (
 # probe.  Every diamond norm reports a certified upper bound (value) and a
 # certified lower bound (dual_value); their gap is the accuracy guarantee.
 # This pair is covariant, so the closed-form bracket from one
-# eigendecomposition of the Choi matrix already closes and no SDP runs
-# (iterations=0); a generic pair goes to the interior-point SDP.
+# eigendecomposition of the Choi matrix already closes (iterations=0). A
+# generic pair takes fixed-point steps on the input state, one
+# eigendecomposition each, and goes to the interior-point SDP only when
+# they stall; iterations counts both.
 for p in (0.1, 0.3, 0.5):
     res = diamond_distance(identity(2), depolarizing(2, p))
     print(

@@ -1,8 +1,8 @@
 """Numerical laboratory for quantum channels.
 
 Channel distances (trace and diamond norm, the latter certified by a
-closed-form bracket for covariant pairs and an interior-point SDP
-otherwise), entropic quantities, single-letter capacity proxies,
+fixed point on the input state, closed-form for covariant pairs, and an
+interior-point SDP where that stalls), entropic quantities, single-letter capacity proxies,
 continuity bounds with their empirical verification harnesses, and the
 mixing arithmetic for assisted capacities.
 """

@@ -3,13 +3,13 @@
 The bound formulas are closed-form expressions in the distance eps, the
 output dimension, and the copy count.  The harness measures both sides of
 each inequality on randomized instances: channel distances come from the
-certified diamond norm (the closed-form bracket for covariant pairs, the
-SDP otherwise), entropy differences from exact eigendecompositions (for
-the n-copy output of a pure input, of the Gram matrix of its Kraus
-images, which shares the output's nonzero spectrum), and capacity-proxy
-differences from either shared fixed parameters (hard checks) or
-independent maximizations (consistent-with checks, since the maximizers
-certify lower bounds only and cannot witness a violation).
+certified diamond norm (a fixed point whose step 0 is the closed-form
+bracket of covariant pairs, else the SDP), entropy differences from exact
+eigendecompositions (for the n-copy output of a pure input, of the Gram
+matrix of its Kraus images, which shares the output's nonzero spectrum),
+and capacity-proxy differences from either shared fixed parameters (hard
+checks) or independent maximizations (consistent-with checks, since the
+maximizers certify lower bounds only and cannot witness a violation).
 Trials draw raw matrices from their own seeded streams and are measured
 as stacks; validated state types appear only at the public boundary.
 
@@ -166,11 +166,12 @@ def verify_fannes(
     The trials of one dimension are measured in stacks of _TRIAL_BLOCK.
     """
     dims = [_check_dim(d, "dims") for d in dims]
-    if int(trials) < 1:
+    trials = as_index(trials, "trials")
+    if trials < 1:
         return []
     reports = []
     for d in dims:
-        for block in _trial_blocks(int(trials)):
+        for block in _trial_blocks(trials):
             rngs = [rng_for(seed, d, t) for t in block]
             measured, eps = _measure_pairs(d, rngs, entropy_of_matrix)
             for t, m, e in zip(block, measured, eps):
@@ -199,11 +200,12 @@ def verify_af(
         return entropy_of_matrix(rho) - entropy_of_matrix(partial_trace_matrix(rho, dims, [1]))
 
     dim_pairs = [(_check_dim(d_a, "d_a"), _check_dim(d_b, "d_b")) for d_a, d_b in dim_pairs]
-    if int(trials) < 1:
+    trials = as_index(trials, "trials")
+    if trials < 1:
         return []
     reports = []
     for d_a, d_b in dim_pairs:
-        for block in _trial_blocks(int(trials)):
+        for block in _trial_blocks(trials):
             rngs = [rng_for(seed, d_a, d_b, t) for t in block]
             measured, eps = _measure_pairs(
                 d_a * d_b, rngs, lambda rho: cond_entropy(rho, (d_a, d_b))
@@ -320,7 +322,7 @@ def _checked_eps(ch_n, ch_m, n: int, eps: float | None) -> tuple[int, float]:
         )
     value = result.value
     if 1.0 < value <= 1.0 + 1e-5:
-        # A certified upper bound (from the SDP, or the bracket up to its
+        # A certified upper bound (from the SDP, or the fixed point up to its
         # rounding) may overshoot the formula domain by the solver
         # tolerance while the true distance sits within it.
         value = 1.0
@@ -358,7 +360,8 @@ def verify_output_entropy(
     pushed through both n-copy extensions; the entropy difference of the
     two outputs is compared with output_entropy_bound(n, eps, d_out).
     eps defaults to the certified diamond distance of the pair: the
-    closed-form bracket for covariant pairs, the SDP otherwise.
+    fixed point of `distance.diamond_norm` (closed form for covariant
+    pairs), or the SDP when that stalls.
 
     Each entropy comes from a Gram matrix; |v><v| is never formed. For a
     pure input |v>, the output is Y Y^dag, where Y's columns are the images

@@ -3,11 +3,14 @@
 Trace distance in the full 1-norm convention (with the halved variant as a
 separate accessor) and the certified diamond norm of a Hermiticity-preserving
 map, given by its ChoiMatrix (ChoiMatrix.difference(a, b) for the distance
-of two channels). The diamond norm first tries a closed-form bracket from one
-eigendecomposition of the Choi matrix (the Bell-probe lower bound and the
-|J| feasible point of the dual); it runs the interior-point program in the
-sdp module only when that bracket does not close, and then cross-checks the
-program's interval against the bracket. Haar-probe lower bounds are a
+of two channels). The diamond norm brackets itself by a fixed point on an
+input state rho, one eigendecomposition per step: the probe value at the
+purification of rho below, the objective of a dual point built from the same
+eigendecomposition above. Its step 0, at the maximally mixed rho, is the
+closed form that certifies covariant pairs (the Bell-probe value and the |J|
+feasible point of the dual). It runs the interior-point program in the sdp
+module only when the fixed point stalls, and then cross-checks the program's
+interval against the fixed point's best one. Haar-probe lower bounds are a
 further independent check.
 """
 
@@ -20,8 +23,8 @@ import numpy as np
 from . import sdp
 from .channels import ChoiMatrix, QuantumChannel
 from .errors import ArgumentError
-from .linalg import DensityMatrix, PureState, maximally_entangled, partial_trace_matrix
-from .linalg import probe_trace_norm, trace_norm
+from .linalg import DensityMatrix, PureState, as_index, dagger, hermitian_part
+from .linalg import maximally_entangled, partial_trace_matrix, probe_trace_norm, trace_norm
 from .sampling import haar_state, rng_for
 from .sdp import GAP_TARGET, TAU_SDP, DiamondSolution
 
@@ -38,13 +41,28 @@ def trace_distance_halved(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return 0.5 * trace_distance(rho, sigma)
 
 
-def _bracket(j: np.ndarray, d_in: int, d_out: int) -> tuple[float, float]:
-    """(Bell-probe value, lambda_max(Tr_out |J|)) from one eigh of J."""
-    lam, vecs = np.linalg.eigh(j)
-    lower = float(np.sum(np.abs(lam))) / d_in
-    abs_j = (vecs * np.abs(lam)) @ vecs.conj().T
-    upper = float(np.linalg.eigvalsh(partial_trace_matrix(abs_j, (d_in, d_out), [0]))[-1])
-    return lower, upper
+# The fixed point floors rho's spectrum at this fraction of its largest
+# eigenvalue, so that rho^-1/2 exists. It hands over to the interior-point
+# solver after _MAX_STEPS steps, or once the gap of its best interval has not
+# halved over _STALL_STEPS steps.
+_FLOOR = 1e-13
+_STALL_STEPS = 8
+_MAX_STEPS = 40
+
+
+def _sandwich(root: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(root (x) I_B) x (root (x) I_B) for Hermitian root and x on in (x) out."""
+    d_a = root.shape[0]
+
+    def left(y):
+        return (root @ y.reshape(d_a, -1)).reshape(y.shape)
+
+    return left(dagger(left(x)))
+
+
+def _certify(j, dims, rho, inv_root, abs_m) -> tuple[float, float]:
+    """`sdp._interval` at rho and the dual point Z = R^-1 |M| R^-1."""
+    return sdp._interval(j, rho, _sandwich(inv_root, abs_m), *dims)
 
 
 def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
@@ -53,35 +71,82 @@ def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
     The exact-zero map short-circuits to 0 so that equal channels compare
     at machine precision rather than solver precision.
 
-    Otherwise one eigendecomposition J = V diag(lam) V^dag of the Choi
-    matrix gives a closed-form bracket:
+    Otherwise a fixed point on an input state rho brackets the norm. With
+    R = sqrt(rho) (x) I_B and M = R J R, each step gives
 
-    - lower = sum |lam| / d_in, the Bell-probe value
-      ||(map (x) I)(Phi+)||_1;
-    - upper = lambda_max(Tr_out |J|), the dual objective of the feasible
-      point Y0 = Y1 = |J| of Watrous's SDP (arXiv:1207.5726).
+    - lower = Tr|M| / Tr rho, the probe value at the purification of rho;
+    - upper = lambda_max(rho^-1/2 Tr_B|M| rho^-1/2), the objective of the
+      dual point Z = R^-1 |M| R^-1 of Watrous's SDP (arXiv:1207.5726),
+      feasible since Z +- J = R^-1 (|M| +- M) R^-1 >= 0;
 
-    When the bracket closes to the SDP's own relative target, upper - lower
-    <= GAP_TARGET * upper (covariant pairs such as identity vs depolarizing
-    or the truncation family, whose gaps are ~1e-14), it is returned as the
-    certificate, with iterations == 0. The test is relative so that a map
-    of small norm is not certified by its scale alone. Otherwise the
-    interior-point SDP runs, and a solution whose interval leaves the
-    bracket is reported as max-iters, so it is never certified.
+    and then moves rho <- T rho^-1 T / Tr(T rho^-1 T) for T = Tr_B|M|, which
+    leaves rho in place exactly when T is proportional to rho, the
+    optimality condition. Each step is one eigendecomposition of M.
+
+    Step 0 is rho = I / d_in: the Bell-probe value sum |lam(J)| / d_in and
+    lambda_max(Tr_B |J|), from one eigendecomposition of J. When it closes
+    to the SDP's relative target, upper - lower <= GAP_TARGET * upper
+    (covariant pairs such as identity vs depolarizing or the truncation
+    family, whose gaps are ~1e-14), it is the certificate, with
+    iterations == 0. The test is relative so that a map of small norm is not
+    certified by its scale alone. When a later step closes, the interval is
+    rebuilt by `sdp._interval` from that rho and Z, whose PSD shift keeps it
+    valid for an ill-conditioned rho, and it certifies if it still closes;
+    iterations is then the step count.
+
+    A rank-deficient optimum stalls the fixed point. The interior-point SDP
+    then runs, iterations counts the steps and the solver's iterations
+    together, and a solution whose interval leaves the fixed point's best
+    interval is reported as max-iters, so it is never certified.
     """
     j = choi.matrix
     if float(np.max(np.abs(j))) == 0.0:
         return DiamondSolution(0.0, 0.0, 0, "optimal")
     d_in, d_out = choi.d_in, choi.d_out
-    lower, upper = _bracket(j, d_in, d_out)
+    dims = (d_in, d_out)
+    lam, vecs = np.linalg.eigh(j)
+    lower = float(np.sum(np.abs(lam))) / d_in
+    t = partial_trace_matrix((vecs * np.abs(lam)) @ vecs.conj().T, dims, [0])
+    upper = float(np.linalg.eigvalsh(t)[-1])
     if upper - lower <= GAP_TARGET * upper:
         # Rounding can put lower a few ulps above upper; clamp the interval.
         return DiamondSolution(upper, min(lower, upper), 0, "optimal")
+    # Best ends so far: the lower ends are probe values, so any of them is a
+    # bound; the step-0 upper is the |J| bracket, and the least later upper
+    # is only a candidate until `sdp._interval` rebuilds it.
+    best_lower, check_upper, least_upper = lower, upper, upper
+    witness = None
+    gaps = [upper - lower]
+    rho = t @ t
+    for step in range(1, _MAX_STEPS + 1):
+        w, v = np.linalg.eigh(hermitian_part(rho / np.trace(rho).real))
+        w = np.maximum(w, _FLOOR * w[-1])
+        root, inv_root = ((v * f) @ dagger(v) for f in (np.sqrt(w), 1.0 / np.sqrt(w)))
+        lam, vecs = np.linalg.eigh(_sandwich(root, j))
+        abs_m = (vecs * np.abs(lam)) @ dagger(vecs)
+        s = inv_root @ partial_trace_matrix(abs_m, dims, [0])  # rho^-1/2 T
+        lower = float(np.sum(np.abs(lam))) / float(np.sum(w))
+        upper = float(np.linalg.eigvalsh(hermitian_part(s @ inv_root))[-1])
+        state = ((v * w) @ dagger(v), inv_root, abs_m)
+        if upper - lower <= GAP_TARGET * upper:
+            lo, up = _certify(j, dims, *state)
+            if up - lo <= GAP_TARGET * up:
+                return DiamondSolution(up, min(lo, up), step, "optimal")
+        best_lower = max(best_lower, lower)
+        if upper < least_upper:
+            least_upper, witness = upper, state
+        gaps.append(least_upper - best_lower)
+        if step >= _STALL_STEPS and gaps[-1] > 0.5 * gaps[-1 - _STALL_STEPS]:
+            break
+        rho = dagger(s) @ s  # T rho^-1 T
+    if witness is not None:
+        check_upper = min(check_upper, _certify(j, dims, *witness)[1])
     sol = sdp.solve_diamond(j, d_in, d_out)
     slack = TAU_SDP * (1.0 + abs(sol.value))
-    if sol.value < lower - slack or sol.dual_value > upper + slack:
-        return replace(sol, status="max-iters")  # the interval misses the bracket
-    return sol
+    missed = sol.value < best_lower - slack or sol.dual_value > check_upper + slack
+    # A solver interval that misses the fixed point's best interval is never certified.
+    return replace(sol, iterations=step + sol.iterations,
+                   status="max-iters" if missed else sol.status)
 
 
 def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> DiamondSolution:
@@ -104,6 +169,7 @@ def probe_value(choi: ChoiMatrix, psi: PureState) -> float:
 
 def diamond_lower_probe(choi: ChoiMatrix, trials: int, seed: int) -> float:
     """Best of `trials` Haar-random pure probes with a full-size reference."""
+    trials = as_index(trials, "trials")
     if trials < 1:
         raise ArgumentError(f"trials must be >= 1, got {trials}")
     d_in = choi.d_in

@@ -1,8 +1,8 @@
 """Self-contained interior-point solver for the diamond-norm SDP.
 
-`distance.diamond_norm` reaches it only when its closed-form bracket does
-not close to GAP_TARGET relative to the norm, which in practice means pairs
-without a covariance symmetry.
+`distance.diamond_norm` reaches it only when its fixed point on the input
+state stalls before closing to GAP_TARGET relative to the norm, which in
+practice means pairs whose optimal input is rank-deficient.
 
 For a Hermitian Choi matrix J on in (x) out (dimension n_c = d_A*d_B) the
 completely bounded trace norm has the exact semidefinite characterization
@@ -62,8 +62,8 @@ injects into x does not enter the certificate.
 
 This module is the only importer of scipy, and it imports scipy.linalg at
 the first solve, not at import: `distance`, `cli` and `capcont` read the
-constants and `DiamondSolution` from here, and a command that the bracket
-certifies, or that never measures a distance, does not load scipy.
+constants and `DiamondSolution` from here, and a command that the fixed
+point certifies, or that never measures a distance, does not load scipy.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ MAX_ITERS = 200       # interior-point iteration cap
 class DiamondSolution:
     value: float        # certified upper bound on the norm, from the final dual Z
     dual_value: float   # certified lower bound, the probe value at the final rho
-    iterations: int     # 0 when the closed-form bracket certified the norm
+    iterations: int     # fixed-point steps plus solver iterations; 0: closed form
     status: str         # optimal | max-iters
 
     @property

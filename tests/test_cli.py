@@ -613,8 +613,8 @@ class TestCapacityCli:
         assert time.perf_counter() - start < 1.0
 
 
-# Commands that never solve an SDP, then one generic pair that the bracket
-# cannot certify.
+# Commands that never solve an SDP, a generic pair that the fixed point
+# certifies, then one that it hands over to the interior-point solver.
 LAZY_SCIPY = """
 import contextlib, io, sys
 import capcont, capcont.cli
@@ -629,6 +629,9 @@ with contextlib.redirect_stdout(io.StringIO()):
         "--restarts", "1", "--iters", "50", "--json",
     ]) == 0
 assert "scipy" not in sys.modules, "scipy loaded before the first SDP solve"
+sol = diamond_distance(*random_nearby_pair(6, 6, rng_for(1, 6, 0)))
+assert sol.certified() and sol.iterations > 0, sol
+assert "scipy" not in sys.modules, "scipy loaded by a fixed-point certificate"
 sol = diamond_distance(*random_nearby_pair(3, 3, rng_for(1, 3, 0)))
 assert sol.certified() and sol.iterations > 0, sol
 assert "scipy.linalg" in sys.modules

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from capcont.channels import (
+    ChoiMatrix,
     _apply_full,
     _apply_on_factors,
     apply_extended,
@@ -40,7 +41,7 @@ from capcont.continuity import (
     verify_fannes,
     verify_output_entropy,
 )
-from capcont.distance import diamond_distance, trace_distance
+from capcont.distance import diamond_distance, diamond_lower_probe, trace_distance
 from capcont.entropic import (
     TAU_ENT,
     Ensemble,
@@ -214,6 +215,23 @@ def test_non_integral_dimensions_and_copy_counts_are_refused(call, name):
             call(bad)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda trials: verify_fannes(dims=(2,), trials=trials),
+        lambda trials: verify_af(dim_pairs=((2, 2),), trials=trials),
+        lambda trials: diamond_lower_probe(
+            ChoiMatrix.difference(identity(2), depolarizing(2, 0.1)), trials, 0),
+    ],
+    ids=["verify-fannes", "verify-af", "diamond-lower-probe"],
+)
+@pytest.mark.parametrize("bad", [2.5, 2.9, 2.0, True, False])
+def test_non_integral_trial_counts_are_refused(call, bad):
+    # int() would run 2 trials for 2.9; range() would raise a raw TypeError.
+    with pytest.raises(ArgumentError, match=f"^trials must be an integer, got {bad!r}$"):
+        call(bad)
+
+
 def test_numpy_integer_dimensions_and_copy_counts_pass():
     assert fannes_bound(0.1, np.int64(4)) == fannes_bound(0.1, 4)
     assert af_bound(0.1, np.int32(3)) == af_bound(0.1, 3)
@@ -221,6 +239,7 @@ def test_numpy_integer_dimensions_and_copy_counts_pass():
     assert discontinuity_demo([np.int64(2)]) == discontinuity_demo([2])
     reports = verify_output_entropy(identity(2), identity(2), n=np.int64(2), trials=1)
     assert reports == verify_output_entropy(identity(2), identity(2), n=2, trials=1)
+    assert verify_fannes(dims=(2,), trials=np.int64(3)) == verify_fannes(dims=(2,), trials=3)
 
 
 def test_verify_output_entropy_identical_pair_collapses():

@@ -10,7 +10,6 @@ from capcont import channels as ch
 from capcont import sdp
 from capcont.continuity import random_nearby_pair
 from capcont.distance import (
-    _bracket,
     bell_probe_value,
     diamond_distance,
     diamond_lower_probe,
@@ -20,7 +19,13 @@ from capcont.distance import (
     trace_distance_halved,
 )
 from capcont.errors import ArgumentError
-from capcont.linalg import DensityMatrix, PureState, basis_state, maximally_entangled
+from capcont.linalg import (
+    DensityMatrix,
+    PureState,
+    basis_state,
+    maximally_entangled,
+    partial_trace_matrix,
+)
 from capcont.sampling import (
     haar_state,
     random_channel,
@@ -41,6 +46,44 @@ def _depolarizing_gap_oracle(p):
     must meet.
     """
     return sum(abs(x) for x in (0.75 * p, -0.25 * p, -0.25 * p, -0.25 * p))
+
+
+def _bracket(j, d_in, d_out):
+    """(Bell value, lambda_max(Tr_out |J|)) in plain numpy.
+
+    The ends of the closed-form bracket: the Bell probe bounds the norm
+    from below, and Y0 = Y1 = |J| is feasible in Watrous's simplified SDP
+    (arXiv:1207.5726), so its objective bounds it from above.
+    """
+    w, v = np.linalg.eigh((j + j.conj().T) / 2.0)
+    abs_j = (v * np.abs(w)) @ v.conj().T
+    tr_out = abs_j.reshape(d_in, d_out, d_in, d_out).trace(axis1=1, axis2=3)
+    upper = float(np.linalg.eigvalsh((tr_out + tr_out.conj().T) / 2.0)[-1])
+    return float(np.sum(np.abs(w))) / d_in, upper
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts the interior-point solves that diamond_norm hands over to."""
+    calls = []
+    solve = sdp.solve_diamond
+
+    def spy(j, d_in, d_out):
+        calls.append((d_in, d_out))
+        return solve(j, d_in, d_out)
+
+    monkeypatch.setattr(sdp, "solve_diamond", spy)
+    return calls
+
+
+@pytest.fixture
+def no_solver(monkeypatch):
+    """Fails any hand-over to the interior-point solver."""
+
+    def refuse(j, d_in, d_out):
+        raise AssertionError("the fixed point handed over to the interior-point solver")
+
+    monkeypatch.setattr(sdp, "solve_diamond", refuse)
 
 
 def _erasure_pair_oracle(p, q):
@@ -155,14 +198,19 @@ _CORPUS = (
 )
 
 
+def _unitary_pair(d, arg, rng):
+    """U against U exp(i arg H / 2), ||H|| = 1."""
+    u = random_unitary(d, rng)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    step = (v * np.exp(0.5j * arg * w / np.max(np.abs(w)))) @ v.conj().T
+    return ch.QuantumChannel([u]), ch.QuantumChannel([u @ step])
+
+
 def _corpus_pair(family, d, arg):
     rng = rng_for(90, _CORPUS.index((family, d, arg)))
-    if family == "unitary":  # U against U exp(i arg H / 2), ||H|| = 1
-        u = random_unitary(d, rng)
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        w, v = np.linalg.eigh((a + a.conj().T) / 2)
-        step = (v * np.exp(0.5j * arg * w / np.max(np.abs(w)))) @ v.conj().T
-        return ch.QuantumChannel([u]), ch.QuantumChannel([u @ step])
+    if family == "unitary":
+        return _unitary_pair(d, arg, rng)
     if family == "nearby":
         return random_nearby_pair(d, arg, rng)
     kraus_count = 2 if family == "rank2" else None
@@ -202,33 +250,95 @@ def test_diamond_norm_covariant_pairs_certify_from_the_bracket(a, b, expect):
     assert abs(res.value - expect) <= 1e-12
 
 
+@pytest.mark.parametrize("a,b,expect", _BRACKET_PAIRS)
+def test_diamond_norm_step_zero_keeps_the_bracket_bits(a, b, expect):
+    # Step 0 of the fixed point is the closed-form bracket, computed by the
+    # same operations in the same order, so covariant reports keep their bits.
+    m = ch.ChoiMatrix.difference(a, b)
+    lam, vecs = np.linalg.eigh(m.matrix)
+    lower = float(np.sum(np.abs(lam))) / m.d_in
+    abs_j = (vecs * np.abs(lam)) @ vecs.conj().T
+    upper = float(np.linalg.eigvalsh(partial_trace_matrix(abs_j, (m.d_in, m.d_out), [0]))[-1])
+    res = diamond_norm(m)
+    assert (res.value, res.dual_value, res.iterations) == (upper, min(lower, upper), 0)
+
+
 @pytest.mark.parametrize("d,k", [(2, 0), (2, 1), (3, 0), (3, 1)])
-def test_diamond_norm_generic_pairs_run_the_sdp(d, k):
+def test_diamond_norm_generic_pairs_run_the_sdp(d, k, solver_calls):
     res = diamond_distance(*random_nearby_pair(d, d, rng_for(1, d, k)))
+    assert solver_calls == [(d, d)]
     assert res.iterations > 0
     assert res.certified()
 
 
-@pytest.mark.parametrize("side", ["below-lower", "above-upper"])
+@pytest.mark.parametrize("d", range(4, 9))
+@pytest.mark.parametrize("k", [1, 2])
+def test_diamond_norm_fixed_point_certifies_generic_pairs(d, k, no_solver):
+    m = ch.ChoiMatrix.difference(*random_nearby_pair(d, d, rng_for(1, d, k)))
+    res = diamond_norm(m)
+    assert res.certified()
+    assert 0 < res.iterations <= 40  # fixed-point steps, no solver iterations
+    assert res.dual_value <= res.value
+    assert res.value - res.dual_value <= sdp.GAP_TARGET * res.value
+    assert type(res.value) is float and type(res.dual_value) is float
+    lower, upper = _bracket(m.matrix, m.d_in, m.d_out)
+    assert lower <= res.dual_value and res.value <= upper
+
+
+@pytest.mark.parametrize(
+    "pair, expect",
+    [
+        (lambda: (ch.identity(2), ch.constant_channel(2)), 2.0),
+        (lambda: _unitary_pair(3, 0.1, rng_for(91)), None),
+    ],
+    ids=["identity-vs-constant", "unitary-d3"],
+)
+def test_diamond_norm_rank_deficient_optimum_hands_over(pair, expect, solver_calls):
+    # The optimal input is not full rank, so rho drifts to the boundary and
+    # the gap stalls: the solver runs, and its interval must still certify.
+    res = diamond_distance(*pair())
+    assert len(solver_calls) == 1
+    assert res.certified()
+    assert res.dual_value <= res.value
+    if expect is not None:
+        assert res.dual_value - 1e-6 <= expect <= res.value + 1e-6
+
+
+@pytest.mark.parametrize("pair", [(1, 2, 0), (1, 6, 1)], ids=["hand-over", "fixed-point"])
+def test_diamond_norm_is_bit_identical_on_a_rerun(pair):
+    seed, d, k = pair
+    m = ch.ChoiMatrix.difference(*random_nearby_pair(d, d, rng_for(seed, d, k)))
+    assert diamond_norm(m) == diamond_norm(m)
+
+
+@pytest.mark.parametrize("side", ["below-lower", "above-upper", "below-fixed-point", "above-fixed-point"])
 def test_diamond_norm_rejects_sdp_interval_outside_the_bracket(monkeypatch, side):
     m = ch.ChoiMatrix.difference(*random_nearby_pair(2, 2, rng_for(1, 2, 0)))
     lower, upper = _bracket(m.matrix, m.d_in, m.d_out)
     assert lower == pytest.approx(bell_probe_value(m), abs=1e-12)
+    norm = diamond_norm(m).value
     # A self-consistent "optimal" interval that a faulty solver could print:
-    # entirely below the Bell lower bound, or entirely above the |J| bound.
-    fake = 0.5 * lower if side == "below-lower" else upper + 0.1
+    # entirely below the Bell lower bound, or entirely above the |J| bound;
+    # or inside that bracket, but outside the fixed point's tighter interval,
+    # halfway between the norm and an end of the bracket.
+    fake = {
+        "below-lower": 0.5 * lower,
+        "above-upper": upper + 0.1,
+        "below-fixed-point": 0.5 * (lower + norm),
+        "above-fixed-point": 0.5 * (norm + upper),
+    }[side]
 
     def wrong_solver(j, d_in, d_out):
         return DiamondSolution(fake, fake, 7, "optimal")
 
     monkeypatch.setattr(sdp, "solve_diamond", wrong_solver)
     res = diamond_norm(m)
-    assert res.value == fake and res.iterations == 7
+    assert res.value == fake and res.iterations > 7  # the loop's steps, then the solver's 7
     assert res.status == "max-iters"
     assert not res.certified()
 
 
-def test_diamond_norm_of_small_generic_map_runs_the_sdp():
+def test_diamond_norm_of_small_generic_map_runs_the_sdp(solver_calls):
     # The bracket must close relative to the norm: at scale 1e-7 a generic
     # gap u - l shrinks below any absolute tolerance, but lambda_max(Tr_out |J|)
     # is still off by O(1) relative to the norm.
@@ -237,6 +347,7 @@ def test_diamond_norm_of_small_generic_map_runs_the_sdp():
     lower, upper = _bracket(m.matrix, m.d_in, m.d_out)
     assert upper - base.value > 1e-3 * base.value  # generic: the bracket is open
     small = diamond_norm(m.scaled(1e-7))
+    assert len(solver_calls) == 2
     assert small.iterations > 0
     assert small.certified()
     assert small.value == pytest.approx(1e-7 * base.value, rel=1e-6)
@@ -251,11 +362,11 @@ def test_diamond_norm_of_small_generic_map_runs_the_sdp():
     ],
     ids=["sdp", "bracket"],
 )
-def test_rel_gap_is_in_the_maps_own_units(pair, sdp_route, scale):
+def test_rel_gap_is_in_the_maps_own_units(pair, sdp_route, scale, solver_calls):
     # Both routes report the same quantity: the SDP solves at ||J||_2 = 1,
     # but its rel_gap is taken after the interval is scaled back.
     res = diamond_norm(ch.ChoiMatrix.difference(*pair()).scaled(scale))
-    assert (res.iterations > 0) == sdp_route
+    assert bool(solver_calls) == sdp_route
     assert res.certified()
     assert res.rel_gap == (res.value - res.dual_value) / (1.0 + res.value)
 

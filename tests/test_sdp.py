@@ -11,7 +11,7 @@ from capcont import channels as ch
 from capcont import sdp
 from capcont.continuity import random_nearby_pair
 from capcont.channels import ChoiMatrix
-from capcont.distance import _bracket, diamond_distance
+from capcont.distance import diamond_distance
 from capcont.linalg import dagger, partial_trace_matrix
 from capcont.sampling import random_density_matrix, rng_for
 
@@ -225,7 +225,7 @@ def test_half_sum_capacitance_matches_per_row_sum(d_a, d_b):
 
 
 def test_sdp_solution_fields_are_python_scalars():
-    # A generic pair runs the SDP; its fields must serialize as JSON.
+    # A generic pair leaves the closed form; its fields must serialize as JSON.
     a, b = random_nearby_pair(3, 3, rng_for(68))
     sol = diamond_distance(a, b)
     assert sol.iterations > 0
@@ -253,6 +253,11 @@ def test_optimal_status_means_the_interval_is_within_tau_sdp(d):
 # ------------------------------------------------------------- certificate
 
 
+def _bell_value(j, d_in):
+    """sum |lam(J)| / d_in in plain numpy: the probe value at the maximally entangled input."""
+    return float(np.sum(np.abs(np.linalg.eigvalsh((j + j.conj().T) / 2.0)))) / d_in
+
+
 def _choi_and_abs(a, b):
     j = ChoiMatrix.difference(a, b).matrix
     lam, vecs = np.linalg.eigh(j)
@@ -273,14 +278,14 @@ def test_interval_lifts_an_infeasible_dual_by_d_b_delta(d, delta):
     drop = float(np.linalg.eigvalsh(partial_trace_matrix(z, (d, d), [0]))[-1])
     assert abs((upper - drop) - d * delta) <= 1e-15
     assert abs(upper - sdp._interval(j, rho, abs_j, d, d)[1]) <= 1e-15
-    assert upper >= _bracket(j, d, d)[0]  # the Bell value, here the norm
+    assert upper >= _bell_value(j, d)  # here the norm
 
 
 def test_interval_lower_bound_at_the_maximally_mixed_input_is_the_bell_value():
     a, b = random_nearby_pair(3, 3, rng_for(69))
     j, abs_j = _choi_and_abs(a, b)
     lower, _ = sdp._interval(j, np.eye(3) / 3, abs_j, 3, 3)
-    assert lower == pytest.approx(_bracket(j, 3, 3)[0], rel=1e-12)
+    assert lower == pytest.approx(_bell_value(j, 3), rel=1e-12)
 
 
 def test_interval_lower_bound_ignores_the_trace_of_rho():
