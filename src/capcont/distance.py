@@ -60,11 +60,6 @@ def _sandwich(root: np.ndarray, x: np.ndarray) -> np.ndarray:
     return left(dagger(left(x)))
 
 
-def _certify(j, dims, rho, inv_root, abs_m) -> tuple[float, float]:
-    """`sdp._interval` at rho and the dual point Z = R^-1 |M| R^-1."""
-    return sdp._interval(j, rho, _sandwich(inv_root, abs_m), *dims)
-
-
 def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
     """Diamond norm of a Hermiticity-preserving map, with a certified gap.
 
@@ -127,20 +122,24 @@ def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
         s = inv_root @ partial_trace_matrix(abs_m, dims, [0])  # rho^-1/2 T
         lower = float(np.sum(np.abs(lam))) / float(np.sum(w))
         upper = float(np.linalg.eigvalsh(hermitian_part(s @ inv_root))[-1])
-        state = ((v * w) @ dagger(v), inv_root, abs_m)
         if upper - lower <= GAP_TARGET * upper:
-            lo, up = _certify(j, dims, *state)
+            # Rebuilt at rho and the dual point Z = R^-1 |M| R^-1.
+            lo, up = sdp._interval(
+                j, (v * w) @ dagger(v), _sandwich(inv_root, abs_m), d_in, d_out
+            )
             if up - lo <= GAP_TARGET * up:
                 return DiamondSolution(up, min(lo, up), step, "optimal")
         best_lower = max(best_lower, lower)
         if upper < least_upper:
-            least_upper, witness = upper, state
+            least_upper, witness = upper, ((v * w) @ dagger(v), inv_root, abs_m)
         gaps.append(least_upper - best_lower)
         if step >= _STALL_STEPS and gaps[-1] > 0.5 * gaps[-1 - _STALL_STEPS]:
             break
         rho = dagger(s) @ s  # T rho^-1 T
     if witness is not None:
-        check_upper = min(check_upper, _certify(j, dims, *witness)[1])
+        rho, inv_root, abs_m = witness
+        _, up = sdp._interval(j, rho, _sandwich(inv_root, abs_m), d_in, d_out)
+        check_upper = min(check_upper, up)
     sol = sdp.solve_diamond(j, d_in, d_out)
     slack = TAU_SDP * (1.0 + abs(sol.value))
     missed = sol.value < best_lower - slack or sol.dual_value > check_upper + slack

@@ -10,6 +10,8 @@ from capcont import channels as ch
 from capcont import sdp
 from capcont.continuity import random_nearby_pair
 from capcont.distance import (
+    _MAX_STEPS,
+    _STALL_STEPS,
     bell_probe_value,
     diamond_distance,
     diamond_lower_probe,
@@ -62,15 +64,34 @@ def _bracket(j, d_in, d_out):
     return float(np.sum(np.abs(w))) / d_in, upper
 
 
+class _SolverCalls(list):
+    def __init__(self):
+        super().__init__()
+        self.iterations = []
+
+
+def _handed_over_after_a_stall(res, solver_iterations):
+    """iterations = fixed-point steps + solver iterations, and the steps
+    stop at a stall break (at least _STALL_STEPS) or at the _MAX_STEPS cap."""
+    steps = res.iterations - solver_iterations
+    return _STALL_STEPS <= steps <= _MAX_STEPS
+
+
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Counts the interior-point solves that diamond_norm hands over to."""
-    calls = []
+    """Counts the interior-point solves that diamond_norm hands over to.
+
+    The list holds each solve's (d_in, d_out); its `iterations` attribute
+    holds each solve's own iteration count.
+    """
+    calls = _SolverCalls()
     solve = sdp.solve_diamond
 
     def spy(j, d_in, d_out):
+        sol = solve(j, d_in, d_out)
         calls.append((d_in, d_out))
-        return solve(j, d_in, d_out)
+        calls.iterations.append(sol.iterations)
+        return sol
 
     monkeypatch.setattr(sdp, "solve_diamond", spy)
     return calls
@@ -267,7 +288,7 @@ def test_diamond_norm_step_zero_keeps_the_bracket_bits(a, b, expect):
 def test_diamond_norm_generic_pairs_run_the_sdp(d, k, solver_calls):
     res = diamond_distance(*random_nearby_pair(d, d, rng_for(1, d, k)))
     assert solver_calls == [(d, d)]
-    assert res.iterations > 0
+    assert _handed_over_after_a_stall(res, solver_calls.iterations[0])
     assert res.certified()
 
 
@@ -298,6 +319,7 @@ def test_diamond_norm_rank_deficient_optimum_hands_over(pair, expect, solver_cal
     # the gap stalls: the solver runs, and its interval must still certify.
     res = diamond_distance(*pair())
     assert len(solver_calls) == 1
+    assert _handed_over_after_a_stall(res, solver_calls.iterations[0])
     assert res.certified()
     assert res.dual_value <= res.value
     if expect is not None:
@@ -312,11 +334,17 @@ def test_diamond_norm_is_bit_identical_on_a_rerun(pair):
 
 
 @pytest.mark.parametrize("side", ["below-lower", "above-upper", "below-fixed-point", "above-fixed-point"])
-def test_diamond_norm_rejects_sdp_interval_outside_the_bracket(monkeypatch, side):
+def test_diamond_norm_rejects_sdp_interval_outside_the_bracket(monkeypatch, side, solver_calls):
     m = ch.ChoiMatrix.difference(*random_nearby_pair(2, 2, rng_for(1, 2, 0)))
     lower, upper = _bracket(m.matrix, m.d_in, m.d_out)
     assert lower == pytest.approx(bell_probe_value(m), abs=1e-12)
-    norm = diamond_norm(m).value
+    # The real hand-over, to read off the fixed point's step count.
+    real = diamond_norm(m)
+    norm = real.value
+    (solver_iterations,) = solver_calls.iterations
+    assert solver_iterations != 7  # else dropping the solver's count would go unseen
+    assert _handed_over_after_a_stall(real, solver_iterations)
+    steps = real.iterations - solver_iterations
     # A self-consistent "optimal" interval that a faulty solver could print:
     # entirely below the Bell lower bound, or entirely above the |J| bound;
     # or inside that bracket, but outside the fixed point's tighter interval,
@@ -333,7 +361,8 @@ def test_diamond_norm_rejects_sdp_interval_outside_the_bracket(monkeypatch, side
 
     monkeypatch.setattr(sdp, "solve_diamond", wrong_solver)
     res = diamond_norm(m)
-    assert res.value == fake and res.iterations > 7  # the loop's steps, then the solver's 7
+    # iterations counts the loop's steps, then the solver's 7.
+    assert res.value == fake and res.iterations == steps + 7
     assert res.status == "max-iters"
     assert not res.certified()
 
@@ -348,7 +377,7 @@ def test_diamond_norm_of_small_generic_map_runs_the_sdp(solver_calls):
     assert upper - base.value > 1e-3 * base.value  # generic: the bracket is open
     small = diamond_norm(m.scaled(1e-7))
     assert len(solver_calls) == 2
-    assert small.iterations > 0
+    assert _handed_over_after_a_stall(small, solver_calls.iterations[1])
     assert small.certified()
     assert small.value == pytest.approx(1e-7 * base.value, rel=1e-6)
 
@@ -367,6 +396,10 @@ def test_rel_gap_is_in_the_maps_own_units(pair, sdp_route, scale, solver_calls):
     # but its rel_gap is taken after the interval is scaled back.
     res = diamond_norm(ch.ChoiMatrix.difference(*pair()).scaled(scale))
     assert bool(solver_calls) == sdp_route
+    if sdp_route:
+        assert _handed_over_after_a_stall(res, solver_calls.iterations[0])
+    else:
+        assert res.iterations == 0
     assert res.certified()
     assert res.rel_gap == (res.value - res.dual_value) / (1.0 + res.value)
 
