@@ -6,6 +6,10 @@ a lower-bound certifier: multi-start L-BFGS ascent whose best found
 value is reported together with the point that achieves it.  No claim of
 global optimality is made.
 
+Two ascents serve the three proxies: one over purifications for coherent
+and private information, which coincide over pure-state ensembles (see
+max_private), and one over pure-state ensembles for Holevo information.
+
 Pure states are parameterized by unconstrained complex vectors normalized
 on evaluation; ensembles add a softmax over real logits.  One evaluation
 gives a point's value and its gradient from one eigendecomposition of each
@@ -16,7 +20,7 @@ accepted line-search trial's gradient serves the next step.
 
 Restarts run in lockstep on one leading batch axis, and an ensemble's
 states on a second one, so one kernel call serves every restart and state
-of a channel leg.  Each restart draws its start from its own RNG stream
+through a channel.  Each restart draws its start from its own RNG stream
 (derived from the seed and the restart index) and keeps its own
 curvature pairs, Armijo backtracking and stop tests.  Its step direction
 is the limited-memory BFGS one (Nocedal and Wright, Numerical
@@ -55,7 +59,7 @@ import numpy as np
 from .channels import QuantumChannel, _apply_full, complementary, tensor_power
 from .entropic import Ensemble, _ensemble_outputs, entropy_of_spectra
 from .errors import ArgumentError, DimensionError
-from .linalg import D_MAX, DensityMatrix, PureState, dagger, partial_trace_matrix
+from .linalg import D_MAX, DensityMatrix, PureState, as_index, dagger, partial_trace_matrix
 from .sampling import rng_for
 
 RESTARTS = 16       # default random restarts per maximization
@@ -309,7 +313,7 @@ def _check_stack(ch: QuantumChannel, restarts: int, pieces: int, side: int = 1) 
     the input, output and environment dimensions and `side`.
     """
     d = max(ch.d_in, ch.d_out, len(ch.kraus), side)
-    if restarts * pieces * d * d > D_MAX**2:
+    if as_index(restarts, "restarts") * pieces * d * d > D_MAX**2:
         raise DimensionError(f"{restarts} x {pieces} stacks of {d} x {d} exceed D_MAX^2")
 
 
@@ -325,6 +329,7 @@ def _run_restarts(
     argmax_of maps the winner's parameter blocks, each with a restart
     axis of length 1, to the reported maximizer.
     """
+    restarts, iters = as_index(restarts, "restarts"), as_index(iters, "iters")
     if restarts < 1 or iters < 1:
         raise ArgumentError("restarts and iters must be positive")
     starts = [np.stack(blocks) for blocks in zip(*(init_of(r) for r in range(restarts)))]
@@ -340,17 +345,13 @@ def _run_restarts(
     )
 
 
-def max_coherent_information(
-    ch: QuantumChannel,
-    restarts: int = RESTARTS,
-    iters: int = ITERS,
-    seed: int = 0,
-) -> OptimizationReport:
-    """Best coherent information over pure inputs on reference (x) input.
+def _max_coherent(ch: QuantumChannel, restarts: int, iters: int, seed: int) -> OptimizationReport:
+    """The purification ascent of max_coherent_information and max_private.
 
-    The objective only depends on the input marginal rho, for which the
-    gradient is the difference of channel adjoints applied to the output
-    and environment log-densities.
+    Both call it, not each other, so a wrapper around either public name
+    sees each ascent once. The objective only depends on the input
+    marginal rho, for which the gradient is the difference of channel
+    adjoints applied to the output and environment log-densities.
     """
     d = ch.d_in
     if d * d > D_MAX:
@@ -385,23 +386,30 @@ def max_coherent_information(
     return _run_restarts(evaluate, init_of, argmax_of, restarts, iters)
 
 
-def _max_over_ensembles(
+def max_coherent_information(
+    ch: QuantumChannel,
+    restarts: int = RESTARTS,
+    iters: int = ITERS,
+    seed: int = 0,
+) -> OptimizationReport:
+    """Best coherent information over pure inputs on reference (x) input."""
+    return _max_coherent(ch, restarts, iters, seed)
+
+
+def max_holevo(
     ch: QuantumChannel,
     ensemble_size: int,
-    restarts: int,
-    iters: int,
-    seed: int,
-    private: bool,
+    restarts: int = RESTARTS,
+    iters: int = ITERS,
+    seed: int = 0,
 ) -> OptimizationReport:
-    if ensemble_size < 2:
-        raise ArgumentError(f"ensemble size must be >= 2, got {ensemble_size}")
-    _check_stack(ch, restarts, ensemble_size)
+    """Best classical mutual information over pure-state ensembles of ensemble_size states."""
+    m = as_index(ensemble_size, "ensemble_size")
+    if m < 2:
+        raise ArgumentError(f"ensemble size must be >= 2, got {m}")
+    _check_stack(ch, restarts, m)
     d = ch.d_in
-    m = ensemble_size
-    legs = [ch.kraus]
-    if private:
-        legs.append(complementary(ch).kraus)
-    legs = [(kraus, dagger(kraus)) for kraus in legs]
+    kraus, adjoint = ch.kraus, dagger(ch.kraus)
 
     # params: (restarts, 1, m) softmax logits and (restarts, m, d) states
     def unpack(params):
@@ -412,34 +420,24 @@ def _max_over_ensembles(
 
     def evaluate(params):
         probs, states = unpack(params)
-        value = 0.0
-        g_states = np.zeros(states.shape, dtype=complex)
-        g_probs = np.zeros(probs.shape)
-        sign = 1.0
-        for kraus, adjoint in legs:
-            outs, avg = _ensemble_outputs(kraus, probs, _outer(states))
-            w_avg, u_avg = np.linalg.eigh(avg)
-            w, u = np.linalg.eigh(outs)
-            s_outs = entropy_of_spectra(w)
-            mean_s = sum(probs[:, k] * s_outs[:, k] for k in range(m))
-            value = value + sign * (entropy_of_spectra(w_avg) - mean_s)
-            l_avg = _neg_log2(w_avg, u_avg)
-            back = _apply_full(adjoint, l_avg[:, None] - _neg_log2(w, u))
-            g_states += (sign * probs)[..., None] * (back @ states[..., None])[..., 0]
-            overlaps = _piece_rows(outs, np.broadcast_to(l_avg[:, None], outs.shape))
-            g_probs += sign * (overlaps - s_outs)
-            sign = -sign
+        outs, avg = _ensemble_outputs(kraus, probs, _outer(states))
+        w_avg, u_avg = np.linalg.eigh(avg)
+        w, u = np.linalg.eigh(outs)
+        s_outs = entropy_of_spectra(w)
+        mean_s = sum(probs[:, k] * s_outs[:, k] for k in range(m))
+        l_avg = _neg_log2(w_avg, u_avg)
+        back = _apply_full(adjoint, l_avg[:, None] - _neg_log2(w, u))
+        g_states = probs[..., None] * (back @ states[..., None])[..., 0]
         g_states -= _piece_rows(states, g_states)[..., None] * states
         g_states *= 2.0
+        g_probs = _piece_rows(outs, np.broadcast_to(l_avg[:, None], outs.shape)) - s_outs
         means = _rows(probs, g_probs)
         g_z = probs * (g_probs - means[:, None])
-        return value, [g_z[:, None], g_states]
+        return entropy_of_spectra(w_avg) - mean_s, [g_z[:, None], g_states]
 
     def init_of(r):
         rng = rng_for(seed, r)
-        vecs = [
-            rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(m)
-        ]
+        vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(m)]
         return [(rng.standard_normal(m) * 0.1)[None], np.array(vecs)]
 
     def argmax_of(params):
@@ -451,26 +449,28 @@ def _max_over_ensembles(
     return _run_restarts(evaluate, init_of, argmax_of, restarts, iters)
 
 
-def max_holevo(
-    ch: QuantumChannel,
-    ensemble_size: int,
-    restarts: int = RESTARTS,
-    iters: int = ITERS,
-    seed: int = 0,
-) -> OptimizationReport:
-    """Best classical mutual information over pure-state ensembles."""
-    return _max_over_ensembles(ch, ensemble_size, restarts, iters, seed, private=False)
-
-
 def max_private(
     ch: QuantumChannel,
-    ensemble_size: int,
     restarts: int = RESTARTS,
     iters: int = ITERS,
     seed: int = 0,
 ) -> OptimizationReport:
-    """Best I(X;B) - I(X;E) over pure-state ensembles."""
-    return _max_over_ensembles(ch, ensemble_size, restarts, iters, seed, private=True)
+    """Best I(X;B) - I(X;E) over pure-state ensembles: the coherent-information proxy.
+
+    For pure states with average rho, I(X;B) - I(X;E) = S(N(rho)) -
+    S(N^c(rho)) = I_c(rho) (Devetak, IEEE Trans. Inf. Theory 51, 44, 2005),
+    so this runs the purification ascent. argmax is the spectral ensemble
+    of the winner's input marginal, rounding-level weights dropped. P^(1)
+    exceeds the value only with mixed-state ensembles, which no maximizer
+    here searches.
+    """
+    rep = _max_coherent(ch, restarts, iters, seed)
+    d = ch.d_in
+    w, u = np.linalg.eigh(partial_trace_matrix(_outer(rep.argmax.vector), (d, d), keep=[1]))
+    kept = np.flatnonzero(w > d * np.finfo(float).eps)
+    return replace(
+        rep, argmax=Ensemble([(float(w[k]), DensityMatrix.from_pure(u[:, k])) for k in kept])
+    )
 
 
 def _per_copy(rep: OptimizationReport, n: int) -> OptimizationReport:
@@ -507,10 +507,9 @@ def n_copy_holevo(
 def n_copy_private(
     ch: QuantumChannel,
     n: int,
-    ensemble_size: int,
     restarts: int = RESTARTS,
     iters: int = ITERS,
     seed: int = 0,
 ) -> OptimizationReport:
     """Per-copy best private information of the n-fold parallel channel."""
-    return _per_copy(max_private(tensor_power(ch, n), ensemble_size, restarts, iters, seed), n)
+    return _per_copy(max_private(tensor_power(ch, n), restarts, iters, seed), n)

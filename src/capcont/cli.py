@@ -271,17 +271,14 @@ def _cmd_info(args) -> tuple[int, dict]:
 def _cmd_capacity(args) -> tuple[int, dict]:
     ch = parse_channel_spec(args.channel)
     result = {"kind": args.kind, "n": args.n}
-    if args.kind == "coherent":
-        rep = n_copy_coherent_information(
-            ch, args.n, restarts=args.restarts, iters=args.iters, seed=args.seed
-        )
-    else:
+    counts = {"restarts": args.restarts, "iters": args.iters, "seed": args.seed}
+    if args.kind == "holevo":
         size = ch.d_in**2 if args.ensemble_size is None else args.ensemble_size
-        runner = n_copy_holevo if args.kind == "holevo" else n_copy_private
-        rep = runner(
-            ch, args.n, size, restarts=args.restarts, iters=args.iters, seed=args.seed
-        )
+        rep = n_copy_holevo(ch, args.n, size, **counts)
         result["ensemble_size"] = size
+    else:
+        runner = n_copy_private if args.kind == "private" else n_copy_coherent_information
+        rep = runner(ch, args.n, **counts)
     result.update(
         per_copy_value=rep.best_value,
         restarts=rep.restarts,
@@ -467,13 +464,13 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_capacity)
     csub = p.add_subparsers(dest="kind", required=True, parser_class=_Parser)
     csub.add_parser("coherent", parents=[optimizer])
-    for kind in ("holevo", "private"):
-        csub.add_parser(kind, parents=[optimizer]).add_argument(
-            "--ensemble-size",
-            type=int,
-            default=None,
-            help="default the single-copy d_in squared (4 for a qubit channel, at any --n)",
-        )
+    csub.add_parser("holevo", parents=[optimizer]).add_argument(
+        "--ensemble-size",
+        type=int,
+        default=None,
+        help="default the single-copy d_in squared (4 for a qubit channel, at any --n)",
+    )
+    csub.add_parser("private", parents=[optimizer])
 
     # The verify counts default to SUPPRESS: only the ones the user gave
     # reach the library, which owns every default.

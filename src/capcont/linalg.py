@@ -88,7 +88,7 @@ class PureState:
 
     def __init__(self, vector: np.ndarray, dims: Sequence[int]):
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(as_index(d, "dims") for d in dims)
         if int(np.prod(dims)) != v.size or any(x < 1 for x in dims):
             raise DimensionError(f"dims {dims} are not positive factors of vector size {v.size}")
         if not np.all(np.isfinite(v)):
@@ -118,7 +118,7 @@ class DensityMatrix:
         if m.shape[0] != m.shape[1]:
             raise DimensionError(f"density matrix must be square, got {m.shape}")
         d = m.shape[0]
-        dims = (d,) if dims is None else tuple(int(x) for x in dims)
+        dims = (d,) if dims is None else tuple(as_index(x, "dims") for x in dims)
         if int(np.prod(dims)) != d or any(x < 1 for x in dims):
             raise DimensionError(f"dims {dims} are not positive factors of dimension {d}")
         if herm_residual(m) > TAU_HERM:

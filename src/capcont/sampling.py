@@ -12,12 +12,12 @@ import numpy as np
 
 from .channels import QuantumChannel
 from .errors import ArgumentError
-from .linalg import DensityMatrix, PureState, check_choi_dim
+from .linalg import DensityMatrix, PureState, as_index, check_choi_dim
 
 
 def rng_for(seed: int, *branch: int) -> np.random.Generator:
     """Generator for a (seed, branch...) stream, stable under scheduling."""
-    seed, branch = int(seed), tuple(int(b) for b in branch)
+    seed, branch = as_index(seed, "seed"), tuple(as_index(b, "branch") for b in branch)
     if seed < 0 or any(b < 0 for b in branch):
         raise ArgumentError(f"seed {seed} and branch {branch} must be non-negative")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=branch))
@@ -33,7 +33,7 @@ def random_density_matrix(
     d: int, rng: np.random.Generator, rank: int | None = None, dims=None
 ) -> DensityMatrix:
     """Wishart-style random state of the given rank (full rank by default)."""
-    r = d if rank is None else int(rank)
+    r = d if rank is None else as_index(rank, "rank")
     if not 1 <= r <= d:
         raise ArgumentError(f"rank {r} out of range for dimension {d}")
     return DensityMatrix(_wishart(d, r, rng), dims if dims is not None else (d,))
@@ -62,7 +62,7 @@ def random_channel(
     gives a generic full-rank Choi matrix. A larger kraus_count draws a
     larger isometry, and the channel is then stored in Choi-rank form.
     """
-    k = d_in * d_out if kraus_count is None else int(kraus_count)
+    k = d_in * d_out if kraus_count is None else as_index(kraus_count, "kraus_count")
     if k < 1:
         raise ArgumentError(f"kraus_count must be positive, got {k}")
     if k * d_out < d_in:  # no isometry from in into out (x) env exists

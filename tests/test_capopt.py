@@ -130,13 +130,13 @@ def test_private_erasure_half_symmetry():
         a = np.sort(np.linalg.eigvalsh(apply(ch, rho).matrix))
         b = np.sort(np.linalg.eigvalsh(apply(chc, rho).matrix))
         assert np.allclose(a, b, atol=1e-12)
-    rep = max_private(ch, 2, restarts=2, seed=7)
+    rep = max_private(ch, restarts=2, seed=7)
     assert abs(rep.best_value) <= 1e-9
 
 
 def test_private_erasure_quarter_sandwich():
     coh = max_coherent_information(erasure(2, 0.25), restarts=4, seed=7)
-    priv = max_private(erasure(2, 0.25), 2, restarts=4, seed=7)
+    priv = max_private(erasure(2, 0.25), restarts=4, seed=7)
     hol = max_holevo(erasure(2, 0.25), 2, restarts=4, seed=7)
     assert priv.best_value >= 0.5 - TAU_OPT
     assert coh.best_value <= priv.best_value + TAU_OPT
@@ -144,6 +144,51 @@ def test_private_erasure_quarter_sandwich():
     assert abs(hol.best_value - _erasure_holevo_oracle(0.25, 2)) <= TAU_OPT
     reeval = private_information(erasure(2, 0.25), priv.argmax)
     assert abs(reeval - priv.best_value) <= 1e-7
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize(
+    "ch",
+    [erasure(2, 0.25), dephasing(0.2), random_channel(2, 3, rng_for(47)),
+     random_channel(3, 2, rng_for(53), kraus_count=4)],
+    ids=["erasure", "dephasing", "random23", "random32"],
+)
+def test_private_is_the_coherent_ascent(ch, seed):
+    # Over pure-state ensembles I(X;B) - I(X;E) = I_c(rho) at their average
+    # rho, so max_private runs the purification ascent: the same report,
+    # bit for bit, with the winner's spectral ensemble as its maximizer.
+    coh = max_coherent_information(ch, restarts=3, iters=200, seed=seed)
+    priv = max_private(ch, restarts=3, iters=200, seed=seed)
+    assert priv.best_value == coh.best_value
+    assert priv.iterations == coh.iterations
+    assert priv.stop_reasons == coh.stop_reasons
+    assert priv.converged == coh.converged
+    assert abs(private_information(ch, priv.argmax) - priv.best_value) <= 1e-12
+    avg = sum(p * state.matrix for p, state in priv.argmax.items)
+    marginal = partial_trace_matrix(coh.argmax.density().matrix, (ch.d_in, ch.d_in), keep=[1])
+    assert np.allclose(avg, marginal, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "run, name",
+    [
+        (lambda ch: max_coherent_information(ch, restarts=True, iters=5), "restarts"),
+        (lambda ch: max_coherent_information(ch, restarts=2.5, iters=5), "restarts"),
+        (lambda ch: max_coherent_information(ch, restarts="3", iters=5), "restarts"),
+        (lambda ch: max_coherent_information(ch, restarts=2, iters=2.5), "iters"),
+        (lambda ch: max_private(ch, restarts=2.0, iters=5), "restarts"),
+        (lambda ch: max_holevo(ch, 2.5, restarts=2, iters=5), "ensemble_size"),
+        (lambda ch: max_holevo(ch, 2, restarts=2, iters=False), "iters"),
+        (lambda ch: n_copy_coherent_information(ch, 1, restarts=1, iters=5, seed=1.5), "seed"),
+    ],
+    ids=["restarts-true", "restarts-2.5", "restarts-str", "iters-2.5", "private-restarts-2.0",
+         "ensemble-size-2.5", "iters-false", "seed-1.5"],
+)
+def test_non_integral_capacity_counts_are_refused(run, name):
+    # int() would run one restart for True; range() and the stack check would raise
+    # a raw TypeError for 2.5 and "3".
+    with pytest.raises(ArgumentError, match=f"^{name} must be an integer, got "):
+        run(erasure(2, 0.25))
 
 
 def test_n_copy_reduces_and_matches_single_letter():
@@ -288,13 +333,17 @@ _CLOSED_FORMS = [
 ]
 
 
+def _n_copy(kind, ch, n, seed):
+    # The benchmark's settings: 4 restarts, 400 iterations, d_in^2 Holevo states.
+    if kind == "holevo":
+        return n_copy_holevo(ch, n, ch.d_in**2, restarts=4, iters=400, seed=seed)
+    runner = n_copy_private if kind == "private" else n_copy_coherent_information
+    return runner(ch, n, restarts=4, iters=400, seed=seed)
+
+
 @pytest.mark.parametrize("kind, ch, n, value", _CLOSED_FORMS)
 def test_stall_rule_does_not_stop_short(kind, ch, n, value):
-    if kind == "coherent":
-        rep = n_copy_coherent_information(ch, n, restarts=4, iters=400, seed=0)
-    else:
-        runner = n_copy_holevo if kind == "holevo" else n_copy_private
-        rep = runner(ch, n, ch.d_in**2, restarts=4, iters=400, seed=0)
+    rep = _n_copy(kind, ch, n, seed=0)
     assert abs(rep.best_value - value) <= 1e-14
     assert rep.converged
     # L-BFGS steps: gradient steps took 214 iterations on the holevo case
@@ -305,11 +354,7 @@ def test_stall_rule_does_not_stop_short(kind, ch, n, value):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("kind, ch, n, value", _CLOSED_FORMS)
 def test_capacity_cases_converge_at_every_op_seed(kind, ch, n, value, seed):
-    if kind == "coherent":
-        rep = n_copy_coherent_information(ch, n, restarts=4, iters=400, seed=seed)
-    else:
-        runner = n_copy_holevo if kind == "holevo" else n_copy_private
-        rep = runner(ch, n, ch.d_in**2, restarts=4, iters=400, seed=seed)
+    rep = _n_copy(kind, ch, n, seed=seed)
     assert rep.converged
     assert abs(rep.best_value - value) <= 1e-12
 
@@ -539,10 +584,9 @@ def _ref_coherent(ch, restarts, iters, seed):
     return f, counts, reasons, conv, params[0]
 
 
-def _ref_ensembles(ch, m, restarts, iters, seed, private):
+def _ref_holevo(ch, m, restarts, iters, seed):
     d = ch.d_in
-    legs = [ch.kraus] + ([complementary(ch).kraus] if private else [])
-    legs = [(kraus, dagger(kraus)) for kraus in legs]
+    kraus, adjoint = ch.kraus, dagger(ch.kraus)
 
     # params: the logits and the m states, one after another
     def unpack(params):
@@ -550,38 +594,26 @@ def _ref_ensembles(ch, m, restarts, iters, seed, private):
         probs /= probs.sum()
         return probs, params[1].reshape(m, d)
 
-    def leg_terms(kraus, probs, states):
+    def outputs(probs, states):
         outs = [_apply_full(kraus, np.outer(u, u.conj())) for u in states]
         return outs, sum(p * o for p, o in zip(probs, outs))
 
     def value_of(params):
         probs, states = unpack(params)
-        total, sign = 0.0, 1.0
-        for kraus, _ in legs:
-            outs, avg = leg_terms(kraus, probs, states)
-            mean_s = sum(p * _ref_entropy(o) for p, o in zip(probs, outs))
-            total += sign * (_ref_entropy(avg) - mean_s)
-            sign = -sign
-        return total
+        outs, avg = outputs(probs, states)
+        return _ref_entropy(avg) - sum(p * _ref_entropy(o) for p, o in zip(probs, outs))
 
     def grad_of(params):
         probs, states = unpack(params)
-        g_states = [np.zeros(d, dtype=complex) for _ in range(m)]
-        g_probs = np.zeros(m)
-        sign = 1.0
-        for kraus, adjoint in legs:
-            outs, avg = leg_terms(kraus, probs, states)
-            l_avg = _ref_neg_log2(*np.linalg.eigh(avg))
-            for k, (u, out) in enumerate(zip(states, outs)):
-                # One eigh of each output serves its -log2 and its entropy.
-                w_out, u_out = np.linalg.eigh(out)
-                back = _apply_full(adjoint, l_avg - _ref_neg_log2(w_out, u_out))
-                g_states[k] += sign * probs[k] * (back @ u)
-                g_probs[k] += sign * (_ref_inner(out, l_avg) - entropy_of_spectra(w_out))
-            sign = -sign
-        for k, u in enumerate(states):
-            g_states[k] -= _ref_inner(u, g_states[k]) * u
-            g_states[k] *= 2.0
+        g_states, g_probs = [], np.zeros(m)
+        outs, avg = outputs(probs, states)
+        l_avg = _ref_neg_log2(*np.linalg.eigh(avg))
+        for k, (u, out) in enumerate(zip(states, outs)):
+            # One eigh of each output serves its -log2 and its entropy.
+            w_out, u_out = np.linalg.eigh(out)
+            g = probs[k] * (_apply_full(adjoint, l_avg - _ref_neg_log2(w_out, u_out)) @ u)
+            g_states.append(2.0 * (g - _ref_inner(u, g) * u))
+            g_probs[k] = _ref_inner(out, l_avg) - entropy_of_spectra(w_out)
         g_z = probs * (g_probs - _ref_inner(probs, g_probs))
         return [g_z, np.concatenate(g_states)]
 
@@ -642,12 +674,19 @@ def test_lockstep_ascent_matches_sequential_reference(kind, ch, seed, restarts, 
         rep = max_coherent_information(ch, restarts=restarts, iters=iters, seed=seed)
         f, counts, reasons, conv, vec = _ref_coherent(ch, restarts, iters, seed)
         assert np.array_equal(rep.argmax.vector, vec)
+    elif kind == "private":
+        # The purification ascent, reported as the winner's spectral ensemble.
+        rep = max_private(ch, restarts=restarts, iters=iters, seed=seed)
+        f, counts, reasons, conv, vec = _ref_coherent(ch, restarts, iters, seed)
+        d = ch.d_in
+        w, u = np.linalg.eigh(partial_trace_matrix(np.outer(vec, vec.conj()), (d, d), keep=[1]))
+        kept = np.flatnonzero(w > d * np.finfo(float).eps)
+        assert [p for p, _ in rep.argmax.items] == [float(w[k]) for k in kept]
+        for (_, got), k in zip(rep.argmax.items, kept):
+            assert np.array_equal(got.matrix, DensityMatrix.from_pure(u[:, k]).matrix)
     else:
-        runner = max_holevo if kind == "holevo" else max_private
-        rep = runner(ch, 3, restarts=restarts, iters=iters, seed=seed)
-        f, counts, reasons, conv, probs, states = _ref_ensembles(
-            ch, 3, restarts, iters, seed, private=kind == "private"
-        )
+        rep = max_holevo(ch, 3, restarts=restarts, iters=iters, seed=seed)
+        f, counts, reasons, conv, probs, states = _ref_holevo(ch, 3, restarts, iters, seed)
         assert [p for p, _ in rep.argmax.items] == [float(p) for p in probs]
         for (_, got), u in zip(rep.argmax.items, states):
             assert np.array_equal(got.matrix, DensityMatrix.from_pure(u).matrix)
@@ -671,24 +710,34 @@ def test_lockstep_reference_covers_capped_and_finished_restarts():
     assert rep.best_value == f
 
 
-@pytest.mark.parametrize("runner", [max_holevo, max_private])
+@pytest.mark.parametrize("runner", [max_holevo, max_coherent_information, max_private])
 def test_each_point_goes_through_the_channel_once(runner, monkeypatch):
     # One evaluation gives a point's value and gradient, so no leg ever
-    # receives the same restart's state stack twice: not at the start, and
-    # not when an accepted line-search trial becomes the next iterate.
-    # Both names are wrapped, so a value taken through entropic._holevo is
-    # seen too.
+    # receives the same restart's input twice: not at the start, and not
+    # when an accepted line-search trial becomes the next iterate. The
+    # ensemble ascent's states are seen through _ensemble_outputs, wrapped
+    # in both modules so that a value taken through entropic._holevo is
+    # seen too; the purification ascent's input marginals through the
+    # forward calls of _apply_full, whose Kraus stacks take d_in columns.
     seen = []
+    ch = erasure(2, 0.25)
+    if runner is max_holevo:
+        def record(kraus, probs, states):
+            seen.extend((kraus.tobytes(), stack.tobytes()) for stack in states)
+            return _ensemble_outputs(kraus, probs, states)
 
-    def record(kraus, probs, states):
-        seen.extend((kraus.tobytes(), stack.tobytes()) for stack in states)
-        return _ensemble_outputs(kraus, probs, states)
+        for module in ("capcont.capopt", "capcont.entropic"):
+            monkeypatch.setattr(f"{module}._ensemble_outputs", record)
+        rep, legs = max_holevo(ch, 3, restarts=3, iters=40, seed=5), 1
+    else:
+        def record(kraus, rho):
+            if kraus.shape[-1] == ch.d_in:
+                seen.extend((kraus.tobytes(), mat.tobytes()) for mat in rho)
+            return _apply_full(kraus, rho)
 
-    for module in ("capcont.capopt", "capcont.entropic"):
-        monkeypatch.setattr(f"{module}._ensemble_outputs", record)
-    rep = runner(erasure(2, 0.25), 3, restarts=3, iters=40, seed=5)
+        monkeypatch.setattr("capcont.capopt._apply_full", record)
+        rep, legs = runner(ch, restarts=3, iters=40, seed=5), 2
     assert sum(rep.iterations) > 3 * 5
-    legs = 2 if runner is max_private else 1
     assert len({kraus for kraus, _ in seen}) == legs
     assert len(seen) > legs * sum(rep.iterations)
     assert len(set(seen)) == len(seen)

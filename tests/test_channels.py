@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from capcont import channels as ch
 from capcont import sampling
 from capcont.errors import ArgumentError, CPViolationError, DimensionError
-from capcont.linalg import DensityMatrix, basis_state, maximally_entangled, partial_trace_matrix
+from capcont.linalg import (
+    DensityMatrix,
+    PureState,
+    basis_state,
+    maximally_entangled,
+    partial_trace_matrix,
+)
 from capcont.sampling import random_channel, random_density_matrix, rng_for
 
 # ---------------------------------------------------------------- oracles
@@ -245,6 +251,27 @@ def test_random_channel_refuses_an_environment_too_small_for_an_isometry():
     with pytest.raises(ArgumentError, match="kraus_count 3 too small"):
         random_channel(8, 2, rng_for(0), 3)
     assert random_channel(8, 2, rng_for(0), 4).kraus.shape == (4, 2, 8)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: rng_for(1.5), "seed"),
+        (lambda: rng_for(True), "seed"),
+        (lambda: rng_for(0, 1.5), "branch"),
+        (lambda: random_channel(2, 2, rng_for(0), kraus_count=2.9), "kraus_count"),
+        (lambda: random_density_matrix(3, rng_for(0), rank=2.5), "rank"),
+        (lambda: PureState(np.array([1.0, 0.0]), dims=(2.7,)), "dims"),
+        (lambda: DensityMatrix(np.eye(2) / 2, (2.9, 1.0)), "dims"),
+    ],
+    ids=["seed-1.5", "seed-true", "branch-1.5", "kraus-count-2.9", "rank-2.5",
+         "pure-dims-2.7", "density-dims-2.9"],
+)
+def test_non_integral_sizes_and_seeds_are_refused(call, name):
+    # int() would truncate: seed 1.5 -> 1, 2.9 Kraus operators -> 2,
+    # rank 2.5 -> 2, dims (2.7,) -> (2,).
+    with pytest.raises(ArgumentError, match=f"^{name} must be an integer, got "):
+        call()
 
 
 def test_apply_full_on_a_stack_equals_per_slice_calls():

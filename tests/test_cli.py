@@ -422,13 +422,15 @@ class TestExitCodes:
                 "--channel-b", "depolarizing:d=2,p=0.1", "--optimized",
             ],
             ["capacity", "coherent", "--channel", "dephasing:p=0.2", "--ensemble-size", "3"],
+            ["capacity", "private", "--channel", "dephasing:p=0.2", "--ensemble-size", "3"],
             ["norm", "diamond", "--a", "identity:d=2", "--b", "depolarizing:d=2,p=0.1", "--csv"],
             ["verify", "fannes", "--trials", "1", "--csv"],
             ["verify", "--json", "fannes", "--trials", "1"],
         ],
         ids=[
             "fannes-n", "af-optimized", "af-channel", "theorem3-optimized",
-            "coherent-ensemble-size", "norm-csv", "fannes-csv", "shared-option-before-leaf",
+            "coherent-ensemble-size", "private-ensemble-size", "norm-csv", "fannes-csv",
+            "shared-option-before-leaf",
         ],
     )
     def test_flags_the_leaf_does_not_read_are_refused(self, capsys, argv):
@@ -570,6 +572,21 @@ class TestCapacityCli:
         # (L-BFGS takes 5 or 6 here)
         assert result["stop_reasons"] == ["iteration-cap"] * 3
         assert result["converged"] is False
+
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    def test_private_reports_the_coherent_ascent(self, capsys, seed):
+        # Over pure-state ensembles the private proxy is the coherent one:
+        # the same ascent, and a report without an ensemble size.
+        argv = ["--channel", "erasure:d=2,p=0.25", "--restarts", "4", "--iters", "400",
+                "--seed", seed]
+        (code_p, priv), (code_c, coh) = (
+            run_json(capsys, ["capacity", kind, *argv]) for kind in ("private", "coherent")
+        )
+        assert code_p == code_c == 0
+        priv, coh = priv["result"], coh["result"]
+        assert "ensemble_size" not in priv
+        assert priv.pop("kind") == "private" and coh.pop("kind") == "coherent"
+        assert priv == coh
 
     @pytest.mark.parametrize("size", ["0", "1", "-2"])
     def test_ensemble_size_below_two_rejected(self, capsys, size):

@@ -222,8 +222,10 @@ def test_non_integral_dimensions_and_copy_counts_are_refused(call, name):
         lambda trials: verify_af(dim_pairs=((2, 2),), trials=trials),
         lambda trials: diamond_lower_probe(
             ChoiMatrix.difference(identity(2), depolarizing(2, 0.1)), trials, 0),
+        lambda trials: verify_output_entropy(identity(2), identity(2), trials=trials),
+        lambda trials: verify_capacity_differences(identity(2), identity(2), trials=trials),
     ],
-    ids=["verify-fannes", "verify-af", "diamond-lower-probe"],
+    ids=["verify-fannes", "verify-af", "diamond-lower-probe", "theorem3", "corollaries"],
 )
 @pytest.mark.parametrize("bad", [2.5, 2.9, 2.0, True, False])
 def test_non_integral_trial_counts_are_refused(call, bad):

@@ -21,7 +21,7 @@ from capcont.entropic import (
 )
 from capcont.errors import ArgumentError
 from capcont.linalg import DensityMatrix, basis_state, maximally_entangled
-from capcont.sampling import random_channel, random_density_matrix, rng_for
+from capcont.sampling import haar_state, random_channel, random_density_matrix, rng_for
 
 # ---------------------------------------------------------------- oracles
 
@@ -167,6 +167,23 @@ def test_private_information_dilation_invariance():
     lhs = holevo_information(comp, basis)
     rhs = holevo_information(rotated, basis)
     assert abs(lhs - rhs) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_private_information_of_pure_states_is_coherent_information_of_the_average(seed):
+    # A pure state's output and environment have equal entropies, so
+    # I(X;B) - I(X;E) = S(N(rho)) - S(N^c(rho)) = I_c(rho) at the average rho
+    # (Devetak 2005); capopt.max_private rests on this.
+    rng = rng_for(59, seed)
+    d_in, d_out, m = (int(x) for x in rng.integers((2, 2, 2), (4, 5, 5)))
+    chan = random_channel(d_in, d_out, rng)
+    probs = rng.dirichlet(np.ones(m))
+    vecs = [haar_state(d_in, rng).vector for _ in range(m)]
+    ens = Ensemble([(p, DensityMatrix.from_pure(v)) for p, v in zip(probs, vecs)])
+    # A purification of the average on reference (x) input: sum_x sqrt(p_x) |x> |psi_x>.
+    psi = sum(np.sqrt(probs[x]) * np.kron(basis_state(m, x), v) for x, v in enumerate(vecs))
+    rho = DensityMatrix.from_pure(psi, dims=(m, d_in))
+    assert abs(private_information(chan, ens) - coherent_information(chan, rho)) <= 1e-12
 
 
 # --------------------------------------------------------------- invariants
