@@ -99,6 +99,7 @@ class ChoiMatrix:
 
     def __init__(self, matrix: np.ndarray, d_in: int, d_out: int):
         m = linalg.as_matrix(matrix)
+        d_in, d_out = linalg.as_index(d_in, "d_in"), linalg.as_index(d_out, "d_out")
         if m.shape != (d_in * d_out, d_in * d_out):
             raise DimensionError(
                 f"Choi shape {m.shape} incompatible with d_in={d_in}, d_out={d_out}"
@@ -220,7 +221,7 @@ def apply_extended(
     ch: QuantumChannel, rho: DensityMatrix, channel_factors: Iterable[int]
 ) -> DensityMatrix:
     """Apply ch to the designated tensor factors, identity on the rest."""
-    factors = sorted(set(int(f) for f in channel_factors))
+    factors = sorted(set(linalg.as_index(f, "channel_factors") for f in channel_factors))
     if not factors:
         return rho
     dims = rho.dims
@@ -339,18 +340,24 @@ def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
 # ------------------------------------------------------ named constructors
 
 
-def identity(d: int) -> QuantumChannel:
-    """Identity channel on dimension d."""
+def _dimension(d: int) -> int:
+    """A named constructor's dimension d >= 1, read by as_index."""
+    d = linalg.as_index(d, "d")
     if d < 1:
         raise ArgumentError(f"dimension must be positive, got {d}")
+    return d
+
+
+def identity(d: int) -> QuantumChannel:
+    """Identity channel on dimension d."""
+    d = _dimension(d)
     check_choi_dim(d, d)
     return QuantumChannel([np.eye(d, dtype=complex)])
 
 
 def constant_channel(d: int) -> QuantumChannel:
     """Map every state on dimension d to |0><0|."""
-    if d < 1:
-        raise ArgumentError(f"dimension must be positive, got {d}")
+    d = _dimension(d)
     check_choi_dim(d, d)
     kraus = [np.outer(linalg.basis_state(d, 0), linalg.basis_state(d, j)) for j in range(d)]
     return QuantumChannel(kraus)
@@ -364,8 +371,7 @@ def erasure(d: int, p: float) -> QuantumChannel:
     """
     if not 0.0 <= p <= 1.0:
         raise ArgumentError(f"erasure probability must be in [0, 1], got {p}")
-    if d < 1:
-        raise ArgumentError(f"dimension must be positive, got {d}")
+    d = _dimension(d)
     check_choi_dim(d, d + 1)
     embed = np.zeros((d + 1, d), dtype=complex)
     embed[:d, :] = np.eye(d)
@@ -384,8 +390,7 @@ def depolarizing(d: int, p: float) -> QuantumChannel:
     """rho -> (1-p) rho + p I/d, built from its Choi matrix."""
     if not 0.0 <= p <= 1.0:
         raise ArgumentError(f"depolarizing parameter must be in [0, 1], got {p}")
-    if d < 1:
-        raise ArgumentError(f"dimension must be positive, got {d}")
+    d = _dimension(d)
     check_choi_dim(d, d)
     phi = linalg.maximally_entangled(d).density().matrix
     j = (1.0 - p) * d * phi + (p / d) * np.eye(d * d)
@@ -414,6 +419,7 @@ def truncated_classical_example(n: int) -> QuantumChannel:
     family is the pure sink map, whose classical capacity is 0, while every
     member has capacity exactly 1.
     """
+    n = linalg.as_index(n, "n")
     if n < 2:
         raise ArgumentError(f"need n >= 2, got {n}")
     w = 1.0 / np.log2(n)
@@ -428,6 +434,7 @@ def truncated_quantum_example(n: int) -> QuantumChannel:
     The limit is the 50% erasure channel with quantum capacity 0, while
     every member has coherent information exactly 1.
     """
+    n = linalg.as_index(n, "n")
     if n < 2:
         raise ArgumentError(f"need n >= 2, got {n}")
     w = 1.0 / np.log2(n)

@@ -10,8 +10,12 @@ matrix of its Kraus images, which shares the output's nonzero spectrum),
 and capacity-proxy differences from either shared fixed parameters (hard
 checks) or independent maximizations (consistent-with checks, since the
 maximizers certify lower bounds only and cannot witness a violation).
-Trials draw raw matrices from their own seeded streams and are measured
-as stacks; validated state types appear only at the public boundary.
+Each quantity has one kernel: S(A|B) is entropic._conditional_entropy, and
+the private term of a pure-state ensemble is the coherent information of
+its purification, by the same kernel as the coherent term. Trials draw raw
+matrices from their own seeded streams and are measured as stacks, the
+Fannes and Alicki-Fannes trials in one shared state-pair loop; validated
+state types appear only at the public boundary.
 
 Hybrid sequences interpolate between the n-copy outputs of two channels
 one tensor slot at a time; consecutive states differ only in that slot,
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +39,6 @@ from .channels import (
     QuantumChannel,
     _apply_on_factors,
     _kraus_images,
-    complementary,
     erasure,
     mix,
     tensor_power,
@@ -46,6 +50,7 @@ from .entropic import (
     TAU_ENT,
     Ensemble,
     _coherent_information,
+    _conditional_entropy,
     _holevo,
     binary_entropy,
     coherent_information,
@@ -53,7 +58,7 @@ from .entropic import (
     holevo_information,
 )
 from .errors import ArgumentError
-from .linalg import DensityMatrix, as_index, check_choi_dim, hermitian_part, partial_trace_matrix
+from .linalg import DensityMatrix, as_index, check_choi_dim, hermitian_part
 from .sampling import _wishart, haar_state, random_channel, rng_for
 
 
@@ -136,11 +141,6 @@ class BoundReport:
 _TRIAL_BLOCK = 256
 
 
-def _trial_blocks(trials: int) -> list[range]:
-    """Consecutive ranges of at most _TRIAL_BLOCK trial indices."""
-    return [range(t, min(t + _TRIAL_BLOCK, trials)) for t in range(0, trials, _TRIAL_BLOCK)]
-
-
 def _measure_pairs(d: int, rngs: Sequence[np.random.Generator], quantity):
     """|quantity(rho) - quantity(sigma)| on random state pairs, one per stream, and eps.
 
@@ -158,28 +158,34 @@ def _measure_pairs(d: int, rngs: Sequence[np.random.Generator], quantity):
     return np.abs(quantity(rho) - quantity(sigma)), eps
 
 
+def _verify_state_pairs(name: str, bound, cases, trials: int, seed: int) -> list[BoundReport]:
+    """The state-pair loop of verify_fannes and verify_af.
+
+    Each case is (dims, d_b, quantity, label). Trial t of a case measures a
+    pair on prod(dims) drawn from rng_for(seed, *dims, t) against
+    bound(eps, d_b), in stacks of _TRIAL_BLOCK, with detail "<label>, trial t".
+    """
+    trials = as_index(trials, "trials")
+    reports = []
+    for dims, d_b, quantity, label in cases:
+        for start in range(0, trials, _TRIAL_BLOCK):
+            block = range(start, min(start + _TRIAL_BLOCK, trials))
+            rngs = [rng_for(seed, *dims, t) for t in block]
+            measured, eps = _measure_pairs(math.prod(dims), rngs, quantity)
+            for t, m, e in zip(block, measured, eps):
+                reports.append(BoundReport(
+                    name, float(m), bound(e, d_b), float(e), 1, d_b, f"{label}, trial {t}"
+                ))
+    return reports
+
+
 def verify_fannes(
     dims: Sequence[int] = (2, 4, 8), trials: int = 1000, seed: int = 0
 ) -> list[BoundReport]:
-    """Entropy differences of random nearby pairs against eps log d + H(eps).
-
-    The trials of one dimension are measured in stacks of _TRIAL_BLOCK.
-    """
+    """Entropy differences of random nearby pairs against eps log d + H(eps)."""
     dims = [_check_dim(d, "dims") for d in dims]
-    trials = as_index(trials, "trials")
-    if trials < 1:
-        return []
-    reports = []
-    for d in dims:
-        for block in _trial_blocks(trials):
-            rngs = [rng_for(seed, d, t) for t in block]
-            measured, eps = _measure_pairs(d, rngs, entropy_of_matrix)
-            for t, m, e in zip(block, measured, eps):
-                detail = f"d {d}, trial {t}"
-                reports.append(BoundReport(
-                    "entropy-difference", float(m), fannes_bound(e, d), float(e), 1, d, detail
-                ))
-    return reports
+    cases = [((d,), d, entropy_of_matrix, f"d {d}") for d in dims]
+    return _verify_state_pairs("entropy-difference", fannes_bound, cases, trials, seed)
 
 
 def verify_af(
@@ -189,34 +195,15 @@ def verify_af(
     trials: int = 1000,
     seed: int = 0,
 ) -> list[BoundReport]:
-    """Conditional-entropy differences against 4 eps log d_A + 2 H(eps).
+    """Conditional-entropy differences S(A|B) against 4 eps log d_A + 2 H(eps).
 
-    The trials of one dimension pair are measured in stacks of
-    _TRIAL_BLOCK. The report's d_b column carries the bound's dimension
-    argument, which for this inequality is the conditioned system d_A.
+    The report's d_b column carries the bound's dimension argument, which
+    for this inequality is the conditioned system d_A.
     """
-
-    def cond_entropy(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-        return entropy_of_matrix(rho) - entropy_of_matrix(partial_trace_matrix(rho, dims, [1]))
-
     dim_pairs = [(_check_dim(d_a, "d_a"), _check_dim(d_b, "d_b")) for d_a, d_b in dim_pairs]
-    trials = as_index(trials, "trials")
-    if trials < 1:
-        return []
-    reports = []
-    for d_a, d_b in dim_pairs:
-        for block in _trial_blocks(trials):
-            rngs = [rng_for(seed, d_a, d_b, t) for t in block]
-            measured, eps = _measure_pairs(
-                d_a * d_b, rngs, lambda rho: cond_entropy(rho, (d_a, d_b))
-            )
-            for t, m, e in zip(block, measured, eps):
-                detail = f"d_a {d_a} x d_b {d_b}, trial {t}"
-                reports.append(BoundReport(
-                    "conditional-entropy-difference", float(m), af_bound(e, d_a), float(e), 1,
-                    d_a, detail,
-                ))
-    return reports
+    cases = [((d_a, d_b), d_a, partial(_conditional_entropy, dims=(d_a, d_b), keep=[1]),
+              f"d_a {d_a} x d_b {d_b}") for d_a, d_b in dim_pairs]
+    return _verify_state_pairs("conditional-entropy-difference", af_bound, cases, trials, seed)
 
 
 @dataclass(frozen=True)
@@ -266,17 +253,11 @@ def hybrid_sequence(
         out, dims = _apply_on_factors(ch_n.kraus, out, dims, range(k + 1, n + 1))
         states.append(DensityMatrix(out, dims))
 
-    def cond_entropy_on_slot(state: DensityMatrix, slot: int) -> float:
-        rest = [i for i in range(n + 1) if i != slot]
-        return entropy_of_matrix(state.matrix) - entropy_of_matrix(
-            partial_trace_matrix(state.matrix, state.dims, rest)
-        )
-
     diffs, dists = [], []
     for k in range(1, n + 1):
-        diffs.append(
-            abs(cond_entropy_on_slot(states[k], k) - cond_entropy_on_slot(states[k - 1], k))
-        )
+        rest = [i for i in range(n + 1) if i != k]
+        cond = [_conditional_entropy(s.matrix, s.dims, rest) for s in (states[k], states[k - 1])]
+        diffs.append(abs(cond[0] - cond[1]))
         dists.append(trace_distance(states[k], states[k - 1]))
     return HybridSequence(tuple(states), tuple(diffs), tuple(dists))
 
@@ -396,19 +377,26 @@ def verify_output_entropy(
 
 
 # Fixed parameters of verify_capacity_differences: the size of each trial's
-# shared random ensemble and of the optimized Holevo ensembles, and the
-# restarts and iteration cap of each optimized comparison.
+# shared random ensemble, which is also the reference dimension of its
+# purification, and of the optimized Holevo ensembles; and the restarts and
+# iteration cap of each optimized comparison.
 _ENSEMBLE_SIZE = 2
 _RESTARTS = 4
 _ITERS = 400
 
 
 def _random_ensemble(d: int, size: int, rng: np.random.Generator):
-    """Raw pure-state ensemble: (size,) probabilities and (size, d, d) states."""
+    """Raw pure-state ensemble and its purification.
+
+    Returns the (size,) probabilities, the (size, d, d) states and the
+    (size d)-square |phi><phi| of phi = sum_x sqrt(p_x) |x> |psi_x> on X (x) A.
+    """
     probs = rng.dirichlet(np.ones(size))
     vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in probs]
-    vecs = [v / np.linalg.norm(v) for v in vecs]
-    return probs, hermitian_part(np.array([np.outer(v, v.conj()) for v in vecs]))
+    vecs = np.array([v / np.linalg.norm(v) for v in vecs])
+    phi = (np.sqrt(probs)[:, None] * vecs).reshape(-1)
+    states = hermitian_part(np.array([np.outer(v, v.conj()) for v in vecs]))
+    return probs, states, np.outer(phi, phi.conj())
 
 
 def verify_capacity_differences(
@@ -426,60 +414,46 @@ def verify_capacity_differences(
     ensemble (or input state) is evaluated through both n-copy channels
     and the difference is compared with 2n (4 eps log d_B + 2 H(eps)),
     doubled again for the private quantity whose proof splits into four
-    entropy terms.  With optimized, independently maximized single-letter
-    proxies are compared with the n = 1 corollary bounds as consistent-with
-    reports.  eps defaults to the certified diamond distance of the pair, as
-    in verify_output_entropy.
+    entropy terms. A pure state's output and environment have equal
+    entropies, so I(X;B) - I(X;E) of a pure-state ensemble is the coherent
+    information of its purification sum_x sqrt(p_x) |x> |psi_x> (Devetak
+    2005), and the private term is measured so. With optimized,
+    independently maximized single-letter Holevo and coherent proxies (the
+    latter is the private proxy too, see capopt.max_private) are compared
+    with the n = 1 corollary bounds as consistent-with reports. eps
+    defaults to the certified diamond distance of the pair, as in
+    verify_output_entropy.
     """
     trials = as_index(trials, "trials")
     n, eps = _checked_eps(ch_n, ch_m, n, eps)
-    d_in, d_out = ch_n.d_in, ch_n.d_out
+    d_inn, d_out = ch_n.d_in**n, ch_n.d_out
     step = output_entropy_bound(n, eps, d_out)
-    pow_n = tensor_power(ch_n, n)
-    pow_m = tensor_power(ch_m, n)
-    d_inn = d_in**n
+    pows = (tensor_power(ch_n, n), tensor_power(ch_m, n))
     reports = []
-
-    env_n, env_m = complementary(pow_n), complementary(pow_m)
     for t in range(trials):
         rng = rng_for(seed, t)
-        probs, states = _random_ensemble(d_inn, _ENSEMBLE_SIZE, rng)
+        probs, states, phi = _random_ensemble(d_inn, _ENSEMBLE_SIZE, rng)
         rho = hermitian_part(_wishart(d_inn * d_inn, d_inn * d_inn, rng))
-        chi_n, chi_m, chi_en, chi_em = (
-            _holevo(ch.kraus, probs, states) for ch in (pow_n, pow_m, env_n, env_m)
-        )
-        coh_n, coh_m = (
-            _coherent_information(ch.kraus, rho, (d_inn, d_inn)) for ch in (pow_n, pow_m)
-        )
-        for name, gap, bound in (
-            ("holevo-term", abs(chi_n - chi_m), 2.0 * step),
-            ("coherent-term", abs(coh_n - coh_m), 2.0 * step),
-            ("private-term", abs((chi_n - chi_en) - (chi_m - chi_em)), 4.0 * step),
+        chi = [_holevo(ch.kraus, probs, states) for ch in pows]
+        coh = [_coherent_information(ch.kraus, rho, (d_inn, d_inn)) for ch in pows]
+        priv = [_coherent_information(ch.kraus, phi, (_ENSEMBLE_SIZE, d_inn)) for ch in pows]
+        for name, (a, b), bound in (
+            ("holevo-term", chi, 2.0 * step),
+            ("coherent-term", coh, 2.0 * step),
+            ("private-term", priv, 4.0 * step),
         ):
-            reports.append(
-                BoundReport(name, float(gap), bound, eps, n, d_out, f"trial {t}")
-            )
+            reports.append(BoundReport(name, float(abs(a - b)), bound, eps, n, d_out, f"trial {t}"))
 
     if optimized:
         bounds = capacity_difference_bounds(eps, d_out)
         args = (_RESTARTS, _ITERS, seed)
         holevo = [max_holevo(ch, _ENSEMBLE_SIZE, *args).best_value for ch in (ch_n, ch_m)]
-        # Over pure-state ensembles the private proxy is the coherent one
-        # (see capopt.max_private), so one purification ascent serves both.
         coherent = [max_coherent_information(ch, *args).best_value for ch in (ch_n, ch_m)]
-        for kind, (a, b) in (("classical", holevo), ("quantum", coherent), ("private", coherent)):
-            reports.append(
-                BoundReport(
-                    f"optimized-{kind}-gap",
-                    abs(a - b),
-                    bounds[kind],
-                    eps,
-                    1,
-                    d_out,
-                    "consistent-with: maximizers certify lower bounds only",
-                    hard=False,
-                )
-            )
+        detail = "consistent-with: maximizers certify lower bounds only"
+        for kind, (a, b) in (("classical", holevo), ("quantum", coherent)):
+            reports.append(BoundReport(
+                f"optimized-{kind}-gap", abs(a - b), bounds[kind], eps, 1, d_out, detail, hard=False
+            ))
     return reports
 
 

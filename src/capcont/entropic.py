@@ -5,7 +5,8 @@ entropy and mutual information across a declared bipartition, and the three
 channel-information functionals evaluated at fixed inputs: coherent
 information of a joint input state, Holevo information of an ensemble, and
 private information of an ensemble (Holevo to the output minus Holevo to
-the environment).
+the environment). Conditional entropy is computed in one raw kernel,
+_conditional_entropy, which the coherent information negates.
 """
 
 from __future__ import annotations
@@ -82,10 +83,16 @@ def _split_dims(rho: DensityMatrix, split: int) -> tuple[int, int]:
 
 def conditional_entropy(rho: DensityMatrix, split: int = 1) -> float:
     """S(A|B) = S(AB) - S(B); A is the first `split` tensor factors."""
-    d_a, d_b = _split_dims(rho, split)
-    s_ab = entropy_of_matrix(rho.matrix)
-    s_b = entropy_of_matrix(linalg.partial_trace_matrix(rho.matrix, (d_a, d_b), keep=[1]))
-    return s_ab - s_b
+    return _conditional_entropy(rho.matrix, _split_dims(rho, split), [1])
+
+
+def _conditional_entropy(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]):
+    """The conditional-entropy kernel: S(mat) - S(B), B the factors in `keep`.
+
+    A raw kernel, as partial_trace_matrix: mat is a (..., d, d) stack, each
+    slice giving its own value, bit-equal to that of the slice alone.
+    """
+    return entropy_of_matrix(mat) - entropy_of_matrix(linalg.partial_trace_matrix(mat, dims, keep))
 
 
 def mutual_information(rho: DensityMatrix, split: int = 1) -> float:
@@ -110,8 +117,8 @@ def coherent_information(ch: QuantumChannel, rho: DensityMatrix) -> float:
 def _coherent_information(kraus: np.ndarray, mat: np.ndarray, dims: tuple[int, int]) -> float:
     """coherent_information on a raw two-factor input matrix (no validation)."""
     omega, dims = channels._apply_on_factors(kraus, mat, dims, [1])
-    s_b = entropy_of_matrix(linalg.partial_trace_matrix(omega, dims, keep=[1]))
-    return s_b - entropy_of_matrix(omega)
+    # -S(A|B), written 0.0 - x so that equal entropies give 0.0, not -0.0.
+    return 0.0 - _conditional_entropy(omega, dims, [1])
 
 
 class Ensemble:
@@ -134,6 +141,7 @@ class Ensemble:
     @classmethod
     def uniform_basis(cls, d: int) -> "Ensemble":
         """Uniform ensemble of the d computational basis states."""
+        d = linalg.as_index(d, "d")
         return cls(
             [
                 (1.0 / d, DensityMatrix.from_pure(linalg.basis_state(d, i)))

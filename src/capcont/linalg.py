@@ -76,6 +76,7 @@ def real_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 def basis_state(d: int, i: int) -> np.ndarray:
     """Computational basis vector |i> in dimension d."""
+    d, i = as_index(d, "d"), as_index(i, "i")
     if not 0 <= i < d:
         raise ArgumentError(f"basis index {i} out of range for dimension {d}")
     v = np.zeros(d, dtype=complex)
@@ -147,11 +148,13 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, d: int, dims: Sequence[int] | None = None) -> "DensityMatrix":
+        d = as_index(d, "d")
         return cls(np.eye(d, dtype=complex) / d, dims if dims is not None else (d,))
 
 
 def maximally_entangled(d: int) -> PureState:
     """(1/sqrt(d)) sum_i |ii> on a d x d bipartite space."""
+    d = as_index(d, "d")
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0 / np.sqrt(d)
     return PureState(v, (d, d))
@@ -180,7 +183,7 @@ def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Sequence[in
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on the kept factors."""
-    keep = sorted(set(int(i) for i in keep))
+    keep = sorted(set(as_index(i, "keep") for i in keep))
     if not keep:
         raise ArgumentError("keep must be nonempty")
     if keep[0] < 0 or keep[-1] >= len(rho.dims):

@@ -25,6 +25,7 @@ def rng_for(seed: int, *branch: int) -> np.random.Generator:
 
 def haar_state(d: int, rng: np.random.Generator, dims=None) -> PureState:
     """Haar-random pure state: normalized complex Gaussian vector."""
+    d = as_index(d, "d")
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return PureState(v / np.linalg.norm(v), dims if dims is not None else (d,))
 
@@ -33,6 +34,7 @@ def random_density_matrix(
     d: int, rng: np.random.Generator, rank: int | None = None, dims=None
 ) -> DensityMatrix:
     """Wishart-style random state of the given rank (full rank by default)."""
+    d = as_index(d, "d")
     r = d if rank is None else as_index(rank, "rank")
     if not 1 <= r <= d:
         raise ArgumentError(f"rank {r} out of range for dimension {d}")
@@ -48,6 +50,7 @@ def _wishart(d: int, r: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR with phase correction."""
+    d = as_index(d, "d")
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
@@ -62,6 +65,7 @@ def random_channel(
     gives a generic full-rank Choi matrix. A larger kraus_count draws a
     larger isometry, and the channel is then stored in Choi-rank form.
     """
+    d_in, d_out = as_index(d_in, "d_in"), as_index(d_out, "d_out")
     k = d_in * d_out if kraus_count is None else as_index(kraus_count, "kraus_count")
     if k < 1:
         raise ArgumentError(f"kraus_count must be positive, got {k}")

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from capcont import channels as ch
 from capcont import sampling
+from capcont.entropic import Ensemble
 from capcont.errors import ArgumentError, CPViolationError, DimensionError
 from capcont.linalg import (
     DensityMatrix,
     PureState,
     basis_state,
     maximally_entangled,
+    partial_trace,
     partial_trace_matrix,
 )
 from capcont.sampling import random_channel, random_density_matrix, rng_for
@@ -263,15 +265,67 @@ def test_random_channel_refuses_an_environment_too_small_for_an_isometry():
         (lambda: random_density_matrix(3, rng_for(0), rank=2.5), "rank"),
         (lambda: PureState(np.array([1.0, 0.0]), dims=(2.7,)), "dims"),
         (lambda: DensityMatrix(np.eye(2) / 2, (2.9, 1.0)), "dims"),
+        (lambda: ch.identity(2.0), "d"),
+        (lambda: ch.constant_channel(True), "d"),
+        (lambda: ch.erasure(2.5, 0.1), "d"),
+        (lambda: ch.depolarizing(2.0, 0.1), "d"),
+        (lambda: ch.truncated_classical_example(2.5), "n"),
+        (lambda: ch.truncated_quantum_example(True), "n"),
+        (lambda: ch.ChoiMatrix(np.eye(4), 2.0, 2), "d_in"),
+        (lambda: ch.ChoiMatrix(np.eye(4), 2, 2.0), "d_out"),
+        (lambda: sampling.haar_state(2.5, rng_for(0)), "d"),
+        (lambda: random_channel(2.0, 2, rng_for(0)), "d_in"),
+        (lambda: random_channel(2, True, rng_for(0)), "d_out"),
+        (lambda: random_density_matrix(2.0, rng_for(0)), "d"),
+        (lambda: sampling.random_unitary(2.5, rng_for(0)), "d"),
+        (lambda: maximally_entangled(2.0), "d"),
+        (lambda: Ensemble.uniform_basis(True), "d"),
+        (lambda: DensityMatrix.maximally_mixed(2.0), "d"),
     ],
     ids=["seed-1.5", "seed-true", "branch-1.5", "kraus-count-2.9", "rank-2.5",
-         "pure-dims-2.7", "density-dims-2.9"],
+         "pure-dims-2.7", "density-dims-2.9", "identity-2.0", "constant-true",
+         "erasure-2.5", "depolarizing-2.0", "truncated-classical-2.5",
+         "truncated-quantum-true", "choi-d-in-2.0", "choi-d-out-2.0", "haar-state-2.5",
+         "random-channel-d-in-2.0", "random-channel-d-out-true",
+         "random-density-matrix-2.0", "random-unitary-2.5", "maximally-entangled-2.0",
+         "uniform-basis-true", "maximally-mixed-2.0"],
 )
 def test_non_integral_sizes_and_seeds_are_refused(call, name):
     # int() would truncate: seed 1.5 -> 1, 2.9 Kraus operators -> 2,
-    # rank 2.5 -> 2, dims (2.7,) -> (2,).
+    # rank 2.5 -> 2, dims (2.7,) -> (2,). A float size such as 2.0 would
+    # fail later in a numpy call with a raw TypeError, a ChoiMatrix in a
+    # reshape; True would count as 1.
     with pytest.raises(ArgumentError, match=f"^{name} must be an integer, got "):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda rho: ch.apply_extended(ch.identity(2), rho, [1.5]), "channel_factors"),
+        (lambda rho: ch.apply_extended(ch.identity(2), rho, [True]), "channel_factors"),
+        (lambda rho: partial_trace(rho, [0.7]), "keep"),
+        (lambda rho: partial_trace(rho, [True]), "keep"),
+        (lambda rho: basis_state(2, True), "i"),
+        (lambda rho: basis_state(2, 1.0), "i"),
+    ],
+    ids=["factors-1.5", "factors-true", "keep-0.7", "keep-true", "basis-true", "basis-1.0"],
+)
+def test_non_integral_factor_and_basis_indices_are_refused(call, name):
+    # int() would act on factor 1 for 1.5 and keep factor 0 for 0.7, and
+    # a boolean basis index is a numpy mask: basis_state(2, True) was [1, 1].
+    rho = maximally_entangled(2).density()
+    with pytest.raises(ArgumentError, match=f"^{name} must be an integer, got "):
+        call(rho)
+
+
+def test_numpy_integer_factor_and_basis_indices_pass():
+    rho = random_density_matrix(4, rng_for(3), dims=(2, 2))
+    dep = ch.depolarizing(2, 0.2)
+    got = ch.apply_extended(dep, rho, [np.int64(1)]).matrix
+    assert np.array_equal(got, ch.apply_extended(dep, rho, [1]).matrix)
+    assert np.array_equal(partial_trace(rho, [np.int32(0)]).matrix, partial_trace(rho, [0]).matrix)
+    assert np.array_equal(basis_state(np.int64(3), np.uint8(2)), [0, 0, 1])
 
 
 def test_apply_full_on_a_stack_equals_per_slice_calls():

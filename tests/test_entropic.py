@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from capcont import channels as ch
 from capcont.entropic import (
     Ensemble,
+    _conditional_entropy,
     binary_entropy,
     coherent_information,
     conditional_entropy,
@@ -20,7 +21,7 @@ from capcont.entropic import (
     von_neumann_entropy,
 )
 from capcont.errors import ArgumentError
-from capcont.linalg import DensityMatrix, basis_state, maximally_entangled
+from capcont.linalg import DensityMatrix, basis_state, maximally_entangled, partial_trace
 from capcont.sampling import haar_state, random_channel, random_density_matrix, rng_for
 
 # ---------------------------------------------------------------- oracles
@@ -249,3 +250,30 @@ def test_entropy_of_a_stack_equals_per_matrix_entropies():
             assert np.array_equal(entropy_of_matrix(mats.reshape(2, 3, n, n)), got.reshape(2, 3))
             if rank < n:
                 assert np.min(np.linalg.eigvalsh(mats)) <= 1e-12
+
+
+def test_conditional_entropy_kernel_on_a_stack_equals_per_state_values():
+    # One kernel serves conditional_entropy, the Alicki-Fannes harness (on
+    # stacks), the hybrid steps (conditioning on several factors) and the
+    # coherent information (its negation).
+    rng = rng_for(44)
+    for dims, keep in (((2, 3), [1]), ((3, 2), [0]), ((2, 2, 2), [0, 2])):
+        d = math.prod(dims)
+        states = [random_density_matrix(d, rng, rank=1 + k % d, dims=dims) for k in range(5)]
+        got = _conditional_entropy(np.array([s.matrix for s in states]), dims, keep)
+        want = [
+            entropy_of_matrix(s.matrix) - entropy_of_matrix(partial_trace(s, keep).matrix)
+            for s in states
+        ]
+        assert got.shape == (5,)
+        assert np.array_equal(got, want)
+        if keep == [1]:
+            assert np.array_equal(got, [conditional_entropy(s, 1) for s in states])
+
+
+def test_coherent_information_of_equal_entropies_is_positive_zero():
+    # S(B) = S(RB) = 0 on a pure product input: 0.0, as S(B) - S(RB) reads,
+    # not the -0.0 of negating S(RB) - S(B).
+    prod = DensityMatrix.from_pure(basis_state(4, 0), dims=(2, 2))
+    value = coherent_information(ch.identity(2), prod)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
