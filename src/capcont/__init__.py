@@ -2,7 +2,7 @@
 
 Channel distances (trace and diamond norm, the latter certified by a
 fixed point on the input state, closed-form for covariant pairs, and an
-interior-point SDP where that stalls), entropic quantities, single-letter capacity proxies,
+interior-point SDP where that hands over), entropic quantities, single-letter capacity proxies,
 continuity bounds with their empirical verification harnesses, and the
 mixing arithmetic for assisted capacities.
 """

@@ -342,7 +342,7 @@ def verify_output_entropy(
     two outputs is compared with output_entropy_bound(n, eps, d_out).
     eps defaults to the certified diamond distance of the pair: the
     fixed point of `distance.diamond_norm` (closed form for covariant
-    pairs), or the SDP when that stalls.
+    pairs), or the SDP when that hands over.
 
     Each entropy comes from a Gram matrix; |v><v| is never formed. For a
     pure input |v>, the output is Y Y^dag, where Y's columns are the images
@@ -412,12 +412,14 @@ def verify_capacity_differences(
 
     Hard checks fix shared parameters: for each trial the same random
     ensemble (or input state) is evaluated through both n-copy channels
-    and the difference is compared with 2n (4 eps log d_B + 2 H(eps)),
-    doubled again for the private quantity whose proof splits into four
-    entropy terms. A pure state's output and environment have equal
-    entropies, so I(X;B) - I(X;E) of a pure-state ensemble is the coherent
-    information of its purification sum_x sqrt(p_x) |x> |psi_x> (Devetak
-    2005), and the private term is measured so. With optimized,
+    and the difference is compared with 2n (4 eps log d_B + 2 H(eps)). A
+    pure state's output and environment have equal entropies, so
+    I(X;B) - I(X;E) of a pure-state ensemble is the coherent information of
+    its purification sum_x sqrt(p_x) |x> |psi_x> (Devetak 2005). The private
+    term is measured so, and is held to the coherent term's bound, which
+    such a difference obeys; the paper's four-term private bound, twice
+    that, is only needed for mixed-state ensembles, which are not drawn
+    here. With optimized,
     independently maximized single-letter Holevo and coherent proxies (the
     latter is the private proxy too, see capopt.max_private) are compared
     with the n = 1 corollary bounds as consistent-with reports. eps
@@ -437,12 +439,13 @@ def verify_capacity_differences(
         chi = [_holevo(ch.kraus, probs, states) for ch in pows]
         coh = [_coherent_information(ch.kraus, rho, (d_inn, d_inn)) for ch in pows]
         priv = [_coherent_information(ch.kraus, phi, (_ENSEMBLE_SIZE, d_inn)) for ch in pows]
-        for name, (a, b), bound in (
-            ("holevo-term", chi, 2.0 * step),
-            ("coherent-term", coh, 2.0 * step),
-            ("private-term", priv, 4.0 * step),
+        for name, (a, b), detail in (
+            ("holevo-term", chi, f"trial {t}"),
+            ("coherent-term", coh, f"trial {t}"),
+            ("private-term", priv, f"trial {t}: coherent information of the purification, "
+             "held to the coherent-term bound"),
         ):
-            reports.append(BoundReport(name, float(abs(a - b)), bound, eps, n, d_out, f"trial {t}"))
+            reports.append(BoundReport(name, float(abs(a - b)), 2.0 * step, eps, n, d_out, detail))
 
     if optimized:
         bounds = capacity_difference_bounds(eps, d_out)

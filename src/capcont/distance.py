@@ -8,10 +8,11 @@ input state rho, one eigendecomposition per step: the probe value at the
 purification of rho below, the objective of a dual point built from the same
 eigendecomposition above. Its step 0, at the maximally mixed rho, is the
 closed form that certifies covariant pairs (the Bell-probe value and the |J|
-feasible point of the dual). It runs the interior-point program in the sdp
-module only when the fixed point stalls, and then cross-checks the program's
-interval against the fixed point's best one. Haar-probe lower bounds are a
-further independent check.
+feasible point of the dual). Later steps are Anderson-mixed (Walker and Ni,
+2011). It runs the interior-point program in the sdp module only when the
+fixed point hands over, on a collapsing rho or a gap too slow to close, and
+then cross-checks the program's interval against the fixed point's best
+one. Haar-probe lower bounds are a further independent check.
 """
 
 from __future__ import annotations
@@ -42,12 +43,44 @@ def trace_distance_halved(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 # The fixed point floors rho's spectrum at this fraction of its largest
-# eigenvalue, so that rho^-1/2 exists. It hands over to the interior-point
-# solver after _MAX_STEPS steps, or once the gap of its best interval has not
-# halved over _STALL_STEPS steps.
+# eigenvalue, so that rho^-1/2 exists. Each step moves to the Anderson mix of
+# the last _DEPTH + 1 pairs (rho, g(rho)), or to the plain g(rho), with a fresh
+# history, when the mix is not positive definite. From step _WINDOW on, it
+# hands over to the interior-point solver when rho's smallest eigenvalue has
+# fallen below _COLLAPSE of its largest, or when the gap of its best interval,
+# shrinking at its rate over the last _WINDOW steps, would still miss
+# GAP_TARGET at step _MAX_STEPS.
 _FLOOR = 1e-13
-_STALL_STEPS = 8
-_MAX_STEPS = 40
+_DEPTH = 5
+_WINDOW = 7
+_MAX_STEPS = 60
+_COLLAPSE = 3e-5
+
+
+def _mixed(xs: list, gs: list) -> np.ndarray:
+    """Anderson mix of the iterates xs and their images gs under the step g.
+
+    With residuals f = g - x, the real weights gamma minimize
+    ||f_k - sum_i gamma_i (f_i+1 - f_i)|| over the history, and the mix is
+    g_k - sum_i gamma_i (g_i+1 - g_i) (Walker and Ni, "Anderson acceleration
+    for fixed-point iterations", SIAM J. Numer. Anal. 49, 2011).
+    """
+    g = np.array(gs)
+    f = g - np.array(xs)
+    m = len(g) - 1
+    # A complex entry's real and imaginary parts are two real coordinates.
+    df = (f[1:] - f[:-1]).reshape(m, -1).view(np.float64)
+    gamma = np.linalg.lstsq(df.T, f[-1].reshape(-1).view(np.float64), rcond=None)[0]
+    return g[-1] - (gamma @ (g[1:] - g[:-1]).reshape(m, -1)).reshape(g[-1].shape)
+
+
+def _stalled(gaps: list, target: float, left: int) -> bool:
+    """Whether the gaps, at their rate over the last _WINDOW steps, stay above
+    target for `left` more steps; a gap that did not shrink always does."""
+    if gaps[-1] <= target:
+        return False
+    rate = gaps[-1] / gaps[-1 - _WINDOW]
+    return gaps[-1] * rate ** (left / _WINDOW) > target
 
 
 def _sandwich(root: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -74,9 +107,13 @@ def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
       dual point Z = R^-1 |M| R^-1 of Watrous's SDP (arXiv:1207.5726),
       feasible since Z +- J = R^-1 (|M| +- M) R^-1 >= 0;
 
-    and then moves rho <- T rho^-1 T / Tr(T rho^-1 T) for T = Tr_B|M|, which
-    leaves rho in place exactly when T is proportional to rho, the
-    optimality condition. Each step is one eigendecomposition of M.
+    and then moves toward g(rho) = T rho^-1 T / Tr(T rho^-1 T) for
+    T = Tr_B|M|, which leaves rho in place exactly when T is proportional to
+    rho, the optimality condition. Each step is one eigendecomposition of M.
+    The next rho is the Anderson mix of the last _DEPTH + 1 pairs
+    (rho, g(rho)): the combination of the g(rho) whose weights least-squares
+    fit the residuals g(rho) - rho to zero. A mix that is not positive
+    definite is replaced by the plain g(rho), and the history restarts.
 
     Step 0 is rho = I / d_in: the Bell-probe value sum |lam(J)| / d_in and
     lambda_max(Tr_B |J|), from one eigendecomposition of J. When it closes
@@ -87,12 +124,19 @@ def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
     certified by its scale alone. When a later step closes, the interval is
     rebuilt by `sdp._interval` from that rho and Z, whose PSD shift keeps it
     valid for an ill-conditioned rho, and it certifies if it still closes;
-    iterations is then the step count.
+    iterations is then the step count. A mixed rho is only the next step's
+    input, so every end is still the probe value or the dual objective at
+    the rho that a step evaluated.
 
-    A rank-deficient optimum stalls the fixed point. The interior-point SDP
-    then runs, iterations counts the steps and the solver's iterations
-    together, and a solution whose interval leaves the fixed point's best
-    interval is reported as max-iters, so it is never certified.
+    From step _WINDOW on, the fixed point hands over to the interior-point
+    SDP when rho's smallest eigenvalue collapses (a rank-deficient
+    optimum, where the steps crawl toward the boundary), or when the gap of
+    its best interval, shrinking at its geometric rate over the last
+    _WINDOW steps, would not reach the target by step _MAX_STEPS; a gap that
+    did not shrink over the window never would. iterations then counts the
+    steps and the solver's iterations together, and a solution whose
+    interval leaves the fixed point's best interval is reported as
+    max-iters, so it is never certified.
     """
     j = choi.matrix
     if float(np.max(np.abs(j))) == 0.0:
@@ -112,10 +156,12 @@ def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
     best_lower, check_upper, least_upper = lower, upper, upper
     witness = None
     gaps = [upper - lower]
-    rho = t @ t
+    xs, gs = [np.eye(d_in) / d_in], [t @ t / np.trace(t @ t).real]
+    rho = gs[0]
     for step in range(1, _MAX_STEPS + 1):
         w, v = np.linalg.eigh(hermitian_part(rho / np.trace(rho).real))
         w = np.maximum(w, _FLOOR * w[-1])
+        rho = (v * w) @ dagger(v)
         root, inv_root = ((v * f) @ dagger(v) for f in (np.sqrt(w), 1.0 / np.sqrt(w)))
         lam, vecs = np.linalg.eigh(_sandwich(root, j))
         abs_m = (vecs * np.abs(lam)) @ dagger(vecs)
@@ -124,18 +170,23 @@ def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
         upper = float(np.linalg.eigvalsh(hermitian_part(s @ inv_root))[-1])
         if upper - lower <= GAP_TARGET * upper:
             # Rebuilt at rho and the dual point Z = R^-1 |M| R^-1.
-            lo, up = sdp._interval(
-                j, (v * w) @ dagger(v), _sandwich(inv_root, abs_m), d_in, d_out
-            )
+            lo, up = sdp._interval(j, rho, _sandwich(inv_root, abs_m), d_in, d_out)
             if up - lo <= GAP_TARGET * up:
                 return DiamondSolution(up, min(lo, up), step, "optimal")
         best_lower = max(best_lower, lower)
         if upper < least_upper:
-            least_upper, witness = upper, ((v * w) @ dagger(v), inv_root, abs_m)
+            least_upper, witness = upper, (rho, inv_root, abs_m)
         gaps.append(least_upper - best_lower)
-        if step >= _STALL_STEPS and gaps[-1] > 0.5 * gaps[-1 - _STALL_STEPS]:
+        if step >= _WINDOW and (
+            w[0] < _COLLAPSE * w[-1]
+            or _stalled(gaps, GAP_TARGET * least_upper, _MAX_STEPS - step)
+        ):
             break
-        rho = dagger(s) @ s  # T rho^-1 T
+        g = dagger(s) @ s  # T rho^-1 T
+        xs, gs = xs[-_DEPTH:] + [rho], gs[-_DEPTH:] + [g / np.trace(g).real]
+        rho = _mixed(xs, gs)
+        if np.linalg.eigvalsh(rho)[0] <= 0.0:
+            xs, gs, rho = xs[-1:], gs[-1:], gs[-1]
     if witness is not None:
         rho, inv_root, abs_m = witness
         _, up = sdp._interval(j, rho, _sandwich(inv_root, abs_m), d_in, d_out)

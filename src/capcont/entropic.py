@@ -27,7 +27,8 @@ def entropy_of_spectrum(w: np.ndarray) -> float:
     """Shannon entropy in bits of a clipped eigenvalue vector."""
     p = np.clip(np.asarray(w, dtype=float), 0.0, 1.0)
     p = p[p > 0.0]
-    return float(-np.sum(p * np.log2(p)))
+    # 0.0 - x, not -x, so that a pure spectrum gives 0.0, not -0.0.
+    return float(0.0 - np.sum(p * np.log2(p)))
 
 
 def entropy_of_spectra(w: np.ndarray) -> float | np.ndarray:
@@ -45,7 +46,7 @@ def entropy_of_spectra(w: np.ndarray) -> float | np.ndarray:
         rows = [entropy_of_spectrum(row) for row in w.reshape(-1, w.shape[-1])]
         return np.array(rows).reshape(w.shape[:-1])
     p = np.clip(w, 0.0, 1.0)
-    return -np.sum(p * np.log2(p, out=np.zeros_like(p), where=p > 0.0), axis=-1)
+    return 0.0 - np.sum(p * np.log2(p, out=np.zeros_like(p), where=p > 0.0), axis=-1)
 
 
 def entropy_of_matrix(mat: np.ndarray) -> float | np.ndarray:

@@ -1,8 +1,10 @@
 """Self-contained interior-point solver for the diamond-norm SDP.
 
-`distance.diamond_norm` reaches it only when its fixed point on the input
-state stalls before closing to GAP_TARGET relative to the norm, which in
-practice means pairs whose optimal input is rank-deficient.
+`distance.diamond_norm` reaches it only when its Anderson-mixed fixed point
+on the input state hands over before closing to GAP_TARGET relative to the
+norm: when rho's smallest eigenvalue collapses, or when the gap's observed
+rate cannot close it within the step cap. In practice that means pairs
+whose optimal input is rank-deficient.
 
 For a Hermitian Choi matrix J on in (x) out (dimension n_c = d_A*d_B) the
 completely bounded trace norm has the exact semidefinite characterization

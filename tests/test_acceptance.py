@@ -207,8 +207,7 @@ def test_6_capacity_difference_corollaries():
         reports = verify_capacity_differences(ch_n, ch_m, n=1, trials=10, seed=i, eps=eps)
         step = af_bound(eps, 2)
         for r in reports:
-            factor = 4.0 if r.quantity_name == "private-term" else 2.0
-            if abs(r.bound - factor * step) > 1e-12:
+            if abs(r.bound - 2.0 * step) > 1e-12:
                 problems.append(f"pair {i} {r.quantity_name}: bound {r.bound}")
         worst = min(worst, min(r.margin for r in reports))
         problems += [

@@ -356,10 +356,7 @@ def test_verify_capacity_differences_depolarizing_pair():
     names = {r.quantity_name for r in reports}
     assert names == {"holevo-term", "coherent-term", "private-term"}
     for r in reports:
-        expected = (4.0 if r.quantity_name == "private-term" else 2.0) * af_bound(
-            r.epsilon, 2
-        )
-        assert abs(r.bound - expected) <= 1e-12
+        assert abs(r.bound - 2.0 * af_bound(r.epsilon, 2)) <= 1e-12
         assert not r.violated
     # The spec anchor: the fixed coherent-information difference at the
     # maximally entangled input obeys the doubled single-slot bound.
@@ -550,6 +547,9 @@ def _ref_holevo(ch, ens):
     return entropy_of_matrix(avg) - mean_s
 
 
+_PRIVATE_DETAIL = "trial {}: coherent information of the purification, held to the coherent-term bound"
+
+
 def test_stacked_corollary_terms_match_per_trial_reference():
     # The reference measures the private term as the parent formula does,
     # with four Holevo quantities, two on the complementary channels of the
@@ -580,7 +580,7 @@ def test_stacked_corollary_terms_match_per_trial_reference():
             want += [
                 ("holevo-term", abs(chi_n - chi_m), 2.0 * step, f"trial {t}"),
                 ("coherent-term", abs(coh), 2.0 * step, f"trial {t}"),
-                ("private-term", abs(priv_n - priv_m), 4.0 * step, f"trial {t}"),
+                ("private-term", abs(priv_n - priv_m), 2.0 * step, _PRIVATE_DETAIL.format(t)),
             ]
         assert [g[0] for g in got] == [w[0] for w in want]
         for g, w in zip(got, want):
@@ -616,3 +616,16 @@ def test_rng_for_rejects_negative_seed_or_branch():
             rng_for(*args)
     assert rng_for(2**64, 0).random() == rng_for(2**64, 0).random()
 
+
+
+def test_private_term_is_held_to_the_coherent_bound():
+    # |I_c(N^n, phi) - I_c(M^n, phi)| is a coherent-information difference,
+    # so the coherent term's bound 2 * step is the one it can meet or break.
+    for (ch_n, ch_m), n in (((identity(2), depolarizing(2, 0.1)), 1), (random_nearby_pair(3, 2, rng_for(4)), 2)):
+        reports = verify_capacity_differences(ch_n, ch_m, n=n, trials=3, seed=2)
+        rows = {}
+        for r in reports:
+            rows.setdefault(r.quantity_name, []).append(r)
+        for coh, priv in zip(rows["coherent-term"], rows["private-term"], strict=True):
+            assert priv.bound == coh.bound == 2.0 * output_entropy_bound(n, coh.epsilon, ch_n.d_out)
+            assert priv.detail == _PRIVATE_DETAIL.format(coh.detail.split()[-1])

@@ -7,11 +7,11 @@ import pytest
 from scipy.optimize import minimize
 
 from capcont import channels as ch
-from capcont import sdp
+from capcont import distance, sdp
 from capcont.continuity import random_nearby_pair
 from capcont.distance import (
     _MAX_STEPS,
-    _STALL_STEPS,
+    _WINDOW,
     bell_probe_value,
     diamond_distance,
     diamond_lower_probe,
@@ -70,11 +70,12 @@ class _SolverCalls(list):
         self.iterations = []
 
 
-def _handed_over_after_a_stall(res, solver_iterations):
-    """iterations = fixed-point steps + solver iterations, and the steps
-    stop at a stall break (at least _STALL_STEPS) or at the _MAX_STEPS cap."""
+def _handed_over(res, solver_iterations):
+    """iterations = fixed-point steps + solver iterations, and the steps stop
+    at a hand-over rule, which needs a window of _WINDOW steps, or at the
+    _MAX_STEPS cap."""
     steps = res.iterations - solver_iterations
-    return _STALL_STEPS <= steps <= _MAX_STEPS
+    return _WINDOW <= steps <= _MAX_STEPS
 
 
 @pytest.fixture
@@ -284,17 +285,17 @@ def test_diamond_norm_step_zero_keeps_the_bracket_bits(a, b, expect):
     assert (res.value, res.dual_value, res.iterations) == (upper, min(lower, upper), 0)
 
 
-@pytest.mark.parametrize("d,k", [(2, 0), (2, 1), (3, 0), (3, 1)])
+# Seed-1 pairs with rank-deficient optima, which still hand over.
+@pytest.mark.parametrize("d,k", [(2, 0), (2, 1), (2, 3), (3, 8)])
 def test_diamond_norm_generic_pairs_run_the_sdp(d, k, solver_calls):
     res = diamond_distance(*random_nearby_pair(d, d, rng_for(1, d, k)))
     assert solver_calls == [(d, d)]
-    assert _handed_over_after_a_stall(res, solver_calls.iterations[0])
+    assert _handed_over(res, solver_calls.iterations[0])
     assert res.certified()
 
 
-@pytest.mark.parametrize("d", range(4, 9))
-@pytest.mark.parametrize("k", [1, 2])
-def test_diamond_norm_fixed_point_certifies_generic_pairs(d, k, no_solver):
+@pytest.mark.parametrize("k,d", [(k, d) for k in (1, 2) for d in range(4, 9)] + [(0, 3), (1, 3)])
+def test_diamond_norm_fixed_point_certifies_generic_pairs(k, d, no_solver):
     m = ch.ChoiMatrix.difference(*random_nearby_pair(d, d, rng_for(1, d, k)))
     res = diamond_norm(m)
     assert res.certified()
@@ -307,30 +308,107 @@ def test_diamond_norm_fixed_point_certifies_generic_pairs(d, k, no_solver):
 
 
 @pytest.mark.parametrize(
-    "pair, expect",
+    "pair",
     [
-        (lambda: (ch.identity(2), ch.constant_channel(2)), 2.0),
-        (lambda: _unitary_pair(3, 0.1, rng_for(91)), None),
+        lambda: random_nearby_pair(2, 2, rng_for(1, 2, 5)),
+        lambda: _unitary_pair(3, 0.1, rng_for(91)),
     ],
-    ids=["identity-vs-constant", "unitary-d3"],
+    ids=["qubit-pure-optimum", "unitary-d3"],
 )
-def test_diamond_norm_rank_deficient_optimum_hands_over(pair, expect, solver_calls):
+def test_diamond_norm_rank_deficient_optimum_hands_over(pair, solver_calls):
     # The optimal input is not full rank, so rho drifts to the boundary and
-    # the gap stalls: the solver runs, and its interval must still certify.
+    # the fixed point hands over: the solver runs, and its interval must
+    # still certify.
     res = diamond_distance(*pair())
     assert len(solver_calls) == 1
-    assert _handed_over_after_a_stall(res, solver_calls.iterations[0])
+    assert _handed_over(res, solver_calls.iterations[0])
     assert res.certified()
     assert res.dual_value <= res.value
-    if expect is not None:
-        assert res.dual_value - 1e-6 <= expect <= res.value + 1e-6
+
+
+def test_diamond_norm_fixed_point_certifies_identity_vs_constant(no_solver):
+    # The optimal input is pure, but rho's smallest eigenvalue falls slowly
+    # enough that the gap closes before the collapse rule fires.
+    res = diamond_distance(ch.identity(2), ch.constant_channel(2))
+    assert res.certified()
+    assert 0 < res.iterations <= _MAX_STEPS
+    assert res.dual_value <= 2.0 <= res.value
+
+
+def _plain_step(xs, gs):
+    """The unmixed step rho <- g(rho), in place of the Anderson mix."""
+    return gs[-1]
+
+
+def test_diamond_norm_takes_the_plain_step_when_the_mix_is_not_positive_definite(monkeypatch):
+    m = ch.ChoiMatrix.difference(*random_nearby_pair(4, 4, rng_for(1, 4, 1)))
+    history = []
+
+    def indefinite(xs, gs):
+        history.append(len(xs))
+        return gs[-1] - 2.0 * np.eye(m.d_in)  # Tr g = 1, so every eigenvalue is <= -1
+
+    monkeypatch.setattr(distance, "_mixed", _plain_step)
+    plain = diamond_norm(m)
+    monkeypatch.setattr(distance, "_mixed", indefinite)
+    res = diamond_norm(m)
+    assert res == plain  # each step fell back to g(rho), bit for bit
+    assert res.certified() and res.iterations > 0
+    # The history restarts from the latest pair: each mix sees two pairs.
+    assert history and set(history) == {2}
+
+
+def test_diamond_norm_hands_over_on_a_collapsing_eigenvalue(monkeypatch, solver_calls):
+    # With the rate rule switched off, only the collapse rule or the cap can
+    # end the loop; the unitary pair's optimal input has rank 2 of 3.
+    monkeypatch.setattr(distance, "_stalled", lambda gaps, target, left: False)
+    res = diamond_distance(*_unitary_pair(3, 0.1, rng_for(91)))
+    assert len(solver_calls) == 1
+    steps = res.iterations - solver_calls.iterations[0]
+    assert _WINDOW <= steps < _MAX_STEPS
+    assert res.certified()
+
+
+def test_diamond_norm_hands_over_when_the_rate_cannot_reach_the_target(monkeypatch, solver_calls):
+    # A qubit pair with a pure optimum whose gap still shrinks, but ever more
+    # slowly: with the collapse rule switched off, the rate rule hands it
+    # over long before the cap, while the gap is still shrinking.
+    monkeypatch.setattr(distance, "_COLLAPSE", 0.0)
+    seen = []
+    stalled = distance._stalled
+
+    def spy(gaps, target, left):
+        seen.append((list(gaps), left))
+        return stalled(gaps, target, left)
+
+    monkeypatch.setattr(distance, "_stalled", spy)
+    res = diamond_distance(*random_nearby_pair(2, 2, rng_for(1, 2, 1)))
+    assert len(solver_calls) == 1
+    gaps, left = seen[-1]
+    assert left >= _MAX_STEPS // 2
+    assert gaps[-1] < gaps[-1 - _WINDOW]
+    assert res.iterations - solver_calls.iterations[0] == _MAX_STEPS - left
+    assert res.certified()
+
+
+def test_diamond_norm_runs_past_the_old_cap_while_the_gap_converges(monkeypatch, no_solver):
+    # The plain step certifies this pair only at step 50: the old rule
+    # handed it over at its 40-step cap, the rate rule lets it run on.
+    monkeypatch.setattr(distance, "_mixed", _plain_step)
+    m = ch.ChoiMatrix.difference(*_corpus_pair("rank2", 7, 0.1))
+    res = diamond_norm(m)
+    assert res.certified()
+    assert 40 < res.iterations <= _MAX_STEPS
+    lower, upper = _bracket(m.matrix, m.d_in, m.d_out)
+    assert lower <= res.dual_value and res.value <= upper
 
 
 @pytest.mark.parametrize("pair", [(1, 2, 0), (1, 6, 1)], ids=["hand-over", "fixed-point"])
-def test_diamond_norm_is_bit_identical_on_a_rerun(pair):
+def test_diamond_norm_is_bit_identical_on_a_rerun(pair, solver_calls):
     seed, d, k = pair
     m = ch.ChoiMatrix.difference(*random_nearby_pair(d, d, rng_for(seed, d, k)))
     assert diamond_norm(m) == diamond_norm(m)
+    assert len(solver_calls) == (2 if d == 2 else 0)
 
 
 @pytest.mark.parametrize("side", ["below-lower", "above-upper", "below-fixed-point", "above-fixed-point"])
@@ -343,7 +421,7 @@ def test_diamond_norm_rejects_sdp_interval_outside_the_bracket(monkeypatch, side
     norm = real.value
     (solver_iterations,) = solver_calls.iterations
     assert solver_iterations != 7  # else dropping the solver's count would go unseen
-    assert _handed_over_after_a_stall(real, solver_iterations)
+    assert _handed_over(real, solver_iterations)
     steps = real.iterations - solver_iterations
     # A self-consistent "optimal" interval that a faulty solver could print:
     # entirely below the Bell lower bound, or entirely above the |J| bound;
@@ -377,7 +455,7 @@ def test_diamond_norm_of_small_generic_map_runs_the_sdp(solver_calls):
     assert upper - base.value > 1e-3 * base.value  # generic: the bracket is open
     small = diamond_norm(m.scaled(1e-7))
     assert len(solver_calls) == 2
-    assert _handed_over_after_a_stall(small, solver_calls.iterations[1])
+    assert _handed_over(small, solver_calls.iterations[1])
     assert small.certified()
     assert small.value == pytest.approx(1e-7 * base.value, rel=1e-6)
 
@@ -397,7 +475,7 @@ def test_rel_gap_is_in_the_maps_own_units(pair, sdp_route, scale, solver_calls):
     res = diamond_norm(ch.ChoiMatrix.difference(*pair()).scaled(scale))
     assert bool(solver_calls) == sdp_route
     if sdp_route:
-        assert _handed_over_after_a_stall(res, solver_calls.iterations[0])
+        assert _handed_over(res, solver_calls.iterations[0])
     else:
         assert res.iterations == 0
     assert res.certified()

@@ -15,6 +15,8 @@ from capcont.entropic import (
     coherent_information,
     conditional_entropy,
     entropy_of_matrix,
+    entropy_of_spectra,
+    entropy_of_spectrum,
     holevo_information,
     mutual_information,
     private_information,
@@ -277,3 +279,17 @@ def test_coherent_information_of_equal_entropies_is_positive_zero():
     prod = DensityMatrix.from_pure(basis_state(4, 0), dims=(2, 2))
     value = coherent_information(ch.identity(2), prod)
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_entropy_of_a_pure_spectrum_is_positive_zero():
+    # 0.0 - sum, not -sum: the terms of a pure spectrum are all +0.0.
+    pure = DensityMatrix.from_pure(basis_state(2, 0))
+    values = [entropy_of_spectrum(np.array([0.0, 1.0])), von_neumann_entropy(pure)]
+    # Both branches of the stacked kernel: below 8 eigenvalues and from 8 on.
+    for n in (2, 8):
+        stack = np.zeros((2, n))
+        stack[:, -1] = 1.0
+        values += list(entropy_of_spectra(stack))
+    assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values), values
+    # A nonzero entropy keeps its bits.
+    assert entropy_of_spectrum(np.array([0.5, 0.5])) == 1.0
