@@ -6,17 +6,17 @@ a lower-bound certifier: multi-start L-BFGS ascent whose best found
 value is reported together with the point that achieves it.  No claim of
 global optimality is made.
 
-Two ascents serve the three proxies: one over purifications for coherent
-and private information, which coincide over pure-state ensembles (see
-max_private), and one over pure-state ensembles for Holevo information.
-
-Pure states are parameterized by unconstrained complex vectors normalized
-on evaluation; ensembles add a softmax over real logits.  One evaluation
-gives a point's value and its gradient from one eigendecomposition of each
-output state: its spectrum gives the entropy, and its eigenvectors the
-matrix logarithm, with eigenvalues floored at EPS_PERTURB so it stays
-finite near rank deficiency.  The ascent evaluates each point once; an
-accepted line-search trial's gradient serves the next step.
+Two objectives serve the three proxies, both ascended on the unit sphere
+of a complex space: purifications on reference (x) input for coherent and
+private information, which coincide over pure-state ensembles (see
+max_private), and ensemble purifications sum_x sqrt(p_x)|x>|psi_x> for
+Holevo information (see max_holevo).  A point is an unconstrained complex
+vector normalized after each step.  One evaluation gives a point's value
+and its gradient from one eigendecomposition of each output state: its
+spectrum gives the entropy, and its eigenvectors the matrix logarithm,
+with eigenvalues floored at EPS_PERTURB so it stays finite near rank
+deficiency.  The ascent evaluates each point once; an accepted
+line-search trial's gradient serves the next step.
 
 Restarts run in lockstep on one leading batch axis, and an ensemble's
 states on a second one, so one kernel call serves every restart and state
@@ -24,11 +24,11 @@ through a channel.  Each restart draws its start from its own RNG stream
 (derived from the seed and the restart index) and keeps its own
 curvature pairs, Armijo backtracking and stop tests.  Its step direction
 is the limited-memory BFGS one (Nocedal and Wright, Numerical
-Optimization, ch. 7) on the product of the state spheres and the logit
-space: the last LBFGS_MEMORY pairs, each projected onto the tangent
-space where it was taken (Absil, Mahony and Sepulchre, Optimization
-Algorithms on Matrix Manifolds, ch. 8), and the direction projected onto
-the current one.  A restart leaves the batch at the first of four stops:
+Optimization, ch. 7) on the sphere: the last LBFGS_MEMORY pairs, each
+projected onto the tangent space where it was taken (Absil, Mahony and
+Sepulchre, Optimization Algorithms on Matrix Manifolds, ch. 8), and the
+direction projected onto the current one.  A restart leaves the batch at
+the first of four stops:
 
 - ``gradient``: its gradient norm falls below GRAD_TOL;
 - ``stalled``: an accepted line-search step raises f by no more than
@@ -38,15 +38,15 @@ the current one.  A restart leaves the batch at the first of four stops:
 
 The batched kernels match per-slice calls bit for bit.  Every scalar
 reduction (norms, tangent projections, curvature and slope dots, the
-ensemble gradient's overlaps and means) is one row reduction, ``_rows``:
-Re <a[i], b[i]> for every leading index i in one einsum over the real
-views, whose sum for row i reads row i alone.  A restart's point is one
-real row, its blocks flattened in order (``_flat``), the layout its
-gradient and curvature pairs are kept in too; the sphere and logit blocks
-are views into that row (``_blocks``).  So the report is bit-identical to
-running the restarts one after another;
-``test_row_reduction_is_batch_invariant`` pins the row property and
-``test_lockstep_ascent_matches_sequential_reference`` the report.
+ensemble weights) is one row reduction, ``_rows``: Re <a[i], b[i]> for
+every leading index i in one einsum over the real views, whose sum for
+row i reads row i alone.  A restart's point is the float64 row of its
+vector's real view, the layout its gradient and curvature pairs are kept
+in too; the sphere operations and the objective read it through a
+complex view.  So the report is bit-identical to running the restarts
+one after another; ``test_row_reduction_is_batch_invariant`` pins the
+row property and ``test_lockstep_ascent_matches_sequential_reference``
+the report.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ RESTARTS = 16       # default random restarts per maximization
 ITERS = 2000        # iteration cap per restart
 GRAD_TOL = 1e-8     # declare convergence below this gradient norm
 STALL_RTOL = 4e-16  # an accepted step raising f by at most this * max(|f|, 1) stalls
-STALL_GRAD_TOL = 1e-6  # a stalled restart below this gradient norm has converged
+STALL_GRAD_TOL = 1e-6  # a stall or failed line search below this gradient norm has converged
 EPS_PERTURB = 1e-10  # eigenvalue floor inside the matrix logarithm
 TAU_OPT = 1e-3      # slack for comparisons between independently found optima
 LBFGS_MEMORY = 8    # curvature pairs kept per restart
@@ -84,8 +84,9 @@ class OptimizationReport:
     below GRAD_TOL), ``stalled`` (an accepted step no longer raised f
     above rounding), ``line-search`` (no acceptable step) or
     ``iteration-cap``.  converged reports whether the winning restart
-    stopped by the gradient test, or stalled with a gradient norm below
-    STALL_GRAD_TOL = 1e-6.  A stall above that norm is a plateau the
+    stopped by the gradient test, or stalled or failed its line search
+    with a gradient norm below STALL_GRAD_TOL = 1e-6: there no step can
+    raise f above rounding.  Either stop above that norm is a plateau the
     ascent could not climb at rounding precision, not an optimum.
     """
 
@@ -122,64 +123,31 @@ def _outer(vecs: np.ndarray) -> np.ndarray:
     return vecs[..., :, None] * vecs.conj()[..., None, :]
 
 
-def _piece_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re <a, b> on each piece of two (restarts, pieces, ...) stacks."""
-    pieces = a.shape[0] * a.shape[1]
-    return _rows(a.reshape(pieces, -1), b.reshape(pieces, -1)).reshape(a.shape[:2])
-
-
-def _flat(blocks: list[np.ndarray]) -> np.ndarray:
-    """Each restart's blocks as one new float64 row: their real views, in block order."""
-    return np.concatenate([b.reshape(len(b), -1).view(np.float64) for b in blocks], axis=1)
-
-
-def _blocks(rows: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-    """Views of the blocks in _flat rows, shaped and typed like the blocks of `like`.
-
-    rows is C-contiguous, so each view writes through to it.
-    """
-    out, start = [], 0
-    for b in like:
-        width = b[0].size * b.itemsize // 8
-        out.append(rows[:, start : start + width].view(b.dtype).reshape(len(rows), *b.shape[1:]))
-        start += width
-    return out
-
-
-def _renorm(rows: np.ndarray, like: list[np.ndarray]) -> np.ndarray:
-    """Project _flat rows back onto their domains, in place, and return them.
-
-    Each block is (restarts, pieces, n). Complex pieces are unit vectors
-    on a sphere; real pieces are softmax logits, recentred so the
-    exponentials cannot overflow.
-    """
-    for p in _blocks(rows, like):
-        if np.iscomplexobj(p):
-            p /= np.sqrt(_piece_rows(p, p))[..., None]
-        else:
-            p -= np.max(p, axis=-1, keepdims=True)
+def _renorm(rows: np.ndarray) -> np.ndarray:
+    """Scale each float64 row, read as a complex vector, to unit norm, in place; return rows."""
+    u = rows.view(complex)
+    u /= np.sqrt(_rows(u, u))[:, None]
     return rows
 
 
-def _tangent(at: np.ndarray, v: np.ndarray, like: list[np.ndarray]) -> np.ndarray:
-    """v projected, in place, onto the tangent space at `at`; both are _flat rows.
+def _tangent(at: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v projected, in place, onto the sphere's tangent space at `at`: v - Re<at, v> at.
 
-    Each sphere piece u of `at` takes v - Re<u, v> u; logit blocks are left
-    as they are.
+    Both are float64 rows, read as complex vectors.
     """
-    for u, w in zip(_blocks(at, like), _blocks(v, like)):
-        if np.iscomplexobj(u):
-            w -= _piece_rows(u, w)[..., None] * u
+    u, w = at.view(complex), v.view(complex)
+    w -= _rows(u, w)[:, None] * u
     return v
 
 
 class _Memory:
     """Each restart's last LBFGS_MEMORY curvature pairs (s, y), oldest first.
 
-    Pairs are kept as _flat rows, so each slot of the two-loop recursion is
-    one row reduction and one update. Slot j of restart i holds a pair when
-    j < held[i]. rho is 1 / s.y, and gamma = s.y / y.y of the newest pair
-    scales the initial inverse Hessian H0 = gamma I.
+    Pairs are kept as the ascent's float64 rows, so each slot of the
+    two-loop recursion is one row reduction and one update. Slot j of
+    restart i holds a pair when j < held[i]. rho is 1 / s.y, and
+    gamma = s.y / y.y of the newest pair scales the initial inverse
+    Hessian H0 = gamma I.
     """
 
     def __init__(self, n: int, width: int):
@@ -226,17 +194,18 @@ class _Memory:
 
 
 def _ascend(
-    evaluate: Callable[[list[np.ndarray]], tuple[np.ndarray, list[np.ndarray]]],
-    params: list[np.ndarray],
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    starts: np.ndarray,
     iters: int,
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, tuple[str, ...], np.ndarray]:
-    """L-BFGS ascent with Armijo backtracking, restarts in lockstep.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...], np.ndarray]:
+    """L-BFGS ascent on the unit sphere with Armijo backtracking, restarts in lockstep.
 
-    params is a list of (restarts, pieces, n) blocks; the ascent keeps each
-    restart's point as one _flat row. evaluate maps such blocks, for any
-    subset of the restarts, to one value per restart and gradient blocks of
-    the same shapes, tangent to the spheres. Every point is evaluated once:
-    an accepted line-search trial's gradient is the next iteration's.
+    starts is a (restarts, n) complex array; the ascent keeps each
+    restart's point as the float64 row of its real view. evaluate maps
+    the complex points of any subset of the restarts to one value each and
+    contiguous complex gradients of the same shape, tangent to the sphere.
+    Every point is evaluated once: an accepted line-search trial's
+    gradient is the next iteration's.
 
     Each restart keeps its own curvature pairs: s = x_new - x_old and
     y = g_old - g_new, both projected onto the tangent space at x_new,
@@ -246,12 +215,12 @@ def _ascend(
     dropped. The line search starts at t = 1 and halves t until
     f(x + t p), renormalized, reaches f + 1e-4 t <g, p>, or t falls to
     1e-14. A restart leaves the batch at its first stop (see the module
-    docstring). Returns every restart's final parameter blocks, value,
-    iteration count, stop reason and convergence flag.
+    docstring). Returns every restart's final point, value, iteration
+    count, stop reason and convergence flag.
     """
-    x = _renorm(_flat(params), params)
-    f, g = evaluate(_blocks(x, params))
-    g = _flat(g)
+    x = _renorm(np.array(starts, dtype=complex).view(np.float64))
+    f, g = evaluate(x.view(complex))
+    g = g.view(np.float64)
     used = np.zeros(len(f), dtype=int)
     gnorm = np.zeros(len(f))
     reasons = np.full(len(f), "iteration-cap", dtype=object)
@@ -270,13 +239,13 @@ def _ascend(
         keep = ~done
         live, gsq, at, gl = live[keep], gsq[keep], at[keep], gl[keep]
         if it > 1 and live.size:
-            s = _tangent(at, at - x_prev[live], params)
-            y = _tangent(at, g_prev[live] - gl, params)
+            s = _tangent(at, at - x_prev[live])
+            y = _tangent(at, g_prev[live] - gl)
             memory.store(live, s, y)
         p, slope = gl.copy(), gsq.copy()
         has = np.flatnonzero(memory.held[live] > 0)
         if has.size:
-            hg = _tangent(at[has], memory.apply(live[has], gl[has]), params)
+            hg = _tangent(at[has], memory.apply(live[has], gl[has]))
             hslope = _rows(gl[has], hg)
             up = hslope > 0
             p[has[up]] = hg[up]
@@ -288,11 +257,11 @@ def _ascend(
         trying = np.arange(len(live))
         while trying.size:
             tt = t[trying]
-            cand = _renorm(at[trying] + tt[:, None] * p[trying], params)
-            fc, gc = evaluate(_blocks(cand, params))
+            cand = _renorm(at[trying] + tt[:, None] * p[trying])
+            fc, gc = evaluate(cand.view(complex))
             ok = fc >= f[live[trying]] + 1e-4 * tt * slope[trying]
             won = live[trying[ok]]
-            x[won], f[won], g[won] = cand[ok], fc[ok], _flat(gc)[ok]
+            x[won], f[won], g[won] = cand[ok], fc[ok], gc.view(np.float64)[ok]
             improved[trying[ok]] = True
             trying = trying[~ok]
             t[trying] *= 0.5
@@ -302,8 +271,10 @@ def _ascend(
         reasons[live[~improved]] = "line-search"
         reasons[live[stalled]] = "stalled"
         live = live[improved & ~stalled]
-    converged = (reasons == "gradient") | ((reasons == "stalled") & (gnorm < STALL_GRAD_TOL))
-    return _blocks(x, params), f, used, tuple(reasons.tolist()), converged
+    # A gradient stop lies far below STALL_GRAD_TOL; a stall or a failed
+    # line search below it sits at rounding level.
+    converged = (reasons != "iteration-cap") & (gnorm < STALL_GRAD_TOL)
+    return x.view(complex), f, used, tuple(reasons.tolist()), converged
 
 
 def _check_stack(ch: QuantumChannel, restarts: int, pieces: int, side: int = 1) -> None:
@@ -318,26 +289,29 @@ def _check_stack(ch: QuantumChannel, restarts: int, pieces: int, side: int = 1) 
 
 
 def _run_restarts(
-    evaluate: Callable[[list[np.ndarray]], tuple[np.ndarray, list[np.ndarray]]],
-    init_of: Callable[[int], list[np.ndarray]],
-    argmax_of: Callable[[list[np.ndarray]], PureState | Ensemble],
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    n: int,
+    argmax_of: Callable[[np.ndarray], PureState | Ensemble],
     restarts: int,
     iters: int,
+    seed: int,
 ) -> OptimizationReport:
-    """Ascend from every restart's start point; the first best one wins.
+    """Ascend on the unit sphere of C^n from every restart's start; the first best one wins.
 
-    argmax_of maps the winner's parameter blocks, each with a restart
-    axis of length 1, to the reported maximizer.
+    Restart r starts from a complex Gaussian vector drawn from
+    rng_for(seed, r). argmax_of maps the winner's unit vector to the
+    reported maximizer.
     """
     restarts, iters = as_index(restarts, "restarts"), as_index(iters, "iters")
     if restarts < 1 or iters < 1:
         raise ArgumentError("restarts and iters must be positive")
-    starts = [np.stack(blocks) for blocks in zip(*(init_of(r) for r in range(restarts)))]
-    params, f, used, reasons, conv = _ascend(evaluate, starts, iters)
+    rngs = [rng_for(seed, r) for r in range(restarts)]
+    starts = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for rng in rngs])
+    x, f, used, reasons, conv = _ascend(evaluate, starts, iters)
     best = int(np.argmax(f))
     return OptimizationReport(
         best_value=float(f[best]),
-        argmax=argmax_of([p[best : best + 1] for p in params]),
+        argmax=argmax_of(x[best]),
         restarts=restarts,
         iterations=tuple(used.tolist()),
         stop_reasons=reasons,
@@ -356,34 +330,25 @@ def _max_coherent(ch: QuantumChannel, restarts: int, iters: int, seed: int) -> O
     d = ch.d_in
     if d * d > D_MAX:
         raise DimensionError(f"purification dimension {d * d} exceeds D_MAX={D_MAX}")
-    # rho_of forms a (d*d)-square purification outer product per restart.
+    # evaluate forms a (d*d)-square purification outer product per restart.
     _check_stack(ch, restarts, 1, side=d * d)
     kb = ch.kraus
     ke = complementary(ch).kraus
     kb_adj, ke_adj = dagger(kb), dagger(ke)
 
-    # params: one (restarts, 1, d*d) block of purifications
-    def rho_of(v: np.ndarray) -> np.ndarray:
-        return partial_trace_matrix(_outer(v), (d, d), keep=[1])
-
-    def evaluate(params):
-        v = params[0]
-        rho = rho_of(v[:, 0])
+    def evaluate(v):
+        rho = partial_trace_matrix(_outer(v), (d, d), keep=[1])
         wb, ub = np.linalg.eigh(_apply_full(kb, rho))
         we, ue = np.linalg.eigh(_apply_full(ke, rho))
         g_rho = _apply_full(kb_adj, _neg_log2(wb, ub)) - _apply_full(ke_adj, _neg_log2(we, ue))
         hv = (v.reshape(-1, d, d) @ g_rho.swapaxes(-1, -2)).reshape(v.shape)
-        hv -= _piece_rows(v, hv)[..., None] * v
-        return entropy_of_spectra(wb) - entropy_of_spectra(we), [2.0 * hv]
+        hv -= _rows(v, hv)[:, None] * v
+        return entropy_of_spectra(wb) - entropy_of_spectra(we), 2.0 * hv
 
-    def init_of(r):
-        rng = rng_for(seed, r)
-        return [(rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d))[None]]
+    def argmax_of(v):
+        return PureState(v, dims=(d, d))
 
-    def argmax_of(params):
-        return PureState(params[0][0, 0], dims=(d, d))
-
-    return _run_restarts(evaluate, init_of, argmax_of, restarts, iters)
+    return _run_restarts(evaluate, d * d, argmax_of, restarts, iters, seed)
 
 
 def max_coherent_information(
@@ -403,7 +368,18 @@ def max_holevo(
     iters: int = ITERS,
     seed: int = 0,
 ) -> OptimizationReport:
-    """Best classical mutual information over pure-state ensembles of ensemble_size states."""
+    """Best classical mutual information over pure-state ensembles of ensemble_size states.
+
+    The ascent runs on the ensemble's purification sum_x sqrt(p_x)|x>|psi_x>
+    (Devetak, IEEE Trans. Inf. Theory 51, 44, 2005): one unit vector u of
+    C^(m d_in) whose block u_x is sqrt(p_x) psi_x, so p_x = |u_x|^2. With
+    A_x = N(u_x u_x^dag), p_x S(N(psi_x)) = -Tr A_x log2 A_x + p_x log2 p_x,
+    whose derivative in A_x is L_x = -log2 N(psi_x) up to a multiple of the
+    identity. The gradient in block x is then 2 N^dag(L_avg - L_x) u_x,
+    L_avg = -log2 of the average output; the identity terms add a multiple
+    of u, which the projection onto the sphere removes. argmax is the
+    winner's ensemble of (p_x, psi_x).
+    """
     m = as_index(ensemble_size, "ensemble_size")
     if m < 2:
         raise ArgumentError(f"ensemble size must be >= 2, got {m}")
@@ -411,42 +387,26 @@ def max_holevo(
     d = ch.d_in
     kraus, adjoint = ch.kraus, dagger(ch.kraus)
 
-    # params: (restarts, 1, m) softmax logits and (restarts, m, d) states
-    def unpack(params):
-        z, states = params
-        probs = np.exp(z[:, 0])
-        probs /= probs.sum(axis=-1, keepdims=True)
-        return probs, states
-
-    def evaluate(params):
-        probs, states = unpack(params)
+    def evaluate(u):
+        blocks = u.reshape(len(u), m, d)
+        probs = _rows(blocks.reshape(-1, d), blocks.reshape(-1, d)).reshape(-1, m)
+        states = blocks / np.sqrt(probs)[..., None]
         outs, avg = _ensemble_outputs(kraus, probs, _outer(states))
         w_avg, u_avg = np.linalg.eigh(avg)
-        w, u = np.linalg.eigh(outs)
+        w, v = np.linalg.eigh(outs)
         s_outs = entropy_of_spectra(w)
         mean_s = sum(probs[:, k] * s_outs[:, k] for k in range(m))
-        l_avg = _neg_log2(w_avg, u_avg)
-        back = _apply_full(adjoint, l_avg[:, None] - _neg_log2(w, u))
-        g_states = probs[..., None] * (back @ states[..., None])[..., 0]
-        g_states -= _piece_rows(states, g_states)[..., None] * states
-        g_states *= 2.0
-        g_probs = _piece_rows(outs, np.broadcast_to(l_avg[:, None], outs.shape)) - s_outs
-        means = _rows(probs, g_probs)
-        g_z = probs * (g_probs - means[:, None])
-        return entropy_of_spectra(w_avg) - mean_s, [g_z[:, None], g_states]
+        back = _apply_full(adjoint, _neg_log2(w_avg, u_avg)[:, None] - _neg_log2(w, v))
+        grad = (back @ blocks[..., None]).reshape(u.shape)
+        grad -= _rows(u, grad)[:, None] * u
+        return entropy_of_spectra(w_avg) - mean_s, 2.0 * grad
 
-    def init_of(r):
-        rng = rng_for(seed, r)
-        vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(m)]
-        return [(rng.standard_normal(m) * 0.1)[None], np.array(vecs)]
+    def argmax_of(u):
+        blocks = u.reshape(m, d)
+        probs = _rows(blocks, blocks)
+        return Ensemble([(float(p), DensityMatrix.from_pure(b)) for p, b in zip(probs, blocks)])
 
-    def argmax_of(params):
-        probs, states = unpack(params)
-        return Ensemble(
-            [(float(p), DensityMatrix.from_pure(u)) for p, u in zip(probs[0], states[0])]
-        )
-
-    return _run_restarts(evaluate, init_of, argmax_of, restarts, iters)
+    return _run_restarts(evaluate, m * d, argmax_of, restarts, iters, seed)
 
 
 def max_private(

@@ -262,20 +262,23 @@ def hybrid_sequence(
     return HybridSequence(tuple(states), tuple(diffs), tuple(dists))
 
 
+# The largest mixing weight of random_nearby_pair's perturbation.
+_NEARBY_Q_MAX = 0.3
+
+
 def random_nearby_pair(
-    d_in: int, d_out: int, rng: np.random.Generator, q_max: float = 0.3
+    d_in: int, d_out: int, rng: np.random.Generator
 ) -> tuple[QuantumChannel, QuantumChannel]:
     """Random channel and a mixture perturbation of it.
 
     The second channel is (1-q) N + q R for an independent random R and
-    q in (0, q_max], which keeps the pair's diamond distance nontrivial
-    but controlled; the distance itself is still measured, never assumed.
+    q in (0, _NEARBY_Q_MAX], which keeps the pair's diamond distance
+    nontrivial but controlled; the distance itself is still measured,
+    never assumed.
     """
-    if not 0.0 < q_max <= 1.0:  # also refuses NaN
-        raise ArgumentError(f"q_max must be in (0, 1], got {q_max}")
     ch_n = random_channel(d_in, d_out, rng)
     ch_r = random_channel(d_in, d_out, rng)
-    q = q_max * (1.0 - rng.random())
+    q = _NEARBY_Q_MAX * (1.0 - rng.random())
     return ch_n, mix([ch_n, ch_r], [1.0 - q, q])
 
 

@@ -389,16 +389,6 @@ def test_random_nearby_pair_distance_is_controlled():
         assert 0.0 < eps <= 0.6 + 1e-6  # q <= 0.3, distance <= 2q
 
 
-@pytest.mark.parametrize("q_max", [0.0, -0.1, 1.5, 5.0, math.nan, math.inf])
-def test_random_nearby_pair_refuses_q_max_outside_the_unit_interval(q_max):
-    # q_max = 0 would return two identical channels; above 1 or NaN, mix
-    # would fail on weights the caller never passed.
-    with pytest.raises(ArgumentError, match="q_max"):
-        random_nearby_pair(2, 2, rng_for(0), q_max)
-    ch_n, ch_m = random_nearby_pair(2, 2, rng_for(0), 1.0)
-    assert diamond_distance(ch_n, ch_m).value > 0.0
-
-
 def test_discontinuity_demo_trend():
     rows = discontinuity_demo([2, 4, 8])
     assert [r["n"] for r in rows] == [2, 4, 8]
