@@ -10,7 +10,11 @@ on their loaders.
 
 Each leaf command takes only the flags it reads, the shared --seed and
 --json after its name (`verify fannes --json`); any other flag is a usage
-error.  A verify count left out takes the library's default.
+error.  A verify count left out takes the library's default.  The
+parser is built once per process, at the first `main` call, and reused:
+each handler is bound when the parser is built, so rebinding a `_cmd_*`
+function afterwards is not seen, while the library functions the
+handlers call are looked up on this module at each call.
 
 Reports carry a versioned envelope (schema, tool version, seed,
 tolerances) and are emitted as deterministic JSON (sorted keys, no
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -305,8 +310,9 @@ def _report_row(r: BoundReport) -> dict:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    # Built per call, so that a function rebound on this module after import
-    # (a wrapper that traces or replaces it) is the one called.
+    # Built per call, unlike the parser, so that a verifier rebound on this
+    # module after import (a wrapper that traces or replaces it) is the one
+    # called.
     verifier = {
         "fannes": verify_fannes,
         "af": verify_af,
@@ -406,21 +412,36 @@ def _pretty(obj, out, indent=0):
 
 
 def _emit(args, report: dict) -> None:
+    # Nothing is printed from a report with a non-finite value. The JSON
+    # encoder refuses one itself; only then is the report walked, to name it.
     if getattr(args, "csv", False):
+        _assert_finite(report)
         rows = report["result"]["rows"]
         writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
     elif args.json:
-        print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
+        try:
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:
+            _assert_finite(report)
+            raise
+        print(text)
     else:
+        _assert_finite(report)
         _pretty(report, sys.stdout)
 
 
 # ---------------------------------------------------------------------------
 # argument surface
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process, at the first `main` call, and reused: about 2 ms
+    # and 21 parsers per build, and parse_args fills a new namespace each
+    # call. The `_cmd_*` handlers are bound here, so rebinding one later is
+    # not seen; the library functions they call are looked up per call.
+    #
     # The shared options go on each leaf only: given to a parent of nested
     # leaves as well, the leaf's defaults would overwrite what was placed
     # before the leaf's name.
@@ -530,9 +551,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise SpecError("bad-argument", f"--seed must be at least 0, got {args.seed}")
         args.command_name = _command_name(args)
         code, result = args.func(args)
-        report = _envelope(args, result)
-        _assert_finite(report)
-        _emit(args, report)
+        _emit(args, _envelope(args, result))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -289,6 +289,10 @@ class TestExitCodes:
         def broken_harness(**kwargs):
             return [BoundReport("entropy-difference", 1.0 + 2 * TAU_ENT, 1.0, 0.1, 1, 2)]
 
+        # A first call builds the parser, so the rebinding below is checked
+        # against the parser that later calls reuse, whatever ran before.
+        assert main(["verify", "fannes", "--trials", "1"]) == 0
+        capsys.readouterr()
         monkeypatch.setattr(cli, "verify_fannes", broken_harness)
         code, report = run_json(capsys, ["verify", "fannes"])
         assert code == 2
@@ -492,6 +496,72 @@ class TestReports:
     def test_nan_trapped_before_emission(self):
         with pytest.raises(NumericError):
             _assert_finite({"result": {"value": float("nan")}})
+
+    @pytest.mark.parametrize("fmt", [["--json"], []])
+    def test_nan_report_is_refused_with_its_path(self, capsys, monkeypatch, fmt):
+        # The JSON encoder refuses the NaN itself; the error still names
+        # where it is, as the walk of the text path does, and prints nothing.
+        def nan_harness(**kwargs):
+            return [BoundReport("entropy-difference", float("nan"), 1.0, 0.1, 1, 2)]
+
+        monkeypatch.setattr(cli, "verify_fannes", nan_harness)
+        code = main(["verify", "fannes"] + fmt)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "capcont: error: report: non-finite value at report.result.min_margin\n"
+        )
+        assert captured.out == ""
+
+
+NORM = ["norm", "diamond", "--a", "identity:d=2", "--b", "depolarizing:d=2,p=0.1", "--json"]
+THEOREM3 = [
+    "verify", "theorem3",
+    "--channel-a", "identity:d=2", "--channel-b", "depolarizing:d=2,p=0.1", "--json",
+]
+
+
+class TestParserReuse:
+    """One parser serves every call in a process and carries nothing between calls."""
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_omitted_counts_take_the_library_defaults_after_given_ones(self, capsys):
+        assert main(THEOREM3 + ["--n", "2", "--trials", "3"]) == 0
+        given = json.loads(capsys.readouterr().out)
+        assert given["result"]["count"] == 3
+        assert main(THEOREM3) == 0
+        omitted = capsys.readouterr().out
+        assert json.loads(omitted)["result"]["count"] == 50
+        fresh = run_fresh(["-m", "capcont.cli", *THEOREM3], capture_output=True)
+        assert fresh.returncode == 0, fresh.stderr
+        assert omitted == fresh.stdout
+
+    def test_usage_error_in_between_changes_nothing(self, capsys):
+        assert main(NORM) == 0
+        first = capsys.readouterr().out
+        assert main(["norm", "diamond", "--a", "identity:d=2"]) == 1
+        captured = capsys.readouterr()
+        assert "--b" in captured.err
+        assert captured.out == ""
+        assert main(NORM) == 0
+        assert capsys.readouterr().out == first
+
+    def test_channel_parser_rebound_after_the_first_call_is_used(self, capsys, monkeypatch):
+        # The benchmark's tracer wraps parse_channel_spec by name.
+        assert main(NORM) == 0
+        first = capsys.readouterr().out
+        seen = []
+
+        def traced(text):
+            seen.append(text)
+            return parse_channel_spec(text)
+
+        monkeypatch.setattr(cli, "parse_channel_spec", traced)
+        assert main(NORM) == 0
+        assert capsys.readouterr().out == first
+        assert seen == ["identity:d=2", "depolarizing:d=2,p=0.1"]
 
 
 class TestAssistedCli:
