@@ -6,30 +6,17 @@ set by the mixing coefficients, which yields continuity bounds for the
 assisted capacities without any protocol machinery.  This module is
 deliberately pure scalar arithmetic over those rates; the mixing
 coefficients are inputs, since choosing optimal boundary channels for a
-concrete pair is a geometry problem with no operational recipe.
+concrete pair is a geometry problem with no operational recipe.  Every
+argument, and every MixingGeometry field, is read as a float by the
+`linalg` readers: mixing weights in [0, 1] (p2 of a geometry in [0, 1/2]),
+capacities in [0, log d], and log d, radii and gaps positive and finite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ArgumentError
-
-
-def _check_range(name: str, value: float, lo: float, hi: float) -> float:
-    value = float(value)
-    if not lo <= value <= hi:
-        raise ArgumentError(f"{name} {value} outside [{lo}, {hi}]")
-    return value
-
-
-def _check_positive(name: str, value: float) -> float:
-    """A positive, finite argument: the ceiling log d, a radius or a gap."""
-    value = float(value)
-    if not 0.0 < value < math.inf:
-        raise ArgumentError(f"{name} {value} must be positive and finite")
-    return value
+from .linalg import as_positive, as_real
 
 
 @dataclass(frozen=True)
@@ -49,12 +36,17 @@ class MixingGeometry:
     log_d: float
 
     def __post_init__(self):
-        _check_range("p1", self.p1, 0.0, 1.0)
-        _check_range("p2", self.p2, 0.0, 0.5)
-        _check_positive("Delta", self.Delta)
-        if not 0.0 < self.delta <= self.Delta:
-            raise ArgumentError(f"delta {self.delta} outside (0, {self.Delta}]")
-        _check_positive("log_d", self.log_d)
+        # The class is frozen, so each field is set through object.__setattr__
+        # to the float that its reader returns.
+        read = {
+            "p1": as_real(self.p1, "p1", 0.0, 1.0),
+            "p2": as_real(self.p2, "p2", 0.0, 0.5),
+            "Delta": as_positive(self.Delta, "Delta"),
+        }
+        read["delta"] = as_positive(self.delta, "delta", read["Delta"])
+        read["log_d"] = as_positive(self.log_d, "log_d")
+        for name, value in read.items():
+            object.__setattr__(self, name, value)
 
 
 def simulation_upper_bound(q2_n: float, p1: float, log_d: float) -> float:
@@ -64,12 +56,9 @@ def simulation_upper_bound(q2_n: float, p1: float, log_d: float) -> float:
     positive: the bound only exists in the interior of the
     positive-capacity region. No capacity exceeds the finite ceiling log_d.
     """
-    q2_n = float(q2_n)
-    if q2_n <= 0:
-        raise ArgumentError(f"simulating capacity {q2_n} must be positive")
-    log_d = _check_positive("log_d", log_d)
-    q2_n = _check_range("q2_n", q2_n, 0.0, log_d)
-    p1 = _check_range("p1", p1, 0.0, 1.0)
+    log_d = as_positive(log_d, "log_d")
+    q2_n = as_positive(as_real(q2_n, "q2_n", 0.0, log_d), "q2_n")
+    p1 = as_real(p1, "p1", 0.0, 1.0)
     return p1 * log_d + (1.0 - p1) * q2_n
 
 
@@ -77,11 +66,11 @@ def mutual_gap_bound(
     q2_n: float, q2_m: float, p1: float, p2: float, log_d: float
 ) -> float:
     """Two-sided capacity gap bound min of p_i (log d - capacity_i)."""
-    log_d = _check_positive("log_d", log_d)
-    q2_n = _check_range("q2_n", q2_n, 0.0, log_d)
-    q2_m = _check_range("q2_m", q2_m, 0.0, log_d)
-    p1 = _check_range("p1", p1, 0.0, 1.0)
-    p2 = _check_range("p2", p2, 0.0, 1.0)
+    log_d = as_positive(log_d, "log_d")
+    q2_n = as_real(q2_n, "q2_n", 0.0, log_d)
+    q2_m = as_real(q2_m, "q2_m", 0.0, log_d)
+    p1 = as_real(p1, "p1", 0.0, 1.0)
+    p2 = as_real(p2, "p2", 0.0, 1.0)
     return min(p1 * (log_d - q2_n), p2 * (log_d - q2_m))
 
 
@@ -104,13 +93,13 @@ def continuity_delta(eps: float, Delta: float, log_d: float) -> float:
     with colinear_rescale and mutual_gap_bound bounds the assisted-capacity
     gap of any pair within this separation by eps.
     """
-    return (_check_positive("Delta", Delta) * _check_positive("eps", eps)
-            / (2.0 * _check_positive("log_d", log_d)))
+    return (as_positive(Delta, "Delta") * as_positive(eps, "eps")
+            / (2.0 * as_positive(log_d, "log_d")))
 
 
 def erasure_q2(p: float) -> float:
     """Two-way assisted quantum capacity 1 - p of the erasure channel."""
-    p = _check_range("p", p, 0.0, 1.0)
+    p = as_real(p, "p", 0.0, 1.0)
     return 1.0 - p
 
 
@@ -121,5 +110,5 @@ def erasure_qb_bounds(p: float) -> tuple[float, float]:
     max(1 - 2p, 0); the upper bound is the two-way capacity 1 - p, which
     dominates the backward-assisted one.
     """
-    p = _check_range("p", p, 0.0, 1.0)
+    p = as_real(p, "p", 0.0, 1.0)
     return max(1.0 - 2.0 * p, 0.0), 1.0 - p

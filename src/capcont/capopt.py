@@ -58,7 +58,7 @@ import numpy as np
 
 from .channels import QuantumChannel, _apply_full, complementary, tensor_power
 from .entropic import Ensemble, _ensemble_outputs, entropy_of_spectra
-from .errors import ArgumentError, DimensionError
+from .errors import DimensionError
 from .linalg import D_MAX, DensityMatrix, PureState, as_index, dagger, partial_trace_matrix
 from .sampling import rng_for
 
@@ -302,9 +302,7 @@ def _run_restarts(
     rng_for(seed, r). argmax_of maps the winner's unit vector to the
     reported maximizer.
     """
-    restarts, iters = as_index(restarts, "restarts"), as_index(iters, "iters")
-    if restarts < 1 or iters < 1:
-        raise ArgumentError("restarts and iters must be positive")
+    restarts, iters = as_index(restarts, "restarts", 1), as_index(iters, "iters", 1)
     rngs = [rng_for(seed, r) for r in range(restarts)]
     starts = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for rng in rngs])
     x, f, used, reasons, conv = _ascend(evaluate, starts, iters)
@@ -380,9 +378,7 @@ def max_holevo(
     of u, which the projection onto the sphere removes. argmax is the
     winner's ensemble of (p_x, psi_x).
     """
-    m = as_index(ensemble_size, "ensemble_size")
-    if m < 2:
-        raise ArgumentError(f"ensemble size must be >= 2, got {m}")
+    m = as_index(ensemble_size, "ensemble_size", 2)
     _check_stack(ch, restarts, m)
     d = ch.d_in
     kraus, adjoint = ch.kraus, dagger(ch.kraus)

@@ -21,6 +21,10 @@ images of the vector under every Kraus product (at most d_in d_out per
 copy), so the output is Y Y^dag, and its nonzero spectrum is that of the
 Gram matrix Y^dag Y.
 
+Arguments are read by the `linalg` readers: a constructor's d, p and n,
+a mixture's weights as a probability vector, and a channel file's Kraus
+list as [re, im] pairs.
+
 Conventions fixed here for reproducibility:
   * Choi matrix lives on in (x) out: J = sum_ij |i><j| (x) N(|i><j|).
   * The erasure flag is the highest output basis index.
@@ -29,13 +33,14 @@ Conventions fixed here for reproducibility:
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import ArgumentError, CPViolationError, DimensionError, NumericError, TPViolationError
-from .linalg import D_MAX, TAU_HERM, TAU_PSD, TAU_TP, TAU_TR, DensityMatrix, check_choi_dim
+from .linalg import D_MAX, TAU_HERM, TAU_PSD, TAU_TP, DensityMatrix, check_choi_dim
 
 
 class QuantumChannel:
@@ -120,7 +125,8 @@ class ChoiMatrix:
 
     def scaled(self, c: float) -> "ChoiMatrix":
         """Choi matrix of the map c N."""
-        return ChoiMatrix(float(c) * self.matrix, self.d_in, self.d_out)
+        c = linalg.as_real(c, "c", -sys.float_info.max, sys.float_info.max)
+        return ChoiMatrix(c * self.matrix, self.d_in, self.d_out)
 
 
 # ------------------------------------------------------------------ action
@@ -304,12 +310,9 @@ def complementary(ch: QuantumChannel) -> QuantumChannel:
 
 def mix(chs: Sequence[QuantumChannel], probs: Sequence[float]) -> QuantumChannel:
     """Convex mixture sum_i p_i ch_i as a sqrt(p)-scaled Kraus union."""
-    if len(chs) != len(probs):
+    p = linalg.as_probabilities(probs, "probs")
+    if len(chs) != len(p):
         raise ArgumentError("channel and probability lists differ in length")
-    p = np.asarray(probs, dtype=float)
-    # Written so that a NaN or infinite weight fails the test too.
-    if p.size == 0 or not (np.all(p >= -TAU_TR) and abs(p.sum() - 1.0) <= TAU_TR):
-        raise ArgumentError(f"probabilities must be nonnegative and sum to 1, got {probs}")
     dims = {(c.d_in, c.d_out) for c in chs}
     if len(dims) != 1:
         raise ArgumentError(f"mixture components have mismatched dimensions {dims}")
@@ -320,9 +323,7 @@ def mix(chs: Sequence[QuantumChannel], probs: Sequence[float]) -> QuantumChannel
 
 def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
     """n-fold parallel application ch^(x)n."""
-    n = linalg.as_index(n, "n")
-    if n < 1:
-        raise ArgumentError(f"tensor power needs n >= 1, got {n}")
+    n = linalg.as_index(n, "n", 1)
     check_choi_dim(ch.d_in, ch.d_out, n)
     # A 1 x 1 channel passes the Choi test at any n, and is its own power.
     if n == 1 or ch.d_in * ch.d_out == 1:
@@ -340,24 +341,16 @@ def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
 # ------------------------------------------------------ named constructors
 
 
-def _dimension(d: int) -> int:
-    """A named constructor's dimension d >= 1, read by as_index."""
-    d = linalg.as_index(d, "d")
-    if d < 1:
-        raise ArgumentError(f"dimension must be positive, got {d}")
-    return d
-
-
 def identity(d: int) -> QuantumChannel:
     """Identity channel on dimension d."""
-    d = _dimension(d)
+    d = linalg.as_index(d, "d", 1)
     check_choi_dim(d, d)
     return QuantumChannel([np.eye(d, dtype=complex)])
 
 
 def constant_channel(d: int) -> QuantumChannel:
     """Map every state on dimension d to |0><0|."""
-    d = _dimension(d)
+    d = linalg.as_index(d, "d", 1)
     check_choi_dim(d, d)
     kraus = [np.outer(linalg.basis_state(d, 0), linalg.basis_state(d, j)) for j in range(d)]
     return QuantumChannel(kraus)
@@ -369,9 +362,8 @@ def erasure(d: int, p: float) -> QuantumChannel:
     Input dimension d, output dimension d+1; the flag state is the highest
     output basis index d. rho maps to (1-p) rho (+) p Tr(rho) |d><d|.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ArgumentError(f"erasure probability must be in [0, 1], got {p}")
-    d = _dimension(d)
+    p = linalg.as_real(p, "p", 0.0, 1.0)
+    d = linalg.as_index(d, "d", 1)
     check_choi_dim(d, d + 1)
     embed = np.zeros((d + 1, d), dtype=complex)
     embed[:d, :] = np.eye(d)
@@ -388,9 +380,8 @@ def erasure(d: int, p: float) -> QuantumChannel:
 
 def depolarizing(d: int, p: float) -> QuantumChannel:
     """rho -> (1-p) rho + p I/d, built from its Choi matrix."""
-    if not 0.0 <= p <= 1.0:
-        raise ArgumentError(f"depolarizing parameter must be in [0, 1], got {p}")
-    d = _dimension(d)
+    p = linalg.as_real(p, "p", 0.0, 1.0)
+    d = linalg.as_index(d, "d", 1)
     check_choi_dim(d, d)
     phi = linalg.maximally_entangled(d).density().matrix
     j = (1.0 - p) * d * phi + (p / d) * np.eye(d * d)
@@ -399,8 +390,7 @@ def depolarizing(d: int, p: float) -> QuantumChannel:
 
 def dephasing(p: float) -> QuantumChannel:
     """Qubit phase flip rho -> (1-p) rho + p Z rho Z."""
-    if not 0.0 <= p <= 1.0:
-        raise ArgumentError(f"dephasing parameter must be in [0, 1], got {p}")
+    p = linalg.as_real(p, "p", 0.0, 1.0)
     z = np.diag([1.0, -1.0]).astype(complex)
     kraus = []
     if p < 1.0:
@@ -419,9 +409,7 @@ def truncated_classical_example(n: int) -> QuantumChannel:
     family is the pure sink map, whose classical capacity is 0, while every
     member has capacity exactly 1.
     """
-    n = linalg.as_index(n, "n")
-    if n < 2:
-        raise ArgumentError(f"need n >= 2, got {n}")
+    n = linalg.as_index(n, "n", 2)
     w = 1.0 / np.log2(n)
     return mix([erasure(n, 1.0), erasure(n, 0.0)], [1.0 - w, w])
 
@@ -434,9 +422,7 @@ def truncated_quantum_example(n: int) -> QuantumChannel:
     The limit is the 50% erasure channel with quantum capacity 0, while
     every member has coherent information exactly 1.
     """
-    n = linalg.as_index(n, "n")
-    if n < 2:
-        raise ArgumentError(f"need n >= 2, got {n}")
+    n = linalg.as_index(n, "n", 2)
     w = 1.0 / np.log2(n)
     return mix([erasure(n, 0.5), erasure(n, 0.0)], [1.0 - w, w])
 
@@ -455,18 +441,11 @@ def channel_to_dict(ch: QuantumChannel) -> dict:
 def channel_from_dict(data: dict) -> QuantumChannel:
     """Inverse of channel_to_dict, validating shape and trace preservation."""
     try:
-        d_in, d_out = (linalg.as_index(data[k], k) for k in ("d_in", "d_out"))
+        d_in, d_out = (linalg.as_index(data[k], k, 1) for k in ("d_in", "d_out"))
         raw = data["kraus"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ArgumentError(f"malformed channel dict: {exc}") from exc
-    if d_in < 1 or d_out < 1 or not isinstance(raw, list) or not raw:
-        raise ArgumentError("channel dict needs positive dims and a nonempty kraus list")
-    try:
-        flat = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged pairs, non-numeric entries
-        raise ArgumentError(f"Kraus entries are not lists of [re, im] pairs: {exc}") from exc
-    if flat.ndim != 3 or flat.shape[1:] != (d_in * d_out, 2):
-        raise ArgumentError(
-            f"Kraus list has shape {flat.shape}, expected (r, {d_in * d_out}, 2)"
-        )
-    return QuantumChannel((flat[..., 0] + 1j * flat[..., 1]).reshape(-1, d_out, d_in))
+    kraus = linalg.as_pairs(raw, "kraus", 3)
+    if kraus.shape[1:] != (d_in * d_out,):
+        raise ArgumentError(f"Kraus list has shape {kraus.shape}, expected (r, {d_in * d_out})")
+    return QuantumChannel(kraus.reshape(-1, d_out, d_in))

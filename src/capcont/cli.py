@@ -38,8 +38,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
 from .assisted import (
     erasure_q2,
@@ -91,7 +89,7 @@ from .errors import (
     NumericError,
     TPViolationError,
 )
-from .linalg import DensityMatrix, as_index
+from .linalg import DensityMatrix, as_dims, as_pairs
 
 EXIT_OK = 0
 EXIT_ERROR = 1       # operational failure: bad input, solver failure, I/O
@@ -175,32 +173,17 @@ def _load_json(path: str) -> dict:
         raise SpecError("malformed-json", f"{path!r}: {exc}") from exc
 
 
-def _complex_column(raw: object, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):  # ragged pairs, non-numeric entries
-        arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[1] != 2:
-        raise SpecError(
-            "malformed-state", f"{what} must be a list of [re, im] pairs"
-        )
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
 def state_from_dict(data: dict) -> DensityMatrix:
     """State from {"matrix": [[re, im], ...] row-major, "dims": [...]?}."""
     if not isinstance(data, dict) or "matrix" not in data:
         raise SpecError("malformed-state", 'state file needs a "matrix" entry')
-    flat = _complex_column(data["matrix"], "matrix")
-    d = math.isqrt(flat.size)
-    if d * d != flat.size:
-        raise SpecError("malformed-state", f"matrix length {flat.size} is not square")
     try:
-        dims = tuple(as_index(x, "dims") for x in data["dims"]) if "dims" in data else None
-    except (TypeError, ArgumentError) as exc:
-        raise SpecError("malformed-state", f"dims must be a list of integers: {exc}") from exc
-    try:
-        return DensityMatrix(flat.reshape(d, d), dims)
+        flat = as_pairs(data["matrix"], "matrix", 2)
+        d = math.isqrt(flat.size)
+        if d * d != flat.size:
+            raise SpecError("malformed-state", f"matrix length {flat.size} is not square")
+        # Read here, since DensityMatrix takes dims=None for one factor.
+        return DensityMatrix(flat.reshape(d, d), as_dims(data.get("dims", (d,)), d))
     except (ArgumentError, DimensionError) as exc:
         raise SpecError("malformed-state", str(exc)) from exc
 
@@ -218,10 +201,6 @@ def ensemble_from_dict(data: dict) -> Ensemble:
         raise SpecError(
             "malformed-ensemble", "probabilities and states must be lists of equal length"
         )
-    try:
-        probs = [float(p) for p in probs]
-    except (TypeError, ValueError) as exc:
-        raise SpecError("malformed-ensemble", f"probabilities must be numbers: {exc}") from exc
     try:
         return Ensemble([(p, state_from_dict(s)) for p, s in zip(probs, states)])
     except (ArgumentError, DimensionError) as exc:

@@ -1,8 +1,10 @@
 """Continuity bounds for entropies and capacities, with a numerical harness.
 
 The bound formulas are closed-form expressions in the distance eps, the
-output dimension, and the copy count.  The harness measures both sides of
-each inequality on randomized instances: channel distances come from the
+output dimension, and the copy count, on the paper's domain eps in
+[0, 1], d >= 2 and n >= 1; the `linalg` readers refuse an argument
+outside it, a harness's eps= included.  The harness measures both sides
+of each inequality on randomized instances: channel distances come from the
 certified diamond norm (a fixed point whose step 0 is the closed-form
 bracket of covariant pairs, else the SDP), entropy differences from exact
 eigendecompositions (for the n-copy output of a pure input, of the Gram
@@ -58,44 +60,27 @@ from .entropic import (
     holevo_information,
 )
 from .errors import ArgumentError
-from .linalg import DensityMatrix, as_index, check_choi_dim, hermitian_part
+from .linalg import DensityMatrix, as_index, as_real, check_choi_dim, hermitian_part
 from .sampling import _wishart, haar_state, random_channel, rng_for
-
-
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not 0.0 <= eps <= 1.0:
-        raise ArgumentError(f"eps {eps} outside [0, 1]")
-    return eps
-
-
-def _check_dim(d: int, name: str) -> int:
-    d = as_index(d, name)
-    if d < 2:
-        raise ArgumentError(f"dimension {d} must be >= 2")
-    return d
 
 
 def fannes_bound(eps: float, d: int) -> float:
     """Entropy continuity in trace distance: eps * log d + H(eps)."""
-    eps = _check_eps(eps)
-    d = _check_dim(d, "d")
+    eps = as_real(eps, "eps", 0.0, 1.0)
+    d = as_index(d, "d", 2)
     return eps * math.log2(d) + binary_entropy(eps)
 
 
 def af_bound(eps: float, d_a: int) -> float:
     """Conditional-entropy continuity: 4 eps * log d_A + 2 H(eps)."""
-    eps = _check_eps(eps)
-    d_a = _check_dim(d_a, "d_a")
+    eps = as_real(eps, "eps", 0.0, 1.0)
+    d_a = as_index(d_a, "d_a", 2)
     return 4.0 * eps * math.log2(d_a) + 2.0 * binary_entropy(eps)
 
 
 def output_entropy_bound(n: int, eps: float, d_b: int) -> float:
     """n-copy output-entropy continuity: n (4 eps * log d_B + 2 H(eps))."""
-    n = as_index(n, "n")
-    if n < 1:
-        raise ArgumentError(f"copy count {n} must be >= 1")
-    return n * af_bound(eps, d_b)
+    return as_index(n, "n", 1) * af_bound(eps, d_b)
 
 
 def capacity_difference_bounds(eps: float, d_b: int) -> dict[str, float]:
@@ -165,7 +150,7 @@ def _verify_state_pairs(name: str, bound, cases, trials: int, seed: int) -> list
     pair on prod(dims) drawn from rng_for(seed, *dims, t) against
     bound(eps, d_b), in stacks of _TRIAL_BLOCK, with detail "<label>, trial t".
     """
-    trials = as_index(trials, "trials")
+    trials = as_index(trials, "trials", 0)
     reports = []
     for dims, d_b, quantity, label in cases:
         for start in range(0, trials, _TRIAL_BLOCK):
@@ -183,7 +168,7 @@ def verify_fannes(
     dims: Sequence[int] = (2, 4, 8), trials: int = 1000, seed: int = 0
 ) -> list[BoundReport]:
     """Entropy differences of random nearby pairs against eps log d + H(eps)."""
-    dims = [_check_dim(d, "dims") for d in dims]
+    dims = [as_index(d, "dims", 2) for d in dims]
     cases = [((d,), d, entropy_of_matrix, f"d {d}") for d in dims]
     return _verify_state_pairs("entropy-difference", fannes_bound, cases, trials, seed)
 
@@ -200,7 +185,7 @@ def verify_af(
     The report's d_b column carries the bound's dimension argument, which
     for this inequality is the conditioned system d_A.
     """
-    dim_pairs = [(_check_dim(d_a, "d_a"), _check_dim(d_b, "d_b")) for d_a, d_b in dim_pairs]
+    dim_pairs = [(as_index(d_a, "d_a", 2), as_index(d_b, "d_b", 2)) for d_a, d_b in dim_pairs]
     cases = [((d_a, d_b), d_a, partial(_conditional_entropy, dims=(d_a, d_b), keep=[1]),
               f"d_a {d_a} x d_b {d_b}") for d_a, d_b in dim_pairs]
     return _verify_state_pairs("conditional-entropy-difference", af_bound, cases, trials, seed)
@@ -284,9 +269,7 @@ def random_nearby_pair(
 
 def _check_pair(ch_n: QuantumChannel, ch_m: QuantumChannel, n: int) -> int:
     """The copy count n >= 1 of a channel pair with matching dimensions."""
-    n = as_index(n, "n")
-    if n < 1:
-        raise ArgumentError(f"copy count {n} must be >= 1")
+    n = as_index(n, "n", 1)
     if (ch_n.d_in, ch_n.d_out) != (ch_m.d_in, ch_m.d_out):
         raise ArgumentError("channel pair must share input and output dimensions")
     return n
@@ -298,7 +281,7 @@ def _checked_eps(ch_n, ch_m, n: int, eps: float | None) -> tuple[int, float]:
     check_choi_dim(ch_n.d_in, ch_n.d_in, n)  # the reference (x) input^n state
     check_choi_dim(ch_n.d_in, ch_n.d_out, n)  # the reference (x) output^n state
     if eps is not None:
-        return n, float(eps)
+        return n, as_real(eps, "eps", 0.0, 1.0)
     result = diamond_distance(ch_n, ch_m)
     if not result.certified():
         raise ArgumentError(
@@ -355,7 +338,7 @@ def verify_output_entropy(
     is taken. A channel's family is stored in Choi-rank form, r <= d_in d_out,
     so the r^n-square Gram is never larger than the (d_ref d_out^n)-square output.
     """
-    trials = as_index(trials, "trials")
+    trials = as_index(trials, "trials", 0)
     n, eps = _checked_eps(ch_n, ch_m, n, eps)
     d_in, d_out = ch_n.d_in, ch_n.d_out
     bound = output_entropy_bound(n, eps, d_out)
@@ -429,7 +412,7 @@ def verify_capacity_differences(
     defaults to the certified diamond distance of the pair, as in
     verify_output_entropy.
     """
-    trials = as_index(trials, "trials")
+    trials = as_index(trials, "trials", 0)
     n, eps = _checked_eps(ch_n, ch_m, n, eps)
     d_inn, d_out = ch_n.d_in**n, ch_n.d_out
     step = output_entropy_bound(n, eps, d_out)
@@ -475,10 +458,8 @@ def discontinuity_demo(n_values: Sequence[int]) -> list[dict[str, float]]:
     eps above 1 are exactly the regime where it is vacuous by design.
     Every member is checked before any row is computed.
     """
-    n_values = [as_index(n, "n_values") for n in n_values]
+    n_values = [as_index(n, "n_values", 2) for n in n_values]
     for n in n_values:
-        if n < 2:
-            raise ArgumentError(f"truncation family needs n >= 2, got {n}")
         check_choi_dim(n, n + 1)  # the n -> n + 1 truncation channels
     rows = []
     for n in n_values:

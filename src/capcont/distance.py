@@ -219,9 +219,7 @@ def probe_value(choi: ChoiMatrix, psi: PureState) -> float:
 
 def diamond_lower_probe(choi: ChoiMatrix, trials: int, seed: int) -> float:
     """Best of `trials` Haar-random pure probes with a full-size reference."""
-    trials = as_index(trials, "trials")
-    if trials < 1:
-        raise ArgumentError(f"trials must be >= 1, got {trials}")
+    trials = as_index(trials, "trials", 1)
     d_in = choi.d_in
     best = 0.0
     for t in range(trials):

@@ -18,7 +18,7 @@ import numpy as np
 from . import channels, linalg
 from .channels import QuantumChannel
 from .errors import ArgumentError
-from .linalg import DensityMatrix, TAU_TR
+from .linalg import DensityMatrix
 
 TAU_ENT = 1e-7  # slack for entropy inequalities
 
@@ -66,9 +66,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def binary_entropy(p: float) -> float:
     """H(p) = -p log2 p - (1-p) log2(1-p), with 0 log 0 = 0."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ArgumentError(f"binary entropy argument must be in [0, 1], got {p}")
+    p = linalg.as_real(p, "p", 0.0, 1.0)
     return entropy_of_spectrum(np.array([p, 1.0 - p]))
 
 
@@ -126,23 +124,18 @@ class Ensemble:
     """Probability-weighted list of states on a common dimension."""
 
     def __init__(self, items: Sequence[tuple[float, DensityMatrix]]):
-        items = [(float(p), s) for p, s in items]
-        if not items:
-            raise ArgumentError("ensemble must be nonempty")
-        probs = np.array([p for p, _ in items])
-        # Written so that a NaN or infinite weight fails the test too.
-        if not (np.all(probs >= -TAU_TR) and abs(probs.sum() - 1.0) <= TAU_TR):
-            raise ArgumentError("ensemble probabilities must be >= 0 and sum to 1")
+        items = list(items)
+        probs = linalg.as_probabilities([p for p, _ in items], "ensemble probabilities")
         d = items[0][1].d
         if any(s.d != d for _, s in items):
             raise ArgumentError("ensemble states live on different dimensions")
-        self.items = tuple(items)
+        self.items = tuple(zip(probs.tolist(), (s for _, s in items)))
         self.d = d
 
     @classmethod
     def uniform_basis(cls, d: int) -> "Ensemble":
         """Uniform ensemble of the d computational basis states."""
-        d = linalg.as_index(d, "d")
+        d = linalg.as_index(d, "d", 1)
         return cls(
             [
                 (1.0 / d, DensityMatrix.from_pure(linalg.basis_state(d, i)))

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra substrate.
+"""Dense complex linear algebra substrate, and the readers of public arguments.
 
 The shared primitives (conjugate transpose, Hermitian part, real inner
 product, partial trace, the trace norm and a probe's output trace norm),
@@ -6,11 +6,22 @@ together with the two state types the rest of the package passes around.
 Everything is plain dense numpy; dimensions stay at desk scale by
 construction (D_MAX guards Kronecker blowup, and check_choi_dim refuses an
 oversized channel before it is built).
+
+Every public argument of the package is read here, once, at the boundary:
+as_index for a dimension, count, seed or index (with an optional lower
+bound), as_real for a real in a closed range, as_positive for a positive
+real (finite, or at most a given end), as_probabilities for a probability
+vector, as_dims for tensor-factor dimensions and as_pairs for an array of
+[re, im] pairs. Each refuses what is not its type (a bool is not a number
+here, nor is a numeric string) and anything outside its domain, NaN
+included, with an ArgumentError that names the argument, and returns the
+plain int, float or array that the numerics then use.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from typing import Iterable, Sequence
 
@@ -27,11 +38,89 @@ TAU_TP = 1e-8     # trace-preservation residual for channels
 D_MAX = 4096      # largest matrix dimension any operation may produce
 
 
-def as_index(value: object, name: str) -> int:
-    """A dimension or count `name` by operator.index: numpy integers pass, not floats or bools."""
+def as_index(value: object, name: str, low: int | None = None) -> int:
+    """A dimension or count `name` by operator.index, at least low if given.
+
+    numpy integers pass, not floats or bools.
+    """
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ArgumentError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    value = operator.index(value)
+    if low is not None and value < low:
+        raise ArgumentError(f"{name} {value} must be >= {low}")
+    return value
+
+
+def _real(value: object, name: str) -> float:
+    """float(value) for a real number: numpy reals pass, not bools or strings."""
+    # A float subclass such as numpy.float64 skips the slower ABC test.
+    if not isinstance(value, float) and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise ArgumentError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def as_real(value: object, name: str, low: float, high: float) -> float:
+    """A real argument `name` in [low, high], as a float; NaN is outside every range."""
+    if type(value) is not float:
+        value = _real(value, name)
+    if not low <= value <= high:
+        raise ArgumentError(f"{name} {value} outside [{low}, {high}]")
+    return value
+
+
+def as_positive(value: object, name: str, high: float = math.inf) -> float:
+    """A real argument `name` in (0, high], as a float; with no high, positive and finite."""
+    if type(value) is not float:
+        value = _real(value, name)
+    if not 0.0 < value <= high or value == math.inf:
+        if high == math.inf:
+            raise ArgumentError(f"{name} {value} must be positive and finite")
+        raise ArgumentError(f"{name} {value} outside (0, {high}]")
+    return value
+
+
+def as_probabilities(values: Iterable[object], name: str) -> np.ndarray:
+    """A nonempty probability vector `name` as a float array.
+
+    Each entry is read as a real number, and the entries must be at least
+    -TAU_TR and sum to 1 within TAU_TR.
+    """
+    try:
+        p = np.array([_real(v, name) for v in values], dtype=float)
+    except TypeError:  # not iterable
+        raise ArgumentError(f"{name} must be a list of real numbers, got {values!r}") from None
+    # Written so that a NaN or infinite weight fails the test too.
+    if p.size == 0 or not (np.all(p >= -TAU_TR) and abs(p.sum() - 1.0) <= TAU_TR):
+        raise ArgumentError(f"{name} must be nonnegative and sum to 1, got {p.tolist()}")
+    return p
+
+
+def as_dims(dims: Iterable[object], size: int) -> tuple[int, ...]:
+    """Tensor-factor dimensions: positive integers whose product is size."""
+    try:
+        dims = tuple(as_index(x, "dims") for x in dims)
+    except TypeError:  # not iterable
+        raise ArgumentError(f"dims must be a list of integers, got {dims!r}") from None
+    if math.prod(dims) != size or any(x < 1 for x in dims):
+        raise DimensionError(f"dims {dims} are not positive factors of dimension {size}")
+    return dims
+
+
+def as_pairs(raw: object, name: str, ndim: int) -> np.ndarray:
+    """A complex array from a nested list of [re, im] pairs of depth ndim.
+
+    The pairs are the last axis, so the result has ndim - 1 axes. Entries
+    must be JSON numbers: strings, None and bools are refused.
+    """
+    try:
+        arr = np.asarray(raw)
+    except ValueError:  # ragged pairs
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != ndim or arr.shape[-1] != 2:
+        raise ArgumentError(f"{name} must be a list of [re, im] pairs")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def check_choi_dim(d_in: int, d_out: int, n: int = 1) -> None:
@@ -89,9 +178,7 @@ class PureState:
 
     def __init__(self, vector: np.ndarray, dims: Sequence[int]):
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        dims = tuple(as_index(d, "dims") for d in dims)
-        if int(np.prod(dims)) != v.size or any(x < 1 for x in dims):
-            raise DimensionError(f"dims {dims} are not positive factors of vector size {v.size}")
+        dims = as_dims(dims, v.size)
         if not np.all(np.isfinite(v)):
             raise ArgumentError("state vector has non-finite entries")
         nrm = npl.norm(v)
@@ -119,9 +206,7 @@ class DensityMatrix:
         if m.shape[0] != m.shape[1]:
             raise DimensionError(f"density matrix must be square, got {m.shape}")
         d = m.shape[0]
-        dims = (d,) if dims is None else tuple(as_index(x, "dims") for x in dims)
-        if int(np.prod(dims)) != d or any(x < 1 for x in dims):
-            raise DimensionError(f"dims {dims} are not positive factors of dimension {d}")
+        dims = (d,) if dims is None else as_dims(dims, d)
         if herm_residual(m) > TAU_HERM:
             raise ArgumentError(
                 f"density matrix not Hermitian within {TAU_HERM}: residual {herm_residual(m):.3e}"
@@ -142,19 +227,20 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, vector: np.ndarray, dims: Sequence[int] | None = None) -> "DensityMatrix":
+        """|v><v| / <v|v> for a nonzero vector v."""
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        v = v / npl.norm(v)
+        v = v / as_positive(npl.norm(v), "vector norm")
         return cls(np.outer(v, v.conj()), dims if dims is not None else (v.size,))
 
     @classmethod
     def maximally_mixed(cls, d: int, dims: Sequence[int] | None = None) -> "DensityMatrix":
-        d = as_index(d, "d")
+        d = as_index(d, "d", 1)
         return cls(np.eye(d, dtype=complex) / d, dims if dims is not None else (d,))
 
 
 def maximally_entangled(d: int) -> PureState:
     """(1/sqrt(d)) sum_i |ii> on a d x d bipartite space."""
-    d = as_index(d, "d")
+    d = as_index(d, "d", 1)
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0 / np.sqrt(d)
     return PureState(v, (d, d))

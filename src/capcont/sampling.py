@@ -25,7 +25,7 @@ def rng_for(seed: int, *branch: int) -> np.random.Generator:
 
 def haar_state(d: int, rng: np.random.Generator, dims=None) -> PureState:
     """Haar-random pure state: normalized complex Gaussian vector."""
-    d = as_index(d, "d")
+    d = as_index(d, "d", 1)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return PureState(v / np.linalg.norm(v), dims if dims is not None else (d,))
 
@@ -65,10 +65,8 @@ def random_channel(
     gives a generic full-rank Choi matrix. A larger kraus_count draws a
     larger isometry, and the channel is then stored in Choi-rank form.
     """
-    d_in, d_out = as_index(d_in, "d_in"), as_index(d_out, "d_out")
-    k = d_in * d_out if kraus_count is None else as_index(kraus_count, "kraus_count")
-    if k < 1:
-        raise ArgumentError(f"kraus_count must be positive, got {k}")
+    d_in, d_out = as_index(d_in, "d_in", 1), as_index(d_out, "d_out", 1)
+    k = d_in * d_out if kraus_count is None else as_index(kraus_count, "kraus_count", 1)
     if k * d_out < d_in:  # no isometry from in into out (x) env exists
         raise ArgumentError(
             f"kraus_count {k} too small: {k} * d_out {d_out} < d_in {d_in}"

@@ -128,6 +128,22 @@ class TestMixingGeometry:
         with pytest.raises(ArgumentError):
             MixingGeometry(**args)
 
+    def test_fields_hold_the_floats_their_readers_return(self):
+        # The fields used to keep the raw inputs, though the checks read copies.
+        g = MixingGeometry(p1=np.float32(0.5), p2=0, Delta=np.int64(2), delta=1,
+                           log_d=np.float64(1.0))
+        fields = (g.p1, g.p2, g.Delta, g.delta, g.log_d)
+        assert all(type(x) is float for x in fields) and fields == (0.5, 0.0, 2.0, 1.0, 1.0)
+        q1, q2 = colinear_rescale(g)
+        assert type(q1) is float and type(q2) is float
+        assert (q1, q2) == colinear_rescale(MixingGeometry(0.5, 0.0, 2.0, 1.0, 1.0))
+
+    def test_string_field_rejected_not_stored(self):
+        # "0.5" passed the old range check as float("0.5") and was stored as
+        # the string, so colinear_rescale failed with a TypeError.
+        with pytest.raises(ArgumentError, match="^p1 must be a real number, got '0.5'$"):
+            MixingGeometry("0.5", 0.4, 1.0, 0.5, 1.0)
+
 
 class TestColinearRescale:
     def test_full_separation_is_identity(self):

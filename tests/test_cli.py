@@ -205,6 +205,10 @@ class TestStateAndEnsembleFiles:
             {"matrix": pure, "dims": [-1, -2]},  # product matches, factors do not
             {"matrix": [[1.0, 0.0]], "dims": [True]},  # a boolean, though int(True) == 1
             {"matrix": pure, "dims": [2, True]},
+            {"matrix": pure, "dims": None},
+            {"matrix": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "0"]]},  # numeric strings
+            {"matrix": [[True, False], [False, False], [False, False], [False, False]]},
+            {"matrix": []},
         ]
         for data in bad_states:
             with pytest.raises(SpecError) as exc:
@@ -236,6 +240,9 @@ class TestStateAndEnsembleFiles:
             {"probabilities": None, "states": [state]},
             {"probabilities": ["x"], "states": [state]},
             {"probabilities": [[1.0]], "states": [state]},
+            {"probabilities": ["1.0"], "states": [state]},  # a numeric string
+            {"probabilities": [True], "states": [state]},
+            {"probabilities": [], "states": []},
         ]
         for data in bad_ensembles:
             with pytest.raises(SpecError) as exc:
@@ -271,7 +278,8 @@ class TestExitCodes:
         head = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
         cases = [("{not json", "malformed-json")] + [
             (json.dumps({"d_in": 2, "d_out": 2, "kraus": [head + [last]]}), "malformed-channel")
-            for last in ([1.0], ["1", "x"], [None, 0.0])  # ragged pair, non-numeric entries
+            # ragged pair, non-numeric entries, a numeric string
+            for last in ([1.0], ["1", "x"], [None, 0.0], ["0", 0.0])
         ]
         path = tmp_path / "broken.json"
         for text, error_code in cases:
@@ -676,7 +684,7 @@ class TestCapacityCli:
             ]
         )
         assert code == 1
-        assert "ensemble size must be >= 2" in capsys.readouterr().err
+        assert f"ensemble_size {size} must be >= 2" in capsys.readouterr().err
 
     def test_default_ensemble_size_is_single_copy_input_squared(self, capsys):
         code, report = run_json(

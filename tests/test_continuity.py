@@ -187,9 +187,9 @@ def test_pair_harnesses_refuse_zero_copies_before_measuring(monkeypatch):
 
     monkeypatch.setattr(continuity, "diamond_distance", unreachable)
     pair = (identity(2), depolarizing(2, 0.1))
-    with pytest.raises(ArgumentError, match="copy count 0 must be >= 1"):
+    with pytest.raises(ArgumentError, match="^n 0 must be >= 1$"):
         verify_capacity_differences(*pair, n=0)
-    with pytest.raises(ArgumentError, match="copy count 0 must be >= 1"):
+    with pytest.raises(ArgumentError, match="^n 0 must be >= 1$"):
         verify_output_entropy(*pair, n=0)
 
 
@@ -232,6 +232,24 @@ def test_non_integral_trial_counts_are_refused(call, bad):
     # int() would run 2 trials for 2.9; range() would raise a raw TypeError.
     with pytest.raises(ArgumentError, match=f"^trials must be an integer, got {bad!r}$"):
         call(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda trials: verify_fannes(dims=(2,), trials=trials),
+        lambda trials: verify_af(dim_pairs=((2, 2),), trials=trials),
+        lambda trials: verify_output_entropy(identity(2), identity(2), trials=trials, eps=0.0),
+        lambda trials: verify_capacity_differences(identity(2), identity(2), trials=trials,
+                                                   eps=0.0),
+    ],
+    ids=["verify-fannes", "verify-af", "theorem3", "corollaries"],
+)
+def test_negative_trial_counts_are_refused_and_zero_gives_no_reports(call):
+    # range() of a negative count used to give an empty report list silently.
+    with pytest.raises(ArgumentError, match="^trials -1 must be >= 0$"):
+        call(-1)
+    assert call(0) == []
 
 
 def test_numpy_integer_dimensions_and_copy_counts_pass():
