@@ -19,7 +19,8 @@ from capcont import (
 # probe.  Every diamond norm reports a certified upper bound (value) and a
 # certified lower bound (dual_value); their gap is the accuracy guarantee.
 # This pair is covariant, so the closed-form bracket from one
-# eigendecomposition of the Choi matrix already closes (iterations=0). A
+# eigendecomposition of the Choi matrix already closes (iterations=0). So
+# does a qubit pair whose optimal input is pure, on its pure face. A
 # generic pair takes Anderson-mixed fixed-point steps on the input state,
 # one eigendecomposition each, and goes to the interior-point SDP only when
 # rho collapses toward a rank-deficient optimum or the gap closes too

@@ -246,12 +246,8 @@ def apply_extended(
 
 def to_choi(ch: QuantumChannel) -> ChoiMatrix:
     """Choi matrix of the channel on in (x) out."""
-    n = ch.d_in * ch.d_out
-    j = np.zeros((n, n), dtype=complex)
-    for k in ch.kraus:
-        w = k.T.reshape(-1)  # index (i, b) -> i*d_out + b
-        j += np.outer(w, w.conj())
-    return ChoiMatrix(j, ch.d_in, ch.d_out)
+    w = ch.kraus.transpose(0, 2, 1).reshape(len(ch.kraus), -1)  # row k: index (i, b) -> i*d_out + b
+    return ChoiMatrix(w.T @ w.conj(), ch.d_in, ch.d_out)
 
 
 def from_choi(choi: ChoiMatrix) -> QuantumChannel:
@@ -432,9 +428,7 @@ def truncated_quantum_example(n: int) -> QuantumChannel:
 
 def channel_to_dict(ch: QuantumChannel) -> dict:
     """JSON-ready dict: {"d_in", "d_out", "kraus"} with row-major [re, im] pairs."""
-    kraus = [
-        [[float(z.real), float(z.imag)] for z in op.reshape(-1)] for op in ch.kraus
-    ]
+    kraus = ch.kraus.view(np.float64).reshape(len(ch.kraus), -1, 2).tolist()
     return {"d_in": ch.d_in, "d_out": ch.d_out, "kraus": kraus}
 
 

@@ -8,11 +8,15 @@ input state rho, one eigendecomposition per step: the probe value at the
 purification of rho below, the objective of a dual point built from the same
 eigendecomposition above. Its step 0, at the maximally mixed rho, is the
 closed form that certifies covariant pairs (the Bell-probe value and the |J|
-feasible point of the dual). Later steps are Anderson-mixed (Walker and Ni,
-2011). It runs the interior-point program in the sdp module only when the
-fixed point hands over, on a collapsing rho or a gap too slow to close, and
-then cross-checks the program's interval against the fixed point's best
-one. Haar-probe lower bounds are a further independent check.
+feasible point of the dual). A qubit map (d_in = d_out = 2) that step 0
+does not certify next tries its pure face: the best pure input, from the
+secular equation of a trust-region subproblem on the Bloch sphere, and the
+dual point of a fixed-point step at that input, floored. Later steps are
+Anderson-mixed (Walker and Ni, 2011). It runs the interior-point program in
+the sdp module only when the fixed point hands over, on a collapsing rho or
+a gap too slow to close, and then cross-checks the program's interval
+against the fixed point's best one. Haar-probe lower bounds are a further
+independent check.
 """
 
 from __future__ import annotations
@@ -93,6 +97,77 @@ def _sandwich(root: np.ndarray, x: np.ndarray) -> np.ndarray:
     return left(dagger(left(x)))
 
 
+# The qubit pure face: I and the Pauli matrices sigma_x, sigma_y, sigma_z; the
+# floor of the pure input's rho for its dual point; the cap on Newton steps on
+# the secular equation; and the hard case, in which the top eigenvector's
+# component of W^T u is below _HARD_CASE lambda_max(W^T W) and no root is sought.
+_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PURE_FLOOR = 1e-6
+_NEWTON_STEPS = 50
+_HARD_CASE = 1e-8
+
+
+def _bloch_optimum(j: np.ndarray) -> np.ndarray | None:
+    """Bloch vector n of the best pure input of a trace-annihilating qubit map.
+
+    With Phi(X) = Tr_in[(X^T (x) I) J], u_k = Tr(sigma_k Phi(I)) / 2 and
+    W_ki = Tr(sigma_k Phi(sigma_i)) / 2, ||Phi(|x><x|)||_1 = |u + W n| for
+    the Bloch vector n of |x>, when Tr Phi(X) = 0. Its maximum over |n| = 1
+    is the trust-region subproblem (mu I - W^T W) n = W^T u with
+    mu >= lambda_max(W^T W). mu is the root of 1/|n(mu)| - 1, which is
+    concave and increasing there, so Newton's method from
+    mu = lambda_max + |g_max| (g = W^T u on the eigenvectors of W^T W) rises
+    to it monotonically (Moré and Sorensen, SIAM J. Sci. Stat. Comput. 4,
+    1983). None when g has no component on the top eigenvector (the hard
+    case) or when the root is not reached within _NEWTON_STEPS.
+    """
+    t = 0.5 * np.einsum("kcb,lij,ibjc->kl", _PAULI, _PAULI, j.reshape(2, 2, 2, 2)).real
+    u, w = t[1:, 0], t[1:, 1:]
+    a, q = np.linalg.eigh(w.T @ w)
+    g = q.T @ (w.T @ u)
+    if not abs(g[-1]) > _HARD_CASE * a[-1]:
+        return None
+    mu = a[-1] + abs(g[-1])  # |n(mu)| >= 1 here, so mu is at or below the root
+    for _ in range(_NEWTON_STEPS):
+        x = g / (mu - a)
+        r = float(np.linalg.norm(x))
+        nxt = mu - (1.0 / r - 1.0) * r ** 3 / float(np.sum(x * x / (mu - a)))
+        if r <= 1.0 or nxt == mu:
+            return q @ (x / r)
+        mu = nxt
+    return None
+
+
+def _pure_face(j: np.ndarray) -> DiamondSolution | None:
+    """Certified diamond norm of a qubit map whose optimal input is pure, or None.
+
+    The pure input |x> of `_bloch_optimum` is the fixed point's
+    rho = (|x><x|)^T. It gives the dual point Z = R^-1 |M| R^-1 of a
+    fixed-point step at the floored rho + _PURE_FLOOR I, and `sdp._interval`
+    rebuilds the interval from the pure rho and Z, so its lower end is the
+    probe value at |x> itself.
+    The interval is returned only when it closes to GAP_TARGET relative.
+    A map that is not trace-annihilating only gets a poorer candidate, which
+    the interval refuses.
+    """
+    n = _bloch_optimum(j)
+    if n is None:
+        return None
+    nx, ny, nz = n
+    # The probe at rho's purification feeds the map rho^T, so rho is the
+    # transpose of |x><x| = (I + n . sigma) / 2.
+    p = 0.5 * np.array([[1.0 + nz, nx + 1j * ny], [nx - 1j * ny, 1.0 - nz]])
+    e = _PURE_FLOOR
+    root = np.sqrt(e) * np.eye(2) + (np.sqrt(1.0 + e) - np.sqrt(e)) * p
+    inv_root = np.eye(2) / np.sqrt(e) + (1.0 / np.sqrt(1.0 + e) - 1.0 / np.sqrt(e)) * p
+    lam, vecs = np.linalg.eigh(_sandwich(root, j))
+    z = _sandwich(inv_root, (vecs * np.abs(lam)) @ dagger(vecs))
+    lo, up = sdp._interval(j, p, z, 2, 2)
+    if up - lo <= GAP_TARGET * up:
+        return DiamondSolution(up, min(lo, up), 0, "optimal")
+    return None
+
+
 def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
     """Diamond norm of a Hermiticity-preserving map, with a certified gap.
 
@@ -121,12 +196,21 @@ def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
     (covariant pairs such as identity vs depolarizing or the truncation
     family, whose gaps are ~1e-14), it is the certificate, with
     iterations == 0. The test is relative so that a map of small norm is not
-    certified by its scale alone. When a later step closes, the interval is
-    rebuilt by `sdp._interval` from that rho and Z, whose PSD shift keeps it
-    valid for an ill-conditioned rho, and it certifies if it still closes;
-    iterations is then the step count. A mixed rho is only the next step's
-    input, so every end is still the probe value or the dual objective at
-    the rho that a step evaluated.
+    certified by its scale alone.
+
+    A qubit map that step 0 leaves open tries `_pure_face` before any
+    further step: when its optimal input is pure, the interval that
+    `sdp._interval` rebuilds from the best pure input and its floored dual
+    point closes to the same relative target, and it is the certificate,
+    also with iterations == 0. A mixed optimum, or the hard case of the
+    secular equation, leaves it to the fixed point.
+
+    When a later step closes, the interval is rebuilt by `sdp._interval`
+    from that rho and Z, whose PSD shift keeps it valid for an
+    ill-conditioned rho, and it certifies if it still closes; iterations is
+    then the step count. A mixed rho is only the next step's input, so every
+    end is still the probe value or the dual objective at the rho that a
+    step evaluated.
 
     From step _WINDOW on, the fixed point hands over to the interior-point
     SDP when rho's smallest eigenvalue collapses (a rank-deficient
@@ -150,6 +234,10 @@ def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
     if upper - lower <= GAP_TARGET * upper:
         # Rounding can put lower a few ulps above upper; clamp the interval.
         return DiamondSolution(upper, min(lower, upper), 0, "optimal")
+    if dims == (2, 2):
+        pure = _pure_face(j)
+        if pure is not None:
+            return pure
     # Best ends so far: the lower ends are probe values, so any of them is a
     # bound; the step-0 upper is the |J| bracket, and the least later upper
     # is only a candidate until `sdp._interval` rebuilds it.

@@ -3,8 +3,10 @@
 `distance.diamond_norm` reaches it only when its Anderson-mixed fixed point
 on the input state hands over before closing to GAP_TARGET relative to the
 norm: when rho's smallest eigenvalue collapses, or when the gap's observed
-rate cannot close it within the step cap. In practice that means pairs
-whose optimal input is rank-deficient.
+rate cannot close it within the step cap. In practice that means pairs at
+d_in >= 3 whose optimal input is rank-deficient, and the few pairs whose gap
+closes too slowly. A qubit map with a pure optimal input does not reach it:
+`distance._pure_face` certifies it first.
 
 For a Hermitian Choi matrix J on in (x) out (dimension n_c = d_A*d_B) the
 completely bounded trace norm has the exact semidefinite characterization
@@ -91,7 +93,7 @@ MAX_ITERS = 200       # interior-point iteration cap
 class DiamondSolution:
     value: float        # certified upper bound on the norm, from the final dual Z
     dual_value: float   # certified lower bound, the probe value at the final rho
-    iterations: int     # fixed-point steps plus solver iterations; 0: closed form
+    iterations: int     # fixed-point steps + solver iterations; 0: closed form or qubit pure face
     status: str         # optimal | max-iters
 
     @property

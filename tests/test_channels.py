@@ -1,5 +1,6 @@
 """Tests for channel representations and the named constructor zoo."""
 
+import json
 import time
 import tracemalloc
 
@@ -690,6 +691,40 @@ def test_channel_dict_round_trip():
     for chan in (ch.erasure(2, 0.25), random_channel(3, 2, rng)):
         back = ch.channel_from_dict(ch.channel_to_dict(chan))
         assert _same_action(chan, back)
+
+
+_CONVERTED = {
+    "erasure": lambda: ch.erasure(2, 0.25),
+    "random": lambda: random_channel(3, 2, rng_for(17)),
+    "choi-rank": lambda: random_channel(3, 4, rng_for(51), kraus_count=40),
+    "signed-zeros": lambda: ch.QuantumChannel(
+        [np.diag([1.0, np.sqrt(0.75)]), np.array([[0.0, 0.5], [-0.0, 0.0]])]
+    ),
+}
+
+
+@pytest.mark.parametrize("build", _CONVERTED.values(), ids=list(_CONVERTED))
+def test_to_choi_matches_the_outer_product_loop(build):
+    # One product sums the same terms in another order: each entry is a sum
+    # of r products of entries of modulus <= 1, so it may move by r ulps.
+    chan = build()
+    n = chan.d_in * chan.d_out
+    loop = np.zeros((n, n), dtype=complex)
+    for k in chan.kraus:
+        w = k.T.reshape(-1)
+        loop += np.outer(w, w.conj())
+    tol = len(chan.kraus) * np.finfo(float).eps
+    assert np.max(np.abs(ch.to_choi(chan).matrix - loop)) <= tol
+
+
+@pytest.mark.parametrize("build", _CONVERTED.values(), ids=list(_CONVERTED))
+def test_channel_to_dict_matches_the_entrywise_floats(build):
+    # The same floats, signed zeros included, so the JSON is byte-identical.
+    chan = build()
+    data = ch.channel_to_dict(chan)
+    entrywise = [[[float(z.real), float(z.imag)] for z in op.reshape(-1)] for op in chan.kraus]
+    assert json.dumps(data["kraus"]) == json.dumps(entrywise)
+    assert all(type(x) is float for op in data["kraus"] for pair in op for x in pair)
 
 
 def test_channel_from_dict_rejects_malformed():

@@ -108,6 +108,12 @@ def no_solver(monkeypatch):
     monkeypatch.setattr(sdp, "solve_diamond", refuse)
 
 
+@pytest.fixture
+def no_pure_face(monkeypatch):
+    """Switches off the qubit pure face, so that the fixed point runs."""
+    monkeypatch.setattr(distance, "_pure_face", lambda j: None)
+
+
 def _erasure_pair_oracle(p, q):
     """||E_p - E_q||_diamond = 2|p - q|: the difference is (q - p) times
     (embed - flag), whose extended outputs have orthogonal supports."""
@@ -285,9 +291,10 @@ def test_diamond_norm_step_zero_keeps_the_bracket_bits(a, b, expect):
     assert (res.value, res.dual_value, res.iterations) == (upper, min(lower, upper), 0)
 
 
-# Seed-1 pairs with rank-deficient optima, which still hand over.
+# Seed-1 pairs with rank-deficient optima, which still hand over. The qubit
+# pure face would certify (2, 1) and (2, 3), so it is switched off.
 @pytest.mark.parametrize("d,k", [(2, 0), (2, 1), (2, 3), (3, 8)])
-def test_diamond_norm_generic_pairs_run_the_sdp(d, k, solver_calls):
+def test_diamond_norm_generic_pairs_run_the_sdp(d, k, solver_calls, no_pure_face):
     res = diamond_distance(*random_nearby_pair(d, d, rng_for(1, d, k)))
     assert solver_calls == [(d, d)]
     assert _handed_over(res, solver_calls.iterations[0])
@@ -315,10 +322,11 @@ def test_diamond_norm_fixed_point_certifies_generic_pairs(k, d, no_solver):
     ],
     ids=["qubit-pure-optimum", "unitary-d3"],
 )
-def test_diamond_norm_rank_deficient_optimum_hands_over(pair, solver_calls):
+def test_diamond_norm_rank_deficient_optimum_hands_over(pair, solver_calls, no_pure_face):
     # The optimal input is not full rank, so rho drifts to the boundary and
     # the fixed point hands over: the solver runs, and its interval must
-    # still certify.
+    # still certify. The qubit pair's optimum is pure, so the pure face, which
+    # would certify it first, is switched off.
     res = diamond_distance(*pair())
     assert len(solver_calls) == 1
     assert _handed_over(res, solver_calls.iterations[0])
@@ -326,13 +334,123 @@ def test_diamond_norm_rank_deficient_optimum_hands_over(pair, solver_calls):
     assert res.dual_value <= res.value
 
 
-def test_diamond_norm_fixed_point_certifies_identity_vs_constant(no_solver):
+def test_diamond_norm_fixed_point_certifies_identity_vs_constant(no_solver, no_pure_face):
     # The optimal input is pure, but rho's smallest eigenvalue falls slowly
-    # enough that the gap closes before the collapse rule fires.
+    # enough that the gap closes before the collapse rule fires. The pure
+    # face, which would certify it first, is switched off.
     res = diamond_distance(ch.identity(2), ch.constant_channel(2))
     assert res.certified()
     assert 0 < res.iterations <= _MAX_STEPS
     assert res.dual_value <= 2.0 <= res.value
+
+
+# The seed-1 and seed-5 qubit pairs whose optimal input is mixed: their best
+# pure input is below the norm, so the pure face returns None for them.
+_MIXED_QUBIT = [(1, 0), (1, 2), (1, 14), (5, 1), (5, 9)]
+_PURE_QUBIT = [(seed, k) for seed in (1, 5) for k in range(15) if (seed, k) not in _MIXED_QUBIT]
+_solve = sdp.solve_diamond  # before any fixture replaces it
+
+
+def _qubit_pair(seed, k):
+    return ch.ChoiMatrix.difference(*random_nearby_pair(2, 2, rng_for(seed, 2, k)))
+
+
+@pytest.fixture
+def intervals(monkeypatch):
+    """Records each interval that `sdp._interval` rebuilds."""
+    seen = []
+    interval = sdp._interval
+
+    def spy(*args):
+        seen.append(interval(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(sdp, "_interval", spy)
+    return seen
+
+
+@pytest.mark.parametrize("seed,k", _PURE_QUBIT)
+def test_pure_face_certifies_qubit_pure_optima(seed, k, no_solver, intervals):
+    m = _qubit_pair(seed, k)
+    res = diamond_norm(m)
+    assert res.certified() and res.iterations == 0
+    # One interval, rebuilt by `sdp._interval`, and reported as it came.
+    ((lo, up),) = intervals
+    assert (res.value, res.dual_value) == (up, min(lo, up))
+    assert type(res.value) is float and type(res.dual_value) is float
+    assert res.value - res.dual_value <= sdp.GAP_TARGET * res.value
+    lower, upper = _bracket(m.matrix, m.d_in, m.d_out)
+    assert lower <= res.dual_value and res.value <= upper
+    # The interior-point solver's own interval meets it.
+    sol = _solve(m.matrix, 2, 2)
+    slack = sdp.TAU_SDP * (1.0 + res.value)
+    assert sol.dual_value <= res.value + slack and res.dual_value <= sol.value + slack
+
+
+def _pure_input_value(a, b, n):
+    """||a(|x><x|) - b(|x><x|)||_1 from the Kraus operators, for the Bloch vector n."""
+    sigma = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    x = 0.5 * (np.eye(2) + sum(c * s for c, s in zip(n, sigma)))
+    diff = sum(k @ x @ k.conj().T for k in a.kraus) - sum(k @ x @ k.conj().T for k in b.kraus)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
+@pytest.mark.parametrize("seed,k", [(1, 1), (1, 2), (5, 3)])
+def test_bloch_optimum_is_the_best_pure_input(seed, k):
+    # Against 2000 random Bloch vectors, with the map applied by its Kraus
+    # operators, so that no convention is shared with the Pauli coordinates.
+    a, b = random_nearby_pair(2, 2, rng_for(seed, 2, k))
+    n = distance._bloch_optimum(ch.ChoiMatrix.difference(a, b).matrix)
+    assert abs(np.linalg.norm(n) - 1.0) <= 1e-12
+    best = _pure_input_value(a, b, n)
+    rng = np.random.default_rng(11)
+    points = rng.normal(size=(2000, 3))
+    others = [_pure_input_value(a, b, p / np.linalg.norm(p)) for p in points]
+    assert max(others) <= best + 1e-12
+    assert max(others) >= best - 1e-3 * best  # the sample is dense enough to see a miss
+
+
+@pytest.mark.parametrize("seed,k", _MIXED_QUBIT)
+def test_mixed_qubit_optima_fall_through_the_pure_face(seed, k, solver_calls):
+    m = _qubit_pair(seed, k)
+    assert distance._pure_face(m.matrix) is None
+    res = diamond_norm(m)
+    assert res.certified() and res.iterations > 0
+    # Only (1, 2, 0) still reaches the interior-point solver.
+    assert bool(solver_calls) == ((seed, k) == (1, 0))
+
+
+@pytest.mark.parametrize("seed", [92, 93])
+def test_unital_qubit_pair_is_the_hard_case(seed, no_solver):
+    # Identity vs a unitary channel is unital, so u = 0 and W^T u has no
+    # component on the top eigenvector: the pure face declines. Its optimum
+    # is then the maximally mixed input, so step 0 certifies the pair.
+    u = random_unitary(2, rng_for(seed))
+    m = ch.ChoiMatrix.difference(ch.identity(2), ch.QuantumChannel([u]))
+    assert distance._bloch_optimum(m.matrix) is None
+    assert distance._pure_face(m.matrix) is None
+    res = diamond_norm(m)
+    assert res.certified()
+    lower, upper = _bracket(m.matrix, m.d_in, m.d_out)
+    assert lower <= res.dual_value and res.value <= upper
+
+
+def test_pure_face_certifies_identity_vs_constant(no_solver, intervals):
+    # The optimal input |1> is pure: it maps to |1><1| - |0><0|, of trace norm 2.
+    res = diamond_distance(ch.identity(2), ch.constant_channel(2))
+    assert res.certified() and res.iterations == 0 and len(intervals) == 1
+    assert res.dual_value <= 2.0 <= res.value
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e3])
+@pytest.mark.parametrize("seed,k", [(1, 1), (1, 3), (5, 14), (1, 2), (5, 9)])
+def test_pure_face_route_is_the_same_at_every_scale(seed, k, scale, solver_calls):
+    m = _qubit_pair(seed, k)
+    res = diamond_norm(m.scaled(scale))
+    assert res.certified()
+    assert (res.iterations == 0) == ((seed, k) not in _MIXED_QUBIT)
+    assert not solver_calls
+    assert res.value == pytest.approx(scale * diamond_norm(m).value, rel=1e-7)
 
 
 def _plain_step(xs, gs):
@@ -369,10 +487,13 @@ def test_diamond_norm_hands_over_on_a_collapsing_eigenvalue(monkeypatch, solver_
     assert res.certified()
 
 
-def test_diamond_norm_hands_over_when_the_rate_cannot_reach_the_target(monkeypatch, solver_calls):
+def test_diamond_norm_hands_over_when_the_rate_cannot_reach_the_target(
+    monkeypatch, solver_calls, no_pure_face
+):
     # A qubit pair with a pure optimum whose gap still shrinks, but ever more
-    # slowly: with the collapse rule switched off, the rate rule hands it
-    # over long before the cap, while the gap is still shrinking.
+    # slowly: with the collapse rule (and the pure face) switched off, the
+    # rate rule hands it over long before the cap, while the gap is still
+    # shrinking.
     monkeypatch.setattr(distance, "_COLLAPSE", 0.0)
     seen = []
     stalled = distance._stalled
