@@ -19,7 +19,9 @@ ends. The public apply and apply_extended validate. A pure input needs no
 square matrix: _kraus_images returns the matrix Y whose columns are the
 images of the vector under every Kraus product (at most d_in d_out per
 copy), so the output is Y Y^dag, and its nonzero spectrum is that of the
-Gram matrix Y^dag Y.
+Gram matrix Y^dag Y. Given a stack of vectors it keeps their batch axes
+in front, one product per vector and slot, so each slice of the stack is
+bit-equal to the images of its vector alone.
 
 Arguments are read by the `linalg` readers: a constructor's d, p and n,
 a mixture's weights as a probability vector, and a channel file's Kraus
@@ -198,22 +200,29 @@ def _apply_on_factors(
 
 
 def _kraus_images(kraus: np.ndarray, vec: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Images of a vector under every Kraus product on all its factors but the first.
+    """Images of vectors under every Kraus product on all their factors but the first.
 
-    dims[0] is a reference factor the channel leaves alone; each later
-    factor is an input of one channel copy. Column (k_1, ..., k_n), first
-    index slowest as in tensor_power, is (I (x) K_k1 (x) ... (x) K_kn)|vec>,
-    and the rows run over the reference and output factors in order. So
-    Y Y^dag is _apply_on_factors of |vec><vec|, without forming either
-    square matrix. Y has at most (d_in d_out)^n columns, since a channel's
-    family is stored in Choi-rank form.
+    vec is one vector on prod(dims), or a (..., prod(dims)) stack of them
+    whose leading batch axes are kept in front. dims[0] is a reference
+    factor the channel leaves alone; each later factor is an input of one
+    channel copy. Column (k_1, ..., k_n), first index slowest as in
+    tensor_power, is (I (x) K_k1 (x) ... (x) K_kn)|vec>, and the rows run
+    over the reference and output factors in order. So Y Y^dag is
+    _apply_on_factors of |vec><vec|, without forming either square matrix.
+    Y has at most (d_in d_out)^n columns, since a channel's family is
+    stored in Choi-rank form.
     """
-    t = vec.reshape((1,) + tuple(dims))  # leading axis: the Kraus index so far
+    batch = vec.shape[:-1]
+    b = len(batch)
+    rows = kraus.reshape(-1, kraus.shape[2])  # row (k, i): row i of K_k
+    t = vec.reshape(batch + (1,) + tuple(dims))  # axis b: the Kraus index so far
     for f in range(1, len(dims)):
-        t = np.tensordot(kraus, t, axes=([2], [1 + f]))  # (r, d_out, R, other axes)
-        t = np.moveaxis(t, (0, 1), (1, 2 + f))  # (R, r, ..., d_out in slot f, ...)
-        t = t.reshape((-1,) + t.shape[2:])
-    return t.reshape(len(t), -1).T
+        moved = np.moveaxis(t, b + 1 + f, b)  # (*batch, d_in, R, other axes)
+        t = rows @ moved.reshape(batch + (dims[f], -1))  # one product per vector
+        t = t.reshape(batch + kraus.shape[:2] + moved.shape[b + 1 :])  # (*batch, r, d_out, R, ...)
+        t = np.moveaxis(t, (b, b + 1), (b + 1, b + 2 + f))  # (*batch, R, r, ..., d_out in slot f, ...)
+        t = t.reshape(batch + (-1,) + t.shape[b + 2 :])
+    return t.reshape(batch + (t.shape[b], -1)).swapaxes(-1, -2)
 
 
 def apply(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:

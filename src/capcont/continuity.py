@@ -15,9 +15,13 @@ maximizers certify lower bounds only and cannot witness a violation).
 Each quantity has one kernel: S(A|B) is entropic._conditional_entropy, and
 the private term of a pure-state ensemble is the coherent information of
 its purification, by the same kernel as the coherent term. Trials draw raw
-matrices from their own seeded streams and are measured as stacks, the
-Fannes and Alicki-Fannes trials in one shared state-pair loop; validated
-state types appear only at the public boundary.
+matrices or vectors from their own seeded streams and are measured as
+stacks of bounded size, so a report equals that of its trial measured
+alone: the Fannes and Alicki-Fannes trials in one shared state-pair loop,
+in blocks of _TRIAL_BLOCK, and the Theorem 3 trials as Gram stacks within
+_STACK_ENTRIES entries. The corollary trials go one at a time, since the
+slot-wise kernel they use has no batch axis. Validated state types appear
+only at the public boundary.
 
 Hybrid sequences interpolate between the n-copy outputs of two channels
 one tensor slot at a time; consecutive states differ only in that slot,
@@ -61,7 +65,7 @@ from .entropic import (
 )
 from .errors import ArgumentError
 from .linalg import DensityMatrix, as_index, as_real, check_choi_dim, hermitian_part
-from .sampling import _wishart, haar_state, random_channel, rng_for
+from .sampling import _haar_vector, _unit_trace_gram, _wishart, random_channel, rng_for
 
 
 def fannes_bound(eps: float, d: int) -> float:
@@ -122,22 +126,27 @@ class BoundReport:
 
 
 # Trials measured as one stack. A constant block keeps a harness's memory
-# independent of its trial count; 256 keeps runs of up to 256 trials one stack.
-_TRIAL_BLOCK = 256
+# independent of its trial count: the state-pair harnesses stack up to
+# _TRIAL_BLOCK trials, and verify_output_entropy as many as keep one
+# channel's Kraus images within _STACK_ENTRIES complex entries (at least one).
+_TRIAL_BLOCK = 64
+_STACK_ENTRIES = 1 << 13
 
 
 def _measure_pairs(d: int, rngs: Sequence[np.random.Generator], quantity):
     """|quantity(rho) - quantity(sigma)| on random state pairs, one per stream, and eps.
 
-    Each stream draws rho and tau, then lam <= 1/4; sigma = (1 - lam) rho
-    + lam tau caps the trace distance at 1/2. quantity maps a (trials, d, d)
-    stack to one value per state; the stacks live only inside this call.
-    Returns the differences and the measured trace distances eps.
+    Each stream draws the Gaussians of rho and tau, as _wishart draws
+    them, then lam <= 1/4; sigma = (1 - lam) rho + lam tau caps the trace
+    distance at 1/2. quantity maps a (trials, d, d) stack to one value per
+    state; the stacks live only inside this call. Returns the differences
+    and the measured trace distances eps.
     """
-    draws = [(_wishart(d, d, rng), _wishart(d, d, rng), 0.25 * rng.random()) for rng in rngs]
-    rho, tau, lam = (np.array(x) for x in zip(*draws))
-    rho, tau = hermitian_part(rho), hermitian_part(tau)
-    lam = lam[:, None, None]
+    draws = [(rng.normal(size=(2, 2, d, d)), rng.random()) for rng in rngs]
+    gauss, lam = (np.array(x) for x in zip(*draws))
+    pairs = hermitian_part(_unit_trace_gram(gauss))
+    rho, tau = pairs[:, 0], pairs[:, 1]
+    lam = 0.25 * lam[:, None, None]
     sigma = hermitian_part((1.0 - lam) * rho + lam * tau)
     eps = np.sum(np.abs(np.linalg.eigvalsh(rho - sigma)), axis=-1)
     return np.abs(quantity(rho) - quantity(sigma)), eps
@@ -301,16 +310,17 @@ def _checked_eps(ch_n, ch_m, n: int, eps: float | None) -> tuple[int, float]:
     return n, value
 
 
-def _pure_output_entropy(ch: QuantumChannel, v: np.ndarray, dims: tuple[int, ...]) -> float:
-    """Output entropy of ch on every factor of the pure state v but the first.
+def _pure_output_entropy(ch: QuantumChannel, v: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Output entropies of ch on every factor but the first of a stack of pure states.
 
-    The output is Y Y^dag for Y = _kraus_images; the environment's state
-    Y^dag Y has the same nonzero spectrum and is decomposed instead. It is
-    never the larger of the two: Y has at most (d_in d_out)^n columns, and
-    with a reference of dimension d_in^n that is its row count.
+    v is a (trials, prod(dims)) stack. Each output is Y Y^dag for
+    Y = _kraus_images; the environment's state Y^dag Y has the same nonzero
+    spectrum and is decomposed instead. It is never the larger of the two:
+    Y has at most (d_in d_out)^n columns, and with a reference of dimension
+    d_in^n that is its row count.
     """
     y = _kraus_images(ch.kraus, v, dims)
-    return entropy_of_matrix(y.conj().T @ y)
+    return entropy_of_matrix(y.conj().swapaxes(-1, -2) @ y)
 
 
 def verify_output_entropy(
@@ -323,12 +333,13 @@ def verify_output_entropy(
 ) -> list[BoundReport]:
     """Measure n-copy output-entropy differences against the bound.
 
-    For each trial a Haar-random pure state on reference (x) input^n is
-    pushed through both n-copy extensions; the entropy difference of the
-    two outputs is compared with output_entropy_bound(n, eps, d_out).
-    eps defaults to the certified diamond distance of the pair: the
-    fixed point of `distance.diamond_norm` (closed form for covariant
-    pairs), or the SDP when that hands over.
+    For each trial a Haar-random pure state on reference (x) input^n, drawn
+    as haar_state draws it from rng_for(seed, t), is pushed through both
+    n-copy extensions; the entropy difference of the two outputs is
+    compared with output_entropy_bound(n, eps, d_out). eps defaults to the
+    certified diamond distance of the pair: the fixed point of
+    `distance.diamond_norm` (closed form for covariant pairs), or the SDP
+    when that hands over.
 
     Each entropy comes from a Gram matrix; |v><v| is never formed. For a
     pure input |v>, the output is Y Y^dag, where Y's columns are the images
@@ -337,6 +348,9 @@ def verify_output_entropy(
     and the environment's state is the Gram matrix Y^dag Y, whose entropy
     is taken. A channel's family is stored in Choi-rank form, r <= d_in d_out,
     so the r^n-square Gram is never larger than the (d_ref d_out^n)-square output.
+    The trials are measured as stacks, each holding as many trials as keep
+    one channel's Kraus images within _STACK_ENTRIES entries, and every
+    trial's report equals that of the trial measured alone.
     """
     trials = as_index(trials, "trials", 0)
     n, eps = _checked_eps(ch_n, ch_m, n, eps)
@@ -344,22 +358,18 @@ def verify_output_entropy(
     bound = output_entropy_bound(n, eps, d_out)
     d_ref = d_in**n
     dims = (d_ref,) + (d_in,) * n
-    reports = []
-    for t in range(trials):
-        v = haar_state(d_ref * d_in**n, rng_for(seed, t), dims=dims).vector
-        measured = abs(_pure_output_entropy(ch_n, v, dims) - _pure_output_entropy(ch_m, v, dims))
-        reports.append(
-            BoundReport(
-                quantity_name="output-entropy",
-                measured=measured,
-                bound=bound,
-                epsilon=eps,
-                n=n,
-                d_b=d_out,
-                detail=f"trial {t}",
-            )
-        )
-    return reports
+    r = max(len(ch_n.kraus), len(ch_m.kraus))
+    step = max(1, _STACK_ENTRIES // (d_ref * (d_out * r) ** n))
+    measured = []
+    for start in range(0, trials, step):
+        block = range(start, min(start + step, trials))
+        v = np.array([_haar_vector(d_ref * d_in**n, rng_for(seed, t)) for t in block])
+        s_n, s_m = (_pure_output_entropy(ch, v, dims) for ch in (ch_n, ch_m))
+        measured += np.abs(s_n - s_m).tolist()
+    return [
+        BoundReport("output-entropy", m, bound, eps, n, d_out, f"trial {t}")
+        for t, m in enumerate(measured)
+    ]
 
 
 # Fixed parameters of verify_capacity_differences: the size of each trial's

@@ -25,28 +25,21 @@ TAU_ENT = 1e-7  # slack for entropy inequalities
 
 def entropy_of_spectrum(w: np.ndarray) -> float:
     """Shannon entropy in bits of a clipped eigenvalue vector."""
-    p = np.clip(np.asarray(w, dtype=float), 0.0, 1.0)
-    p = p[p > 0.0]
-    # 0.0 - x, not -x, so that a pure spectrum gives 0.0, not -0.0.
-    return float(0.0 - np.sum(p * np.log2(p)))
+    return float(entropy_of_spectra(np.asarray(w, dtype=float)))
 
 
 def entropy_of_spectra(w: np.ndarray) -> float | np.ndarray:
     """Entropies in bits of the clipped eigenvalue rows of a (..., n) array.
 
-    A 1-D spectrum gives a float. Each row of a stack gives the entropy of
-    that row alone, bit for bit: clipped zeros lead an ascending spectrum
-    and numpy sums fewer than 8 terms one by one, so below 8 eigenvalues a
-    zero-masked row sum equals the filtered sum; longer spectra are summed
-    row by row.
+    One formula, 0.0 - sum p log2 p along the last axis with 0 log 0
+    masked to 0: a 1-D spectrum gives a float, and each row of a stack the
+    entropy of that row alone, bit for bit, since numpy reduces each
+    contiguous row as it reduces the row alone.
     """
-    if w.ndim == 1:
-        return entropy_of_spectrum(w)
-    if w.shape[-1] >= 8:
-        rows = [entropy_of_spectrum(row) for row in w.reshape(-1, w.shape[-1])]
-        return np.array(rows).reshape(w.shape[:-1])
     p = np.clip(w, 0.0, 1.0)
-    return 0.0 - np.sum(p * np.log2(p, out=np.zeros_like(p), where=p > 0.0), axis=-1)
+    # 0.0 - x, not -x, so that a pure spectrum gives 0.0, not -0.0.
+    s = 0.0 - np.sum(p * np.log2(p, out=np.zeros_like(p), where=p > 0.0), axis=-1)
+    return float(s) if p.ndim == 1 else s
 
 
 def entropy_of_matrix(mat: np.ndarray) -> float | np.ndarray:

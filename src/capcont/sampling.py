@@ -26,8 +26,13 @@ def rng_for(seed: int, *branch: int) -> np.random.Generator:
 def haar_state(d: int, rng: np.random.Generator, dims=None) -> PureState:
     """Haar-random pure state: normalized complex Gaussian vector."""
     d = as_index(d, "d", 1)
+    return PureState(_haar_vector(d, rng), dims if dims is not None else (d,))
+
+
+def _haar_vector(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Raw unit vector of haar_state: a normalized complex Gaussian (no validation)."""
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return PureState(v / np.linalg.norm(v), dims if dims is not None else (d,))
+    return v / np.linalg.norm(v)
 
 
 def random_density_matrix(
@@ -43,9 +48,18 @@ def random_density_matrix(
 
 def _wishart(d: int, r: int, rng: np.random.Generator) -> np.ndarray:
     """Raw unit-trace G G^dag for a complex Gaussian d x r matrix G (no validation)."""
-    g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
-    m = g @ g.conj().T
-    return m / m.trace().real
+    return _unit_trace_gram(rng.normal(size=(2, d, r)))
+
+
+def _unit_trace_gram(x: np.ndarray) -> np.ndarray:
+    """The Wishart kernel: unit-trace G G^dag for G = x[..., 0, :, :] + i x[..., 1, :, :].
+
+    x is a real (..., 2, d, r) stack; each slice's matrix is bit-equal to
+    that of the slice alone.
+    """
+    g = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

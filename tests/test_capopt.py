@@ -699,7 +699,7 @@ def _lockstep_cases():
         for seed in (0, 5):
             for kind, iters in (("coherent", 30), ("holevo", 25), ("private", 25)):
                 cases.append(pytest.param(kind, ch, seed, 3, iters, id=f"{kind}-{name}-seed{seed}"))
-    # Spectra of length 9, the row-by-row entropy sum.
+    # Spectra of length 9, which numpy sums pairwise.
     square = tensor_power(erasure(2, 0.25), 2)
     cases.append(pytest.param("coherent", square, 0, 2, 40, id="coherent-erasure^2-seed0"))
     return cases

@@ -249,6 +249,19 @@ def test_kraus_images_give_the_output_of_a_pure_input():
     assert np.allclose(y, np.stack([k @ v for k in power.kraus], axis=1), atol=1e-12)
 
 
+def test_kraus_images_of_a_stack_equal_those_of_each_vector():
+    # Leading batch axes stay in front, and every slice is bit-equal to the
+    # images of its vector alone, so a harness can stack its trials.
+    rng = rng_for(42)
+    for dims, channel in (((4, 2, 2), random_channel(2, 3, rng)), ((3, 3), ch.depolarizing(3, 0.2))):
+        d = int(np.prod(dims))
+        vecs = rng.normal(size=(2, 3, d)) + 1j * rng.normal(size=(2, 3, d))
+        y = ch._kraus_images(channel.kraus, vecs, dims)
+        alone = [[ch._kraus_images(channel.kraus, v, dims) for v in row] for row in vecs]
+        assert y.shape == (2, 3) + alone[0][0].shape
+        assert np.array_equal(y, np.array(alone))
+
+
 def test_random_channel_refuses_an_environment_too_small_for_an_isometry():
     # No isometry from C^8 into C^2 (x) C^3 exists.
     with pytest.raises(ArgumentError, match="kraus_count 3 too small"):

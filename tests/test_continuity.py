@@ -17,6 +17,7 @@ from capcont.channels import (
     ChoiMatrix,
     _apply_full,
     _apply_on_factors,
+    _kraus_images,
     apply_extended,
     complementary,
     dephasing,
@@ -320,6 +321,46 @@ def test_output_entropy_from_the_gram_matches_the_formed_outputs(pair, copies):
     assert verify_output_entropy(*pair, copies[0], trials=0, eps=0.1) == []
 
 
+def _ref_stack_output_entropy(ch_n, ch_m, n, trials, seed):
+    """Per-trial output-entropy differences, each trial measured alone from its Gram matrix."""
+    dims = (ch_n.d_in**n,) + (ch_n.d_in,) * n
+    measured = []
+    for t in range(trials):
+        v = haar_state(ch_n.d_in ** (2 * n), rng_for(seed, t), dims=dims).vector
+        s_n, s_m = (
+            entropy_of_matrix(y.conj().T @ y)
+            for y in (_kraus_images(ch.kraus, v, dims) for ch in (ch_n, ch_m))
+        )
+        measured.append(abs(s_n - s_m))
+    return measured
+
+
+@pytest.mark.parametrize("pair,copies,trials,entries", [
+    # The benchmark's harness pairs, at one to three copies: at three qubit
+    # copies the default budget holds two trials a stack, and at three
+    # qutrit copies, with 729 x 729 Kraus images, one.
+    ((identity(2), depolarizing(2, 0.1)), (1, 2, 3), 50, continuity._STACK_ENTRIES),
+    ((identity(3), depolarizing(3, 0.1)), (1, 2), 50, continuity._STACK_ENTRIES),
+    ((identity(3), depolarizing(3, 0.1)), (3,), 3, continuity._STACK_ENTRIES),
+    ((dephasing(0.1), depolarizing(2, 0.1)), (1, 2, 3), 50, continuity._STACK_ENTRIES),
+    # The mix side is stored in Choi-rank form.
+    (NEARBY_PAIR, (1, 2), 50, continuity._STACK_ENTRIES),
+    # d_out = 3 != d_in = 2.
+    ((erasure(2, 0.1), erasure(2, 0.3)), (1, 2), 50, continuity._STACK_ENTRIES),
+    # Two qubit copies take 16 x 4^2 images a trial, so 100 entries hold 6
+    # trials: three full stacks and a partial one.
+    ((identity(2), depolarizing(2, 0.1)), (2,), 20, 100),
+])
+def test_stacked_output_entropy_matches_per_trial_reference(pair, copies, trials, entries, monkeypatch):
+    # Equal, not close: stacking the trials must not move a report.
+    monkeypatch.setattr(continuity, "_STACK_ENTRIES", entries)
+    for n in copies:
+        reports = verify_output_entropy(*pair, n, trials=trials, seed=1, eps=0.1)
+        assert [r.measured for r in reports] == _ref_stack_output_entropy(*pair, n, trials, 1)
+        assert [r.detail for r in reports] == [f"trial {t}" for t in range(trials)]
+    assert verify_output_entropy(*pair, copies[0], trials=0, eps=0.1) == []
+
+
 def test_identical_channels_measure_exactly_zero():
     reports = verify_output_entropy(identity(3), identity(3), n=2, trials=5, eps=0.0)
     assert [r.measured for r in reports] == [0.0] * 5
@@ -486,7 +527,7 @@ def _rows(reports):
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_stacked_fannes_matches_per_trial_reference(seed):
-    # d = 8 and 16 take the row-by-row entropy path, d < 8 the masked sum.
+    # d = 8 and 16 sum their spectra pairwise, d < 8 one term at a time.
     dims = (2, 3, 7, 8, 16)
     assert _rows(verify_fannes(dims, trials=30, seed=seed)) == _ref_fannes(dims, 30, seed)
 
@@ -507,10 +548,12 @@ def test_harnesses_across_trial_blocks_match_per_trial_reference():
 @pytest.mark.parametrize("harness,args", [
     (verify_fannes, {"dims": (16,)}),
     (verify_af, {"dim_pairs": ((4, 4),)}),
+    (verify_output_entropy, {"ch_n": identity(2), "ch_m": depolarizing(2, 0.1), "n": 3, "eps": 0.1}),
 ])
 def test_harness_memory_is_bounded_in_the_trial_count(harness, args):
-    # The trials are measured one block at a time, so only the reports grow
-    # with the trial count; stacking every trial at once grew ~30 kB a trial.
+    # The trials are measured one block or budgeted stack at a time, so only
+    # the reports grow with the trial count; stacking every trial at once
+    # grew ~30 kB a trial.
     def peak(trials):
         tracemalloc.start()
         try:

@@ -236,9 +236,10 @@ def test_conditional_entropy_stability_under_mixing():
 
 def test_entropy_of_a_stack_equals_per_matrix_entropies():
     # Rank-deficient states put clipped zeros at the front of the
-    # ascending spectrum. Below length 8 a zero-masked row sum stands in
-    # for the filtered sum; from length 8 on (here 9, as for two copies of
-    # a qutrit output) each row sums its positive suffix alone.
+    # ascending spectrum. Every length takes the one zero-masked sum, so a
+    # row in a stack sums as the row alone: one term at a time below
+    # length 8, pairwise from 8 on (here 9, as for two copies of a qutrit
+    # output).
     rng = rng_for(43)
     for n in (2, 3, 7, 8, 9):
         for rank in range(1, n + 1):
@@ -252,6 +253,25 @@ def test_entropy_of_a_stack_equals_per_matrix_entropies():
             assert np.array_equal(entropy_of_matrix(mats.reshape(2, 3, n, n)), got.reshape(2, 3))
             if rank < n:
                 assert np.min(np.linalg.eigvalsh(mats)) <= 1e-12
+
+
+def test_rank_deficient_spectra_of_length_9_and_16_sum_alike_alone_and_stacked():
+    # From 8 terms on numpy sums pairwise, and the masked zeros in front
+    # take part, in a spectrum alone as in a row of a stack. A clipped
+    # eigenvalue of -1e-17, as eigvalsh returns for a zero, is masked too.
+    rng = rng_for(45)
+    for n in (9, 16):
+        for rank in (1, 2, n // 2, n - 1):
+            w = np.zeros((5, n))
+            w[:, n - rank :] = np.sort(rng.random((5, rank)), axis=1)
+            w /= w.sum(axis=1, keepdims=True)
+            w[0, 0] = -1e-17
+            alone = [entropy_of_spectrum(row) for row in w]
+            assert np.array_equal(entropy_of_spectra(w), alone)
+            assert np.array_equal(entropy_of_spectra(w.reshape(5, 1, n)), np.reshape(alone, (5, 1)))
+            assert all(type(s) is float for s in alone)
+            for row, s in zip(w, alone):
+                assert abs(s - _shannon_oracle(row)) <= 1e-15
 
 
 def test_conditional_entropy_kernel_on_a_stack_equals_per_state_values():
@@ -285,7 +305,7 @@ def test_entropy_of_a_pure_spectrum_is_positive_zero():
     # 0.0 - sum, not -sum: the terms of a pure spectrum are all +0.0.
     pure = DensityMatrix.from_pure(basis_state(2, 0))
     values = [entropy_of_spectrum(np.array([0.0, 1.0])), von_neumann_entropy(pure)]
-    # Both branches of the stacked kernel: below 8 eigenvalues and from 8 on.
+    # Both summation orders of the one formula: below 8 eigenvalues and from 8 on.
     for n in (2, 8):
         stack = np.zeros((2, n))
         stack[:, -1] = 1.0
