@@ -13,10 +13,10 @@ does not certify next tries its pure face: the best pure input, from the
 secular equation of a trust-region subproblem on the Bloch sphere, and the
 dual point of a fixed-point step at that input, floored. Later steps are
 Anderson-mixed (Walker and Ni, 2011). It runs the interior-point program in
-the sdp module only when the fixed point hands over, on a collapsing rho or
-a gap too slow to close, and then cross-checks the program's interval
-against the fixed point's best one. Haar-probe lower bounds are a further
-independent check.
+the sdp module only when the fixed point hands over, on collapse (rho's
+smallest eigenvalue falls far below its largest) or at the step cap, and
+then cross-checks the program's interval against the fixed point's best
+one. Haar-probe lower bounds are a further independent check.
 """
 
 from __future__ import annotations
@@ -49,11 +49,10 @@ def trace_distance_halved(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 # The fixed point floors rho's spectrum at this fraction of its largest
 # eigenvalue, so that rho^-1/2 exists. Each step moves to the Anderson mix of
 # the last _DEPTH + 1 pairs (rho, g(rho)), or to the plain g(rho), with a fresh
-# history, when the mix is not positive definite. From step _WINDOW on, it
-# hands over to the interior-point solver when rho's smallest eigenvalue has
-# fallen below _COLLAPSE of its largest, or when the gap of its best interval,
-# shrinking at its rate over the last _WINDOW steps, would still miss
-# GAP_TARGET at step _MAX_STEPS.
+# history, when the mix is not positive definite. It hands over to the
+# interior-point solver on collapse, when rho's smallest eigenvalue has fallen
+# below _COLLAPSE of its largest from step _WINDOW on, or at the step cap,
+# when step _MAX_STEPS has not closed the gap.
 _FLOOR = 1e-13
 _DEPTH = 5
 _WINDOW = 7
@@ -76,15 +75,6 @@ def _mixed(xs: list, gs: list) -> np.ndarray:
     df = (f[1:] - f[:-1]).reshape(m, -1).view(np.float64)
     gamma = np.linalg.lstsq(df.T, f[-1].reshape(-1).view(np.float64), rcond=None)[0]
     return g[-1] - (gamma @ (g[1:] - g[:-1]).reshape(m, -1)).reshape(g[-1].shape)
-
-
-def _stalled(gaps: list, target: float, left: int) -> bool:
-    """Whether the gaps, at their rate over the last _WINDOW steps, stay above
-    target for `left` more steps; a gap that did not shrink always does."""
-    if gaps[-1] <= target:
-        return False
-    rate = gaps[-1] / gaps[-1 - _WINDOW]
-    return gaps[-1] * rate ** (left / _WINDOW) > target
 
 
 def _sandwich(root: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -212,15 +202,14 @@ def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
     end is still the probe value or the dual objective at the rho that a
     step evaluated.
 
-    From step _WINDOW on, the fixed point hands over to the interior-point
-    SDP when rho's smallest eigenvalue collapses (a rank-deficient
-    optimum, where the steps crawl toward the boundary), or when the gap of
-    its best interval, shrinking at its geometric rate over the last
-    _WINDOW steps, would not reach the target by step _MAX_STEPS; a gap that
-    did not shrink over the window never would. iterations then counts the
-    steps and the solver's iterations together, and a solution whose
-    interval leaves the fixed point's best interval is reported as
-    max-iters, so it is never certified.
+    The fixed point hands over to the interior-point SDP on collapse or at
+    the step cap: when, from step _WINDOW on, rho's smallest eigenvalue
+    falls below _COLLAPSE of its largest (a rank-deficient optimum, where
+    the steps crawl toward the boundary), or when step _MAX_STEPS has not
+    closed the gap. iterations then counts the steps and the solver's
+    iterations together, and a solution whose interval leaves the fixed
+    point's best interval is reported as max-iters, so it is never
+    certified.
     """
     j = choi.matrix
     if float(np.max(np.abs(j))) == 0.0:
@@ -243,7 +232,6 @@ def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
     # is only a candidate until `sdp._interval` rebuilds it.
     best_lower, check_upper, least_upper = lower, upper, upper
     witness = None
-    gaps = [upper - lower]
     xs, gs = [np.eye(d_in) / d_in], [t @ t / np.trace(t @ t).real]
     rho = gs[0]
     for step in range(1, _MAX_STEPS + 1):
@@ -264,11 +252,7 @@ def diamond_norm(choi: ChoiMatrix) -> DiamondSolution:
         best_lower = max(best_lower, lower)
         if upper < least_upper:
             least_upper, witness = upper, (rho, inv_root, abs_m)
-        gaps.append(least_upper - best_lower)
-        if step >= _WINDOW and (
-            w[0] < _COLLAPSE * w[-1]
-            or _stalled(gaps, GAP_TARGET * least_upper, _MAX_STEPS - step)
-        ):
+        if step >= _WINDOW and w[0] < _COLLAPSE * w[-1]:
             break
         g = dagger(s) @ s  # T rho^-1 T
         xs, gs = xs[-_DEPTH:] + [rho], gs[-_DEPTH:] + [g / np.trace(g).real]

@@ -2,10 +2,10 @@
 
 `distance.diamond_norm` reaches it only when its Anderson-mixed fixed point
 on the input state hands over before closing to GAP_TARGET relative to the
-norm: when rho's smallest eigenvalue collapses, or when the gap's observed
-rate cannot close it within the step cap. In practice that means pairs at
-d_in >= 3 whose optimal input is rank-deficient, and the few pairs whose gap
-closes too slowly. A qubit map with a pure optimal input does not reach it:
+norm, on collapse or at the step cap: when rho's smallest eigenvalue
+collapses, or when the step cap is reached with the gap still open. In
+practice that means pairs at d_in >= 3 whose optimal input is
+rank-deficient. A qubit map with a pure optimal input does not reach it:
 `distance._pure_face` certifies it first.
 
 For a Hermitian Choi matrix J on in (x) out (dimension n_c = d_A*d_B) the
