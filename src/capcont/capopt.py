@@ -60,7 +60,7 @@ from .channels import QuantumChannel, _apply_full, complementary, tensor_power
 from .entropic import Ensemble, _ensemble_outputs, entropy_of_spectra
 from .errors import DimensionError
 from .linalg import D_MAX, DensityMatrix, PureState, as_index, dagger, partial_trace_matrix
-from .sampling import rng_for
+from .sampling import _stream
 
 RESTARTS = 16       # default random restarts per maximization
 ITERS = 2000        # iteration cap per restart
@@ -303,7 +303,8 @@ def _run_restarts(
     reported maximizer.
     """
     restarts, iters = as_index(restarts, "restarts", 1), as_index(iters, "iters", 1)
-    rngs = [rng_for(seed, r) for r in range(restarts)]
+    seed = as_index(seed, "seed", 0)
+    rngs = [_stream(seed, (r,)) for r in range(restarts)]
     starts = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for rng in rngs])
     x, f, used, reasons, conv = _ascend(evaluate, starts, iters)
     best = int(np.argmax(f))

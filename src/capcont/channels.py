@@ -35,6 +35,7 @@ Conventions fixed here for reproducibility:
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Iterable, Sequence
 
@@ -180,22 +181,22 @@ def _apply_on_factors(
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Hermitian part of the family applied to each listed tensor factor.
 
-    Per factor, mat is viewed as (left, d, right, left, d, right), the slot's
-    row axis moved to the front and its column axis to the back for
-    _kraus_sum, and the sum permuted back.
+    Per factor, mat is viewed as (left, d, right, left, d, right); one fixed
+    transpose, its own inverse, moves the slot's axes to the ends for
+    _kraus_sum and back. Factors 1..n take one copy each of an n-copy map.
     """
     factors = list(factors)
     d_out = kraus.shape[1]
-    d_rest = int(np.prod(dims)) // int(np.prod([dims[f] for f in factors]))
+    d_rest = math.prod(dims) // math.prod(dims[f] for f in factors)
     if d_rest * d_out ** len(factors) > D_MAX:
         raise DimensionError("extended output dimension exceeds D_MAX")
     for f in factors:
-        left, right = int(np.prod(dims[:f])), int(np.prod(dims[f + 1 :]))
+        left, right = math.prod(dims[:f]), math.prod(dims[f + 1 :])
         t = mat.reshape(left, dims[f], right, left, dims[f], right)
-        out = _kraus_sum(kraus, np.moveaxis(t, (1, 4), (0, 5)))
+        out = _kraus_sum(kraus, t.transpose(1, 0, 2, 3, 5, 4))
         dims = dims[:f] + (d_out,) + dims[f + 1 :]
         d_tot = left * d_out * right
-        mat = np.moveaxis(out, (0, 5), (1, 4)).reshape(d_tot, d_tot)
+        mat = out.transpose(1, 0, 2, 3, 5, 4).reshape(d_tot, d_tot)
     return linalg.hermitian_part(mat), dims
 
 

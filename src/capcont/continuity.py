@@ -18,10 +18,10 @@ its purification, by the same kernel as the coherent term. Trials draw raw
 matrices or vectors from their own seeded streams and are measured as
 stacks of bounded size, so a report equals that of its trial measured
 alone: the Fannes and Alicki-Fannes trials in one shared state-pair loop,
-in blocks of _TRIAL_BLOCK, and the Theorem 3 trials as Gram stacks within
-_STACK_ENTRIES entries. The corollary trials go one at a time, since the
-slot-wise kernel they use has no batch axis. Validated state types appear
-only at the public boundary.
+in blocks of _TRIAL_BLOCK with one bound array each, and the Theorem 3
+trials as Gram stacks within _STACK_ENTRIES entries. The corollary trials
+go one at a time, since the slot-wise kernel they use has no batch axis.
+Validated state types and the seed are read only at the public boundary.
 
 Hybrid sequences interpolate between the n-copy outputs of two channels
 one tensor slot at a time; consecutive states differ only in that slot,
@@ -58,28 +58,33 @@ from .entropic import (
     _coherent_information,
     _conditional_entropy,
     _holevo,
-    binary_entropy,
     coherent_information,
     entropy_of_matrix,
+    entropy_of_spectra,
     holevo_information,
 )
 from .errors import ArgumentError
 from .linalg import DensityMatrix, as_index, as_real, check_choi_dim, hermitian_part
-from .sampling import _haar_vector, _unit_trace_gram, _wishart, random_channel, rng_for
+from .sampling import _haar_vector, _stream, _unit_trace_gram, _wishart, random_channel
+
+
+# The weights (a, b) of a eps log2 d + b H(eps) in the Fannes and Alicki-Fannes bounds.
+_FANNES, _AF = (1.0, 1.0), (4.0, 2.0)
+
+
+def _entropy_bound(eps, d: int, a: float, b: float):
+    """a eps log2 d + b H(eps) on a float or an array of eps, H from the [eps, 1 - eps] rows."""
+    return a * eps * math.log2(d) + b * entropy_of_spectra(np.stack([eps, 1.0 - eps], axis=-1))
 
 
 def fannes_bound(eps: float, d: int) -> float:
     """Entropy continuity in trace distance: eps * log d + H(eps)."""
-    eps = as_real(eps, "eps", 0.0, 1.0)
-    d = as_index(d, "d", 2)
-    return eps * math.log2(d) + binary_entropy(eps)
+    return _entropy_bound(as_real(eps, "eps", 0.0, 1.0), as_index(d, "d", 2), *_FANNES)
 
 
 def af_bound(eps: float, d_a: int) -> float:
     """Conditional-entropy continuity: 4 eps * log d_A + 2 H(eps)."""
-    eps = as_real(eps, "eps", 0.0, 1.0)
-    d_a = as_index(d_a, "d_a", 2)
-    return 4.0 * eps * math.log2(d_a) + 2.0 * binary_entropy(eps)
+    return _entropy_bound(as_real(eps, "eps", 0.0, 1.0), as_index(d_a, "d_a", 2), *_AF)
 
 
 def output_entropy_bound(n: int, eps: float, d_b: int) -> float:
@@ -152,24 +157,24 @@ def _measure_pairs(d: int, rngs: Sequence[np.random.Generator], quantity):
     return np.abs(quantity(rho) - quantity(sigma)), eps
 
 
-def _verify_state_pairs(name: str, bound, cases, trials: int, seed: int) -> list[BoundReport]:
+def _verify_state_pairs(name: str, weights, cases, trials: int, seed: int) -> list[BoundReport]:
     """The state-pair loop of verify_fannes and verify_af.
 
     Each case is (dims, d_b, quantity, label). Trial t of a case measures a
-    pair on prod(dims) drawn from rng_for(seed, *dims, t) against
-    bound(eps, d_b), in stacks of _TRIAL_BLOCK, with detail "<label>, trial t".
+    pair on prod(dims) drawn from the stream of rng_for(seed, *dims, t)
+    against _entropy_bound(eps, d_b, *weights), one array a stack of
+    _TRIAL_BLOCK, with detail "<label>, trial t". The seed is read once.
     """
-    trials = as_index(trials, "trials", 0)
+    trials, seed = as_index(trials, "trials", 0), as_index(seed, "seed", 0)
     reports = []
     for dims, d_b, quantity, label in cases:
         for start in range(0, trials, _TRIAL_BLOCK):
             block = range(start, min(start + _TRIAL_BLOCK, trials))
-            rngs = [rng_for(seed, *dims, t) for t in block]
+            rngs = [_stream(seed, dims + (t,)) for t in block]
             measured, eps = _measure_pairs(math.prod(dims), rngs, quantity)
-            for t, m, e in zip(block, measured, eps):
-                reports.append(BoundReport(
-                    name, float(m), bound(e, d_b), float(e), 1, d_b, f"{label}, trial {t}"
-                ))
+            bounds = _entropy_bound(eps, d_b, *weights).tolist()
+            for t, m, b, e in zip(block, measured.tolist(), bounds, eps.tolist()):
+                reports.append(BoundReport(name, m, b, e, 1, d_b, f"{label}, trial {t}"))
     return reports
 
 
@@ -179,7 +184,7 @@ def verify_fannes(
     """Entropy differences of random nearby pairs against eps log d + H(eps)."""
     dims = [as_index(d, "dims", 2) for d in dims]
     cases = [((d,), d, entropy_of_matrix, f"d {d}") for d in dims]
-    return _verify_state_pairs("entropy-difference", fannes_bound, cases, trials, seed)
+    return _verify_state_pairs("entropy-difference", _FANNES, cases, trials, seed)
 
 
 def verify_af(
@@ -197,7 +202,7 @@ def verify_af(
     dim_pairs = [(as_index(d_a, "d_a", 2), as_index(d_b, "d_b", 2)) for d_a, d_b in dim_pairs]
     cases = [((d_a, d_b), d_a, partial(_conditional_entropy, dims=(d_a, d_b), keep=[1]),
               f"d_a {d_a} x d_b {d_b}") for d_a, d_b in dim_pairs]
-    return _verify_state_pairs("conditional-entropy-difference", af_bound, cases, trials, seed)
+    return _verify_state_pairs("conditional-entropy-difference", _AF, cases, trials, seed)
 
 
 @dataclass(frozen=True)
@@ -352,7 +357,7 @@ def verify_output_entropy(
     one channel's Kraus images within _STACK_ENTRIES entries, and every
     trial's report equals that of the trial measured alone.
     """
-    trials = as_index(trials, "trials", 0)
+    trials, seed = as_index(trials, "trials", 0), as_index(seed, "seed", 0)
     n, eps = _checked_eps(ch_n, ch_m, n, eps)
     d_in, d_out = ch_n.d_in, ch_n.d_out
     bound = output_entropy_bound(n, eps, d_out)
@@ -363,7 +368,7 @@ def verify_output_entropy(
     measured = []
     for start in range(0, trials, step):
         block = range(start, min(start + step, trials))
-        v = np.array([_haar_vector(d_ref * d_in**n, rng_for(seed, t)) for t in block])
+        v = np.array([_haar_vector(d_ref * d_in**n, _stream(seed, (t,))) for t in block])
         s_n, s_m = (_pure_output_entropy(ch, v, dims) for ch in (ch_n, ch_m))
         measured += np.abs(s_n - s_m).tolist()
     return [
@@ -415,26 +420,30 @@ def verify_capacity_differences(
     term is measured so, and is held to the coherent term's bound, which
     such a difference obeys; the paper's four-term private bound, twice
     that, is only needed for mixed-state ensembles, which are not drawn
-    here. With optimized,
+    here. The coherent and private terms apply the single-copy family to
+    each input factor in turn, never forming the r^n-operator power; the
+    Holevo term, on outputs only d_out^n square, takes tensor_power. Trial
+    t draws from the stream of rng_for(seed, t). With optimized,
     independently maximized single-letter Holevo and coherent proxies (the
     latter is the private proxy too, see capopt.max_private) are compared
     with the n = 1 corollary bounds as consistent-with reports. eps
     defaults to the certified diamond distance of the pair, as in
     verify_output_entropy.
     """
-    trials = as_index(trials, "trials", 0)
+    trials, seed = as_index(trials, "trials", 0), as_index(seed, "seed", 0)
     n, eps = _checked_eps(ch_n, ch_m, n, eps)
     d_inn, d_out = ch_n.d_in**n, ch_n.d_out
     step = output_entropy_bound(n, eps, d_out)
     pows = (tensor_power(ch_n, n), tensor_power(ch_m, n))
+    coh_dims, priv_dims = ((d,) + (ch_n.d_in,) * n for d in (d_inn, _ENSEMBLE_SIZE))
     reports = []
     for t in range(trials):
-        rng = rng_for(seed, t)
+        rng = _stream(seed, (t,))
         probs, states, phi = _random_ensemble(d_inn, _ENSEMBLE_SIZE, rng)
         rho = hermitian_part(_wishart(d_inn * d_inn, d_inn * d_inn, rng))
         chi = [_holevo(ch.kraus, probs, states) for ch in pows]
-        coh = [_coherent_information(ch.kraus, rho, (d_inn, d_inn)) for ch in pows]
-        priv = [_coherent_information(ch.kraus, phi, (_ENSEMBLE_SIZE, d_inn)) for ch in pows]
+        coh = [_coherent_information(ch.kraus, rho, coh_dims) for ch in (ch_n, ch_m)]
+        priv = [_coherent_information(ch.kraus, phi, priv_dims) for ch in (ch_n, ch_m)]
         for name, (a, b), detail in (
             ("holevo-term", chi, f"trial {t}"),
             ("coherent-term", coh, f"trial {t}"),

@@ -30,7 +30,7 @@ from .channels import ChoiMatrix, QuantumChannel
 from .errors import ArgumentError
 from .linalg import DensityMatrix, PureState, as_index, dagger, hermitian_part
 from .linalg import maximally_entangled, partial_trace_matrix, probe_trace_norm, trace_norm
-from .sampling import haar_state, rng_for
+from .sampling import _haar_vector, _stream
 from .sdp import GAP_TARGET, TAU_SDP, DiamondSolution
 
 
@@ -291,12 +291,12 @@ def probe_value(choi: ChoiMatrix, psi: PureState) -> float:
 
 def diamond_lower_probe(choi: ChoiMatrix, trials: int, seed: int) -> float:
     """Best of `trials` Haar-random pure probes with a full-size reference."""
-    trials = as_index(trials, "trials", 1)
+    trials, seed = as_index(trials, "trials", 1), as_index(seed, "seed", 0)
     d_in = choi.d_in
     best = 0.0
     for t in range(trials):
-        psi = haar_state(d_in * d_in, rng_for(seed, t), dims=(d_in, d_in))
-        best = max(best, probe_value(choi, psi))
+        v = _haar_vector(d_in * d_in, _stream(seed, (t,)))  # haar_state's unit vector
+        best = max(best, probe_trace_norm(choi.matrix, v.reshape(d_in, d_in), d_in, choi.d_out))
     return best
 
 

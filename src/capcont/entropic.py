@@ -106,11 +106,15 @@ def coherent_information(ch: QuantumChannel, rho: DensityMatrix) -> float:
     return _coherent_information(ch.kraus, rho.matrix, rho.dims)
 
 
-def _coherent_information(kraus: np.ndarray, mat: np.ndarray, dims: tuple[int, int]) -> float:
-    """coherent_information on a raw two-factor input matrix (no validation)."""
-    omega, dims = channels._apply_on_factors(kraus, mat, dims, [1])
-    # -S(A|B), written 0.0 - x so that equal entropies give 0.0, not -0.0.
-    return 0.0 - _conditional_entropy(omega, dims, [1])
+def _coherent_information(kraus: np.ndarray, mat: np.ndarray, dims: tuple[int, ...]) -> float:
+    """S(B^n) - S(RB^n), the family on each factor after the first (no validation).
+
+    dims is (d_ref, d_in, ..., d_in), as for channels._kraus_images, so each
+    of the n factors takes one copy: the n-copy power, never formed.
+    """
+    omega, dims = channels._apply_on_factors(kraus, mat, dims, range(1, len(dims)))
+    # -S(R|B^n), written 0.0 - x so that equal entropies give 0.0, not -0.0.
+    return 0.0 - _conditional_entropy(omega, (dims[0], len(omega) // dims[0]), [1])
 
 
 class Ensemble:

@@ -3,7 +3,8 @@
 All harnesses draw through these helpers so that a single integer seed
 determines every trial. Independent streams for trial k come from
 SeedSequence spawn keys, which keeps results stable no matter how trials
-are scheduled.
+are scheduled. rng_for reads its seed and branch; a caller that has read
+its seed once draws each stream from _stream, the raw kernel it ends in.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ def rng_for(seed: int, *branch: int) -> np.random.Generator:
     seed, branch = as_index(seed, "seed"), tuple(as_index(b, "branch") for b in branch)
     if seed < 0 or any(b < 0 for b in branch):
         raise ArgumentError(f"seed {seed} and branch {branch} must be non-negative")
+    return _stream(seed, branch)
+
+
+def _stream(seed: int, branch: tuple[int, ...]) -> np.random.Generator:
+    """Raw generator of rng_for(seed, *branch): non-negative ints, not validated."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=branch))
 
 

@@ -46,7 +46,9 @@ from capcont.distance import diamond_distance, diamond_lower_probe, trace_distan
 from capcont.entropic import (
     TAU_ENT,
     Ensemble,
+    _coherent_information,
     _holevo,
+    binary_entropy,
     coherent_information,
     conditional_entropy,
     entropy_of_matrix,
@@ -55,7 +57,7 @@ from capcont.entropic import (
 )
 from capcont.errors import ArgumentError, DimensionError
 from capcont.linalg import TAU_TR, DensityMatrix
-from capcont.sampling import haar_state, random_channel, random_density_matrix, rng_for
+from capcont.sampling import _stream, haar_state, random_channel, random_density_matrix, rng_for
 
 H_QUARTER = 0.8112781244591328  # binary entropy of 1/4, frozen independently
 
@@ -602,10 +604,13 @@ _PRIVATE_DETAIL = "trial {}: coherent information of the purification, held to t
 
 
 def test_stacked_corollary_terms_match_per_trial_reference():
-    # The reference measures the private term as the parent formula does,
-    # with four Holevo quantities, two on the complementary channels of the
-    # n-fold powers. The harness takes it as the coherent information of the
-    # ensemble's purification, the same number up to rounding.
+    # The reference measures the private term with four Holevo quantities,
+    # two on the complementary channels of the n-fold powers. The harness
+    # takes it as the coherent information of the ensemble's purification,
+    # the same number up to rounding. The coherent term applies one channel
+    # copy to each input factor, as the harness does, so it is held to ==;
+    # test_per_copy_coherent_information_matches_the_power_family holds the
+    # per-copy route to the n-fold power within 1e-12.
     size = continuity._ENSEMBLE_SIZE  # 2, fixed in the library
     pairs = [(dephasing(0.1), depolarizing(2, 0.1)), random_nearby_pair(3, 2, rng_for(4))]
     for (ch_n, ch_m), n, trials, seed in zip(pairs, (2, 2), (4, 3), (3, 8)):
@@ -623,11 +628,13 @@ def test_stacked_corollary_terms_match_per_trial_reference():
                 (float(p), DensityMatrix.from_pure(rng.normal(size=d) + 1j * rng.normal(size=d)))
                 for p in probs
             ])
-            rho = random_density_matrix(d * d, rng, dims=(d, d))
+            rho = random_density_matrix(d * d, rng, dims=(d,) + (ch_n.d_in,) * n)
             chi_n, chi_m = _ref_holevo(pow_n, ens), _ref_holevo(pow_m, ens)
             priv_n = chi_n - _ref_holevo(env_n, ens)
             priv_m = chi_m - _ref_holevo(env_m, ens)
-            coh = coherent_information(pow_n, rho) - coherent_information(pow_m, rho)
+            cond = [conditional_entropy(apply_extended(ch, rho, range(1, n + 1)), split=1)
+                    for ch in (ch_n, ch_m)]
+            coh = cond[1] - cond[0]
             want += [
                 ("holevo-term", abs(chi_n - chi_m), 2.0 * step, f"trial {t}"),
                 ("coherent-term", abs(coh), 2.0 * step, f"trial {t}"),
@@ -666,6 +673,74 @@ def test_rng_for_rejects_negative_seed_or_branch():
         with pytest.raises(ArgumentError):
             rng_for(*args)
     assert rng_for(2**64, 0).random() == rng_for(2**64, 0).random()
+
+
+@pytest.mark.parametrize("seed, branch", [
+    (0, ()), (7, (3,)), (1, (2, 3, 5)), (2**64, ()), (2**64, (0,)), (2**64 + 5, (4, 2**40)),
+])
+def test_raw_stream_draws_what_rng_for_draws(seed, branch):
+    assert np.array_equal(_stream(seed, branch).random(8), rng_for(seed, *branch).random(8))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: verify_fannes(trials=0, seed=seed),
+        lambda seed: verify_af(trials=0, seed=seed),
+        lambda seed: verify_output_entropy(identity(2), depolarizing(2, 0.1), trials=0, seed=seed),
+        lambda seed: verify_capacity_differences(identity(2), depolarizing(2, 0.1), trials=0,
+                                                 seed=seed),
+    ],
+    ids=["verify-fannes", "verify-af", "theorem3", "corollaries"],
+)
+@pytest.mark.parametrize("bad, message", [
+    (-1, "^seed -1 must be >= 0$"),
+    (1.5, "^seed must be an integer, got 1.5$"),
+    (True, "^seed must be an integer, got True$"),
+])
+def test_bad_seeds_are_refused_before_any_trial(call, bad, message):
+    # Each harness reads its seed once, before the trial loop, so a run of
+    # zero trials refuses a bad seed as a run of one does.
+    with pytest.raises(ArgumentError, match=message):
+        call(bad)
+
+
+def test_bound_kernels_equal_the_scalar_bounds_entry_by_entry():
+    # The kernels evaluate a stack of eps at once; each entry must be the
+    # scalar bound's bits, and those the formula with binary_entropy. The
+    # random entries are divided by 3 so that, unlike random()'s multiples
+    # of 2^-53, 1 - (1 - eps) is not always eps.
+    block = np.concatenate([[0.0, 0.5, 1.0, 0.1, 0.3], rng_for(31).random(59) / 3.0])
+    for d in (2, 3, 4, 8, 16):
+        fannes, af = (continuity._entropy_bound(block, d, *weights)
+                      for weights in (continuity._FANNES, continuity._AF))
+        assert fannes.shape == af.shape == block.shape
+        for e, f, a in zip(block.tolist(), fannes.tolist(), af.tolist()):
+            assert f == fannes_bound(e, d) == e * math.log2(d) + binary_entropy(e)
+            assert a == af_bound(e, d) == 4.0 * e * math.log2(d) + 2.0 * binary_entropy(e)
+    assert fannes_bound(0.5, 2) == 1.5 and af_bound(1.0, 2) == 4.0
+
+
+@pytest.mark.parametrize("pair, n", [
+    ((depolarizing(3, 0.1),), 2),
+    ((identity(2), depolarizing(2, 0.1)), 3),
+    (random_nearby_pair(3, 2, rng_for(4)), 2),
+], ids=["depolarizing-3-n2", "qubits-n3", "nearby-3-to-2-n2"])
+def test_per_copy_coherent_information_matches_the_power_family(pair, n):
+    # The corollary harness applies one single-copy family to each of the n
+    # input factors; coherent_information of the n-fold power applies them
+    # all at once. The two differ only by rounding, on a full-rank input and
+    # on a rank-one purification with a two-level reference.
+    rng = rng_for(12, n)
+    for channel in pair:
+        d_in, d = channel.d_in, channel.d_in**n
+        vec = haar_state(2 * d, rng).vector
+        inputs = [(random_density_matrix(d * d, rng).matrix, d), (np.outer(vec, vec.conj()), 2)]
+        power = tensor_power(channel, n)
+        for mat, d_ref in inputs:
+            per_copy = _coherent_information(channel.kraus, mat, (d_ref,) + (d_in,) * n)
+            want = coherent_information(power, DensityMatrix(mat, (d_ref, d)))
+            assert abs(per_copy - want) <= 1e-12, (per_copy, want)
 
 
 

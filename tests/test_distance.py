@@ -683,6 +683,16 @@ def test_probe_seeded_determinism():
     assert a == b
 
 
+@pytest.mark.parametrize("d, seed", [(2, 42), (3, 7), (4, 2**64)])
+def test_probe_equals_the_best_haar_state_probe(d, seed):
+    # diamond_lower_probe reads its seed once and draws haar_state's raw
+    # vector from each trial's stream; the value is the validated loop's.
+    m = ch.ChoiMatrix.difference(*random_nearby_pair(d, d, rng_for(seed, d)))
+    probes = [probe_value(m, haar_state(d * d, rng_for(seed, t), dims=(d, d))) for t in range(6)]
+    assert diamond_lower_probe(m, trials=1, seed=seed) == probes[0]
+    assert diamond_lower_probe(m, trials=6, seed=seed) == max(probes)
+
+
 def test_probe_validates_input():
     m = ch.ChoiMatrix.difference(ch.identity(2), ch.dephasing(0.3))
     with pytest.raises(ArgumentError):

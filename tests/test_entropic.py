@@ -313,3 +313,21 @@ def test_entropy_of_a_pure_spectrum_is_positive_zero():
     assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values), values
     # A nonzero entropy keeps its bits.
     assert entropy_of_spectrum(np.array([0.5, 0.5])) == 1.0
+
+
+def test_two_factor_coherent_information_keeps_its_bits():
+    # Frozen from the kernel as it was before the per-copy route: one fixed
+    # transpose in place of two moveaxis calls gives the same views, and a
+    # two-factor input still takes the family on factor 1 alone.
+    bell = DensityMatrix.from_pure(np.eye(3).reshape(-1) / math.sqrt(3), dims=(3, 3))
+    cases = [
+        (ch.depolarizing(2, 0.3), random_density_matrix(4, rng_for(7), dims=(2, 2)),
+         -0.6079412187701605),
+        (random_channel(3, 2, rng_for(8)), random_density_matrix(6, rng_for(9), dims=(2, 3)),
+         -0.9284484430007289),
+        (ch.erasure(3, 0.2), bell, 0.9509775004326884),
+        (ch.tensor_power(ch.depolarizing(2, 0.1), 2),
+         random_density_matrix(16, rng_for(10), dims=(4, 4)), -1.5453271525964858),
+    ]
+    for channel, rho, want in cases:
+        assert coherent_information(channel, rho) == want
