@@ -11,18 +11,18 @@ exercise: identity, constant, erasure, depolarizing, dephasing, and the
 capacity discontinuity families (an n-level identity mixed with a sink
 map, in both its classical and quantum parameterizations).
 
-Channel application lives only here, in one kernel on raw matrices,
-_kraus_sum. _apply_full calls it on the whole space, or on a stack of
-whole-space matrices (the stack of K^dag gives the adjoint), and
-_apply_on_factors once per tensor slot, after moving the slot's axes to the
-ends. The public apply and apply_extended validate. A pure input needs no
-square matrix: _kraus_images returns the matrix Y whose columns are the
-images of the vector under every Kraus product (at most d_in d_out per
-copy), so the output is Y Y^dag, and its nonzero spectrum is that of the
-Gram matrix Y^dag Y. Given a stack of vectors it keeps their batch axes
-in front, one product per vector and slot, so each slice of the stack is
-bit-equal to the images of its vector alone. The output-entropy harness
-and both capacity ascents take it.
+Channel application lives only here, in one kernel per input form. A
+square matrix goes through _kraus_sum, which _apply_on_factors calls once
+per tensor slot, after moving the slot's axes to the ends; apply is its
+one-slot case. The public apply and apply_extended validate. A factored
+input needs no square matrix: _kraus_images returns the matrix Y whose
+columns are the images of a vector under every Kraus product (at most
+d_in d_out per copy), so the output of its projector is Y Y^dag, and its
+nonzero spectrum is that of the Gram matrix Y^dag Y. Given a stack of
+vectors it keeps their batch axes in front, one product per vector and
+slot, so each slice of the stack is bit-equal to the images of its vector
+alone. The output-entropy harness, both capacity ascents and the Holevo
+kernel take it.
 
 Arguments are read by the `linalg` readers: a constructor's d, p and n,
 a mixture's weights as a probability vector, and a channel file's Kraus
@@ -139,42 +139,27 @@ class ChoiMatrix:
 _TERM_BUDGET = 4096  # complex output entries of Kraus terms _kraus_sum holds at once
 
 
-def _kraus_sum(kraus: np.ndarray, mat: np.ndarray, batch: bool = False) -> np.ndarray:
-    """Raw sum_k K_k mat K_k^dag.
+def _kraus_sum(kraus: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Raw sum_k K_k mat K_k^dag on a (d_in, ..., d_in) array.
 
-    By default mat is (d_in, ..., d_in): K_k acts on the first axis and
-    K_k^dag on the last, and the middle axes are untouched. With batch, mat
-    is a (..., d_in, d_in) stack of whole-space matrices instead, and each
-    slice gets its own broadcast product block @ slice @ block^dag. Blocks
-    of at most _TERM_BUDGET output entries are batched and summed in index
-    order, so a slice's sum does not depend on what it is stacked with.
+    K_k acts on the first axis and K_k^dag on the last, and the middle axes
+    are untouched. The operators are taken in blocks whose terms hold at
+    most _TERM_BUDGET output entries, and the terms are summed in index
+    order.
     """
     d_out, d_in = kraus.shape[1], mat.shape[-1]
-    slot = mat.ndim > 2 and not batch
-    rows = mat.reshape(d_in, -1) if slot else mat
+    rows = mat.reshape(d_in, -1)
     step = max(1, _TERM_BUDGET // (d_out * d_out * (mat.size // (d_in * d_in))))
     out = None
     for start in range(0, len(kraus), step):
         block = kraus[start : start + step]
-        if slot:  # (d_out, middle..., col) -> rows (d_out, middle...) by col
-            terms = (block @ rows).reshape(len(block), -1, d_in)
-        else:  # the block axis goes in front of the batch axes
-            block = block.reshape((len(block),) + (1,) * (mat.ndim - 2) + block.shape[1:])
-            terms = block @ rows
+        terms = (block @ rows).reshape(len(block), -1, d_in)  # rows (d_out, middle...) by col
         for term in terms @ block.conj().swapaxes(-1, -2):
             if out is None:
                 out = term.copy()
             else:
                 out += term
-    return out.reshape((d_out,) + mat.shape[1:-1] + (d_out,)) if slot else out
-
-
-def _apply_full(kraus: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Hermitian part of _kraus_sum on a matrix or a (..., d_in, d_in) stack.
-
-    The stack of K^dag applies the adjoint.
-    """
-    return linalg.hermitian_part(_kraus_sum(kraus, mat, batch=True))
+    return out.reshape((d_out,) + mat.shape[1:-1] + (d_out,))
 
 
 def _apply_on_factors(
@@ -237,7 +222,7 @@ def apply(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     """Channel action sum_k K rho K^dag."""
     if rho.d != ch.d_in:
         raise ArgumentError(f"state dimension {rho.d} != channel input {ch.d_in}")
-    return DensityMatrix(_apply_full(ch.kraus, rho.matrix), (ch.d_out,))
+    return DensityMatrix(*_apply_on_factors(ch.kraus, rho.matrix, (ch.d_in,), [0]))
 
 
 def apply_extended(

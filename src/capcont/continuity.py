@@ -12,15 +12,16 @@ matrix of its Kraus images, which shares the output's nonzero spectrum),
 and capacity-proxy differences from either shared fixed parameters (hard
 checks) or independent maximizations (consistent-with checks, since the
 maximizers certify lower bounds only and cannot witness a violation).
-Each quantity has one kernel: S(A|B) is entropic._conditional_entropy, and
-the private term of a pure-state ensemble is the coherent information of
-its purification, by the same kernel as the coherent term. Trials draw raw
+Each quantity has one kernel: S(A|B) is entropic._conditional_entropy,
+every Holevo value entropic._holevo on Kraus images, and the private term
+of a pure-state ensemble is the coherent information of its purification,
+by the same kernel as the coherent term. Trials draw raw
 matrices or vectors from their own seeded streams and are measured as
 stacks of bounded size, so a report equals that of its trial measured
 alone: the Fannes and Alicki-Fannes trials in one shared state-pair loop,
 in blocks of _TRIAL_BLOCK with one bound array each, and the Theorem 3
 trials as Gram stacks within _STACK_ENTRIES entries. The corollary trials
-go one at a time, since the slot-wise kernel they use has no batch axis.
+go one at a time, since the kernels they use have no batch axis.
 Validated state types and the seed are read only at the public boundary.
 
 Hybrid sequences interpolate between the n-copy outputs of two channels
@@ -47,21 +48,18 @@ from .channels import (
     _kraus_images,
     erasure,
     mix,
-    tensor_power,
     truncated_classical_example,
     truncated_quantum_example,
 )
 from .distance import diamond_distance, trace_distance
 from .entropic import (
     TAU_ENT,
-    Ensemble,
     _coherent_information,
     _conditional_entropy,
     _holevo,
     coherent_information,
     entropy_of_matrix,
     entropy_of_spectra,
-    holevo_information,
 )
 from .errors import ArgumentError
 from .linalg import DensityMatrix, as_index, as_real, check_choi_dim, hermitian_part
@@ -89,7 +87,8 @@ def af_bound(eps: float, d_a: int) -> float:
 
 def output_entropy_bound(n: int, eps: float, d_b: int) -> float:
     """n-copy output-entropy continuity: n (4 eps * log d_B + 2 H(eps))."""
-    return as_index(n, "n", 1) * af_bound(eps, d_b)
+    n = as_index(n, "n", 1)
+    return n * _entropy_bound(as_real(eps, "eps", 0.0, 1.0), as_index(d_b, "d_b", 2), *_AF)
 
 
 def capacity_difference_bounds(eps: float, d_b: int) -> dict[str, float]:
@@ -99,7 +98,7 @@ def capacity_difference_bounds(eps: float, d_b: int) -> dict[str, float]:
     private bound doubles that because its proof splits into four
     entropy-difference terms instead of two.
     """
-    base = 2.0 * af_bound(eps, d_b)
+    base = 2.0 * output_entropy_bound(1, eps, d_b)
     return {"classical": base, "quantum": base, "private": 2.0 * base}
 
 
@@ -387,17 +386,15 @@ _ITERS = 400
 
 
 def _random_ensemble(d: int, size: int, rng: np.random.Generator):
-    """Raw pure-state ensemble and its purification.
+    """Raw pure-state ensemble: its (size,) probabilities and (size, d) blocks sqrt(p_x) psi_x.
 
-    Returns the (size,) probabilities, the (size, d, d) states and the
-    (size d)-square |phi><phi| of phi = sum_x sqrt(p_x) |x> |psi_x> on X (x) A.
+    Read as one vector, the blocks are the purification
+    phi = sum_x sqrt(p_x) |x> |psi_x> on X (x) A.
     """
     probs = rng.dirichlet(np.ones(size))
     vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in probs]
     vecs = np.array([v / np.linalg.norm(v) for v in vecs])
-    phi = (np.sqrt(probs)[:, None] * vecs).reshape(-1)
-    states = hermitian_part(np.array([np.outer(v, v.conj()) for v in vecs]))
-    return probs, states, np.outer(phi, phi.conj())
+    return probs, np.sqrt(probs)[:, None] * vecs
 
 
 def verify_capacity_differences(
@@ -420,10 +417,11 @@ def verify_capacity_differences(
     term is measured so, and is held to the coherent term's bound, which
     such a difference obeys; the paper's four-term private bound, twice
     that, is only needed for mixed-state ensembles, which are not drawn
-    here. The coherent and private terms apply the single-copy family to
-    each input factor in turn, never forming the r^n-operator power; the
-    Holevo term, on outputs only d_out^n square, takes tensor_power. Trial
-    t draws from the stream of rng_for(seed, t). With optimized,
+    here. Every term applies the single-copy family to each input factor
+    in turn, never forming the r^n-operator power: the coherent and private
+    terms on square inputs, and the Holevo term on the Kraus images of the
+    ensemble's blocks sqrt(p_x) psi_x, one state at a time (entropic._holevo).
+    Trial t draws from the stream of rng_for(seed, t). With optimized,
     independently maximized single-letter Holevo and coherent proxies (the
     latter is the private proxy too, see capopt.max_private) are compared
     with the n = 1 corollary bounds as consistent-with reports. eps
@@ -434,14 +432,14 @@ def verify_capacity_differences(
     n, eps = _checked_eps(ch_n, ch_m, n, eps)
     d_inn, d_out = ch_n.d_in**n, ch_n.d_out
     step = output_entropy_bound(n, eps, d_out)
-    pows = (tensor_power(ch_n, n), tensor_power(ch_m, n))
-    coh_dims, priv_dims = ((d,) + (ch_n.d_in,) * n for d in (d_inn, _ENSEMBLE_SIZE))
+    hol_dims, coh_dims, priv_dims = ((d,) + (ch_n.d_in,) * n for d in (1, d_inn, _ENSEMBLE_SIZE))
     reports = []
     for t in range(trials):
         rng = _stream(seed, (t,))
-        probs, states, phi = _random_ensemble(d_inn, _ENSEMBLE_SIZE, rng)
+        probs, blocks = _random_ensemble(d_inn, _ENSEMBLE_SIZE, rng)
+        phi = np.outer(blocks.reshape(-1), blocks.reshape(-1).conj())
         rho = hermitian_part(_wishart(d_inn * d_inn, d_inn * d_inn, rng))
-        chi = [_holevo(ch.kraus, probs, states) for ch in pows]
+        chi = [_holevo(ch.kraus, probs, blocks, hol_dims) for ch in (ch_n, ch_m)]
         coh = [_coherent_information(ch.kraus, rho, coh_dims) for ch in (ch_n, ch_m)]
         priv = [_coherent_information(ch.kraus, phi, priv_dims) for ch in (ch_n, ch_m)]
         for name, (a, b), detail in (
@@ -488,7 +486,9 @@ def discontinuity_demo(n_values: Sequence[int]) -> list[dict[str, float]]:
         if not result.certified():
             raise ArgumentError(f"diamond distance not certified for n={n}")
         eps = result.value
-        classical_lb = holevo_information(ch_trunc, Ensemble.uniform_basis(n))
+        # The uniform codeword ensemble: blocks sqrt(1/n) |x>, no reference.
+        probs = np.full(n, 1.0 / n)
+        classical_lb = _holevo(ch_trunc.kraus, probs, np.diag(np.sqrt(probs)), (1, n))
         quantum_trunc = truncated_quantum_example(n)
         bell = DensityMatrix.from_pure(
             np.eye(n).reshape(-1) / math.sqrt(n), dims=(n, n)

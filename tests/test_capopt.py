@@ -29,7 +29,6 @@ from capcont.capopt import (
 )
 from capcont.channels import (
     QuantumChannel,
-    _apply_full,
     _kraus_images,
     apply,
     complementary,
@@ -51,6 +50,11 @@ from capcont.entropic import (
 from capcont.errors import ArgumentError, DimensionError
 from capcont.linalg import DensityMatrix, dagger, partial_trace_matrix
 from capcont.sampling import random_channel, random_density_matrix, random_unitary, rng_for
+
+
+def _plain_apply(kraus, mat):
+    # sum_k K mat K^dag in plain numpy; a stack of K^dag applies the adjoint.
+    return sum(k @ mat @ k.conj().T for k in kraus)
 
 
 def _shannon(probs):
@@ -296,8 +300,8 @@ def test_adjoint_stack_satisfies_the_duality():
         rho = random_density_matrix(chan.d_in, rng).matrix
         g = rng.normal(size=(chan.d_out,) * 2) + 1j * rng.normal(size=(chan.d_out,) * 2)
         x = g + g.conj().T
-        lhs = np.trace(x @ _apply_full(chan.kraus, rho))
-        rhs = np.trace(_apply_full(dagger(chan.kraus), x) @ rho)
+        lhs = np.trace(x @ _plain_apply(chan.kraus, rho))
+        rhs = np.trace(_plain_apply(dagger(chan.kraus), x) @ rho)
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -545,7 +549,7 @@ def test_a_non_ascent_direction_falls_back_to_the_gradient():
 # state at a time. The batched report must equal it bit for bit: same
 # values, iteration counts, stop reasons, flags and maximizers. Its
 # objectives take Kraus images, as the ascents do; the square-matrix
-# objectives after them, through _apply_full and the complementary
+# objectives after them, through _plain_apply and the complementary
 # channel, check the images arithmetic to 1e-12.
 
 
@@ -717,12 +721,12 @@ def _square_coherent_objective(ch):
 
     def value_of(v):
         rho = rho_of(v)
-        return _ref_entropy(_apply_full(kb, rho)) - _ref_entropy(_apply_full(ke, rho))
+        return _ref_entropy(_plain_apply(kb, rho)) - _ref_entropy(_plain_apply(ke, rho))
 
     def grad_of(v):
         rho = rho_of(v)
-        g_rho = _apply_full(kb_adj, _ref_neg_log2(*np.linalg.eigh(_apply_full(kb, rho))))
-        g_rho -= _apply_full(ke_adj, _ref_neg_log2(*np.linalg.eigh(_apply_full(ke, rho))))
+        g_rho = _plain_apply(kb_adj, _ref_neg_log2(*np.linalg.eigh(_plain_apply(kb, rho))))
+        g_rho -= _plain_apply(ke_adj, _ref_neg_log2(*np.linalg.eigh(_plain_apply(ke, rho))))
         hv = (v.reshape(d, d) @ g_rho.T).reshape(-1)
         hv -= _ref_inner(v, hv) * v
         return 2.0 * hv
@@ -739,7 +743,7 @@ def _square_holevo_objective(ch, m):
     def ensemble(u):
         blocks = u.reshape(m, d)
         probs = [_ref_inner(b, b) for b in blocks]
-        outs = [_apply_full(kraus, np.outer(psi, psi.conj()))
+        outs = [_plain_apply(kraus, np.outer(psi, psi.conj()))
                 for psi in (b / np.sqrt(p) for p, b in zip(probs, blocks))]
         return probs, blocks, outs, sum(p * o for p, o in zip(probs, outs))
 
@@ -751,7 +755,7 @@ def _square_holevo_objective(ch, m):
         _, blocks, outs, avg = ensemble(u)
         l_avg = _ref_neg_log2(*np.linalg.eigh(avg))
         g = np.concatenate([
-            _apply_full(adjoint, l_avg - _ref_neg_log2(*np.linalg.eigh(out))) @ b
+            _plain_apply(adjoint, l_avg - _ref_neg_log2(*np.linalg.eigh(out))) @ b
             for b, out in zip(blocks, outs)
         ])
         g -= _ref_inner(u, g) * u
@@ -906,10 +910,10 @@ def test_each_point_goes_through_the_channel_once(runner, monkeypatch):
         return _kraus_images(kraus, vec, dims)
 
     def refuse(*args):
-        raise AssertionError("_apply_full was called")
+        raise AssertionError("_kraus_sum was called")
 
     monkeypatch.setattr("capcont.capopt._kraus_images", record)
-    monkeypatch.setattr("capcont.channels._apply_full", refuse)
+    monkeypatch.setattr("capcont.channels._kraus_sum", refuse)
     if runner is max_holevo:
         rep = max_holevo(ch, 3, restarts=3, iters=40, seed=5)
     else:

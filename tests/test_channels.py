@@ -372,29 +372,27 @@ def test_numpy_integer_factor_and_basis_indices_pass():
     assert np.array_equal(basis_state(np.int64(3), np.uint8(2)), [0, 0, 1])
 
 
-def test_apply_full_on_a_stack_equals_per_slice_calls():
-    # Each slice of a stack gets its own broadcast product, summed in Kraus
-    # index order, so it matches the 2-D call bit for bit: on channels,
-    # complementary channels, adjoint stacks and a 12-operator family whose
-    # terms on a 22-slice stack need several _TERM_BUDGET blocks.
+def test_apply_sums_the_kraus_terms_across_term_blocks():
+    # apply and apply_extended give the plain-numpy sum of Kraus terms: on
+    # channels, complementary channels and a tensor power, and on a
+    # 64-operator family whose 16 x 16 terms need several _TERM_BUDGET
+    # blocks on the whole space and on one slot of a (3, 4) space.
     rng = rng_for(29)
-    many = random_channel(3, 4, rng)
-    assert len(many.kraus) * 4 * 4 * 22 > ch._TERM_BUDGET
+    many = random_channel(4, 16, rng)
+    assert len(many.kraus) * 16 * 16 > ch._TERM_BUDGET
     chans = [ch.erasure(2, 0.25), ch.dephasing(0.2), ch.depolarizing(2, 0.2), many]
     chans += [ch.complementary(c) for c in chans[:3]] + [ch.tensor_power(chans[0], 2)]
     for chan in chans:
-        for kraus in (chan.kraus, chan.kraus.conj().transpose(0, 2, 1)):
-            d = kraus.shape[2]
-            for shape in ((1,), (22,), (3, 2)):
-                vecs = rng.normal(size=shape + (d,)) + 1j * rng.normal(size=shape + (d,))
-                mats = vecs[..., :, None] * vecs.conj()[..., None, :]
-                out = ch._apply_full(kraus, mats)
-                assert out.shape == shape + (kraus.shape[1],) * 2
-                for idx in np.ndindex(*shape):
-                    assert np.array_equal(out[idx], ch._apply_full(kraus, mats[idx]))
-    rho = random_density_matrix(3, rng).matrix
-    out = ch._apply_full(many.kraus, np.stack([rho] * 22))
-    assert np.allclose(out[-1], _apply_oracle(many, rho), atol=1e-12)
+        for rank in (1, chan.d_in):
+            rho = random_density_matrix(chan.d_in, rng, rank=rank)
+            out = ch.apply(chan, rho)
+            assert out.dims == (chan.d_out,)
+            assert np.allclose(out.matrix, _apply_oracle(chan, rho.matrix), atol=1e-12)
+    rho = random_density_matrix(12, rng, dims=(3, 4))
+    out = ch.apply_extended(many, rho, [1])
+    ref, ref_dims = _kron_slots_oracle(many, rho, [1])
+    assert out.dims == ref_dims == (3, 16)
+    assert np.allclose(out.matrix, ref, atol=1e-12)
 
 
 # ------------------------------------------------------- Choi conversions

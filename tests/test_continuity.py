@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 
 from capcont.channels import (
     ChoiMatrix,
-    _apply_full,
     _apply_on_factors,
     _kraus_images,
     apply_extended,
@@ -207,15 +206,30 @@ def test_pair_harnesses_refuse_zero_copies_before_measuring(monkeypatch):
         (lambda bad: verify_output_entropy(identity(2), identity(2), n=bad, trials=1), "n"),
         (lambda bad: verify_capacity_differences(identity(2), identity(2), n=bad), "n"),
         (lambda bad: discontinuity_demo([bad]), "n_values"),
+        (lambda bad: output_entropy_bound(2, 0.1, bad), "d_b"),
+        (lambda bad: capacity_difference_bounds(0.1, bad), "d_b"),
     ],
     ids=["fannes", "af", "output-bound", "verify-fannes", "verify-af", "theorem3",
-         "corollaries", "discontinuity"],
+         "corollaries", "discontinuity", "output-bound-d-b", "capacity-bounds-d-b"],
 )
 def test_non_integral_dimensions_and_copy_counts_are_refused(call, name):
     # int() would truncate: 2.5 -> the d = 2 bound or 2 copies, 2.9 -> n = 2.
     for bad in (2.5, 2.9, 3.0, True):
         with pytest.raises(ArgumentError, match=f"^{name} must be an integer, got {bad!r}$"):
             call(bad)
+
+
+def test_a_bound_dimension_below_two_is_refused_under_its_own_name():
+    # The n-copy and capacity bounds read d_b themselves, not through
+    # af_bound, whose argument is d_a.
+    for call, name in (
+        (lambda: fannes_bound(0.1, 1), "d"),
+        (lambda: af_bound(0.1, 1), "d_a"),
+        (lambda: output_entropy_bound(2, 0.1, 1), "d_b"),
+        (lambda: capacity_difference_bounds(0.1, 1), "d_b"),
+    ):
+        with pytest.raises(ArgumentError, match=f"^{name} 1 must be >= 2$"):
+            call()
 
 
 @pytest.mark.parametrize(
@@ -588,13 +602,19 @@ def test_harnesses_with_zero_trials_return_nothing():
         verify_fannes(dims=(1,), trials=0)
 
 
+def _plain_apply(kraus, mat):
+    # sum_k K mat K^dag in plain numpy.
+    return sum(k @ mat @ k.conj().T for k in kraus)
+
+
 def _ref_holevo(ch, ens):
+    # The square arithmetic: each state through the channel, as a matrix.
     avg = np.zeros((ch.d_out, ch.d_out), dtype=complex)
     mean_s = 0.0
     for p, state in ens.items:
         if p <= 0.0:
             continue
-        out = _apply_full(ch.kraus, state.matrix)
+        out = _plain_apply(ch.kraus, state.matrix)
         avg += p * out
         mean_s += p * entropy_of_matrix(out)
     return entropy_of_matrix(avg) - mean_s
@@ -608,9 +628,12 @@ def test_stacked_corollary_terms_match_per_trial_reference():
     # two on the complementary channels of the n-fold powers. The harness
     # takes it as the coherent information of the ensemble's purification,
     # the same number up to rounding. The coherent term applies one channel
-    # copy to each input factor, as the harness does, so it is held to ==;
+    # copy to each input factor, as the harness does, and the Holevo term
+    # takes the Kraus images of the ensemble's blocks with the single-copy
+    # family, so both are held to ==; the Holevo term is also held to the
+    # square arithmetic on the n-fold power within 1e-12, and
     # test_per_copy_coherent_information_matches_the_power_family holds the
-    # per-copy route to the n-fold power within 1e-12.
+    # per-copy routes to the power family within 1e-12.
     size = continuity._ENSEMBLE_SIZE  # 2, fixed in the library
     pairs = [(dephasing(0.1), depolarizing(2, 0.1)), random_nearby_pair(3, 2, rng_for(4))]
     for (ch_n, ch_m), n, trials, seed in zip(pairs, (2, 2), (4, 3), (3, 8)):
@@ -620,18 +643,20 @@ def test_stacked_corollary_terms_match_per_trial_reference():
         pow_n, pow_m = tensor_power(ch_n, n), tensor_power(ch_m, n)
         env_n, env_m = complementary(pow_n), complementary(pow_m)
         d = ch_n.d_in**n
-        want = []
+        want, square = [], []
         for t in range(trials):
             rng = rng_for(seed, t)
             probs = rng.dirichlet(np.ones(size))
-            ens = Ensemble([
-                (float(p), DensityMatrix.from_pure(rng.normal(size=d) + 1j * rng.normal(size=d)))
-                for p in probs
-            ])
+            vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in probs]
+            vecs = np.array([v / np.linalg.norm(v) for v in vecs])
+            ens = Ensemble([(float(p), DensityMatrix.from_pure(v)) for p, v in zip(probs, vecs)])
+            blocks = np.sqrt(probs)[:, None] * vecs
             rho = random_density_matrix(d * d, rng, dims=(d,) + (ch_n.d_in,) * n)
-            chi_n, chi_m = _ref_holevo(pow_n, ens), _ref_holevo(pow_m, ens)
-            priv_n = chi_n - _ref_holevo(env_n, ens)
-            priv_m = chi_m - _ref_holevo(env_m, ens)
+            chi_n, chi_m = (_holevo(ch.kraus, probs, blocks, (1,) + (ch.d_in,) * n)
+                            for ch in (ch_n, ch_m))
+            square.append(abs(_ref_holevo(pow_n, ens) - _ref_holevo(pow_m, ens)))
+            priv_n = _ref_holevo(pow_n, ens) - _ref_holevo(env_n, ens)
+            priv_m = _ref_holevo(pow_m, ens) - _ref_holevo(env_m, ens)
             cond = [conditional_entropy(apply_extended(ch, rho, range(1, n + 1)), split=1)
                     for ch in (ch_n, ch_m)]
             coh = cond[1] - cond[0]
@@ -647,25 +672,28 @@ def test_stacked_corollary_terms_match_per_trial_reference():
                 assert abs(g[1] - w[1]) <= 1e-12, (g, w)
             else:
                 assert g == w
+        chi = [g[1] for g in got if g[0] == "holevo-term"]
+        assert len(chi) == len(square) == trials
+        for g, w in zip(chi, square):
+            assert abs(g - w) <= 1e-12, (g, w)
 
 
-def test_holevo_kernel_on_a_stack_equals_per_ensemble_values():
+def test_holevo_information_is_the_kernel_on_the_eigen_factor():
+    # holevo_information factors each state by its eigh, row j of block x
+    # sqrt(p_x w_j) v_j on (d, d), and is the kernel's value there bit for
+    # bit. It is the square arithmetic within 1e-12 at every rank 1..d.
     rng = rng_for(21)
     for ch in (depolarizing(2, 0.3), random_channel(3, 4, rng), complementary(erasure(3, 0.2))):
-        k, m, d = 5, 3, ch.d_in
-        states = np.array([
-            [random_density_matrix(d, rng, rank=1 + (i + j) % d).matrix for j in range(m)]
-            for i in range(k)
-        ])
-        probs = rng.dirichlet(np.ones(m), size=k)
-        stacked = _holevo(ch.kraus, probs, states)
-        ensembles = [
-            Ensemble([(float(p), DensityMatrix(s)) for p, s in zip(ps, ss)])
-            for ps, ss in zip(probs, states)
-        ]
-        assert stacked.shape == (k,)
-        assert np.array_equal(stacked, [holevo_information(ch, e) for e in ensembles])
-        assert np.array_equal(stacked, [_ref_holevo(ch, e) for e in ensembles])
+        d = ch.d_in
+        for rank in range(1, d + 1):
+            states = np.array([random_density_matrix(d, rng, rank=rank).matrix for _ in range(3)])
+            probs = rng.dirichlet(np.ones(3))
+            ens = Ensemble([(float(p), DensityMatrix(s)) for p, s in zip(probs, states)])
+            w, v = np.linalg.eigh(states)
+            blocks = np.sqrt(probs[:, None] * np.clip(w, 0.0, None))[..., None] * v.swapaxes(1, 2)
+            got = holevo_information(ch, ens)
+            assert got == _holevo(ch.kraus, probs, blocks.reshape(3, -1), (d, d))
+            assert abs(got - _ref_holevo(ch, ens)) <= 1e-12, (got, _ref_holevo(ch, ens))
 
 
 def test_rng_for_rejects_negative_seed_or_branch():
@@ -731,6 +759,9 @@ def test_per_copy_coherent_information_matches_the_power_family(pair, n):
     # input factors; coherent_information of the n-fold power applies them
     # all at once. The two differ only by rounding, on a full-rank input and
     # on a rank-one purification with a two-level reference.
+    # The Holevo term takes the Kraus images of an ensemble's blocks
+    # sqrt(p_x) psi_x with no reference; its reference takes the square
+    # states through the n-fold power, as a plain-numpy sum of Kraus terms.
     rng = rng_for(12, n)
     for channel in pair:
         d_in, d = channel.d_in, channel.d_in**n
@@ -741,6 +772,14 @@ def test_per_copy_coherent_information_matches_the_power_family(pair, n):
             per_copy = _coherent_information(channel.kraus, mat, (d_ref,) + (d_in,) * n)
             want = coherent_information(power, DensityMatrix(mat, (d_ref, d)))
             assert abs(per_copy - want) <= 1e-12, (per_copy, want)
+        probs, blocks = continuity._random_ensemble(d, 3, rng)
+        per_copy = _holevo(channel.kraus, probs, blocks, (1,) + (d_in,) * n)
+        vecs = blocks / np.sqrt(probs)[:, None]
+        outs = [_plain_apply(power.kraus, np.outer(v, v.conj())) for v in vecs]
+        avg = sum(p * out for p, out in zip(probs, outs))
+        mean_s = sum(p * entropy_of_matrix(out) for p, out in zip(probs, outs))
+        want = entropy_of_matrix(avg) - mean_s
+        assert abs(per_copy - want) <= 1e-12, (per_copy, want)
 
 
 

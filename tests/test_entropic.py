@@ -1,6 +1,7 @@
 """Tests for entropies and fixed-input information quantities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from capcont.entropic import (
 )
 from capcont.errors import ArgumentError
 from capcont.linalg import DensityMatrix, basis_state, maximally_entangled, partial_trace
-from capcont.sampling import haar_state, random_channel, random_density_matrix, rng_for
+from capcont.sampling import (
+    haar_state,
+    random_channel,
+    random_density_matrix,
+    random_unitary,
+    rng_for,
+)
 
 # ---------------------------------------------------------------- oracles
 
@@ -187,6 +194,48 @@ def test_private_information_of_pure_states_is_coherent_information_of_the_avera
     psi = sum(np.sqrt(probs[x]) * np.kron(basis_state(m, x), v) for x, v in enumerate(vecs))
     rho = DensityMatrix.from_pure(psi, dims=(m, d_in))
     assert abs(private_information(chan, ens) - coherent_information(chan, rho)) <= 1e-12
+
+
+def _square_holevo(kraus, probs, mats):
+    # S(avg) - sum_x p_x S(out_x), each state through a plain-numpy Kraus sum.
+    outs = [sum(k @ m @ k.conj().T for k in kraus) for m in mats]
+    avg = sum(p * out for p, out in zip(probs, outs))
+    return entropy_of_matrix(avg) - sum(p * entropy_of_matrix(out) for p, out in zip(probs, outs))
+
+
+def test_holevo_information_clips_a_slightly_negative_spectrum():
+    # A state may hold an eigenvalue down to -TAU_PSD. The eigen factor takes
+    # the square root of the spectrum clipped at 0, so the value is finite
+    # and is that of the clipped state.
+    rng = rng_for(61)
+    u = random_unitary(3, rng)
+    w = np.array([0.6, 0.4 + 5e-9, -5e-9])
+    state = DensityMatrix(u @ np.diag(w) @ u.conj().T)
+    assert np.linalg.eigvalsh(state.matrix)[0] < -4e-9
+    clipped = u @ np.diag(np.clip(w, 0.0, None)) @ u.conj().T
+    chan = random_channel(3, 2, rng)
+    mixed = DensityMatrix.maximally_mixed(3)
+    got = holevo_information(chan, Ensemble([(0.5, state), (0.5, mixed)]))
+    assert math.isfinite(got)
+    want = _square_holevo(chan.kraus, [0.5, 0.5], [clipped, mixed.matrix])
+    assert abs(got - want) <= 1e-12, (got, want)
+
+
+def test_holevo_information_holds_one_members_images_at_a_time():
+    # 32 full-rank states on (8, 8) through 64 Kraus operators: each
+    # member's images are 64 x 64, and all 32 at once would be 2 MiB.
+    rng = rng_for(62)
+    chan = random_channel(8, 8, rng)
+    ens = Ensemble([(1 / 32, random_density_matrix(8, rng)) for _ in range(32)])
+    image_bytes = 8 * 8 * len(chan.kraus) * 16
+    holevo_information(chan, ens)  # the first call's one-time allocations
+    tracemalloc.start()
+    try:
+        holevo_information(chan, ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * image_bytes, (peak, image_bytes)
 
 
 # --------------------------------------------------------------- invariants
