@@ -19,8 +19,8 @@ eigendecomposition of each: its spectrum gives the entropy, and its
 eigenvectors the matrix logarithm, with eigenvalues floored at
 EPS_PERTURB so it stays finite near rank deficiency.  The gradient is one
 adjoint contraction, sum_k K_k^dag b_k, of the log-densities applied to
-the images.  The ascent evaluates each point once; an accepted
-line-search trial's gradient serves the next step.
+the images.  The ascent evaluates each point once; the gradient of the
+trial point its line search accepts serves the next step.
 
 Restarts run in lockstep on one leading batch axis, and an ensemble's
 states on a second one, so one kernel call serves every restart and state
@@ -31,13 +31,15 @@ is the limited-memory BFGS one (Nocedal and Wright, Numerical
 Optimization, ch. 7) on the sphere: the last LBFGS_MEMORY pairs, each
 projected onto the tangent space where it was taken (Absil, Mahony and
 Sepulchre, Optimization Algorithms on Matrix Manifolds, ch. 8), and the
-direction projected onto the current one.  A restart leaves the batch at
-the first of four stops:
+direction projected onto the current one.  Each iteration has one
+rounding floor, STALL_RTOL * max(|f|, 1): backtracking stops once the
+rise the Armijo test asks for falls below it, since there the test cannot
+be told from rounding (Hager and Zhang, SIAM J. Optim. 16, 2005).  A
+restart leaves the batch at the first of three stops:
 
 - ``gradient``: its gradient norm falls below GRAD_TOL;
-- ``stalled``: an accepted line-search step raises f by no more than
-  rounding, at most STALL_RTOL * max(|f|, 1);
-- ``line-search``: backtracking finds no acceptable step;
+- ``stalled``: its line search raises f by no more than the rounding
+  floor, whether it accepted a step or none;
 - ``iteration-cap``: it reaches the iteration cap.
 
 The batched kernels match per-slice calls bit for bit.  Every scalar
@@ -69,8 +71,8 @@ from .sampling import _stream
 RESTARTS = 16       # default random restarts per maximization
 ITERS = 2000        # iteration cap per restart
 GRAD_TOL = 1e-8     # declare convergence below this gradient norm
-STALL_RTOL = 4e-16  # an accepted step raising f by at most this * max(|f|, 1) stalls
-STALL_GRAD_TOL = 1e-6  # a stall or failed line search below this gradient norm has converged
+STALL_RTOL = 4e-16  # rounding floor: a rise of at most this * max(|f|, 1) stalls
+STALL_GRAD_TOL = 1e-6  # a stall below this gradient norm has converged
 EPS_PERTURB = 1e-10  # eigenvalue floor inside the matrix logarithm
 TAU_OPT = 1e-3      # slack for comparisons between independently found optima
 LBFGS_MEMORY = 8    # curvature pairs kept per restart
@@ -85,13 +87,12 @@ class OptimizationReport:
     re-evaluating argmax through the corresponding entropic formula
     reproduces it.  iterations holds the per-restart iteration counts and
     stop_reasons why each restart stopped: ``gradient`` (gradient norm
-    below GRAD_TOL), ``stalled`` (an accepted step no longer raised f
-    above rounding), ``line-search`` (no acceptable step) or
-    ``iteration-cap``.  converged reports whether the winning restart
-    stopped by the gradient test, or stalled or failed its line search
-    with a gradient norm below STALL_GRAD_TOL = 1e-6: there no step can
-    raise f above rounding.  Either stop above that norm is a plateau the
-    ascent could not climb at rounding precision, not an optimum.
+    below GRAD_TOL), ``stalled`` (its line search no longer raised f
+    above rounding) or ``iteration-cap``.  converged reports whether the
+    winning restart stopped by the gradient test, or stalled with a
+    gradient norm below STALL_GRAD_TOL = 1e-6: there no step can raise f
+    above rounding.  A stall above that norm is a plateau the ascent could
+    not climb at rounding precision, not an optimum.
     """
 
     best_value: float
@@ -145,8 +146,9 @@ class _Memory:
     Pairs are kept as the ascent's float64 rows, so each slot of the
     two-loop recursion is one row reduction and one update. Slot j of
     restart i holds a pair when j < held[i]. rho is 1 / s.y, and
-    gamma = s.y / y.y of the newest pair scales the initial inverse
-    Hessian H0 = gamma I.
+    gamma = s.y / y.y of the newest pair scales H0 = gamma I. Both are 0
+    where no pair is held: an empty slot adds exact zeros, and a restart
+    without pairs gets H g = 0.
     """
 
     def __init__(self, n: int, width: int):
@@ -171,24 +173,23 @@ class _Memory:
         self.gamma[rows] = sy[ok] / yy[ok]
         self.held[rows] = slot + 1
 
+    def drop(self, rows: np.ndarray) -> None:
+        """Forget every pair of these restarts: H g is then 0."""
+        self.held[rows], self.rho[rows], self.gamma[rows] = 0, 0.0, 0.0
+
     def apply(self, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """H g by the two-loop recursion, for restarts that hold a pair."""
-        held = self.held[rows]
-        mem_s, mem_y, rho = self.s[rows], self.y[rows], self.rho[rows]
+        """H g by the two-loop recursion, every slot up to the longest memory on every row."""
+        m = self.held[rows].max()
+        mem_s, mem_y, rho = self.s[rows, :m], self.y[rows, :m], self.rho[rows, :m]
         q = g.copy()
-        alpha = np.zeros((len(rows), LBFGS_MEMORY))
-        # Pairs are stored oldest first, so slot j is held by every restart
-        # below the shortest memory; a slice then saves the fancy indexing.
-        for j in reversed(range(held.max())):
-            act = slice(None) if held.min() > j else np.flatnonzero(held > j)
-            a = rho[act, j] * _rows(mem_s[act, j], q[act])
-            alpha[act, j] = a
-            q[act] -= a[:, None] * mem_y[act, j]
+        alpha = np.empty((len(rows), m))
+        for j in reversed(range(m)):
+            alpha[:, j] = rho[:, j] * _rows(mem_s[:, j], q)
+            q -= alpha[:, j, None] * mem_y[:, j]
         r = self.gamma[rows][:, None] * q
-        for j in range(held.max()):
-            act = slice(None) if held.min() > j else np.flatnonzero(held > j)
-            b = rho[act, j] * _rows(mem_y[act, j], r[act])
-            r[act] += (alpha[act, j] - b)[:, None] * mem_s[act, j]
+        for j in range(m):
+            b = rho[:, j] * _rows(mem_y[:, j], r)
+            r += (alpha[:, j] - b)[:, None] * mem_s[:, j]
         return r
 
 
@@ -203,19 +204,20 @@ def _ascend(
     restart's point as the float64 row of its real view. evaluate maps
     the complex points of any subset of the restarts to one value each and
     contiguous complex gradients of the same shape, tangent to the sphere.
-    Every point is evaluated once: an accepted line-search trial's
-    gradient is the next iteration's.
+    Every point is evaluated once: the gradient of an accepted trial
+    point is the next iteration's.
 
     Each restart keeps its own curvature pairs: s = x_new - x_old and
     y = g_old - g_new, both projected onto the tangent space at x_new,
     stored only when s.y > CURVATURE_RTOL |s| |y|. Its direction p is the
-    two-loop recursion's H g, projected onto the tangent space; with no
-    pairs, or when <g, p> is not positive, p is g and the pairs are
+    two-loop recursion's H g, projected onto the tangent space; when
+    <g, p> is not positive, as with no pairs, p is g and the pairs are
     dropped. The line search starts at t = 1 and halves t until
-    f(x + t p), renormalized, reaches f + 1e-4 t <g, p>, or t falls to
-    1e-14. A restart leaves the batch at its first stop (see the module
-    docstring). Returns every restart's final point, value, iteration
-    count, stop reason and convergence flag.
+    f(x + t p), renormalized, reaches f + 1e-4 t <g, p>, or until that
+    rise is no longer above the rounding floor. A restart leaves the
+    batch at its first stop (see the module docstring). Returns every
+    restart's final point, value, iteration count, stop reason and
+    convergence flag.
     """
     x = _renorm(np.array(starts, dtype=complex).view(np.float64))
     f, g = evaluate(x.view(complex))
@@ -237,22 +239,20 @@ def _ascend(
         reasons[live[done]] = "gradient"
         keep = ~done
         live, gsq, at, gl = live[keep], gsq[keep], at[keep], gl[keep]
-        if it > 1 and live.size:
+        if not live.size:
+            break
+        if it > 1:
             s = _tangent(at, at - x_prev[live])
             y = _tangent(at, g_prev[live] - gl)
             memory.store(live, s, y)
-        p, slope = gl.copy(), gsq.copy()
-        has = np.flatnonzero(memory.held[live] > 0)
-        if has.size:
-            hg = _tangent(at[has], memory.apply(live[has], gl[has]))
-            hslope = _rows(gl[has], hg)
-            up = hslope > 0
-            p[has[up]] = hg[up]
-            slope[has[up]] = hslope[up]
-            memory.held[live[has[~up]]] = 0
+        hg = _tangent(at, memory.apply(live, gl))
+        hslope = _rows(gl, hg)
+        up = hslope > 0
+        p, slope = np.where(up[:, None], hg, gl), np.where(up, hslope, gsq)
+        memory.drop(live[~up])
         f_old = f[live]
+        floor = STALL_RTOL * np.maximum(np.abs(f_old), 1.0)
         t = np.ones(len(live))
-        improved = np.zeros(len(live), dtype=bool)
         trying = np.arange(len(live))
         while trying.size:
             tt = t[trying]
@@ -261,17 +261,15 @@ def _ascend(
             ok = fc >= f[live[trying]] + 1e-4 * tt * slope[trying]
             won = live[trying[ok]]
             x[won], f[won], g[won] = cand[ok], fc[ok], gc.view(np.float64)[ok]
-            improved[trying[ok]] = True
             trying = trying[~ok]
             t[trying] *= 0.5
-            trying = trying[t[trying] > 1e-14]
+            trying = trying[1e-4 * t[trying] * slope[trying] > floor[trying]]
         x_prev[live], g_prev[live] = at, gl
-        stalled = improved & (f[live] - f_old <= STALL_RTOL * np.maximum(np.abs(f_old), 1.0))
-        reasons[live[~improved]] = "line-search"
+        stalled = f[live] - f_old <= floor
         reasons[live[stalled]] = "stalled"
-        live = live[improved & ~stalled]
-    # A gradient stop lies far below STALL_GRAD_TOL; a stall or a failed
-    # line search below it sits at rounding level.
+        live = live[~stalled]
+    # A gradient stop lies far below STALL_GRAD_TOL; a stall below it sits
+    # at rounding level.
     converged = (reasons != "iteration-cap") & (gnorm < STALL_GRAD_TOL)
     return x.view(complex), f, used, tuple(reasons.tolist()), converged
 

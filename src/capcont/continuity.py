@@ -15,7 +15,8 @@ maximizers certify lower bounds only and cannot witness a violation).
 Each quantity has one kernel: S(A|B) is entropic._conditional_entropy,
 every Holevo value entropic._holevo on Kraus images, and the private term
 of a pure-state ensemble is the coherent information of its purification,
-by the same kernel as the coherent term. Trials draw raw
+by the same kernel as the coherent term; the discontinuity trend table
+takes both lower bounds from these raw kernels too. Trials draw raw
 matrices or vectors from their own seeded streams and are measured as
 stacks of bounded size, so a report equals that of its trial measured
 alone: the Fannes and Alicki-Fannes trials in one shared state-pair loop,
@@ -57,7 +58,6 @@ from .entropic import (
     _coherent_information,
     _conditional_entropy,
     _holevo,
-    coherent_information,
     entropy_of_matrix,
     entropy_of_spectra,
 )
@@ -489,11 +489,10 @@ def discontinuity_demo(n_values: Sequence[int]) -> list[dict[str, float]]:
         # The uniform codeword ensemble: blocks sqrt(1/n) |x>, no reference.
         probs = np.full(n, 1.0 / n)
         classical_lb = _holevo(ch_trunc.kraus, probs, np.diag(np.sqrt(probs)), (1, n))
-        quantum_trunc = truncated_quantum_example(n)
-        bell = DensityMatrix.from_pure(
-            np.eye(n).reshape(-1) / math.sqrt(n), dims=(n, n)
-        )
-        quantum_lb = coherent_information(quantum_trunc, bell)
+        quantum = truncated_quantum_example(n).kraus
+        bell = (np.eye(n).reshape(-1) / math.sqrt(n)).astype(complex)
+        bell /= np.linalg.norm(bell)  # as DensityMatrix.from_pure normalizes it
+        quantum_lb = _coherent_information(quantum, np.outer(bell, bell.conj()), (n, n))
         bound = capacity_difference_bounds(min(eps, 1.0), n + 1)["classical"]
         rows.append(
             {

@@ -430,14 +430,18 @@ def _stop_on_a_sphere(rise, s):
     # One restart at x = [1, 0] on the sphere of C^2 that reports the
     # tangent gradient [0, s], of norm s, at every point. A step of length
     # t moves to unit([1, t s]) and raises f by rise(u_1), u_1 ~ t s.
-    # Returns its iteration count, stop reason, flag and final point.
+    # Returns its iteration count, stop reason, flag, the number of
+    # line-search trials (evaluations after the start's) and final point.
+    calls = []
+
     def evaluate(u):
+        calls.append(len(u))
         grad = np.zeros_like(u)
         grad[:, 1] = s
         return rise(u[:, 1].real), grad
 
     x, _, used, reasons, conv = _ascend(evaluate, np.array([[1.0, 0.0]], dtype=complex), 50)
-    return int(used[0]), reasons[0], bool(conv[0]), x[0]
+    return int(used[0]), reasons[0], bool(conv[0]), len(calls) - 1, x[0]
 
 
 def test_stall_converges_only_below_the_gradient_threshold():
@@ -449,38 +453,67 @@ def test_stall_converges_only_below_the_gradient_threshold():
 
     assert STALL_GRAD_TOL == 1e-6
     for s, converged in ((0.5 * STALL_GRAD_TOL, True), (1.5 * STALL_GRAD_TOL, False)):
-        used, reason, conv, x = _stop_on_a_sphere(lambda u1: 2e-10 * u1, s)
-        assert (used, reason, conv) == (1, "stalled", converged)
+        used, reason, conv, trials, x = _stop_on_a_sphere(lambda u1: 2e-10 * u1, s)
+        assert (used, reason, conv, trials) == (1, "stalled", converged, 1)
         assert np.allclose(x, unit(np.array([1.0, s])), rtol=0, atol=1e-15)
 
 
 def test_failed_line_search_converges_only_below_the_gradient_threshold():
-    # A constant value: no step passes the Armijo test, so backtracking
-    # runs out. Below STALL_GRAD_TOL that is a rounding-level optimum,
-    # as a stall is; above it, a plateau the ascent could not climb.
+    # A constant value: the trial at t = 1 fails the Armijo test, and the
+    # rise a halved step must make, 1e-4 t s^2 <= 1.2e-16, is below the
+    # rounding floor of f = 0. So the search stops after one trial, f has
+    # not risen, and the restart stalls. Below STALL_GRAD_TOL that is a
+    # rounding-level optimum; above it, a plateau the ascent could not climb.
     def stop(s):
-        used, reason, conv, x = _stop_on_a_sphere(lambda u1: np.zeros_like(u1), s)
+        used, reason, conv, trials, x = _stop_on_a_sphere(lambda u1: np.zeros_like(u1), s)
         assert np.array_equal(x, [1.0, 0.0])
-        return used, reason, conv
+        return used, reason, conv, trials
 
-    assert stop(0.5 * STALL_GRAD_TOL) == (1, "line-search", True)
-    assert stop(1.5 * STALL_GRAD_TOL) == (1, "line-search", False)
+    assert stop(0.5 * STALL_GRAD_TOL) == (1, "stalled", True, 1)
+    assert stop(1.5 * STALL_GRAD_TOL) == (1, "stalled", False, 1)
 
 
-def _scripted_ascent(grads, start, iters):
+def test_a_line_search_stops_at_the_rounding_floor(monkeypatch):
+    # At seed 1 a restart sits at f = 0.5 + 2.2e-16 with a gradient norm
+    # of 1.1e-8, just above GRAD_TOL, where every candidate rounds to 0.5
+    # or just below. Backtracking stops once the required rise 1e-4 t <g, p>
+    # is below STALL_RTOL max(|f|, 1), and the restart stalls. Halving t
+    # down to a fixed 1e-14 instead took 43 evaluation calls.
+    calls = []
+
+    def counted(evaluate, starts, iters):
+        def each(v):
+            calls.append(len(v))
+            return evaluate(v)
+
+        return _ascend(each, starts, iters)
+
+    monkeypatch.setattr("capcont.capopt._ascend", counted)
+    rep = max_coherent_information(erasure(2, 0.25), restarts=4, iters=400, seed=1)
+    assert rep.iterations == (5, 5, 6, 6)
+    assert rep.stop_reasons == ("stalled", "stalled", "stalled", "gradient")
+    assert rep.converged
+    assert len(calls) <= 10
+
+
+def _scripted_ascent(grads, start, iters, beside=None):
     # One restart whose every step passes the Armijo test at t = 1 and
     # never stalls: the value rises by 1 per evaluation. The evaluations
     # return the scripted gradients in turn, then a zero gradient at the
-    # point after the last step, which no step reads. Returns the points
-    # evaluated: the start, then the point after each step.
+    # point after the last step, which no step reads. beside, a
+    # (grads, start) pair of the same lengths, runs a second scripted
+    # restart in lockstep. Returns the first restart's points evaluated:
+    # the start, then the point after each step.
+    paths = [(grads, start)] + ([beside] if beside else [])
+    scripts = [iter([*g, np.zeros_like(x)]) for g, x in paths]
     seen = []
-    script = iter([*grads, np.zeros_like(start)])
 
     def evaluate(u):
         seen.append(u[0].copy())
-        return np.array([float(len(seen))]), np.array(next(script), dtype=complex).reshape(u.shape)
+        grad = np.array([next(script) for script in scripts], dtype=complex)
+        return np.full(len(u), float(len(seen))), grad.reshape(u.shape)
 
-    _ascend(evaluate, np.asarray(start, dtype=complex).reshape(1, -1), iters)
+    _ascend(evaluate, np.array([x for _, x in paths], dtype=complex), iters)
     return seen
 
 
@@ -492,37 +525,69 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
-def test_a_pair_without_positive_curvature_is_not_stored():
+def _dot(a, b):
+    return np.vdot(a, b).real
+
+
+def _one_pair(s, y, g):
+    # H g for H = V^T (gamma I) V + rho s s^T, V = I - rho y s^T
+    rho = 1.0 / _dot(s, y)
+    alpha = rho * _dot(s, g)
+    r = _dot(s, y) / _dot(y, y) * (g - alpha * y)
+    return r + (alpha - rho * _dot(y, r)) * s
+
+
+def _first_two_steps():
     # On the sphere of C^3: step 1 takes g1; step 2 takes P H g2 from the
-    # pair (s1, y1) stored at x2. g3 = P g2 + s2 makes y2 = -s2, so
-    # s2 . y2 < 0 and step 3 is P H g3 from the first pair alone. Had the
-    # second pair been stored, the two-loop direction would descend and
-    # step 3 would fall back to g3.
-    def dot(a, b):
-        return np.vdot(a, b).real
-
-    def one_pair(s, y, g):
-        # H g for H = V^T (gamma I) V + rho s s^T, V = I - rho y s^T
-        rho = 1.0 / dot(s, y)
-        alpha = rho * dot(s, g)
-        r = dot(s, y) / dot(y, y) * (g - alpha * y)
-        return r + (alpha - rho * dot(y, r)) * s
-
+    # pair (s1, y1) stored at x2. Returns the gradients, the pair and the
+    # points x1 to x3.
     x1 = np.array([1, 0, 0], dtype=complex)
     g1, g2 = np.array([0, 1, 0], dtype=complex), np.array([-0.25, 0.25, 0.5j])
     x2 = _unit(x1 + g1)
     s1, y1 = _tangent_at(x2, x2 - x1), _tangent_at(x2, g1 - g2)
-    p2 = _tangent_at(x2, one_pair(s1, y1, g2))
-    x3 = _unit(x2 + p2)
+    p2 = _tangent_at(x2, _one_pair(s1, y1, g2))
+    assert _dot(s1, y1) > 0 and _dot(g2, p2) > 0
+    return g1, g2, s1, y1, x1, x2, _unit(x2 + p2)
+
+
+def test_a_pair_without_positive_curvature_is_not_stored():
+    # After the first two steps, g3 = P g2 + s2 makes y2 = -s2, so
+    # s2 . y2 < 0 and step 3 is P H g3 from the first pair alone. Had the
+    # second pair been stored, the two-loop direction would descend and
+    # step 3 would fall back to g3.
+    g1, g2, s1, y1, x1, x2, x3 = _first_two_steps()
     s2 = _tangent_at(x3, x3 - x2)
     g3 = _tangent_at(x3, g2) + s2
-    assert dot(s1, y1) > 0 and dot(g2, p2) > 0
-    assert dot(s2, _tangent_at(x3, g2 - g3)) < 0
-    p3 = _tangent_at(x3, one_pair(s1, y1, g3))
-    assert dot(g3, p3) > 0
+    assert _dot(s2, _tangent_at(x3, g2 - g3)) < 0
+    p3 = _tangent_at(x3, _one_pair(s1, y1, g3))
+    assert _dot(g3, p3) > 0
     seen = _scripted_ascent([g1, g2, g3], x1, 3)
     assert np.allclose(seen[1:], [x2, x3, _unit(x3 + p3)], rtol=0, atol=1e-15)
     assert not np.allclose(seen[3], _unit(x3 + g3), rtol=0, atol=0.1)
+
+
+def test_dropped_pairs_leave_no_trace_in_the_next_direction():
+    # After the first two steps, x3 stores a second pair (s2, y2). g3 has a
+    # large normal component, along which the projected two-pair direction
+    # descends, so step 3 takes g3 and drops both pairs. At x4, g4 stores
+    # one new pair (s3, y3), and step 4 is P H g4 from that pair alone:
+    # the dropped pairs' slots must add nothing to the two-loop recursion.
+    # A second restart beside it keeps its pairs, three at step 4, so the
+    # recursion runs slots 1 and 2 on the first restart's row too.
+    g1, g2, _, _, x1, x2, x3 = _first_two_steps()
+    beside = ([g1, g2, np.array([0, 0, 1]), np.array([0, 1, 0])], x1)
+    s2 = _tangent_at(x3, x3 - x2)
+    g3 = 0.1 * _unit(_tangent_at(x3, np.array([0, 0, 1j]))) - 0.5 * x3
+    assert _dot(s2, _tangent_at(x3, g2 - g3)) > 0
+    x4 = _scripted_ascent([g1, g2, g3], x1, 3, (beside[0][:3], x1))[3]
+    assert np.allclose(x4, _unit(x3 + g3), rtol=0, atol=1e-15)
+    g4 = _tangent_at(x4, np.array([0, 1, 0]))
+    s3, y3 = _tangent_at(x4, x4 - x3), _tangent_at(x4, g3 - g4)
+    p4 = _tangent_at(x4, _one_pair(s3, y3, g4))
+    assert _dot(s3, y3) > 0 and _dot(g4, p4) > 0
+    x5 = _scripted_ascent([g1, g2, g3, g4], x1, 4, beside)[4]
+    assert np.allclose(x5, _unit(x4 + p4), rtol=0, atol=1e-15)
+    assert not np.allclose(x5, _unit(x4 + g4), rtol=0, atol=0.1)
 
 
 def test_a_non_ascent_direction_falls_back_to_the_gradient():
@@ -612,25 +677,26 @@ def _ref_ascend(value_of, grad_of, x, iters):
                 p, slope = r, _ref_inner(g, r)
             else:
                 pairs = []
+        # Backtracking stops once the required rise is below the rounding
+        # floor; a restart that did not rise above that floor stalls.
         t = 1.0
         f_old = f
-        improved = False
-        while t > 1e-14:
+        floor = 4e-16 * max(abs(f_old), 1.0)
+        prev = (x, g)
+        while True:
             cand = _ref_renorm(x + t * p)
             fc = value_of(cand)
             if fc >= f + 1e-4 * t * slope:
-                prev = (x, g)
-                x, f, improved = cand, fc, True
+                x, f = cand, fc
                 break
             t *= 0.5
-        if not improved:
-            reason = "line-search"
-            break
-        if f - f_old <= 4e-16 * max(abs(f_old), 1.0):
+            if 1e-4 * t * slope <= floor:
+                break
+        if f - f_old <= floor:
             reason = "stalled"
             break
-    # A stall or a failed line search below 1e-6 is at rounding level.
-    converged = reason == "gradient" or (reason in ("stalled", "line-search") and gnorm < 1e-6)
+    # A stall below 1e-6 is at rounding level.
+    converged = reason == "gradient" or (reason == "stalled" and gnorm < 1e-6)
     return x, f, used, reason, converged
 
 
